@@ -70,7 +70,6 @@ from .states import (
     UnknownLabel,
     apply_unitary_c,
     collapse_branches,
-    hermitian_eigenvalues,
     inner_product,
     measure_partition,
     project_accept_probability,

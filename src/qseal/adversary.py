@@ -146,7 +146,7 @@ def strategy_report(
 
 def generic_cheat(inst: SealedInstance) -> CheatReport:
     """Run the honest measurement coherently, then uncompute it."""
-    return strategy_report(inst, inst.unseal.pre_unitary, inst.unseal.partition)
+    return strategy_report(inst, None, inst.unseal.partition)
 
 
 def basis_cheat(inst: SealedInstance) -> CheatReport:
@@ -248,10 +248,11 @@ class ProofChain:
 
 
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
-    """Evaluate the inequality chain for one report (dense step included).
+    """Evaluate the inequality chain for one report.
 
-    Raises DimensionTooLarge when the joint active basis exceeds the dense
-    eigensolver cap.
+    The trace distance comes from ``trace_distance_pure_vs_ensemble``, which
+    works in the span of the reference and the returned branches. Raises
+    DimensionTooLarge when the joint active basis exceeds ``DENSE_DIM_CAP``.
     """
     reference = inst.reference
     acceptance_gap = report.s - inst.completeness_error

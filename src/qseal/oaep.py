@@ -295,7 +295,6 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
         amps[(_pad_label(r, params.k0), token)] = amp
     reference = SparseState(amps)
     unseal = UnsealSpec(
-        pre_unitary=None,
         partition=ProjPartition.finest(tokens),
         decode={token: None for token in tokens},
     )
@@ -390,12 +389,6 @@ def golden_vector_lines(ctx: OaepContext, pairs: Sequence[tuple[int, int]]) -> l
         payload = token_payload(token, params.k)
         lines.append(f"{y:0{yw}x} {r:0{rw}x} {payload:0{(params.k + 3) // 4}x}")
     return lines
-
-
-def write_golden_vectors(path, ctx: OaepContext, pairs: Sequence[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for line in golden_vector_lines(ctx, pairs):
-            fh.write(line + "\n")
 
 
 def read_golden_vectors(path) -> list[tuple[int, int, int]]:

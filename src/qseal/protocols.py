@@ -22,10 +22,8 @@ import numpy as np
 from .states import (
     Ensemble,
     Label,
-    LocalUnitary,
     ProjPartition,
     SparseState,
-    apply_unitary_c,
     measure_partition,
     project_accept_probability,
     state_from_dict,
@@ -60,14 +58,13 @@ class TooFewPictures(ProtocolError):
 
 @dataclass(frozen=True)
 class UnsealSpec:
-    """Honest unseal procedure: unitary, projective partition, decode table.
+    """Honest unseal procedure: projective partition and decode table.
 
-    ``pre_unitary`` is ``None`` for a plain computational-basis measurement;
-    storing the identity implicitly keeps large instances cheap. ``decode``
-    maps outcome labels to messages, with ``None`` marking garbage outcomes.
+    Every honest unseal measures register C in the computational basis, with
+    outcomes grouped by ``partition``. ``decode`` maps outcome labels to
+    messages, with ``None`` marking garbage outcomes.
     """
 
-    pre_unitary: LocalUnitary | None
     partition: ProjPartition
     decode: dict[Label, str | None]
 
@@ -106,7 +103,6 @@ def seal_naive(m: str, garbage: Label = "0") -> SealedInstance:
     amp = 1.0 / math.sqrt(2.0)
     reference = SparseState({(garbage, garbage): amp, (m, m): amp})
     unseal = UnsealSpec(
-        pre_unitary=None,
         partition=ProjPartition.finest([garbage, m]),
         decode={m: m, garbage: None},
     )
@@ -132,7 +128,6 @@ def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
     decode: dict[Label, str | None] = {g: None for g in garbage_set}
     decode[m] = m
     unseal = UnsealSpec(
-        pre_unitary=None,
         partition=ProjPartition.finest(garbage_set + [m]),
         decode=decode,
     )
@@ -156,7 +151,6 @@ def seal_multipicture(pictures: Sequence[str]) -> SealedInstance:
     amp = 1.0 / math.sqrt(n)
     reference = SparseState({(str(i + 1), p): amp for i, p in enumerate(pictures)})
     unseal = UnsealSpec(
-        pre_unitary=None,
         partition=ProjPartition.finest(pictures),
         decode={p: p for p in pictures},
     )
@@ -180,10 +174,9 @@ def honest_unseal(inst: SealedInstance, rng_seed: int) -> tuple[str | None, bool
         )
         y, _r = oaep.unseal_oaep(inst, ctx, rng_seed)
         return format(y, f"0{inst.params['n']}b"), True
-    state = inst.reference
-    if inst.unseal.pre_unitary is not None:
-        state = apply_unitary_c(state, inst.unseal.pre_unitary)
-    outcome, _post, _dist = measure_partition(state, inst.unseal.partition, rng_seed)
+    outcome, _post, _dist = measure_partition(
+        inst.reference, inst.unseal.partition, rng_seed
+    )
     message = inst.unseal.decode.get(outcome)
     return message, message is not None
 
@@ -214,8 +207,8 @@ def instance_to_dict(inst: SealedInstance) -> dict:
 def instance_from_dict(data: Mapping) -> SealedInstance:
     """Rebuild an instance; the honest measurement is the finest C partition.
 
-    All four protocols unseal with an identity pre-unitary over the active C
-    labels, so only the decode table needs to be stored.
+    All four protocols unseal by a computational-basis measurement of the
+    active C labels, so only the decode table needs to be stored.
     """
     protocol = data["protocol"]
     if protocol not in (NAIVE, GARBAGE, MULTIPICTURE, OAEP):
@@ -223,7 +216,6 @@ def instance_from_dict(data: Mapping) -> SealedInstance:
     reference = state_from_dict(data["reference"])
     decode = {str(k): (None if v is None else str(v)) for k, v in data["decode"].items()}
     unseal = UnsealSpec(
-        pre_unitary=None,
         partition=ProjPartition.finest(sorted(reference.c_labels())),
         decode=decode,
     )

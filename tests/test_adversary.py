@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_trace_distance, enumerate_basis_readout
 from qseal.adversary import (
@@ -224,12 +226,38 @@ class TestProofChain:
             assert chain.acceptance_gap == pytest.approx(report.s, abs=1e-12)
 
     def test_chain_middle_matches_numpy_oracle(self):
-        inst = seal_garbage("M", ["g0", "g1"])
-        report = basis_cheat(inst)
+        garbage = seal_garbage("M", ["g0", "g1"])
+        multi = seal_multipicture(pictures(8))
+        cases = [(garbage, basis_cheat(garbage))]
+        cases += [(multi, r) for r in random_strategy_sweep(multi, 40, rng_seed=11)]
+        for inst, report in cases:
+            chain = proof_chain(inst, report)
+            assert chain.trace_distance == pytest.approx(
+                dense_trace_distance(inst.reference, report.returned), abs=1e-12
+            )
+
+    @given(
+        inst=st.sampled_from(
+            [
+                seal_naive("M", garbage="0"),
+                seal_garbage("M", ["g0", "g1", "g2", "g3"]),
+                seal_multipicture(pictures(6)),
+            ]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_measure_and_uncompute_identity(self, inst, seed):
+        # The branches are orthonormal and the reference is sum_i sqrt(q_i)
+        # branch_i, so in that basis the difference is sqrt(q) sqrt(q)^T - diag(q)
+        # and the acceptance is sum_i q_i^2: both follow from the q's alone.
+        (report,) = random_strategy_sweep(inst, 1, rng_seed=seed)
+        q = np.array([prob for _, prob, _ in report.outcome_table])
+        root = np.sqrt(q)
+        closed = 0.5 * np.abs(np.linalg.eigvalsh(np.outer(root, root) - np.diag(q))).sum()
         chain = proof_chain(inst, report)
-        assert chain.trace_distance == pytest.approx(
-            dense_trace_distance(inst.reference, report.returned), abs=1e-8
-        )
+        assert chain.trace_distance == pytest.approx(closed, abs=1e-12)
+        assert report.s == pytest.approx(1.0 - float(np.sum(q**2)), abs=1e-12)
 
     def test_chain_holds_under_random_strategies(self):
         inst = seal_multipicture(pictures(4))

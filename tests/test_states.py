@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_trace_distance, random_ensemble, random_state
 from qseal.states import (
+    DENSE_DIM_CAP,
     DimensionTooLarge,
     Ensemble,
     LocalUnitary,
@@ -17,7 +18,6 @@ from qseal.states import (
     UnknownLabel,
     apply_unitary_c,
     collapse_branches,
-    hermitian_eigenvalues,
     inner_product,
     measure_partition,
     project_accept_probability,
@@ -95,25 +95,6 @@ class TestTraceDistancePure:
         )
 
 
-class TestJacobiEigensolver:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 17, 33, 64])
-    def test_matches_numpy(self, dim):
-        rng = np.random.default_rng(dim)
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (m + m.conj().T) / 2
-        mine = hermitian_eigenvalues(h)
-        ref = np.sort(np.linalg.eigvalsh(h))
-        assert np.abs(mine - ref).max() < 1e-10
-
-    def test_rejects_oversized_matrix(self):
-        with pytest.raises(DimensionTooLarge):
-            hermitian_eigenvalues(np.eye(513))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.ones((2, 3)))
-
-
 class TestTraceDistanceEnsemble:
     def test_pure_ensemble_of_self(self):
         assert trace_distance_pure_vs_ensemble(BELL, Ensemble.pure(BELL)) < 1e-10
@@ -135,12 +116,21 @@ class TestTraceDistanceEnsemble:
         assert d >= (1 - accept) - 1e-10
         assert d == pytest.approx(0.5, abs=1e-10)
 
-    def test_dimension_cap(self):
+    @pytest.mark.parametrize("support", [DENSE_DIM_CAP, DENSE_DIM_CAP + 1])
+    def test_dimension_cap(self, support):
+        # A basis readout keeps the joint support at exactly ``support`` keys.
         b_pool = [f"b{i}" for i in range(27)]
         c_pool = [f"c{i}" for i in range(19)]
-        big = random_state(3, b_pool=b_pool, c_pool=c_pool, support=513)
-        with pytest.raises(DimensionTooLarge):
-            trace_distance_pure_vs_ensemble(big, Ensemble.pure(big))
+        big = random_state(3, b_pool=b_pool, c_pool=c_pool, support=support)
+        branches = collapse_branches(big, ProjPartition.finest(big.c_labels()))
+        sigma = Ensemble(tuple(branches.values()))
+        if support > DENSE_DIM_CAP:
+            with pytest.raises(DimensionTooLarge):
+                trace_distance_pure_vs_ensemble(big, sigma)
+        else:
+            assert trace_distance_pure_vs_ensemble(big, sigma) == pytest.approx(
+                dense_trace_distance(big, sigma), abs=1e-12
+            )
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -315,8 +305,9 @@ class TestSerialization:
         assert data["amps"] == sorted(data["amps"])
         assert data["amps"][0][:2] == ["0", "0"]
 
-    def test_loader_rejects_bad_normalization(self):
-        data = {"amps": [["a", "a", 0.9, 0.0]]}
+    @pytest.mark.parametrize("total", [0.81, 1.0 + 1e-7], ids=["0.81", "1+1e-7"])
+    def test_loader_rejects_bad_normalization(self, total):
+        data = {"amps": [["a", "a", math.sqrt(total), 0.0]]}
         with pytest.raises(ValueError, match="not normalized"):
             state_from_dict(data)
 
