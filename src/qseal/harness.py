@@ -87,8 +87,8 @@ class ExperimentConfig:
             raise ConfigInvalid("garbage sizes must be at least 1")
         if any(n < 2 for n in self.picture_counts):
             raise ConfigInvalid("picture counts must be at least 2")
-        if any(not 1 <= k0 <= 16 for k0 in self.oaep_k0):
-            raise ConfigInvalid("k0 values must be between 1 and 16")
+        if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):
+            raise ConfigInvalid(f"k0 values must be between 1 and {oaep_mod.MAX_K0}")
         if any(r < 0 for r in self.rset_sizes):
             raise ConfigInvalid("excluded-set sizes must be nonnegative")
         if not self.message:

@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .protocols import OAEP, SealedInstance, UnsealSpec
 from .states import (
-    DimensionTooLarge,
     Label,
     ProjPartition,
     SparseState,
@@ -43,6 +42,9 @@ REFERENCE_MASTER_KEY = bytes(range(32))
 
 #: Largest sealed-state support, 2**16 branches.
 SUPPORT_CAP = 1 << 16
+
+#: Largest pad width, the one whose 2**k0 pads fill ``SUPPORT_CAP``.
+MAX_K0 = SUPPORT_CAP.bit_length() - 1
 
 TOKEN_PREFIX = "img_"
 _FEISTEL_ROUNDS = 4
@@ -75,8 +77,8 @@ class OaepParams:
     def __post_init__(self) -> None:
         if self.n != self.k - self.k0:
             raise ValueError("parameters must satisfy n = k - k0")
-        if not 1 <= self.k0 <= 16:
-            raise ValueError("k0 must be between 1 and 16 at desk scale")
+        if not 1 <= self.k0 <= MAX_K0:
+            raise ValueError(f"k0 must be between 1 and {MAX_K0} at desk scale")
         if self.n < 1:
             raise ValueError("message length n must be positive")
 
@@ -284,8 +286,6 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     if not 0 <= y < (1 << params.n):
         raise LengthMismatch(f"y must be an {params.n}-bit value")
     support = 1 << params.k0
-    if support > SUPPORT_CAP:
-        raise DimensionTooLarge(f"support {support} exceeds cap {SUPPORT_CAP}")
     amp = 1.0 / math.sqrt(float(support))
     amps = {}
     tokens = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -68,6 +69,12 @@ class SparseState:
                 f"state is not normalized: sum of squared moduli is {total!r}"
             )
         object.__setattr__(self, "amps", pruned)
+
+    @cached_property
+    def norm_sq(self) -> float:
+        """<self|self>, summed once by ``inner_product``; the construction-time
+        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits."""
+        return inner_product(self, self).real
 
     @classmethod
     def uniform(cls, keys: Iterable[tuple[Label, Label]]) -> "SparseState":
@@ -189,10 +196,12 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
 
 
 def squared_overlap(a: SparseState, b: SparseState) -> float:
-    """|<a|b>|^2 divided by both squared norms, cancelling representation round-off."""
-    raw = abs(inner_product(a, b)) ** 2
-    norms = inner_product(a, a).real * inner_product(b, b).real
-    return raw / norms
+    """|<a|b>|^2 divided by both squared norms, cancelling representation round-off.
+
+    The squared norms are cached on each state (``SparseState.norm_sq``), so a
+    call costs O(min(|a|, |b|)) after the first use of each state.
+    """
+    return abs(inner_product(a, b)) ** 2 / (a.norm_sq * b.norm_sq)
 
 
 def trace_distance_pure(a: SparseState, b: SparseState) -> float:
@@ -309,15 +318,16 @@ def project_accept_probability(reference: SparseState, returned: Ensemble) -> fl
 
     Sum over members of weight times squared overlap. Overlaps are divided by
     the computed squared norms and the total is clamped to [0, 1], so an
-    untouched reference is accepted with probability exactly 1.
+    untouched reference is accepted with probability exactly 1. The squared
+    norms are cached per state (``SparseState.norm_sq``), so the reference's
+    full support is summed once, not once per member.
     """
-    ref_norm = inner_product(reference, reference).real
     total = 0.0
     for q, state in returned.members:
         if q == 0.0:
             continue
         raw = abs(inner_product(reference, state)) ** 2
-        total += q * raw / (ref_norm * inner_product(state, state).real)
+        total += q * raw / (reference.norm_sq * state.norm_sq)
     return min(1.0, max(0.0, total))
 
 

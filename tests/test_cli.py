@@ -176,6 +176,38 @@ class TestExperiment:
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
 
 
+class TestErrorExitCodes:
+    """Ordinary errors exit 1 with a one-line ``error:`` message, no traceback."""
+
+    @staticmethod
+    def assert_one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_malformed_instance_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"protocol": "naive", ')
+        assert run_cli("cheat", "--instance", str(path)) == 1
+        self.assert_one_line_error(capsys)
+
+    def test_returned_state_off_by_a_thousandth(self, naive_instance, tmp_path, capsys):
+        reference = json.loads(naive_instance.read_text())["reference"]
+        scale = 1.0 + 1e-3
+        returned = tmp_path / "returned.json"
+        returned.write_text(json.dumps(
+            {"amps": [[b, c, re * scale, im * scale] for b, c, re, im in reference["amps"]]}
+        ))
+        assert run_cli("verify", "--instance", str(naive_instance),
+                       "--returned", str(returned)) == 1
+        self.assert_one_line_error(capsys)
+
+    def test_oaep_pad_one_bit_above_the_cap(self, capsys):
+        assert run_cli("seal", "--protocol", "oaep", "--k0", "17", "--n", "8") == 1
+        self.assert_one_line_error(capsys)
+
+
 class TestConfigParsing:
     def test_values_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"

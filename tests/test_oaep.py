@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qseal.states
 from qseal.adversary import basis_cheat
+from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
+    SUPPORT_CAP,
     DegenerateUWarning,
     LengthMismatch,
     OaepContext,
@@ -285,6 +288,50 @@ class TestBasisCheatOnSealedTokens:
         assert report.p == 0.0
         assert report.bound == 1.0
         assert report.margin >= -1e-9
+
+    def test_reference_norm_is_summed_once(self, monkeypatch):
+        # Re-summing <ref|ref> for every branch makes the attack
+        # O(support^2); each state's norm must be summed at most once.
+        inst = seal_oaep(0x11, OaepContext.create(k0=8, n=8, with_human=False))
+        inner_product = qseal.states.inner_product
+        self_paired = []
+
+        def counting(a, b):
+            if a is b:
+                self_paired.append(a)
+            return inner_product(a, b)
+
+        monkeypatch.setattr(qseal.states, "inner_product", counting)
+        report = basis_cheat(inst)
+        assert sum(state is inst.reference for state in self_paired) <= 1
+        assert len(self_paired) <= 1 + len(report.outcome_table)
+
+
+@pytest.fixture(scope="module")
+def sealed_at_cap():
+    """One instance whose support is exactly ``SUPPORT_CAP``, sealed once."""
+    return seal_oaep(0x11, OaepContext.create(k0=16, n=8, with_human=False))
+
+
+class TestSupportCap:
+    def test_support_fills_the_cap(self, sealed_at_cap):
+        assert len(sealed_at_cap.reference.amps) == SUPPORT_CAP
+        assert len(sealed_at_cap.reference.c_labels()) == SUPPORT_CAP
+
+    def test_basis_cheat_is_exact_at_the_cap(self, sealed_at_cap):
+        report = basis_cheat(sealed_at_cap)
+        q = 2.0**-16
+        assert len(report.outcome_table) == SUPPORT_CAP
+        assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
+        assert max(abs(acc - q) for _, _, acc in report.outcome_table) <= 1e-12
+        assert report.s == pytest.approx(1.0 - q, abs=1e-12)
+
+    def test_one_bit_above_the_cap_is_rejected(self):
+        ExperimentConfig(oaep_k0=(16,))
+        with pytest.raises(ValueError):
+            OaepContext.create(k0=17, n=8)
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(oaep_k0=(17,))
 
 
 class TestFootnoteCounterexample:

@@ -22,6 +22,7 @@ from qseal.states import (
     measure_partition,
     project_accept_probability,
     random_unitary,
+    squared_overlap,
     state_from_dict,
     state_from_json,
     state_to_dict,
@@ -292,6 +293,36 @@ class TestAcceptProbability:
         assert project_accept_probability(state, sigma) == pytest.approx(
             0.3125, abs=1e-12
         )
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_cached_norms_match_the_uncached_formula_bit_for_bit(self, seed):
+        # The formulas as written before norms were cached on the state;
+        # every overlap, s and margin must keep its exact bits.
+        def overlap(a, b):
+            return abs(inner_product(a, b)) ** 2 / (
+                inner_product(a, a).real * inner_product(b, b).real
+            )
+
+        def accept(reference, sigma):
+            total = 0.0
+            for q, state in sigma.members:
+                if q != 0.0:
+                    raw = abs(inner_product(reference, state)) ** 2
+                    total += q * raw / (
+                        inner_product(reference, reference).real
+                        * inner_product(state, state).real
+                    )
+            return min(1.0, max(0.0, total))
+
+        a, b = random_state(seed), random_state(seed + 1)
+        sigma = random_ensemble(seed + 2, members=4)
+        for x, y in [(a, b), (b, a), (a, a), (a, b)]:
+            assert squared_overlap(x, y) == overlap(x, y)
+        for _, member in sigma.members:
+            assert squared_overlap(a, member) == overlap(a, member)
+        assert project_accept_probability(a, sigma) == accept(a, sigma)
+        assert project_accept_probability(b, sigma) == accept(b, sigma)
 
 
 class TestSerialization:
