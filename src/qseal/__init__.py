@@ -25,7 +25,6 @@ from .harness import (
     NegligibilityRow,
     ScalingRow,
     SweepRow,
-    emit_report,
     run_bound_sweep,
     run_multipicture_scaling,
     run_oaep_negligibility,

@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: seal, unseal, cheat, verify, and experiment. Global flags
-(--seed, --config, --out, --format) sit before the subcommand. A key-value
-config file can supply any experiment or seal parameter; explicit flags win.
+(--seed, --config, --out, --format) sit before the subcommand. A key = value
+config file can supply any experiment or seal parameter. Its values are text,
+typed once by the parameter they set (``ExperimentConfig.from_mapping`` for
+experiments, ``cmd_seal`` for seals). Explicit flags, ``--seed`` included, win
+over the config file.
 
 Exit codes: 0 on success, 2 when an exact computation violates a guaranteed
-inequality (which would indicate a broken build), 1 for ordinary errors.
+inequality (which would indicate a broken build), 1 for ordinary errors,
+usage errors included.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from . import oaep as oaep_mod
 from . import protocols
 from .adversary import basis_cheat, generic_cheat, predicate_cheat, random_strategy_sweep
 from .harness import (
+    EXPERIMENTS,
     ConfigInvalid,
     ExperimentConfig,
     InvariantViolation,
-    emit_report,
     rows_to_csv,
     rows_to_json,
     run_bound_sweep,
@@ -32,9 +36,9 @@ from .harness import (
 from .states import Ensemble, state_from_dict
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse a key = value config file; values may be ints, floats, or lists."""
-    data: dict = {}
+def load_config(path: str | Path) -> dict[str, str]:
+    """Parse a key = value config file; values stay text until their target types them."""
+    data: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -42,21 +46,8 @@ def load_config(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigInvalid(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        data[key] = _parse_value(value)
+        data[key] = value
     return data
-
-
-def _parse_value(text: str):
-    if "," in text:
-        return [_parse_value(part.strip()) for part in text.split(",")]
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -74,37 +65,34 @@ def _load_instance(path: str) -> protocols.SealedInstance:
     return protocols.instance_from_dict(json.loads(Path(path).read_text()))
 
 
-def _merged_params(args, keys: list[str]) -> dict:
-    config = load_config(args.config) if args.config else {}
-    merged = {k: v for k, v in config.items() if k in keys}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
+def _merged_params(args, flags: tuple[str, ...]) -> dict:
+    """The config file's values, overridden by every flag in ``flags`` that was given."""
+    merged = load_config(args.config) if args.config else {}
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
 
 
+def _labels(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def cmd_seal(args) -> int:
     params = _merged_params(
-        args, ["protocol", "message", "garbage", "pictures", "y", "k0", "n", "key"]
+        args, ("protocol", "message", "garbage", "pictures", "y", "k0", "n", "key")
     )
     protocol = params.get("protocol")
+    message = params.get("message", "M")
     if protocol == protocols.NAIVE:
-        inst = protocols.seal_naive(
-            str(params.get("message", "M")), str(params.get("garbage", "0"))
-        )
+        inst = protocols.seal_naive(message, params.get("garbage", "0"))
     elif protocol == protocols.GARBAGE:
-        garbage = params.get("garbage", ["junk0"])
-        if isinstance(garbage, str):
-            garbage = [g for g in garbage.split(",") if g]
-        inst = protocols.seal_garbage(str(params.get("message", "M")), [str(g) for g in garbage])
+        inst = protocols.seal_garbage(message, _labels(params.get("garbage", "junk0")))
     elif protocol == protocols.MULTIPICTURE:
-        pictures = params.get("pictures")
-        if pictures is None:
+        if "pictures" not in params:
             raise ConfigInvalid("multipicture seal needs --pictures")
-        if isinstance(pictures, str):
-            pictures = [p for p in pictures.split(",") if p]
-        inst = protocols.seal_multipicture([str(p) for p in pictures])
+        inst = protocols.seal_multipicture(_labels(params["pictures"]))
     elif protocol == protocols.OAEP:
         key = params.get("key")
         master = bytes.fromhex(key) if key else oaep_mod.REFERENCE_MASTER_KEY
@@ -120,7 +108,7 @@ def cmd_seal(args) -> int:
 
 def cmd_unseal(args) -> int:
     inst = _load_instance(args.instance)
-    message, success = protocols.honest_unseal(inst, args.seed)
+    message, success = protocols.honest_unseal(inst, args.seed or 0)
     _dump_json({"message": message, "success": success}, args.out)
     return 0
 
@@ -139,7 +127,7 @@ def cmd_cheat(args) -> int:
         reports = [
             (f"random-{i}", report)
             for i, report in enumerate(
-                random_strategy_sweep(inst, args.trials, args.seed)
+                random_strategy_sweep(inst, args.trials, args.seed or 0)
             )
         ]
     else:
@@ -162,45 +150,45 @@ def _load_returned(path: str) -> Ensemble:
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     returned = _load_returned(args.returned)
-    believe, accept = protocols.verify_return(inst, returned, args.seed)
+    believe, accept = protocols.verify_return(inst, returned, args.seed or 0)
     _dump_json({"believe": believe, "accept_probability": accept}, args.out)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    overrides = load_config(args.config) if args.config else {}
-    overrides["experiment"] = args.which
-    overrides.setdefault("seed", args.seed)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    cfg = ExperimentConfig.from_mapping(overrides)
-    if args.which == "bound-sweep":
+    cfg = ExperimentConfig.from_mapping(
+        _merged_params(args, ("experiment", "seed", "trials"))
+    )
+    if cfg.experiment == "bound-sweep":
         rows = run_bound_sweep(cfg)
-    elif args.which == "multi-scaling":
+    elif cfg.experiment == "multi-scaling":
         rows = run_multipicture_scaling(cfg.picture_counts, cfg.seed)
     else:
         rows = run_oaep_negligibility(cfg.oaep_k0, cfg.rset_sizes, n=cfg.oaep_n)
-    if args.out:
-        emit_report(rows, args.format, args.out)
-    else:
-        text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        sys.stdout.write(text)
+    _write_output(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exits 1, like any ordinary error."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qseal",
         description="Simulate sealed-message protocols and verify their detection bounds.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, help="RNG seed (default: the config's seed, else 0)")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     seal = sub.add_parser("seal", help="construct a sealed instance")
-    seal.add_argument("--protocol", choices=("naive", "garbage", "multipicture", "oaep"))
+    seal.add_argument("--protocol", choices=protocols.PROTOCOLS)
     seal.add_argument("--message")
     seal.add_argument("--garbage", help="garbage label, or comma list for the garbage protocol")
     seal.add_argument("--pictures", help="comma-separated picture identifiers")
@@ -228,12 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--returned", required=True, help="state or ensemble JSON file")
     verify.set_defaults(func=cmd_verify)
 
-    experiment = sub.add_parser("experiment", help="run a reproducible experiment")
-    experiment.add_argument(
-        "which", choices=("bound-sweep", "multi-scaling", "oaep-negligibility")
-    )
-    experiment.add_argument("--trials", type=int)
-    experiment.set_defaults(func=cmd_experiment)
+    run = sub.add_parser("experiment", help="run a reproducible experiment")
+    run.add_argument("experiment", choices=EXPERIMENTS)
+    run.add_argument("--trials", type=int)
+    run.set_defaults(func=cmd_experiment)
     return parser
 
 

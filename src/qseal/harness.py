@@ -10,6 +10,7 @@ fails loudly with ``InvariantViolation``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -26,8 +27,12 @@ from .adversary import (
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from .states import DENSE_DIM_CAP
 
+EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 MARGIN_TOL = 1e-9
 CHAIN_TOL = 1e-8
+# Proof chains are checked on every sweep instance whose joint dimension
+# |B|*|C| is at most this.
+CHAIN_DIM_CAP = 64
 
 
 class ConfigInvalid(Exception):
@@ -75,11 +80,9 @@ class ExperimentConfig:
     oaep_k0: tuple[int, ...] = (4, 8)
     oaep_n: int = 16
     rset_sizes: tuple[int, ...] = (0, 1, 4)
-    verify_chain: bool = True
-    chain_dim_cap: int = 64
 
     def __post_init__(self) -> None:
-        if self.experiment not in ("bound-sweep", "multi-scaling", "oaep-negligibility"):
+        if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
         if self.trials < 0:
             raise ConfigInvalid("trials must be nonnegative")
@@ -96,24 +99,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
+        """Build a config from config-file text or Python values.
+
+        Each value is typed once, by the type of its field's default: text
+        "1,2,4", a sequence, or one integer for tuple fields; text or an int
+        for int fields; anything for str fields.
+        """
+        parsers = {tuple: _to_ints, int: _to_int, str: str}
+        defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
-            if key not in known:
+            if key not in defaults:
                 raise ConfigInvalid(f"unknown config key {key!r}")
-            target = known[key].type
-            if target.startswith("tuple"):
-                if isinstance(value, (list, tuple)):
-                    kwargs[key] = tuple(int(v) for v in value)
-                else:
-                    kwargs[key] = (int(value),)
-            elif target == "int":
-                kwargs[key] = int(value)
-            elif target == "bool":
-                kwargs[key] = value if isinstance(value, bool) else str(value).lower() in ("1", "true", "yes")
-            else:
-                kwargs[key] = str(value)
+            try:
+                kwargs[key] = parsers[type(defaults[key])](value)
+            except (TypeError, ValueError):
+                raise ConfigInvalid(f"config key {key!r} needs integers, got {value!r}") from None
         return cls(**kwargs)
+
+
+def _to_int(value) -> int:
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
+def _to_ints(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = value.split(",")
+    elif not isinstance(value, (list, tuple)):
+        value = (value,)
+    return tuple(_to_int(v) for v in value)
 
 
 def _garbage_labels(count: int) -> list[str]:
@@ -169,7 +183,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 raise InvariantViolation(
                     f"negative margin {row.margin!r} for {name}/{attack}"
                 )
-            if cfg.verify_chain and joint_dim <= cfg.chain_dim_cap:
+            if joint_dim <= CHAIN_DIM_CAP:
                 chain = proof_chain(inst, report)
                 if not chain.holds(CHAIN_TOL):
                     raise InvariantViolation(
@@ -250,15 +264,3 @@ def rows_to_json(rows: Sequence) -> str:
         names = [f.name for f in fields(SweepRow)]
     payload = [{n: getattr(row, n) for n in names} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def emit_report(rows: Sequence, fmt: str, path) -> None:
-    """Write rows as CSV or JSON; identical configs produce identical bytes."""
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = rows_to_json(rows)
-    else:
-        raise ConfigInvalid(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ NAIVE = "naive"
 GARBAGE = "garbage"
 MULTIPICTURE = "multipicture"
 OAEP = "oaep"
+PROTOCOLS = (NAIVE, GARBAGE, MULTIPICTURE, OAEP)
 
 
 class ProtocolError(Exception):
@@ -76,13 +78,20 @@ class UnsealSpec:
 
 @dataclass(frozen=True)
 class SealedInstance:
-    """One sealed message: reference state, honest unseal, and parameters."""
+    """One sealed message: reference state, honest unseal, and parameters.
+
+    ``params`` is stored read-only, with list values as tuples.
+    """
 
     protocol: str
     reference: SparseState
     unseal: UnsealSpec
-    params: dict
+    params: Mapping
     completeness_error: float = 0.0
+
+    def __post_init__(self) -> None:
+        frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(frozen))
 
 
 def _validate_message(m: str) -> str:
@@ -132,7 +141,7 @@ def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
         decode=decode,
     )
     return SealedInstance(
-        GARBAGE, reference, unseal, {"message": m, "garbage_set": list(garbage_set)}
+        GARBAGE, reference, unseal, {"message": m, "garbage_set": garbage_set}
     )
 
 
@@ -154,7 +163,7 @@ def seal_multipicture(pictures: Sequence[str]) -> SealedInstance:
         partition=ProjPartition.finest(pictures),
         decode={p: p for p in pictures},
     )
-    return SealedInstance(MULTIPICTURE, reference, unseal, {"pictures": list(pictures)})
+    return SealedInstance(MULTIPICTURE, reference, unseal, {"pictures": pictures})
 
 
 def honest_unseal(inst: SealedInstance, rng_seed: int) -> tuple[str | None, bool]:
@@ -198,7 +207,7 @@ def instance_to_dict(inst: SealedInstance) -> dict:
     """JSON-ready form: protocol, params, reference state, decode table."""
     return {
         "protocol": inst.protocol,
-        "params": inst.params,
+        "params": dict(inst.params),
         "reference": state_to_dict(inst.reference),
         "decode": dict(sorted(inst.unseal.decode.items(), key=lambda kv: kv[0])),
     }
@@ -211,7 +220,7 @@ def instance_from_dict(data: Mapping) -> SealedInstance:
     active C labels, so only the decode table needs to be stored.
     """
     protocol = data["protocol"]
-    if protocol not in (NAIVE, GARBAGE, MULTIPICTURE, OAEP):
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     reference = state_from_dict(data["reference"])
     decode = {str(k): (None if v is None else str(v)) for k, v in data["decode"].items()}
@@ -219,4 +228,4 @@ def instance_from_dict(data: Mapping) -> SealedInstance:
         partition=ProjPartition.finest(sorted(reference.c_labels())),
         decode=decode,
     )
-    return SealedInstance(protocol, reference, unseal, dict(data["params"]))
+    return SealedInstance(protocol, reference, unseal, data["params"])

@@ -54,6 +54,36 @@ class TestSeal:
         data = json.loads(capsys.readouterr().out)
         assert data["params"]["message"] == "FromConfig"
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ("protocol = naive\nmessage = 007\n", ["--protocol", "naive", "--message", "007"]),
+            ("protocol = garbage\nmessage = 1e3\n", ["--protocol", "garbage", "--message", "1e3"]),
+            ("protocol = oaep\nk0 = 4\nn = 8\ny = 9\nkey = 0011223344556677\n",
+             ["--protocol", "oaep", "--k0", "4", "--n", "8", "--y", "9",
+              "--key", "0011223344556677"]),
+            ("protocol = multipicture\npictures = a,b,c\n",
+             ["--protocol", "multipicture", "--pictures", "a,b,c"]),
+            ("protocol = multipicture\npictures = 01,02,1e3\n",
+             ["--protocol", "multipicture", "--pictures", "01,02,1e3"]),
+        ],
+        ids=["message-007", "message-1e3", "decimal-digit-key", "pictures",
+             "numeric-pictures"],
+    )
+    def test_config_value_seals_like_the_flag(self, tmp_path, config, flags):
+        path = tmp_path / "seal.cfg"
+        path.write_text(config)
+        from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        assert run_cli("--config", str(path), "--out", str(from_config), "seal") == 0
+        assert run_cli("--out", str(from_flags), "seal", *flags) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_flag_beats_config_value(self, tmp_path, capsys):
+        config = tmp_path / "seal.cfg"
+        config.write_text("protocol = naive\nmessage = FromConfig\n")
+        assert run_cli("--config", str(config), "seal", "--message", "FromFlag") == 0
+        assert json.loads(capsys.readouterr().out)["params"]["message"] == "FromFlag"
+
 
 class TestUnseal:
     def test_naive_unseal_outputs_result(self, naive_instance, capsys):
@@ -170,6 +200,38 @@ class TestExperiment:
         monkeypatch.setattr("qseal.cli.run_bound_sweep", explode)
         assert run_cli("experiment", "bound-sweep") == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, fmt):
+        out = tmp_path / f"rows.{fmt}"
+        assert run_cli("--format", fmt, "--out", str(out), "experiment", "multi-scaling") == 0
+        assert run_cli("--format", fmt, "experiment", "multi-scaling") == 0
+        assert out.read_bytes() == capsysbinary.readouterr().out
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "rows.csv"
+        assert run_cli("--out", str(out), "experiment", "multi-scaling") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @staticmethod
+    def sweep(tmp_path, config_lines, *seed_flag):
+        config = tmp_path / "exp.cfg"
+        config.write_text("trials = 2\ngarbage_sizes = 1\npicture_counts = 2\n" + config_lines)
+        out = tmp_path / "rows.csv"
+        assert run_cli(*seed_flag, "--config", str(config), "--out", str(out),
+                       "experiment", "bound-sweep") == 0
+        return out.read_bytes()
+
+    def test_seed_flag_beats_config_seed(self, tmp_path):
+        seed_5 = self.sweep(tmp_path, "", "--seed", "5")
+        assert seed_5 != self.sweep(tmp_path, "", "--seed", "3")
+        assert self.sweep(tmp_path, "seed = 3\n", "--seed", "5") == seed_5
+
+    def test_config_seed_is_used_without_the_flag(self, tmp_path):
+        seed_3 = self.sweep(tmp_path, "", "--seed", "3")
+        assert seed_3 != self.sweep(tmp_path, "")
+        assert self.sweep(tmp_path, "seed = 3\n") == seed_3
+
     def test_bad_config_key_exits_one(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("bogus = 1\n")
@@ -207,6 +269,41 @@ class TestErrorExitCodes:
         assert run_cli("seal", "--protocol", "oaep", "--k0", "17", "--n", "8") == 1
         self.assert_one_line_error(capsys)
 
+    def test_bad_hex_key(self, capsys):
+        assert run_cli("seal", "--protocol", "oaep", "--k0", "4", "--n", "8",
+                       "--key", "00zz") == 1
+        self.assert_one_line_error(capsys)
+
+    def test_non_integer_config_value(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("trials = 2.7\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seal", "--protocol", "bogus"],
+            ["--format", "xml", "experiment", "multi-scaling"],
+            ["unseal"],
+            ["experiment", "mystery"],
+            ["--seed", "x", "experiment", "bound-sweep"],
+        ],
+        ids=["unknown-protocol", "unknown-format", "missing-instance",
+             "unknown-experiment", "non-integer-seed"],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 1
+        self.assert_one_line_error(capsys)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--help")
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestConfigParsing:
     def test_values_and_comments(self, tmp_path):
@@ -215,16 +312,16 @@ class TestConfigParsing:
             "# comment line\n"
             "trials = 12\n"
             "garbage_sizes = 1, 2, 4  # inline comment\n"
-            "message = hello\n"
-            "verify_chain = true\n"
+            "message = 007\n"
+            "key = 0011223344556677\n"
             "\n"
         )
         data = load_config(path)
         assert data == {
-            "trials": 12,
-            "garbage_sizes": [1, 2, 4],
-            "message": "hello",
-            "verify_chain": True,
+            "trials": "12",
+            "garbage_sizes": "1, 2, 4",
+            "message": "007",
+            "key": "0011223344556677",
         }
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -9,7 +9,6 @@ from qseal.harness import (
     NegligibilityRow,
     ScalingRow,
     SweepRow,
-    emit_report,
     rows_to_csv,
     rows_to_json,
     run_bound_sweep,
@@ -56,6 +55,27 @@ class TestConfig:
         assert cfg.garbage_sizes == (1, 2)
         assert cfg.picture_counts == (3,)
         assert cfg.seed == 9
+
+    def test_from_mapping_types_config_text(self):
+        cfg = ExperimentConfig.from_mapping(
+            {"trials": "7", "garbage_sizes": "1, 2,4", "message": "007", "seed": " 3"}
+        )
+        assert (cfg.trials, cfg.garbage_sizes, cfg.message, cfg.seed) == (7, (1, 2, 4), "007", 3)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"trials": "2.7"},
+            {"trials": "maybe"},
+            {"trials": 2.7},
+            {"seed": ""},
+            {"garbage_sizes": "1,2.5"},
+            {"picture_counts": "2,,4"},
+        ],
+    )
+    def test_from_mapping_rejects_non_integers(self, data):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig.from_mapping(data)
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ConfigInvalid):
@@ -154,22 +174,6 @@ class TestReports:
             assert int(n) == obj["n"]
             assert float(accept) == obj["optimal_accept"]
             assert float(detection) == obj["detection"]
-
-    def test_emitted_files_are_byte_identical(self, tmp_path):
-        rows = run_bound_sweep(SMALL)
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        emit_report(rows, "csv", first)
-        emit_report(run_bound_sweep(SMALL), "csv", second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigInvalid):
-            emit_report([], "xml", tmp_path / "x")
-
-    def test_unwritable_path_raises_io_error(self, tmp_path):
-        with pytest.raises(OSError):
-            emit_report([], "csv", tmp_path / "missing_dir" / "x.csv")
 
     def test_row_dataclasses_carry_expected_fields(self):
         assert [f for f in ScalingRow.__dataclass_fields__] == [

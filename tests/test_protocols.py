@@ -202,17 +202,20 @@ class TestPostCollapseAcceptance:
         assert accept <= 1.0 / n + 1e-9
 
 
+EACH_PROTOCOL = pytest.mark.parametrize(
+    "inst",
+    [
+        seal_naive("M", garbage="0"),
+        seal_garbage("M", ["g0", "g1"]),
+        seal_multipicture(pictures(3)),
+        seal_oaep(77, OaepContext.create(k0=4, n=8)),
+    ],
+    ids=["naive", "garbage", "multipicture", "oaep"],
+)
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "inst",
-        [
-            seal_naive("M", garbage="0"),
-            seal_garbage("M", ["g0", "g1"]),
-            seal_multipicture(pictures(3)),
-            seal_oaep(77, OaepContext.create(k0=4, n=8)),
-        ],
-        ids=["naive", "garbage", "multipicture", "oaep"],
-    )
+    @EACH_PROTOCOL
     def test_json_round_trip_is_bit_exact(self, inst):
         text = json.dumps(instance_to_dict(inst))
         again = instance_from_dict(json.loads(text))
@@ -220,6 +223,18 @@ class TestSerialization:
         assert again.params == inst.params
         assert again.reference.amps == inst.reference.amps
         assert again.unseal.decode == inst.unseal.decode
+
+    @EACH_PROTOCOL
+    def test_params_are_read_only(self, inst):
+        key = next(iter(inst.params))
+        with pytest.raises(TypeError):
+            inst.params[key] = "changed"
+        with pytest.raises(TypeError):
+            del inst.params[key]
+        assert not any(isinstance(v, (list, dict)) for v in inst.params.values())
+        again = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        with pytest.raises(TypeError):
+            again.params[key] = "changed"
 
     def test_unknown_protocol_rejected(self):
         data = instance_to_dict(seal_naive("M"))
