@@ -10,7 +10,6 @@ from .adversary import (
     PartialPredicate,
     ProofChain,
     basis_cheat,
-    generic_cheat,
     optimal_post_collapse_response,
     predicate_cheat,
     proof_chain,
@@ -50,7 +49,6 @@ from .protocols import (
     LabelCollision,
     SealedInstance,
     TooFewPictures,
-    UnsealSpec,
     honest_unseal,
     instance_from_dict,
     instance_to_dict,

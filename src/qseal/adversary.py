@@ -6,9 +6,12 @@ hand the resulting mixture back for verification. For any strategy of that
 shape the branch overlaps with the reference obey |<ref|branch_i>| = sqrt(q_i)
 exactly, which is what makes the closed-form detection bound
 
-    s <= completeness_error + p*sqrt(1-p) + (1-p)
+    s <= p*sqrt(1-p) + (1-p)
 
-hold trial after trial.
+hold trial after trial. Verification projects onto the reference, so an
+honest return is always accepted and the bound carries no completeness-error
+term. Every honest unseal is a computational-basis readout of register C, so
+running it coherently and uncomputing it is exactly ``basis_cheat``.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -40,7 +43,6 @@ from .states import (
     project_accept_probability,
     random_unitary,
     squared_overlap,
-    trace_distance_pure,
     trace_distance_pure_vs_ensemble,
 )
 
@@ -60,9 +62,13 @@ class InvalidIndex(AdversaryError):
 Predicate = Mapping[Label, int]
 
 
-def soundness_bound(p: float, completeness_error: float = 0.0) -> float:
+#: Slack allowed at each step of a ``ProofChain``.
+CHAIN_TOL = 1e-8
+
+
+def soundness_bound(p: float) -> float:
     """Closed-form ceiling on detection for a recovery probability ``p``."""
-    return completeness_error + p * math.sqrt(max(0.0, 1.0 - p)) + (1.0 - p)
+    return p * math.sqrt(max(0.0, 1.0 - p)) + (1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -99,14 +105,11 @@ def strategy_report(
     inst: SealedInstance,
     unitary: LocalUnitary | None = None,
     partition: ProjPartition | None = None,
-    *,
-    undo: bool = True,
 ) -> CheatReport:
     """Evaluate one measure-and-uncompute strategy exactly.
 
     ``unitary=None`` means the identity; ``partition=None`` means the finest
-    computational-basis partition over the active C labels. ``undo=False``
-    skips the final adjoint, which is only useful for regression comparisons.
+    computational-basis partition over the active C labels.
     """
     reference = inst.reference
     work = reference if unitary is None else apply_unitary_c(reference, unitary)
@@ -118,7 +121,7 @@ def strategy_report(
     for c in work.c_labels():
         cell_labels.setdefault(partition.outcome_of[c], set()).add(c)
 
-    undo_u = unitary.adjoint() if (undo and unitary is not None) else None
+    undo_u = None if unitary is None else unitary.adjoint()
     members: list[tuple[float, SparseState]] = []
     table: list[tuple[Label, float, float]] = []
     recovery_mass: dict[str, float] = {}
@@ -131,7 +134,7 @@ def strategy_report(
         table.append((outcome, prob, acceptance))
         active = cell_labels[outcome]
         if len(active) == 1:
-            message = inst.unseal.decode.get(next(iter(active)))
+            message = inst.decode.get(next(iter(active)))
             if message is not None:
                 recovery_mass[message] = recovery_mass.get(message, 0.0) + prob
 
@@ -140,17 +143,15 @@ def strategy_report(
     returned = Ensemble(tuple(members))
     accept = project_accept_probability(reference, returned)
     s = 1.0 - accept
-    bound = soundness_bound(p_bound, inst.completeness_error)
+    bound = soundness_bound(p_bound)
     return CheatReport(p, s, bound, tuple(table), returned, p_bound)
 
 
-def generic_cheat(inst: SealedInstance) -> CheatReport:
-    """Run the honest measurement coherently, then uncompute it."""
-    return strategy_report(inst, None, inst.unseal.partition)
-
-
 def basis_cheat(inst: SealedInstance) -> CheatReport:
-    """Measure register C outright in the computational basis."""
+    """Measure register C in the computational basis, then uncompute.
+
+    This is also the generic cheat, the honest unseal run coherently.
+    """
     return strategy_report(inst, None, None)
 
 
@@ -239,7 +240,7 @@ class ProofChain:
     convex_sum: float
     closed_form: float
 
-    def holds(self, tol: float = 1e-8) -> bool:
+    def holds(self, tol: float = CHAIN_TOL) -> bool:
         return (
             self.acceptance_gap <= self.trace_distance + tol
             and self.trace_distance <= self.convex_sum + tol
@@ -251,15 +252,15 @@ def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """Evaluate the inequality chain for one report.
 
     The trace distance comes from ``trace_distance_pure_vs_ensemble``, which
-    works in the span of the reference and the returned branches. Raises
+    works in the span of the reference and the returned branches. The other
+    three links are read off the report: the acceptance gap is ``s``, the
+    convex sum weighs each branch's pure-state distance sqrt(1 - acceptance)
+    by its probability, and the closed form is ``bound``. Raises
     DimensionTooLarge when the joint active basis exceeds ``DENSE_DIM_CAP``.
     """
-    reference = inst.reference
-    acceptance_gap = report.s - inst.completeness_error
-    distance = trace_distance_pure_vs_ensemble(reference, report.returned)
+    distance = trace_distance_pure_vs_ensemble(inst.reference, report.returned)
     convex = sum(
-        q * trace_distance_pure(reference, member)
-        for q, member in report.returned.members
+        q * math.sqrt(max(0.0, 1.0 - acceptance))
+        for _, q, acceptance in report.outcome_table
     )
-    closed = soundness_bound(report.p_bound)
-    return ProofChain(acceptance_gap, distance, convex, closed)
+    return ProofChain(report.s, distance, convex, report.bound)

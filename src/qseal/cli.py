@@ -2,10 +2,10 @@
 
 Subcommands: seal, unseal, cheat, verify, and experiment. Global flags
 (--seed, --config, --out, --format) sit before the subcommand. A key = value
-config file can supply any experiment or seal parameter. Its values are text,
-typed once by the parameter they set (``ExperimentConfig.from_mapping`` for
-experiments, ``cmd_seal`` for seals). Explicit flags, ``--seed`` included, win
-over the config file.
+config file can supply any experiment or seal parameter, and no other key.
+Its values are text, typed once by the parameter they set
+(``ExperimentConfig.from_mapping`` for experiments, ``cmd_seal`` for seals).
+Explicit flags, ``--seed`` included, win over the config file.
 
 Exit codes: 0 on success, 2 when an exact computation violates a guaranteed
 inequality (which would indicate a broken build), 1 for ordinary errors,
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import oaep as oaep_mod
 from . import protocols
-from .adversary import basis_cheat, generic_cheat, predicate_cheat, random_strategy_sweep
+from .adversary import basis_cheat, predicate_cheat, random_strategy_sweep
 from .harness import (
     EXPERIMENTS,
     ConfigInvalid,
@@ -34,6 +34,10 @@ from .harness import (
     run_oaep_negligibility,
 )
 from .states import Ensemble, state_from_dict
+
+SEAL_PARAMS = ("protocol", "message", "garbage", "pictures", "y", "k0", "n", "key")
+# "generic" runs the honest unseal coherently, which is the basis readout.
+ATTACKS = ("generic", "basis", "predicate", "random")
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -80,9 +84,10 @@ def _labels(text: str) -> list[str]:
 
 
 def cmd_seal(args) -> int:
-    params = _merged_params(
-        args, ("protocol", "message", "garbage", "pictures", "y", "k0", "n", "key")
-    )
+    params = _merged_params(args, SEAL_PARAMS)
+    unknown = [key for key in params if key not in SEAL_PARAMS]
+    if unknown:
+        raise ConfigInvalid(f"unknown config key {unknown[0]!r}")
     protocol = params.get("protocol")
     message = params.get("message", "M")
     if protocol == protocols.NAIVE:
@@ -115,23 +120,19 @@ def cmd_unseal(args) -> int:
 
 def cmd_cheat(args) -> int:
     inst = _load_instance(args.instance)
-    if args.attack == "generic":
-        reports = [("generic", generic_cheat(inst))]
-    elif args.attack == "basis":
-        reports = [("basis", basis_cheat(inst))]
+    if args.attack in ("generic", "basis"):
+        reports = [(args.attack, basis_cheat(inst))]
     elif args.attack == "predicate":
         true_labels = set((args.predicate_true or "").split(","))
         g = {label: int(label in true_labels) for label in inst.reference.c_labels()}
         reports = [("predicate", predicate_cheat(inst, g))]
-    elif args.attack == "random":
+    else:
         reports = [
             (f"random-{i}", report)
             for i, report in enumerate(
                 random_strategy_sweep(inst, args.trials, args.seed or 0)
             )
         ]
-    else:
-        raise ConfigInvalid(f"unknown attack {args.attack!r}")
     payload = [dict(attack=name, **report.to_dict()) for name, report in reports]
     _dump_json(payload if len(payload) > 1 else payload[0], args.out)
     return 0
@@ -162,7 +163,7 @@ def cmd_experiment(args) -> int:
     if cfg.experiment == "bound-sweep":
         rows = run_bound_sweep(cfg)
     elif cfg.experiment == "multi-scaling":
-        rows = run_multipicture_scaling(cfg.picture_counts, cfg.seed)
+        rows = run_multipicture_scaling(cfg.picture_counts)
     else:
         rows = run_oaep_negligibility(cfg.oaep_k0, cfg.rset_sizes, n=cfg.oaep_n)
     _write_output(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
@@ -204,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cheat = sub.add_parser("cheat", help="run a cheating strategy and report it")
     cheat.add_argument("--instance", required=True)
-    cheat.add_argument(
-        "--attack", choices=("generic", "basis", "predicate", "random"), default="generic"
-    )
+    cheat.add_argument("--attack", choices=ATTACKS, default="generic")
     cheat.add_argument("--predicate-true", help="comma-separated labels with predicate value 1")
     cheat.add_argument("--trials", type=int, default=1)
     cheat.set_defaults(func=cmd_cheat)

@@ -26,9 +26,9 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .protocols import OAEP, SealedInstance, UnsealSpec
+from .protocols import OAEP, SealedInstance
 from .states import (
     Label,
     ProjPartition,
@@ -223,32 +223,6 @@ class OaepContext:
         return _prf_bits(self.h_key, b"H", s, self.params.n, self.params.k0)
 
 
-def context_to_dict(ctx: OaepContext) -> dict:
-    def key_id(key: bytes) -> str:
-        return hashlib.sha256(key).hexdigest()[:12]
-
-    return {
-        "k": ctx.params.k,
-        "k0": ctx.params.k0,
-        "n": ctx.params.n,
-        "key_ids": {
-            "master": ctx.master_key.hex(),
-            "captcha": key_id(ctx.captcha._key),
-            "g": key_id(ctx.g_key),
-            "h": key_id(ctx.h_key),
-        },
-    }
-
-
-def context_from_dict(data: Mapping, with_human: bool = True) -> OaepContext:
-    return OaepContext.create(
-        k0=int(data["k0"]),
-        n=int(data["n"]),
-        master_key=bytes.fromhex(data["key_ids"]["master"]),
-        with_human=with_human,
-    )
-
-
 def encode(y: int, r: int, ctx: OaepContext) -> str:
     """Token for message y under pad r: f(y xor G(r) || r xor H(y xor G(r)))."""
     params = ctx.params
@@ -288,16 +262,12 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     support = 1 << params.k0
     amp = 1.0 / math.sqrt(float(support))
     amps = {}
-    tokens = []
+    decode = {}
     for r in range(support):
         token = encode(y, r, ctx)
-        tokens.append(token)
+        decode[token] = None
         amps[(_pad_label(r, params.k0), token)] = amp
     reference = SparseState(amps)
-    unseal = UnsealSpec(
-        partition=ProjPartition.finest(tokens),
-        decode={token: None for token in tokens},
-    )
     instance_params = {
         "k": params.k,
         "k0": params.k0,
@@ -305,7 +275,7 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
         "key": ctx.master_key.hex(),
         "y": y,
     }
-    return SealedInstance(OAEP, reference, unseal, instance_params)
+    return SealedInstance(OAEP, reference, decode, instance_params)
 
 
 def unseal_oaep(inst: SealedInstance, ctx: OaepContext, rng_seed: int) -> tuple[int, int]:
@@ -318,7 +288,7 @@ def unseal_oaep(inst: SealedInstance, ctx: OaepContext, rng_seed: int) -> tuple[
     if ctx.human is None:
         raise OracleUnavailable("context has no inversion access")
     token, _post, _dist = measure_partition(
-        inst.reference, inst.unseal.partition, rng_seed
+        inst.reference, ProjPartition.finest(inst.reference.c_labels()), rng_seed
     )
     x = ctx.human.invert(token)
     return decode_preimage(ctx, x)

@@ -1,8 +1,9 @@
 """Sealed-message protocol constructions: seal, honest unseal, and verify.
 
 Each protocol produces a ``SealedInstance`` holding the sealer's reference
-state, the recipient's honest unseal procedure, and the parameters needed to
-rebuild the instance from its serialized form. The sealer's verification is
+state, the decode table of the recipient's honest unseal, and the parameters
+needed to rebuild the instance from its serialized form. Every honest unseal
+is a computational-basis readout of register C. The sealer's verification is
 always the rank-1 projector onto the reference state, so an honest return is
 accepted with probability exactly 1 (zero completeness error) in every
 protocol here.
@@ -59,37 +60,24 @@ class TooFewPictures(ProtocolError):
 
 
 @dataclass(frozen=True)
-class UnsealSpec:
-    """Honest unseal procedure: projective partition and decode table.
-
-    Every honest unseal measures register C in the computational basis, with
-    outcomes grouped by ``partition``. ``decode`` maps outcome labels to
-    messages, with ``None`` marking garbage outcomes.
-    """
-
-    partition: ProjPartition
-    decode: dict[Label, str | None]
-
-    def __post_init__(self) -> None:
-        messages = [m for m in self.decode.values() if m is not None]
-        if len(messages) != len(set(messages)):
-            raise ValueError("decode must be injective on message outcomes")
-
-
-@dataclass(frozen=True)
 class SealedInstance:
-    """One sealed message: reference state, honest unseal, and parameters.
+    """One sealed message: reference state, decode table, and parameters.
 
+    The honest unseal measures register C of the reference in the
+    computational basis; ``decode`` maps each outcome label to its message,
+    with ``None`` marking garbage outcomes, and must be injective on messages.
     ``params`` is stored read-only, with list values as tuples.
     """
 
     protocol: str
     reference: SparseState
-    unseal: UnsealSpec
+    decode: dict[Label, str | None]
     params: Mapping
-    completeness_error: float = 0.0
 
     def __post_init__(self) -> None:
+        messages = [m for m in self.decode.values() if m is not None]
+        if len(messages) != len(set(messages)):
+            raise ValueError("decode must be injective on message outcomes")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}
         object.__setattr__(self, "params", MappingProxyType(frozen))
 
@@ -111,11 +99,8 @@ def seal_naive(m: str, garbage: Label = "0") -> SealedInstance:
         raise LabelCollision(f"garbage label {garbage!r} equals the message label")
     amp = 1.0 / math.sqrt(2.0)
     reference = SparseState({(garbage, garbage): amp, (m, m): amp})
-    unseal = UnsealSpec(
-        partition=ProjPartition.finest([garbage, m]),
-        decode={m: m, garbage: None},
-    )
-    return SealedInstance(NAIVE, reference, unseal, {"message": m, "garbage": garbage})
+    decode = {m: m, garbage: None}
+    return SealedInstance(NAIVE, reference, decode, {"message": m, "garbage": garbage})
 
 
 def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
@@ -136,12 +121,8 @@ def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
     reference = SparseState(amps)
     decode: dict[Label, str | None] = {g: None for g in garbage_set}
     decode[m] = m
-    unseal = UnsealSpec(
-        partition=ProjPartition.finest(garbage_set + [m]),
-        decode=decode,
-    )
     return SealedInstance(
-        GARBAGE, reference, unseal, {"message": m, "garbage_set": garbage_set}
+        GARBAGE, reference, decode, {"message": m, "garbage_set": garbage_set}
     )
 
 
@@ -159,11 +140,8 @@ def seal_multipicture(pictures: Sequence[str]) -> SealedInstance:
     n = len(pictures)
     amp = 1.0 / math.sqrt(n)
     reference = SparseState({(str(i + 1), p): amp for i, p in enumerate(pictures)})
-    unseal = UnsealSpec(
-        partition=ProjPartition.finest(pictures),
-        decode={p: p for p in pictures},
-    )
-    return SealedInstance(MULTIPICTURE, reference, unseal, {"pictures": pictures})
+    decode = {p: p for p in pictures}
+    return SealedInstance(MULTIPICTURE, reference, decode, {"pictures": pictures})
 
 
 def honest_unseal(inst: SealedInstance, rng_seed: int) -> tuple[str | None, bool]:
@@ -184,9 +162,9 @@ def honest_unseal(inst: SealedInstance, rng_seed: int) -> tuple[str | None, bool
         y, _r = oaep.unseal_oaep(inst, ctx, rng_seed)
         return format(y, f"0{inst.params['n']}b"), True
     outcome, _post, _dist = measure_partition(
-        inst.reference, inst.unseal.partition, rng_seed
+        inst.reference, ProjPartition.finest(inst.reference.c_labels()), rng_seed
     )
-    message = inst.unseal.decode.get(outcome)
+    message = inst.decode.get(outcome)
     return message, message is not None
 
 
@@ -209,23 +187,15 @@ def instance_to_dict(inst: SealedInstance) -> dict:
         "protocol": inst.protocol,
         "params": dict(inst.params),
         "reference": state_to_dict(inst.reference),
-        "decode": dict(sorted(inst.unseal.decode.items(), key=lambda kv: kv[0])),
+        "decode": dict(sorted(inst.decode.items(), key=lambda kv: kv[0])),
     }
 
 
 def instance_from_dict(data: Mapping) -> SealedInstance:
-    """Rebuild an instance; the honest measurement is the finest C partition.
-
-    All four protocols unseal by a computational-basis measurement of the
-    active C labels, so only the decode table needs to be stored.
-    """
+    """Rebuild an instance from its protocol, params, reference and decode table."""
     protocol = data["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     reference = state_from_dict(data["reference"])
     decode = {str(k): (None if v is None else str(v)) for k, v in data["decode"].items()}
-    unseal = UnsealSpec(
-        partition=ProjPartition.finest(sorted(reference.c_labels())),
-        decode=decode,
-    )
-    return SealedInstance(protocol, reference, unseal, data["params"])
+    return SealedInstance(protocol, reference, decode, data["params"])

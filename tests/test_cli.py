@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,35 @@ class TestCheat:
         assert all(row["margin"] >= -1e-9 for row in first)
 
 
+GOLDEN = Path(__file__).parent / "data" / "cli"
+GOLDEN_SEALS = {
+    "naive": ["--protocol", "naive", "--message", "Hello"],
+    "garbage": ["--protocol", "garbage", "--message", "Hello", "--garbage", "g0,g1,g2"],
+    "multipicture": ["--protocol", "multipicture", "--pictures", "pic1,pic2,pic3,pic4"],
+    "oaep": ["--protocol", "oaep", "--k0", "4", "--y", "77"],
+}
+
+
+class TestGoldenOutput:
+    """``seal`` and the deterministic ``cheat`` attacks reproduce committed bytes.
+
+    Random attacks are left out: their unitaries go through BLAS, whose
+    rounding differs between platforms.
+    """
+
+    @pytest.mark.parametrize("protocol", GOLDEN_SEALS)
+    def test_seal_and_cheat_bytes(self, tmp_path, protocol):
+        sealed = tmp_path / "seal.json"
+        assert run_cli("--out", str(sealed), "seal", *GOLDEN_SEALS[protocol]) == 0
+        assert sealed.read_bytes() == (GOLDEN / f"seal-{protocol}.json").read_bytes()
+        for attack in ("generic", "basis"):
+            report = tmp_path / f"{attack}.json"
+            assert run_cli("--out", str(report), "cheat", "--instance", str(sealed),
+                           "--attack", attack) == 0
+            expected = GOLDEN / f"cheat-{protocol}-{attack}.json"
+            assert report.read_bytes() == expected.read_bytes()
+
+
 class TestVerify:
     def test_returning_the_reference_is_believed(self, naive_instance, tmp_path, capsys):
         instance = json.loads(naive_instance.read_text())
@@ -247,6 +277,7 @@ class TestErrorExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     def test_malformed_instance_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -273,6 +304,12 @@ class TestErrorExitCodes:
         assert run_cli("seal", "--protocol", "oaep", "--k0", "4", "--n", "8",
                        "--key", "00zz") == 1
         self.assert_one_line_error(capsys)
+
+    def test_unknown_seal_config_key(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("protocol = naive\nmesage = Hello\n")
+        assert run_cli("--config", str(config), "seal") == 1
+        assert "'mesage'" in self.assert_one_line_error(capsys)
 
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

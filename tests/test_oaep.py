@@ -27,7 +27,7 @@ from qseal.oaep import (
     useless_query_bound,
 )
 from qseal.protocols import verify_return
-from qseal.states import Ensemble, SparseState, measure_partition
+from qseal.states import Ensemble, ProjPartition, SparseState, measure_partition
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -146,7 +146,7 @@ class TestSealOaep:
 
     def test_all_token_outcomes_marked_garbage(self):
         inst = seal_oaep(1, OaepContext.create(k0=2, n=4))
-        assert set(inst.unseal.decode.values()) == {None}
+        assert set(inst.decode.values()) == {None}
 
     def test_message_range_checked(self):
         ctx = OaepContext.create(k0=4, n=8)
@@ -168,7 +168,7 @@ class TestUnsealOaep:
             ctx = OaepContext.create(k0=4, n=8)
             inst = seal_oaep(y, ctx)
             token, _, _ = measure_partition(
-                inst.reference, inst.unseal.partition, seed
+                inst.reference, ProjPartition.finest(inst.reference.c_labels()), seed
             )
             got_y, got_r = unseal_oaep(inst, ctx, seed)
             assert got_y == y
@@ -352,15 +352,3 @@ class TestFootnoteCounterexample:
         assert useless_query_bound(ctx, useful) == pytest.approx(
             2.0**-8, abs=1e-15
         )
-
-
-class TestContextSerialization:
-    def test_round_trip_preserves_behaviour(self):
-        from qseal.oaep import context_from_dict, context_to_dict
-
-        ctx = OaepContext.create(k0=4, n=8, master_key=b"k" * 32)
-        data = context_to_dict(ctx)
-        assert data["k"] == 12 and data["k0"] == 4 and data["n"] == 8
-        again = context_from_dict(data)
-        for r in range(4):
-            assert encode(9, r, again) == encode(9, r, ctx)

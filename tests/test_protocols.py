@@ -21,9 +21,20 @@ from qseal.protocols import (
     seal_naive,
     verify_return,
 )
-from qseal.states import Ensemble, SparseState, collapse_branches, measure_partition
+from qseal.states import (
+    Ensemble,
+    ProjPartition,
+    SparseState,
+    collapse_branches,
+    measure_partition,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def readout(inst):
+    """The honest unseal's measurement: one outcome per active C label."""
+    return ProjPartition.finest(inst.reference.c_labels())
 
 
 def pictures(n):
@@ -34,14 +45,13 @@ class TestSealNaive:
     def test_state_structure(self):
         inst = seal_naive("M", garbage="0")
         assert inst.protocol == "naive"
-        assert inst.completeness_error == 0.0
         assert set(inst.reference.amps) == {("0", "0"), ("M", "M")}
         for amp in inst.reference.amps.values():
             assert amp == pytest.approx(INV_SQRT2, abs=1e-15)
 
     def test_decode_table(self):
         inst = seal_naive("M", garbage="0")
-        assert inst.unseal.decode == {"M": "M", "0": None}
+        assert inst.decode == {"M": "M", "0": None}
 
     def test_rejects_label_collision(self):
         with pytest.raises(LabelCollision):
@@ -101,7 +111,7 @@ class TestSealMultipicture:
 
     def test_honest_unseal_distribution_is_uniform(self):
         inst = seal_multipicture(pictures(4))
-        _, _, dist = measure_partition(inst.reference, inst.unseal.partition, 0)
+        _, _, dist = measure_partition(inst.reference, readout(inst), 0)
         assert set(dist) == set(pictures(4))
         for prob in dist.values():
             assert prob == pytest.approx(0.25, abs=1e-12)
@@ -163,7 +173,7 @@ class TestVerifyReturn:
 
     def test_naive_basis_readout_accepted_half_the_time(self):
         inst = seal_naive("M", garbage="0")
-        branches = collapse_branches(inst.reference, inst.unseal.partition)
+        branches = collapse_branches(inst.reference, readout(inst))
         returned = Ensemble(tuple((p, s) for p, s in branches.values()))
         _, accept = verify_return(inst, returned, 0)
         assert accept == pytest.approx(0.5, abs=1e-12)
@@ -177,7 +187,7 @@ class TestVerifyReturn:
 
     def test_belief_sampling_is_seeded(self):
         inst = seal_naive("M", garbage="0")
-        branches = collapse_branches(inst.reference, inst.unseal.partition)
+        branches = collapse_branches(inst.reference, readout(inst))
         returned = Ensemble(tuple((p, s) for p, s in branches.values()))
         beliefs = [verify_return(inst, returned, 11)[0] for _ in range(3)]
         assert len(set(beliefs)) == 1
@@ -222,7 +232,7 @@ class TestSerialization:
         assert again.protocol == inst.protocol
         assert again.params == inst.params
         assert again.reference.amps == inst.reference.amps
-        assert again.unseal.decode == inst.unseal.decode
+        assert again.decode == inst.decode
 
     @EACH_PROTOCOL
     def test_params_are_read_only(self, inst):
@@ -240,6 +250,12 @@ class TestSerialization:
         data = instance_to_dict(seal_naive("M"))
         data["protocol"] = "mystery"
         with pytest.raises(ValueError, match="unknown protocol"):
+            instance_from_dict(data)
+
+    def test_decode_mapping_two_outcomes_to_one_message_rejected(self):
+        data = instance_to_dict(seal_garbage("M", ["g0", "g1"]))
+        data["decode"]["g0"] = "M"
+        with pytest.raises(ValueError, match="injective"):
             instance_from_dict(data)
 
     def test_reloaded_instance_still_verifies(self):
