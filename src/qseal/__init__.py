@@ -73,9 +73,7 @@ from .states import (
     random_unitary,
     squared_overlap,
     state_from_dict,
-    state_from_json,
     state_to_dict,
-    state_to_json,
     trace_distance_pure,
     trace_distance_pure_vs_ensemble,
 )

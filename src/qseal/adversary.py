@@ -31,6 +31,7 @@ import numpy as np
 
 from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
+    CHAIN_TOL,
     DENSE_DIM_CAP,
     DimensionTooLarge,
     Ensemble,
@@ -60,10 +61,6 @@ class InvalidIndex(AdversaryError):
 
 
 Predicate = Mapping[Label, int]
-
-
-#: Slack allowed at each step of a ``ProofChain``.
-CHAIN_TOL = 1e-8
 
 
 def soundness_bound(p: float) -> float:
@@ -209,6 +206,11 @@ def random_strategy_sweep(
 
     Trial t is seeded with rng_seed + t, so sweeps are reproducible and
     trials could be evaluated independently.
+
+    Raises DimensionTooLarge when |B|*|C| exceeds ``DENSE_DIM_CAP``. The
+    rotated state has |B|*|C| keys and undoing every branch costs about
+    |B|*|C|^2 Python operations, so a cap on |C| alone would admit
+    strategies that take minutes (2.8 s for one at |B| = |C| = 129).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

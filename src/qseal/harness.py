@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from . import oaep as oaep_mod
 from .adversary import (
-    CHAIN_TOL,
     CheatReport,
     basis_cheat,
     optimal_post_collapse_response,
@@ -25,13 +24,9 @@ from .adversary import (
     random_strategy_sweep,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from .states import DENSE_DIM_CAP
+from .states import CHAIN_TOL, DENSE_DIM_CAP, EXACT_TOL, MARGIN_TOL
 
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
-MARGIN_TOL = 1e-9
-# Proof chains are checked on every sweep instance whose joint dimension
-# |B|*|C| is at most this.
-CHAIN_DIM_CAP = 64
 
 
 class ConfigInvalid(Exception):
@@ -155,7 +150,13 @@ def _split_predicate(inst: SealedInstance) -> dict[str, int]:
 
 
 def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """One row per (instance, attack, trial); raises on any broken inequality."""
+    """One row per (instance, attack, trial); raises on any broken inequality.
+
+    Every row's proof chain is checked. Its trace distance refuses a joint
+    support above ``DENSE_DIM_CAP`` (a garbage size above 511 or a picture
+    count above 512), so such an instance fails with DimensionTooLarge
+    instead of emitting unchecked rows.
+    """
     if cfg.experiment != "bound-sweep":
         raise ConfigInvalid("config is not a bound-sweep configuration")
     rows: list[SweepRow] = []
@@ -169,9 +170,12 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             ("basis", basis),
             ("predicate-split", predicate_cheat(inst, _split_predicate(inst))),
         ]
-        # Random strategies rotate the whole active C space, so they stay
-        # within the dense-dimension cap; the named attacks above are sparse
-        # and exact at any size.
+        # Random strategies rotate the whole active C space: the rotated state
+        # has |B|*|C| keys and undoing every branch costs about |B|*|C|^2
+        # Python operations, so they run only while |B|*|C| is within
+        # DENSE_DIM_CAP. The named attacks above are sparse; their reports
+        # are exact at any size, but their chains share the cap on the
+        # joint support of the trace distance.
         if cfg.trials and joint_dim <= DENSE_DIM_CAP:
             labelled.extend(
                 (f"random-{t}", report)
@@ -185,12 +189,11 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 raise InvariantViolation(
                     f"negative margin {row.margin!r} for {name}/{attack}"
                 )
-            if joint_dim <= CHAIN_DIM_CAP:
-                chain = proof_chain(inst, report)
-                if not chain.holds(CHAIN_TOL):
-                    raise InvariantViolation(
-                        f"proof chain failed for {name}/{attack}: {chain}"
-                    )
+            chain = proof_chain(inst, report)
+            if not chain.holds(CHAIN_TOL):
+                raise InvariantViolation(
+                    f"proof chain failed for {name}/{attack}: {chain}"
+                )
             rows.append(row)
     return rows
 
@@ -234,7 +237,7 @@ def run_oaep_negligibility(
             excluded = set(range(r_size))
             divergence = 1.0 - oaep_mod.tu_overlap(inst, excluded)
             closed_form = oaep_mod.useless_query_bound(ctx, excluded)
-            if abs(divergence - closed_form) > 1e-12:
+            if abs(divergence - closed_form) > EXACT_TOL:
                 raise InvariantViolation(
                     f"state-vector divergence {divergence!r} disagrees with "
                     f"closed form {closed_form!r} at k0={k0}, |R|={r_size}"

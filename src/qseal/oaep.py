@@ -26,7 +26,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
 from .states import (
@@ -140,16 +140,6 @@ class CaptchaFunction:
             raise LengthMismatch(f"input must be a {self.k}-bit value")
         value = _feistel_forward(self._key, self.k, x)
         return f"{TOKEN_PREFIX}{value:0{(self.k + 3) // 4}x}"
-
-    def check_injective(self) -> bool:
-        """Exhaustive injectivity check; intended for small k only."""
-        seen = set()
-        for x in range(1 << self.k):
-            token = self.forward(x)
-            if token in seen:
-                return False
-            seen.add(token)
-        return True
 
 
 def token_payload(token: str, k: int) -> int:
@@ -347,27 +337,3 @@ def useless_query_bound(ctx: OaepContext | OaepParams, excluded: set[int]) -> fl
         raise ValueError("excluded set larger than the pad space")
     return len(excluded) / support
 
-
-def golden_vector_lines(ctx: OaepContext, pairs: Sequence[tuple[int, int]]) -> list[str]:
-    """Reference vectors, one "y_hex r_hex token_hex" line per (y, r) pair."""
-    params = ctx.params
-    yw = (params.n + 3) // 4
-    rw = (params.k0 + 3) // 4
-    lines = []
-    for y, r in pairs:
-        token = encode(y, r, ctx)
-        payload = token_payload(token, params.k)
-        lines.append(f"{y:0{yw}x} {r:0{rw}x} {payload:0{(params.k + 3) // 4}x}")
-    return lines
-
-
-def read_golden_vectors(path) -> list[tuple[int, int, int]]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            y_hex, r_hex, token_hex = line.split()
-            rows.append((int(y_hex, 16), int(r_hex, 16), int(token_hex, 16)))
-    return rows

@@ -66,15 +66,17 @@ class SealedInstance:
     The honest unseal measures register C of the reference in the
     computational basis; ``decode`` maps each outcome label to its message,
     with ``None`` marking garbage outcomes, and must be injective on messages.
-    ``params`` is stored read-only, with list values as tuples.
+    ``decode`` is stored as a read-only copy, so the check cannot be bypassed
+    later; ``params`` is stored read-only too, with list values as tuples.
     """
 
     protocol: str
     reference: SparseState
-    decode: dict[Label, str | None]
+    decode: Mapping[Label, str | None]
     params: Mapping
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "decode", MappingProxyType(dict(self.decode)))
         messages = [m for m in self.decode.values() if m is not None]
         if len(messages) != len(set(messages)):
             raise ValueError("decode must be injective on message outcomes")

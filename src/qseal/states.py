@@ -13,7 +13,6 @@ and that joint support is capped at ``DENSE_DIM_CAP`` keys.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,10 +22,16 @@ import numpy as np
 
 Label = str
 
-NORM_TOL = 1e-9
-PRUNE_TOL = 1e-15
 DENSE_DIM_CAP = 512
-UNITARY_TOL = 1e-9
+
+# Tolerances, one reason each. Every qseal module takes its tolerances from
+# this block; a test rejects small float literals anywhere else in src/qseal.
+NORM_TOL = 1e-9      # squared moduli and ensemble weights sum to 1 within this
+PRUNE_TOL = 1e-15    # amplitudes and unitary entries below this are dropped
+UNITARY_TOL = 1e-9   # largest entry of U^dagger U - I a LocalUnitary accepts
+CHAIN_TOL = 1e-8     # slack per proof-chain step; the trace distance is LAPACK's
+MARGIN_TOL = 1e-9    # how far a sweep row's s may sit above its closed form
+EXACT_TOL = 1e-12    # two exact routes to one number (state, closed form) agree
 
 
 class StateError(Exception):
@@ -89,19 +94,6 @@ class SparseState:
     def c_labels(self) -> set[Label]:
         return {c for _, c in self.amps}
 
-    def b_weights(self) -> dict[Label, float]:
-        """Probability of each B label under a computational-basis readout."""
-        weights: dict[Label, float] = {}
-        for (b, _), a in self.amps.items():
-            weights[b] = weights.get(b, 0.0) + abs(a) ** 2
-        return weights
-
-    def max_abs_diff(self, other: "SparseState") -> float:
-        """Largest amplitude-wise deviation from ``other``."""
-        keys = set(self.amps) | set(other.amps)
-        return max(
-            abs(self.amps.get(k, 0.0) - other.amps.get(k, 0.0)) for k in keys
-        )
 
 
 @dataclass(frozen=True)
@@ -150,11 +142,6 @@ class LocalUnitary:
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls, labels: Iterable[Label]) -> "LocalUnitary":
-        labels = tuple(labels)
-        return cls(labels, np.eye(len(labels), dtype=np.complex128))
-
     def adjoint(self) -> "LocalUnitary":
         return LocalUnitary(self.basis, self.matrix.conj().T)
 
@@ -169,16 +156,6 @@ class ProjPartition:
     def finest(cls, labels: Iterable[Label]) -> "ProjPartition":
         """One outcome per label, named after the label itself."""
         return cls({label: label for label in labels})
-
-    @classmethod
-    def from_groups(cls, groups: Mapping[Label, Iterable[Label]]) -> "ProjPartition":
-        outcome_of: dict[Label, Label] = {}
-        for outcome, labels in groups.items():
-            for label in labels:
-                if label in outcome_of:
-                    raise ValueError(f"label {label!r} assigned to two outcomes")
-                outcome_of[label] = outcome
-        return cls(outcome_of)
 
 
 def inner_product(a: SparseState, b: SparseState) -> complex:
@@ -332,20 +309,21 @@ def project_accept_probability(reference: SparseState, returned: Ensemble) -> fl
 
 
 def random_unitary(labels: Iterable[Label], rng: np.random.Generator | int) -> LocalUnitary:
-    """Haar-ish random unitary from Gram-Schmidt on a seeded complex Gaussian."""
+    """Haar-random unitary from the QR factorization of a seeded complex Gaussian.
+
+    Each column of Q is multiplied by the phase d / |d| of R's matching
+    diagonal entry, which makes the factorization unique (R's diagonal
+    positive) and the distribution Haar (Mezzadri, "How to generate random
+    matrices from the classical compact groups", 2007).
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     labels = tuple(labels)
     n = len(labels)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q = np.zeros_like(m)
-    for j in range(n):
-        v = m[:, j].copy()
-        for _ in range(2):  # second pass keeps orthogonality at machine precision
-            for i in range(j):
-                v -= (q[:, i].conj() @ v) * q[:, i]
-        q[:, j] = v / np.linalg.norm(v)
-    return LocalUnitary(labels, q)
+    q, r = np.linalg.qr(m)
+    d = np.diag(r)
+    return LocalUnitary(labels, q * (d / np.abs(d)))
 
 
 def state_to_dict(state: SparseState) -> dict:
@@ -366,10 +344,3 @@ def state_from_dict(data: Mapping) -> SparseState:
         amps[key] = complex(re, im)
     return SparseState(amps)
 
-
-def state_to_json(state: SparseState) -> str:
-    return json.dumps(state_to_dict(state))
-
-
-def state_from_json(text: str) -> SparseState:
-    return state_from_dict(json.loads(text))

@@ -2,12 +2,13 @@
 
 The oracles here deliberately avoid the code paths they check: trace
 distances come from numpy's eigensolver on dense matrices, and measurement
-statistics are enumerated with plain dictionary arithmetic.
+statistics are enumerated with plain dictionary arithmetic, and random
+unitaries are checked against a Gram-Schmidt reference.
 """
 
 import numpy as np
 
-from qseal.states import Ensemble, SparseState
+from qseal.states import Ensemble, LocalUnitary, SparseState
 
 B_POOL = [f"b{i}" for i in range(6)]
 C_POOL = [f"c{i}" for i in range(6)]
@@ -68,3 +69,36 @@ def enumerate_basis_readout(amps):
         overlap = sum(amps[k].conjugate() * a for k, a in branch.items()) / prob**0.5
         out[c] = (prob, abs(overlap) ** 2)
     return out
+
+
+def max_abs_diff(a, b):
+    """Largest amplitude-wise deviation between two sparse states."""
+    keys = set(a.amps) | set(b.amps)
+    return max(abs(a.amps.get(k, 0.0) - b.amps.get(k, 0.0)) for k in keys)
+
+
+def b_weights(state):
+    """Probability of each B label under a computational-basis readout."""
+    weights = {}
+    for (b, _), a in state.amps.items():
+        weights[b] = weights.get(b, 0.0) + abs(a) ** 2
+    return weights
+
+
+def identity_unitary(labels):
+    labels = tuple(labels)
+    return LocalUnitary(labels, np.eye(len(labels), dtype=np.complex128))
+
+
+def gram_schmidt_unitary(n, rng):
+    """Reference: Gram-Schmidt, applied twice per column, on the complex
+    Gaussian draw ``random_unitary`` makes; R's diagonal comes out positive."""
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = np.zeros_like(m)
+    for j in range(n):
+        v = m[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                v -= (q[:, i].conj() @ v) * q[:, i]
+        q[:, j] = v / np.linalg.norm(v)
+    return q

@@ -7,6 +7,7 @@ them); a failed assertion marks the corresponding criterion FAIL.
 import math
 import time
 
+from conftest import max_abs_diff
 from qseal.adversary import (
     basis_cheat,
     optimal_post_collapse_response,
@@ -87,7 +88,7 @@ def test_criterion_05_constant_predicate_is_undetectable():
     inst = seal_multipicture(pictures(4))
     result = predicate_cheat(inst, {p: 1 for p in pictures(4)})
     weight, state = result.returned.members[0]
-    drift = state.max_abs_diff(inst.reference)
+    drift = max_abs_diff(state, inst.reference)
     ok = abs(result.s) <= TOL and len(result.returned.members) == 1 and drift <= TOL
     report(5, ok, f"constant predicate: s={result.s!r}, state drift {drift:.2e}")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_trace_distance, enumerate_basis_readout
+from conftest import dense_trace_distance, enumerate_basis_readout, max_abs_diff
 from qseal.adversary import (
     InvalidIndex,
     PartialPredicate,
@@ -17,7 +17,7 @@ from qseal.adversary import (
     soundness_bound,
     strategy_report,
 )
-from qseal.protocols import seal_garbage, seal_multipicture, seal_naive
+from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import DimensionTooLarge, Ensemble, SparseState, trace_distance_pure
 
 BOUND_AT_HALF = 0.8535533905932737  # (2 + sqrt 2) / 4
@@ -107,7 +107,7 @@ class TestPredicateCheat:
         assert len(report.returned.members) == 1
         weight, state = report.returned.members[0]
         assert weight == pytest.approx(1.0, abs=1e-12)
-        assert state.max_abs_diff(inst.reference) < 1e-12
+        assert max_abs_diff(state, inst.reference) < 1e-12
 
     def test_isolating_one_picture(self):
         inst = seal_multipicture(pictures(4))
@@ -202,6 +202,25 @@ class TestRandomStrategySweep:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             random_strategy_sweep(seal_naive("M", "0"), 0, rng_seed=0)
+
+    @staticmethod
+    def rectangular_instance(n_b, n_c):
+        """|B| = n_b and |C| = n_c: C label c{i} sits under B label b{i mod n_b}."""
+        reference = SparseState.uniform((f"b{i % n_b}", f"c{i}") for i in range(n_c))
+        decode = {f"c{i}": None for i in range(n_c)}
+        decode["c0"] = "M"
+        return SealedInstance(GARBAGE, reference, decode, {})
+
+    def test_guard_admits_joint_dimension_at_the_cap(self):
+        inst = self.rectangular_instance(2, 256)  # |B| * |C| = 512
+        (report,) = random_strategy_sweep(inst, 1, rng_seed=0)
+        assert report.margin >= -1e-9
+        assert proof_chain(inst, report).holds()
+
+    def test_guard_rejects_joint_dimension_past_the_cap(self):
+        inst = self.rectangular_instance(3, 171)  # |B| * |C| = 513
+        with pytest.raises(DimensionTooLarge, match="513"):
+            random_strategy_sweep(inst, 1, rng_seed=0)
 
 
 class TestProofChain:

@@ -198,6 +198,17 @@ class TestExperiment:
         assert lines[0] == "protocol,attack,p,s_exact,bound,margin"
         assert len(lines) == 1 + 5 * 5
 
+    def test_bound_sweep_at_the_chain_cap(self, tmp_path, capsys):
+        # garbage-511 has a joint support of 512 keys, exactly DENSE_DIM_CAP.
+        config = tmp_path / "exp.cfg"
+        config.write_text("trials = 1\ngarbage_sizes = 511\npicture_counts = 2\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 0
+        lines = capsys.readouterr().out.splitlines()
+        # naive and multipicture-2 get 3 named rows and 1 random row each;
+        # garbage-511 is past the random-strategy guard and gets 3.
+        assert len(lines) == 1 + 4 + 3 + 4
+        assert sum(line.startswith("garbage-511,") for line in lines) == 3
+
     def test_reports_are_reproducible(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("trials = 2\ngarbage_sizes = 1\npicture_counts = 2\n")
@@ -310,6 +321,15 @@ class TestErrorExitCodes:
         config.write_text("protocol = naive\nmesage = Hello\n")
         assert run_cli("--config", str(config), "seal") == 1
         assert "'mesage'" in self.assert_one_line_error(capsys)
+
+    def test_bound_sweep_past_the_chain_cap(self, tmp_path, capsys):
+        # garbage-512 has a joint support of 513 keys, one past DENSE_DIM_CAP,
+        # so its proof chain cannot be checked and the sweep fails.
+        config = tmp_path / "exp.cfg"
+        config.write_text("trials = 1\ngarbage_sizes = 512\npicture_counts = 2\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
+        err = self.assert_one_line_error(capsys)
+        assert "joint basis has dimension 513, cap is 512" in err
 
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

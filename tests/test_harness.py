@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qseal import harness
 from qseal.harness import (
     ConfigInvalid,
     ExperimentConfig,
@@ -102,6 +103,20 @@ class TestBoundSweep:
 
     def test_deterministic(self):
         assert run_bound_sweep(SMALL) == run_bound_sweep(SMALL)
+
+    def test_one_proof_chain_per_row(self, monkeypatch):
+        original = harness.proof_chain
+        chains = []
+
+        def counting_proof_chain(inst, report):
+            chains.append(original(inst, report))
+            return chains[-1]
+
+        monkeypatch.setattr(harness, "proof_chain", counting_proof_chain)
+        rows = run_bound_sweep(ExperimentConfig(trials=100))
+        assert len(rows) == 827
+        assert len(chains) == len(rows)
+        assert all(chain.holds() for chain in chains)
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import max_abs_diff
 from qseal.adversary import basis_cheat, optimal_post_collapse_response
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import (
     DuplicatePicture,
     EmptyGarbageSet,
     LabelCollision,
+    SealedInstance,
     TooFewPictures,
     honest_unseal,
     instance_from_dict,
@@ -66,7 +68,7 @@ class TestSealGarbage:
     def test_single_garbage_label_reduces_to_naive(self):
         a = seal_naive("M", garbage="g0")
         b = seal_garbage("M", ["g0"])
-        assert a.reference.max_abs_diff(b.reference) < 1e-12
+        assert max_abs_diff(a.reference, b.reference) < 1e-12
 
     def test_amplitude_split(self):
         inst = seal_garbage("M", [f"g{i}" for i in range(4)])
@@ -257,6 +259,20 @@ class TestSerialization:
         data["decode"]["g0"] = "M"
         with pytest.raises(ValueError, match="injective"):
             instance_from_dict(data)
+
+    def test_decode_is_read_only(self):
+        inst = seal_garbage("M", ["g0", "g1"])
+        with pytest.raises(TypeError):
+            inst.decode["g0"] = "M"
+        assert basis_cheat(inst).p == pytest.approx(0.5, abs=1e-12)
+
+    def test_decode_is_copied_from_the_caller(self):
+        sealed = seal_garbage("M", ["g0", "g1"])
+        decode = dict(sealed.decode)
+        inst = SealedInstance(sealed.protocol, sealed.reference, decode, sealed.params)
+        decode["g0"] = "M"
+        assert inst.decode == sealed.decode
+        assert basis_cheat(inst).p == pytest.approx(0.5, abs=1e-12)
 
     def test_reloaded_instance_still_verifies(self):
         inst = seal_naive("M", garbage="0")

@@ -1,0 +1,46 @@
+"""One tolerance table: small float literals live only in the states.py block."""
+
+import ast
+from pathlib import Path
+
+import qseal
+from qseal import adversary, harness, states
+from qseal.adversary import ProofChain
+
+SRC = Path(qseal.__file__).parent
+# Anything this small is a tolerance, whatever its name.
+SMALL = 1e-3
+
+
+def tolerance_table(tree):
+    """The value nodes of the module-level ``*_TOL = ...`` assignments."""
+    return {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.endswith("_TOL")
+    }
+
+
+def test_small_float_literals_only_in_the_tolerance_table():
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = tolerance_table(tree) if path.name == "states.py" else set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < SMALL
+                and id(node) not in allowed
+            ):
+                strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert strays == []
+    assert len(tolerance_table(ast.parse((SRC / "states.py").read_text()))) == 6
+
+
+def test_tolerances_are_shared_not_restated():
+    assert adversary.CHAIN_TOL is states.CHAIN_TOL
+    assert harness.MARGIN_TOL is states.MARGIN_TOL
+    assert ProofChain.holds.__defaults__ == (states.CHAIN_TOL,)
