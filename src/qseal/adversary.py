@@ -13,6 +13,10 @@ honest return is always accepted and the bound carries no completeness-error
 term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
+With a unitary, a whole strategy runs on the reference's dense |B| x |C|
+block, and only the returned members become sparse states. Without one it
+stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
+
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
 measurement pinpoints one picture every time, so p = 1). ``p_bound`` is the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,17 +37,21 @@ from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
     CHAIN_TOL,
     DENSE_DIM_CAP,
+    PRUNE_TOL,
     DimensionTooLarge,
     Ensemble,
     Label,
     LocalUnitary,
     ProjPartition,
     SparseState,
-    apply_unitary_c,
+    UncoveredLabel,
+    apply_unitary_c,  # noqa: F401  (not called; perfbench/test_oracles.py looks it up here)
+    c_block,
     collapse_branches,
     project_accept_probability,
     random_unitary,
     squared_overlap,
+    state_from_block,
     trace_distance_pure_vs_ensemble,
 )
 
@@ -98,6 +106,64 @@ class CheatReport:
         }
 
 
+Branch = tuple[Label, float, SparseState, set[Label]]
+
+
+def _sparse_branches(
+    reference: SparseState, partition: ProjPartition | None
+) -> Iterator[Branch]:
+    """(outcome, q, post-state, active labels) per outcome, with no unitary.
+
+    The partition is diagonal, so each post-state is a rescaled piece of the
+    reference: nothing needs undoing, and its C labels are the active ones.
+    """
+    if partition is None:
+        partition = ProjPartition.finest(sorted(reference.c_labels()))
+    branches = collapse_branches(reference, partition)
+    for outcome in sorted(branches):
+        prob, post = branches[outcome]
+        yield outcome, prob, post, post.c_labels()
+
+
+def _rotated_branches(
+    reference: SparseState, unitary: LocalUnitary, partition: ProjPartition | None
+) -> Iterator[Branch]:
+    """(outcome, q, post-state, active labels) per outcome of rotate, measure, undo.
+
+    The whole strategy stays in the reference's |B| x |C| block: rotate once
+    (psi @ U^T), take each outcome's columns of the rotated block (q is their
+    squared norm), and undo with the matching rows of conj(U). C labels
+    outside the unitary's basis ride along under the identity. Active labels
+    are the columns holding some amplitude of at least ``PRUNE_TOL`` after
+    the rotation.
+
+    Raises:
+        UncoveredLabel: the partition omits an active label.
+    """
+    n = len(unitary.basis)
+    columns = unitary.basis + tuple(sorted(reference.c_labels() - set(unitary.basis)))
+    keys, psi, _ = c_block(reference, columns)
+    u = np.eye(len(columns), dtype=np.complex128)
+    u[:n, :n] = unitary.matrix
+    rotated = psi @ u.T
+    active = np.nonzero((np.abs(rotated) >= PRUNE_TOL).any(axis=0))[0].tolist()
+    if partition is None:
+        partition = ProjPartition.finest(sorted(columns[j] for j in active))
+    cells: dict[Label, list[int]] = {}
+    for j in active:
+        outcome = partition.outcome_of.get(columns[j])
+        if outcome is None:
+            raise UncoveredLabel(f"C label {columns[j]!r} is not covered by the partition")
+        cells.setdefault(outcome, []).append(j)
+    undo = u.conj()
+    for outcome in sorted(cells):
+        cell = cells[outcome]
+        branch = rotated[:, cell]
+        prob = float(np.vdot(branch, branch).real)
+        post = (branch / math.sqrt(prob)) @ undo[cell, :]
+        yield outcome, prob, state_from_block(keys, post), {columns[j] for j in cell}
+
+
 def strategy_report(
     inst: SealedInstance,
     unitary: LocalUnitary | None = None,
@@ -109,27 +175,18 @@ def strategy_report(
     computational-basis partition over the active C labels.
     """
     reference = inst.reference
-    work = reference if unitary is None else apply_unitary_c(reference, unitary)
-    if partition is None:
-        partition = ProjPartition.finest(sorted(work.c_labels()))
-    branches = collapse_branches(work, partition)
+    if unitary is None:
+        branches = _sparse_branches(reference, partition)
+    else:
+        branches = _rotated_branches(reference, unitary, partition)
 
-    cell_labels: dict[Label, set[Label]] = {}
-    for c in work.c_labels():
-        cell_labels.setdefault(partition.outcome_of[c], set()).add(c)
-
-    undo_u = None if unitary is None else unitary.adjoint()
     members: list[tuple[float, SparseState]] = []
     table: list[tuple[Label, float, float]] = []
     recovery_mass: dict[str, float] = {}
-    for outcome in sorted(branches):
-        prob, post = branches[outcome]
-        if undo_u is not None:
-            post = apply_unitary_c(post, undo_u)
+    for outcome, prob, post, active in branches:
         acceptance = squared_overlap(reference, post)
         members.append((prob, post))
         table.append((outcome, prob, acceptance))
-        active = cell_labels[outcome]
         if len(active) == 1:
             message = inst.decode.get(next(iter(active)))
             if message is not None:
@@ -207,10 +264,11 @@ def random_strategy_sweep(
     Trial t is seeded with rng_seed + t, so sweeps are reproducible and
     trials could be evaluated independently.
 
-    Raises DimensionTooLarge when |B|*|C| exceeds ``DENSE_DIM_CAP``. The
-    rotated state has |B|*|C| keys and undoing every branch costs about
-    |B|*|C|^2 Python operations, so a cap on |C| alone would admit
-    strategies that take minutes (2.8 s for one at |B| = |C| = 129).
+    Raises DimensionTooLarge when |B|*|C| exceeds ``DENSE_DIM_CAP``. A
+    strategy is a few matrix products on the |B| x |C| block, but it returns
+    up to |C| members of |B|*|C| keys each as sparse states, so a cap on |C|
+    alone would admit slow strategies (up to 1.1 s for one at
+    |B| = |C| = 129, against 0.19 s at 65).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

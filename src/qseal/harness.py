@@ -170,12 +170,12 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             ("basis", basis),
             ("predicate-split", predicate_cheat(inst, _split_predicate(inst))),
         ]
-        # Random strategies rotate the whole active C space: the rotated state
-        # has |B|*|C| keys and undoing every branch costs about |B|*|C|^2
-        # Python operations, so they run only while |B|*|C| is within
-        # DENSE_DIM_CAP. The named attacks above are sparse; their reports
-        # are exact at any size, but their chains share the cap on the
-        # joint support of the trace distance.
+        # Random strategies rotate the whole active C space, and their
+        # returned ensemble has up to |C| members of |B|*|C| keys each, so
+        # they run only while |B|*|C| is within DENSE_DIM_CAP. The named
+        # attacks above are sparse; their reports are exact at any size, but
+        # their chains share the cap on the joint support of the trace
+        # distance.
         if cfg.trials and joint_dim <= DENSE_DIM_CAP:
             labelled.extend(
                 (f"random-{t}", report)

@@ -6,6 +6,11 @@ sparse map from (b_label, c_label) to a complex number. Encodings whose label
 space is exponentially large but whose support is small therefore stay exact
 and cheap.
 
+Dense work on register C goes through one pair of block helpers: ``c_block``
+lays a state's amplitudes on a C basis out as a |B| x |basis| array, and
+``state_from_block`` turns such an array back into a ``SparseState``. A
+unitary on C is then one matrix product on that array (``apply_unitary_c``).
+
 The mixed-state trace distance works in the span of the states involved (one
 QR column per state) instead of on a square matrix over their joint support,
 and that joint support is capped at ``DENSE_DIM_CAP`` keys.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +32,7 @@ DENSE_DIM_CAP = 512
 # Tolerances, one reason each. Every qseal module takes its tolerances from
 # this block; a test rejects small float literals anywhere else in src/qseal.
 NORM_TOL = 1e-9      # squared moduli and ensemble weights sum to 1 within this
-PRUNE_TOL = 1e-15    # amplitudes and unitary entries below this are dropped
+PRUNE_TOL = 1e-15    # amplitudes below this are dropped
 UNITARY_TOL = 1e-9   # largest entry of U^dagger U - I a LocalUnitary accepts
 CHAIN_TOL = 1e-8     # slack per proof-chain step; the trace distance is LAPACK's
 MARGIN_TOL = 1e-9    # how far a sweep row's s may sit above its closed form
@@ -63,16 +68,18 @@ class SparseState:
     amps: dict[tuple[Label, Label], complex]
 
     def __post_init__(self) -> None:
+        # Summed before the prune, and compared so that NaN fails: a NaN
+        # amplitude would otherwise be pruned away unseen.
+        total = sum(abs(a) ** 2 for a in self.amps.values())
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"state is not normalized: sum of squared moduli is {total!r}"
+            )
         pruned = {
             key: complex(a)
             for key, a in self.amps.items()
             if abs(a) >= PRUNE_TOL
         }
-        total = sum(abs(a) ** 2 for a in pruned.values())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: sum of squared moduli is {total!r}"
-            )
         object.__setattr__(self, "amps", pruned)
 
     @cached_property
@@ -107,7 +114,7 @@ class Ensemble:
         if any(q < 0.0 for q, _ in members):
             raise ValueError("ensemble weights must be nonnegative")
         total = sum(q for q, _ in members)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 
@@ -141,9 +148,6 @@ class LocalUnitary:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "matrix", m)
-
-    def adjoint(self) -> "LocalUnitary":
-        return LocalUnitary(self.basis, self.matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -220,26 +224,56 @@ def trace_distance_pure_vs_ensemble(psi: SparseState, sigma: Ensemble) -> float:
     return min(1.0, max(0.0, 0.5 * float(singular.sum())))
 
 
+def c_block(
+    s: SparseState, basis: Sequence[Label]
+) -> tuple[list[tuple[Label, Label]], np.ndarray, dict[tuple[Label, Label], complex]]:
+    """The state's amplitudes on a C basis as a dense |B| x |basis| array.
+
+    Returns (keys, block, outside): the rows are the B labels with support on
+    the basis, sorted, ``block[i, j]`` is the amplitude on key
+    ``keys[i * len(basis) + j]`` = (row i, basis[j]), and ``outside`` holds the
+    amplitudes on C labels not in the basis.
+    """
+    col_of = {c: j for j, c in enumerate(basis)}
+    outside = {key: a for key, a in s.amps.items() if key[1] not in col_of}
+    rows = sorted({b for b, c in s.amps if c in col_of})
+    row_of = {b: i for i, b in enumerate(rows)}
+    block = np.zeros((len(rows), len(basis)), dtype=np.complex128)
+    for (b, c), a in s.amps.items():
+        if c in col_of:
+            block[row_of[b], col_of[c]] = a
+    return [(b, c) for b in rows for c in basis], block, outside
+
+
+def state_from_block(
+    keys: Sequence[tuple[Label, Label]],
+    block: np.ndarray,
+    outside: Mapping[tuple[Label, Label], complex] | None = None,
+) -> SparseState:
+    """The state with amplitude ``block.flat[k]`` on ``keys[k]``, plus ``outside``.
+
+    Entries below ``PRUNE_TOL`` are left out. States built from one ``keys``
+    list share its key tuples, which keeps a returned ensemble small.
+    """
+    flat = np.ravel(block)
+    (kept,) = np.nonzero(np.abs(flat) >= PRUNE_TOL)
+    amps = dict(outside or {})
+    amps.update(zip([keys[k] for k in kept.tolist()], flat[kept].tolist()))
+    return SparseState(amps)
+
+
 def apply_unitary_c(s: SparseState, u: LocalUnitary, *, total: bool = False) -> SparseState:
     """Apply ``u`` to register C, leaving register B untouched.
 
-    Labels outside ``u.basis`` ride along unchanged unless ``total`` is set,
-    in which case support on an uncovered label raises ``UnknownLabel``.
+    One matrix product on the state's block over ``u.basis`` (``c_block``).
+    Labels outside the basis ride along unchanged unless ``total`` is set, in
+    which case support on an uncovered label raises ``UnknownLabel``.
     """
-    col_of = {label: i for i, label in enumerate(u.basis)}
-    out: dict[tuple[Label, Label], complex] = {}
-    for (b, c), a in s.amps.items():
-        i = col_of.get(c)
-        if i is None:
-            if total:
-                raise UnknownLabel(f"C label {c!r} is not covered by the unitary")
-            out[(b, c)] = out.get((b, c), 0.0) + a
-            continue
-        column = u.matrix[:, i]
-        for j in np.nonzero(np.abs(column) >= PRUNE_TOL)[0]:
-            key = (b, u.basis[j])
-            out[key] = out.get(key, 0.0) + column[j] * a
-    return SparseState(out)
+    keys, block, outside = c_block(s, u.basis)
+    if total and outside:
+        _, c = next(iter(outside))
+        raise UnknownLabel(f"C label {c!r} is not covered by the unitary")
+    return state_from_block(keys, block @ u.matrix.T, outside)
 
 
 def collapse_branches(

@@ -13,12 +13,21 @@ from qseal.adversary import (
     optimal_post_collapse_response,
     predicate_cheat,
     proof_chain,
+    random_partition,
     random_strategy_sweep,
     soundness_bound,
     strategy_report,
 )
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from qseal.states import DimensionTooLarge, Ensemble, SparseState, trace_distance_pure
+from qseal.states import (
+    DimensionTooLarge,
+    Ensemble,
+    ProjPartition,
+    SparseState,
+    UncoveredLabel,
+    random_unitary,
+    trace_distance_pure,
+)
 
 BOUND_AT_HALF = 0.8535533905932737  # (2 + sqrt 2) / 4
 
@@ -221,6 +230,112 @@ class TestRandomStrategySweep:
         inst = self.rectangular_instance(3, 171)  # |B| * |C| = 513
         with pytest.raises(DimensionTooLarge, match="513"):
             random_strategy_sweep(inst, 1, rng_seed=0)
+
+
+def dense_strategy(reference, basis, matrix, outcome_of):
+    """Oracle: rotate, measure and undo on dense arrays over every C label.
+
+    The unitary is widened to all C labels (identity off ``basis``); C is
+    ordered by sorted label, not basis first. ``outcome_of=None`` is the
+    finest partition of the labels that hold amplitude after the rotation.
+    Returns {outcome: (q, acceptance, {(b, c): amplitude})}.
+    """
+    b_labels = sorted({b for b, _ in reference.amps})
+    c_labels = sorted({c for _, c in reference.amps} | set(basis))
+    b_at = {b: i for i, b in enumerate(b_labels)}
+    c_at = {c: i for i, c in enumerate(c_labels)}
+    psi = np.zeros((len(b_labels), len(c_labels)), dtype=complex)
+    for (b, c), a in reference.amps.items():
+        psi[b_at[b], c_at[c]] = a
+    w = np.eye(len(c_labels), dtype=complex)
+    at = [c_at[c] for c in basis]
+    w[np.ix_(at, at)] = matrix
+    rotated = psi @ w.T
+    held = [c for c in c_labels if np.abs(rotated[:, c_at[c]]).max() >= 1e-15]
+    if outcome_of is None:
+        outcome_of = {c: c for c in held}
+    out = {}
+    for outcome in sorted({outcome_of[c] for c in held}):
+        keep = np.zeros(len(c_labels))
+        keep[[c_at[c] for c in held if outcome_of[c] == outcome]] = 1.0
+        branch = rotated * keep
+        q = float(np.sum(np.abs(branch) ** 2))
+        post = branch @ w.conj() / math.sqrt(q)
+        acceptance = abs(np.vdot(psi, post)) ** 2
+        amps = {(b, c): post[b_at[b], c_at[c]] for b in b_labels for c in c_labels}
+        out[outcome] = (q, acceptance, amps)
+    return out
+
+
+class TestDenseBlockOracle:
+    """``strategy_report`` with a unitary against ``dense_strategy``, to 1e-12."""
+
+    @staticmethod
+    def assert_matches(report, oracle):
+        assert [row[0] for row in report.outcome_table] == sorted(oracle)
+        assert len(report.returned.members) == len(oracle)
+        for (outcome, q, acceptance), (prob, member) in zip(
+            report.outcome_table, report.returned.members
+        ):
+            want_q, want_acceptance, want_amps = oracle[outcome]
+            assert q == prob
+            assert abs(q - want_q) <= 1e-12
+            assert abs(acceptance - want_acceptance) <= 1e-12
+            assert set(member.amps) <= set(want_amps)
+            for key, want in want_amps.items():
+                assert abs(member.amps.get(key, 0.0) - want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
+    def test_ancilla_label_outside_the_support(self, seed, finest):
+        inst = seal_garbage("M", ["g0", "g1"])
+        basis = sorted(inst.reference.c_labels()) + ["work"]
+        rng = np.random.default_rng(seed)
+        u = random_unitary(basis, rng)
+        partition = None if finest else random_partition(basis, rng)
+        report = strategy_report(inst, u, partition)
+        outcome_of = None if finest else partition.outcome_of
+        self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
+        if finest:
+            assert "work" in {row[0] for row in report.outcome_table}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
+    def test_reference_label_outside_the_basis_rides_along(self, seed, finest):
+        inst = seal_garbage("M", ["g0", "g1", "g2", "g3"])
+        labels = sorted(inst.reference.c_labels())
+        rider, basis = labels[0], labels[1:]
+        rng = np.random.default_rng(seed)
+        u = random_unitary(basis, rng)
+        partition = None if finest else random_partition(labels, rng)
+        report = strategy_report(inst, u, partition)
+        outcome_of = None if finest else partition.outcome_of
+        self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
+        if finest:
+            # The rider is its own outcome: the branch that keeps it untouched.
+            (row,) = [row for row in report.outcome_table if row[0] == rider]
+            assert abs(row[1] - abs(inst.reference.amps[(rider, rider)]) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_strategies_on_multipicture(self, seed):
+        inst = seal_multipicture(pictures(5))
+        labels = sorted(inst.reference.c_labels())
+        (report,) = random_strategy_sweep(inst, 1, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        u = random_unitary(labels, rng)
+        partition = random_partition(labels, rng)
+        self.assert_matches(
+            report, dense_strategy(inst.reference, u.basis, u.matrix, partition.outcome_of)
+        )
+
+    def test_partition_missing_a_rotated_into_label_raises(self):
+        inst = seal_naive("M", garbage="0")
+        basis = sorted(inst.reference.c_labels()) + ["work"]
+        u = random_unitary(basis, 0)
+        assert "work" in {row[0] for row in strategy_report(inst, u, None).outcome_table}
+        covers_support = ProjPartition.finest(inst.reference.c_labels())
+        with pytest.raises(UncoveredLabel, match="work"):
+            strategy_report(inst, u, covers_support)
 
 
 class TestProofChain:

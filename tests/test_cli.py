@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,21 @@ class TestErrorExitCodes:
         returned.write_text(json.dumps(
             {"amps": [[b, c, re * scale, im * scale] for b, c, re, im in reference["amps"]]}
         ))
+        assert run_cli("verify", "--instance", str(naive_instance),
+                       "--returned", str(returned)) == 1
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("where", ["amplitude", "weight"])
+    def test_returned_nan(self, naive_instance, tmp_path, capsys, where):
+        reference = json.loads(naive_instance.read_text())["reference"]
+        if where == "amplitude":
+            data = {"amps": reference["amps"] + [["x", "x", math.nan, 0.0]]}
+        else:
+            data = {"members": [{"weight": math.nan, "state": reference},
+                                {"weight": 1.0, "state": reference}]}
+        returned = tmp_path / "returned.json"
+        returned.write_text(json.dumps(data))
+        assert "NaN" in returned.read_text()
         assert run_cli("verify", "--instance", str(naive_instance),
                        "--returned", str(returned)) == 1
         self.assert_one_line_error(capsys)

@@ -52,6 +52,17 @@ class TestConstruction:
         s = SparseState({("a", "a"): 1.0, ("b", "b"): 1e-16})
         assert set(s.amps) == {("a", "a")}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitude(self, bad):
+        # A NaN is never >= PRUNE_TOL, so a check after the prune would miss it.
+        with pytest.raises(ValueError, match="not normalized"):
+            SparseState({("a", "a"): 1.0, ("b", "b"): bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ensemble_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="sum"):
+            Ensemble(((bad, SINGLE), (1.0, BELL)))
+
     def test_ensemble_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((0.5, SINGLE),))
@@ -199,6 +210,17 @@ class TestApplyUnitary:
         u = identity_unitary(["0"])
         with pytest.raises(UnknownLabel):
             apply_unitary_c(BELL, u, total=True)
+
+    def test_labels_outside_basis_stay_sparse(self):
+        # 4096 diagonal terms and a swap of two C labels: only the swapped
+        # terms move, and no |B| x |C| array is built over the rest.
+        n = 4096
+        state = SparseState.uniform((f"b{i}", f"c{i}") for i in range(n))
+        swap = LocalUnitary(("c0", "c1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        out = apply_unitary_c(state, swap)
+        moved = {("b0", "c1"), ("b1", "c0")}
+        assert set(out.amps) == (set(state.amps) - {("b0", "c0"), ("b1", "c1")}) | moved
+        assert all(out.amps[key] == pytest.approx(n**-0.5, abs=1e-15) for key in moved)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
