@@ -33,7 +33,7 @@ from .harness import (
     run_multipicture_scaling,
     run_oaep_negligibility,
 )
-from .states import Ensemble, state_from_dict
+from .states import ensemble_from_dict
 
 SEAL_PARAMS = ("protocol", "message", "garbage", "pictures", "y", "k0", "n", "key")
 # "generic" runs the honest unseal coherently, which is the basis readout.
@@ -138,19 +138,9 @@ def cmd_cheat(args) -> int:
     return 0
 
 
-def _load_returned(path: str) -> Ensemble:
-    data = json.loads(Path(path).read_text())
-    if "amps" in data:
-        return Ensemble.pure(state_from_dict(data))
-    members = tuple(
-        (float(m["weight"]), state_from_dict(m["state"])) for m in data["members"]
-    )
-    return Ensemble(members)
-
-
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    returned = _load_returned(args.returned)
+    returned = ensemble_from_dict(json.loads(Path(args.returned).read_text()))
     believe, accept = protocols.verify_return(inst, returned, args.seed or 0)
     _dump_json({"believe": believe, "accept_probability": accept}, args.out)
     return 0

@@ -18,6 +18,11 @@ states and golden vectors are reproducible bit for bit from the context key.
 
 All bit strings are handled as Python ints with widths fixed by the context
 parameters: y has n bits, r has k0 bits, f inputs have k = n + k0 bits.
+
+G, H and the Feistel rounds are keyed SHA-256 expansions whose prefix, input
+width and shift are fixed once per context. Each digest is one call to this
+module's ``hashlib`` global, looked up at call time and never a pre-fed
+``copy()``, so a stand-in module (perfbench's tracer) counts all six per token.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ MAX_K0 = SUPPORT_CAP.bit_length() - 1
 
 TOKEN_PREFIX = "img_"
 _FEISTEL_ROUNDS = 4
+
+# One keyed hash's fixed input: (prefix per digest, value byte width, shift).
+_PrfSpec = tuple[tuple[bytes, ...], int, int]
 
 
 class OaepError(Exception):
@@ -83,62 +91,61 @@ class OaepParams:
             raise ValueError("message length n must be positive")
 
 
-def _prf_bits(key: bytes, label: bytes, value: int, value_bits: int, out_bits: int) -> int:
-    """Deterministic hash expansion of ``value`` to exactly ``out_bits`` bits."""
-    if out_bits <= 0:
-        return 0
-    data = value.to_bytes(max(1, (value_bits + 7) // 8), "big")
-    out = b""
-    counter = 0
-    while 8 * len(out) < out_bits:
-        out += hashlib.sha256(
-            key + b"|" + label + b"|" + counter.to_bytes(4, "big") + data
-        ).digest()
-        counter += 1
-    return int.from_bytes(out, "big") >> (8 * len(out) - out_bits)
+def _prf_spec(key: bytes, label: bytes, value_bits: int, out_bits: int) -> _PrfSpec:
+    """Hashing ``value_bits``-bit values to ``out_bits`` bits: digest i hashes
+    ``key|label|``, the 4-byte counter i and the value's bytes."""
+    digests = -(-out_bits // 256)
+    prefixes = tuple(key + b"|" + label + b"|" + c.to_bytes(4, "big") for c in range(digests))
+    return prefixes, max(1, (value_bits + 7) // 8), 256 * digests - out_bits
 
 
-def _round_mix(key: bytes, rnd: int, value: int, value_bits: int, out_bits: int) -> int:
-    return _prf_bits(key, b"round" + bytes([rnd]), value, value_bits, out_bits)
+def _prf(spec: _PrfSpec, value: int) -> int:
+    """Deterministic hash expansion of ``value`` to the spec's ``out_bits`` bits."""
+    prefixes, width, shift = spec
+    data = value.to_bytes(width, "big")
+    if len(prefixes) == 1:
+        return int.from_bytes(hashlib.sha256(prefixes[0] + data).digest(), "big") >> shift
+    out = b"".join([hashlib.sha256(prefix + data).digest() for prefix in prefixes])
+    return int.from_bytes(out, "big") >> shift
 
 
-def _feistel_forward(key: bytes, k: int, x: int) -> int:
-    wl, wr = k // 2, k - k // 2
-    left, right = x >> wr, x & ((1 << wr) - 1)
-    for rnd in range(_FEISTEL_ROUNDS):
-        left, right, wl, wr = (
-            right,
-            left ^ _round_mix(key, rnd, right, wr, wl),
-            wr,
-            wl,
-        )
-    return (left << wr) | right
+def _feistel_rounds(key: bytes, k: int) -> list[_PrfSpec]:
+    """Round functions of the k-bit Feistel; its halves of k - k // 2 and
+    k // 2 bits swap roles every round, the wider half feeding round 0."""
+    widths = (k - k // 2, k // 2)
+    return [
+        _prf_spec(key, b"round" + bytes([rnd]), widths[rnd % 2], widths[1 - rnd % 2])
+        for rnd in range(_FEISTEL_ROUNDS)
+    ]
 
 
-def _feistel_inverse(key: bytes, k: int, x: int) -> int:
-    widths = [(k // 2, k - k // 2)]
-    for _ in range(_FEISTEL_ROUNDS):
-        wl, wr = widths[-1]
-        widths.append((wr, wl))
-    wl, wr = widths[-1]
-    left, right = x >> wr, x & ((1 << wr) - 1)
-    for rnd in reversed(range(_FEISTEL_ROUNDS)):
-        wl, wr = widths[rnd]
-        left, right = right ^ _round_mix(key, rnd, left, wr, wl), left
-    return (left << wr) | right
+def _feistel_forward(rounds: list[_PrfSpec], k: int, x: int) -> int:
+    half = k - k // 2
+    left, right = x >> half, x & ((1 << half) - 1)
+    for spec in rounds:
+        left, right = right, left ^ _prf(spec, right)
+    return (left << half) | right
+
+
+def _feistel_inverse(rounds: list[_PrfSpec], k: int, x: int) -> int:
+    half = k - k // 2
+    left, right = x >> half, x & ((1 << half) - 1)
+    for spec in reversed(rounds):
+        left, right = right ^ _prf(spec, left), left
+    return (left << half) | right
 
 
 class CaptchaFunction:
     """Forward-only capability for the keyed one-to-one token map."""
 
     def __init__(self, key: bytes, k: int):
-        self._key = key
+        self._rounds = _feistel_rounds(key, k)
         self.k = k
 
     def forward(self, x: int) -> str:
         if not 0 <= x < (1 << self.k):
             raise LengthMismatch(f"input must be a {self.k}-bit value")
-        value = _feistel_forward(self._key, self.k, x)
+        value = _feistel_forward(self._rounds, self.k, x)
         return f"{TOKEN_PREFIX}{value:0{(self.k + 3) // 4}x}"
 
 
@@ -159,7 +166,7 @@ class HumanOracle:
     """
 
     def __init__(self, key: bytes, k: int):
-        self._key = key
+        self._rounds = _feistel_rounds(key, k)
         self.k = k
         self._log: list[str] = []
 
@@ -170,7 +177,7 @@ class HumanOracle:
     def invert(self, token: str) -> int:
         value = token_payload(token, self.k)
         self._log.append(token)
-        return _feistel_inverse(self._key, self.k, value)
+        return _feistel_inverse(self._rounds, self.k, value)
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,8 @@ class OaepContext:
     master_key: bytes
     captcha: CaptchaFunction
     human: HumanOracle | None
-    g_key: bytes
-    h_key: bytes
+    g_spec: _PrfSpec
+    h_spec: _PrfSpec
 
     @classmethod
     def create(
@@ -198,19 +205,20 @@ class OaepContext:
         h_key = hashlib.sha256(master_key + b"|H").digest()
         captcha = CaptchaFunction(captcha_key, params.k)
         human = HumanOracle(captcha_key, params.k) if with_human else None
-        return cls(params, master_key, captcha, human, g_key, h_key)
+        g_spec, h_spec = _prf_spec(g_key, b"G", k0, n), _prf_spec(h_key, b"H", n, k0)
+        return cls(params, master_key, captcha, human, g_spec, h_spec)
 
     def g(self, r: int) -> int:
         """Pad expander G: k0 bits in, n bits out."""
         if not 0 <= r < (1 << self.params.k0):
             raise LengthMismatch(f"r must be a {self.params.k0}-bit value")
-        return _prf_bits(self.g_key, b"G", r, self.params.k0, self.params.n)
+        return _prf(self.g_spec, r)
 
     def h(self, s: int) -> int:
         """Digest H: n bits in, k0 bits out."""
         if not 0 <= s < (1 << self.params.n):
             raise LengthMismatch(f"s must be a {self.params.n}-bit value")
-        return _prf_bits(self.h_key, b"H", s, self.params.n, self.params.k0)
+        return _prf(self.h_spec, s)
 
 
 def encode(y: int, r: int, ctx: OaepContext) -> str:

@@ -193,11 +193,16 @@ def instance_to_dict(inst: SealedInstance) -> dict:
     }
 
 
-def instance_from_dict(data: Mapping) -> SealedInstance:
-    """Rebuild an instance from its protocol, params, reference and decode table."""
-    protocol = data["protocol"]
+def instance_from_dict(data) -> SealedInstance:
+    """Rebuild an instance from its JSON form; a malformed entry raises ``ValueError``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"instance must be an object, got {data!r}")
+    protocol, params, decode = (data.get(key) for key in ("protocol", "params", "decode"))
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    reference = state_from_dict(data["reference"])
-    decode = {str(k): (None if v is None else str(v)) for k, v in data["decode"].items()}
-    return SealedInstance(protocol, reference, decode, data["params"])
+    if not isinstance(params, Mapping) or not isinstance(decode, Mapping):
+        raise ValueError('instance needs "params" and "decode" objects')
+    for outcome, message in decode.items():
+        if message is not None and not isinstance(message, str):
+            raise ValueError(f"decode[{outcome!r}] must be a string or null, got {message!r}")
+    return SealedInstance(protocol, state_from_dict(data.get("reference"), "reference"), decode, params)

@@ -18,6 +18,8 @@ and that joint support is capped at ``DENSE_DIM_CAP`` keys.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -276,6 +278,29 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary, *, total: bool = False) -> 
     return state_from_block(keys, block @ u.matrix.T, outside)
 
 
+def _outcome_buckets(
+    s: SparseState, p: ProjPartition
+) -> dict[Label, tuple[float, dict[tuple[Label, Label], complex]]]:
+    """(probability, amplitudes) of each outcome with nonzero probability."""
+    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
+    for (b, c), a in s.amps.items():
+        outcome = p.outcome_of.get(c)
+        if outcome is None:
+            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
+        buckets.setdefault(outcome, {})[(b, c)] = a
+    nonzero = {}
+    for outcome, amps in buckets.items():
+        prob = sum(abs(a) ** 2 for a in amps.values())
+        if prob > 0.0:
+            nonzero[outcome] = (prob, amps)
+    return nonzero
+
+
+def _post_state(prob: float, amps: Mapping[tuple[Label, Label], complex]) -> SparseState:
+    scale = 1.0 / math.sqrt(prob)
+    return SparseState({key: a * scale for key, a in amps.items()})
+
+
 def collapse_branches(
     s: SparseState, p: ProjPartition
 ) -> dict[Label, tuple[float, SparseState]]:
@@ -284,21 +309,10 @@ def collapse_branches(
     Raises:
         UncoveredLabel: the state has support on a label the partition omits.
     """
-    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
-    for (b, c), a in s.amps.items():
-        outcome = p.outcome_of.get(c)
-        if outcome is None:
-            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
-        buckets.setdefault(outcome, {})[(b, c)] = a
-    branches: dict[Label, tuple[float, SparseState]] = {}
-    for outcome, amps in buckets.items():
-        prob = sum(abs(a) ** 2 for a in amps.values())
-        if prob <= 0.0:
-            continue
-        scale = 1.0 / math.sqrt(prob)
-        post = SparseState({key: a * scale for key, a in amps.items()})
-        branches[outcome] = (prob, post)
-    return branches
+    return {
+        outcome: (prob, _post_state(prob, amps))
+        for outcome, (prob, amps) in _outcome_buckets(s, p).items()
+    }
 
 
 def measure_partition(
@@ -307,21 +321,16 @@ def measure_partition(
     """Sample one projective outcome; deterministic for a fixed ``rng_seed``.
 
     Returns the sampled outcome label, the renormalized post-state, and the
-    exact outcome distribution.
+    exact outcome distribution. Only the sampled post-state is built.
     """
-    branches = collapse_branches(s, p)
-    distribution = {outcome: prob for outcome, (prob, _) in branches.items()}
+    buckets = _outcome_buckets(s, p)
+    distribution = {outcome: prob for outcome, (prob, _) in buckets.items()}
     outcomes = sorted(distribution)
     total = sum(distribution[o] for o in outcomes)
     draw = np.random.default_rng(rng_seed).random() * total
-    acc = 0.0
-    sampled = outcomes[-1]
-    for outcome in outcomes:
-        acc += distribution[outcome]
-        if draw < acc:
-            sampled = outcome
-            break
-    return sampled, branches[sampled][1], distribution
+    cumulative = list(itertools.accumulate(distribution[o] for o in outcomes))
+    sampled = outcomes[min(bisect.bisect_right(cumulative, draw), len(outcomes) - 1)]
+    return sampled, _post_state(*buckets[sampled]), distribution
 
 
 def project_accept_probability(reference: SparseState, returned: Ensemble) -> float:
@@ -368,13 +377,39 @@ def state_to_dict(state: SparseState) -> dict:
     return {"amps": rows}
 
 
-def state_from_dict(data: Mapping) -> SparseState:
-    """Rebuild a state from its JSON form; ``SparseState`` checks the norm."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def state_from_dict(data, where: str = "state") -> SparseState:
+    """Rebuild a state from its JSON form; ``SparseState`` checks the norm.
+    A malformed entry raises ``ValueError`` naming it, prefixed by ``where``."""
+    rows = data.get("amps") if isinstance(data, Mapping) else None
+    if not isinstance(rows, list):
+        raise ValueError(f'{where} needs an "amps" list')
     amps: dict[tuple[Label, Label], complex] = {}
-    for b, c, re, im in data["amps"]:
-        key = (str(b), str(c))
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 4 and isinstance(row[0], str)
+                and isinstance(row[1], str) and _is_number(row[2]) and _is_number(row[3])):
+            raise ValueError(f"{where}.amps[{i}] must be [b, c, re, im] with text labels, got {row!r}")
+        key = (row[0], row[1])
         if key in amps:
-            raise ValueError(f"duplicate amplitude entry for {key}")
-        amps[key] = complex(re, im)
+            raise ValueError(f"{where}.amps[{i}] is a duplicate amplitude entry for {key}")
+        amps[key] = complex(row[2], row[3])
     return SparseState(amps)
 
+
+def ensemble_from_dict(data) -> Ensemble:
+    """A returned state's JSON form: a state, or {"members": [{"weight", "state"}, ...]}."""
+    if isinstance(data, Mapping) and "amps" in data:
+        return Ensemble.pure(state_from_dict(data))
+    members = data.get("members") if isinstance(data, Mapping) else None
+    if not isinstance(members, list):
+        raise ValueError('returned state needs an "amps" list or a "members" list')
+    parsed = []
+    for i, member in enumerate(members):
+        weight = member.get("weight") if isinstance(member, Mapping) else None
+        if not _is_number(weight):
+            raise ValueError(f"members[{i}].weight must be a number, got {weight!r}")
+        parsed.append((weight, state_from_dict(member.get("state"), f"members[{i}].state")))
+    return Ensemble(tuple(parsed))

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseal import harness
 from qseal.cli import load_config, main
+from qseal.protocols import instance_from_dict, instance_to_dict
 
 
 def run_cli(*argv):
@@ -376,6 +383,124 @@ class TestErrorExitCodes:
             run_cli("--help")
         assert exit_info.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+NAIVE_INSTANCE = json.loads((Path(__file__).parent / "data" / "cli" / "seal-naive.json").read_text())
+NAIVE_RETURNED = {"members": [{"weight": 1.0, "state": NAIVE_INSTANCE["reference"]}]}
+
+
+def verify_files(instance, returned):
+    """Run ``qseal verify`` on two JSON documents; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "instance.json", Path(tmp) / "returned.json"]
+        for path, doc in zip(paths, (instance, returned)):
+            path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--instance", str(paths[0]), "--returned", str(paths[1])])
+    return code, out.getvalue(), err.getvalue()
+
+
+def edited(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``, or deleted if it is ``...``."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is ...:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def entry_paths(doc, prefix=()):
+    """Every (key or index) path into a JSON document, the root excluded."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from entry_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestHostileJson:
+    """Malformed instance and returned-state files exit 1 with one line naming the entry."""
+
+    @staticmethod
+    def assert_one_line_error(err, names):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert names in err, err
+
+    def test_valid_files_verify(self):
+        code, out, err = verify_files(NAIVE_INSTANCE, NAIVE_RETURNED)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"believe": True, "accept_probability": 1.0}
+
+    @pytest.mark.parametrize("name", ["naive", "garbage", "multipicture", "oaep"])
+    def test_valid_instance_round_trips_byte_for_byte(self, name):
+        text = (Path(__file__).parent / "data" / "cli" / f"seal-{name}.json").read_text()
+        again = instance_to_dict(instance_from_dict(json.loads(text)))
+        assert json.dumps(again, indent=2) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "path, value, names",
+        [
+            (("reference", "amps", 0), [1, 1, 1.0, 0.0], "reference.amps[0]"),
+            (("reference", "amps", 1, 2), True, "reference.amps[1]"),
+            (("reference", "amps"), ..., 'reference needs an "amps" list'),
+            (("decode", "M"), 7, "decode['M']"),
+            (("decode",), ["M"], '"decode"'),
+            (("protocol",), ..., "unknown protocol None"),
+        ],
+        ids=["numeric-labels", "bool-amplitude", "missing-amps", "numeric-decode",
+             "list-decode", "missing-protocol"],
+    )
+    def test_hostile_instance(self, path, value, names):
+        code, _, err = verify_files(edited(NAIVE_INSTANCE, path, value), NAIVE_RETURNED)
+        assert code == 1
+        self.assert_one_line_error(err, names)
+
+    @pytest.mark.parametrize(
+        "returned, names",
+        [
+            (edited(NAIVE_RETURNED, ("members", 0, "weight"), "1"), "members[0].weight"),
+            (edited(NAIVE_RETURNED, ("members", 0, "weight"), True), "members[0].weight"),
+            (edited(NAIVE_RETURNED, ("members", 0, "state", "amps", 0, 0), 0), "members[0].state.amps[0]"),
+            (edited(NAIVE_RETURNED, ("members", 0, "state", "amps"), ...), "members[0].state"),
+            (edited(NAIVE_RETURNED, ("members",), {"weight": 1.0}), '"members" list'),
+            ({"amps": [[1, 1, 1.0, 0.0]]}, "state.amps[0]"),
+            ({}, '"amps" list or a "members" list'),
+            ([], '"amps" list or a "members" list'),
+        ],
+        ids=["text-weight", "bool-weight", "numeric-label", "missing-amps",
+             "non-list-members", "numeric-state-labels", "empty-object", "array"],
+    )
+    def test_hostile_returned(self, returned, names):
+        code, _, err = verify_files(NAIVE_INSTANCE, returned)
+        assert code == 1
+        self.assert_one_line_error(err, names)
+
+    @given(data=st.data(), side=st.sampled_from(["instance", "returned"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_files_verify_or_fail_with_one_line(self, data, side):
+        doc = NAIVE_INSTANCE if side == "instance" else NAIVE_RETURNED
+        path = data.draw(st.sampled_from(list(entry_paths(doc))))
+        hostile = edited(doc, path, data.draw(st.just(...) | JSON_VALUES))
+        files = (hostile, NAIVE_RETURNED) if side == "instance" else (NAIVE_INSTANCE, hostile)
+        code, out, err = verify_files(*files)
+        if code == 0:
+            assert set(json.loads(out)) == {"believe", "accept_probability"}
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
 
 
 class TestConfigParsing:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import qseal.states
 from qseal.adversary import basis_cheat
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
+    REFERENCE_MASTER_KEY,
     SUPPORT_CAP,
     DegenerateUWarning,
     LengthMismatch,
@@ -49,6 +52,96 @@ def read_golden_vectors(path):
             y_hex, r_hex, token_hex = line.split()
             rows.append((int(y_hex, 16), int(r_hex, 16), int(token_hex, 16)))
     return rows
+
+
+# Reference token map: the original concatenating hash expansion and Feistel,
+# kept verbatim as an oracle that shares no code with qseal.oaep.
+def _prf_bits(key: bytes, label: bytes, value: int, value_bits: int, out_bits: int) -> int:
+    """Deterministic hash expansion of ``value`` to exactly ``out_bits`` bits."""
+    if out_bits <= 0:
+        return 0
+    data = value.to_bytes(max(1, (value_bits + 7) // 8), "big")
+    out = b""
+    counter = 0
+    while 8 * len(out) < out_bits:
+        out += hashlib.sha256(
+            key + b"|" + label + b"|" + counter.to_bytes(4, "big") + data
+        ).digest()
+        counter += 1
+    return int.from_bytes(out, "big") >> (8 * len(out) - out_bits)
+
+
+def _round_mix(key: bytes, rnd: int, value: int, value_bits: int, out_bits: int) -> int:
+    return _prf_bits(key, b"round" + bytes([rnd]), value, value_bits, out_bits)
+
+
+def _feistel_forward(key: bytes, k: int, x: int) -> int:
+    wl, wr = k // 2, k - k // 2
+    left, right = x >> wr, x & ((1 << wr) - 1)
+    for rnd in range(4):
+        left, right, wl, wr = (
+            right,
+            left ^ _round_mix(key, rnd, right, wr, wl),
+            wr,
+            wl,
+        )
+    return (left << wr) | right
+
+
+def _feistel_inverse(key: bytes, k: int, x: int) -> int:
+    widths = [(k // 2, k - k // 2)]
+    for _ in range(4):
+        wl, wr = widths[-1]
+        widths.append((wr, wl))
+    wl, wr = widths[-1]
+    left, right = x >> wr, x & ((1 << wr) - 1)
+    for rnd in reversed(range(4)):
+        wl, wr = widths[rnd]
+        left, right = right ^ _round_mix(key, rnd, left, wr, wl), left
+    return (left << wr) | right
+
+
+def _all_pairs(k0, n):
+    return [(y, r) for y in range(1 << n) for r in range(1 << k0)]
+
+
+def _seeded_pairs(k0, n, count, seed):
+    rng = random.Random(seed)
+    return [(rng.getrandbits(n), rng.getrandbits(k0)) for _ in range(count)]
+
+
+class TestReferenceTokenMap:
+    """G, H, encode and invert agree bit for bit with the reference above."""
+
+    @pytest.mark.parametrize(
+        "k0, n, pairs",
+        [
+            (1, 8, _all_pairs(1, 8)),
+            (3, 6, _all_pairs(3, 6)),
+            # G emits 600 bits and the Feistel halves are 302 bits: several
+            # digests per hash.
+            (4, 600, _seeded_pairs(4, 600, 64, seed=600)),
+            (16, 16, _seeded_pairs(16, 16, 256, seed=16)),
+        ],
+        ids=["k0=1,n=8", "k0=3,n=6", "k0=4,n=600", "k0=16,n=16"],
+    )
+    @pytest.mark.parametrize("master_key", [REFERENCE_MASTER_KEY, b"\xa5" * 32], ids=["ref", "a5"])
+    def test_matches_reference(self, k0, n, pairs, master_key):
+        captcha_key, g_key, h_key = (
+            hashlib.sha256(master_key + tag).digest() for tag in (b"|captcha", b"|G", b"|H")
+        )
+        ctx = OaepContext.create(k0=k0, n=n, master_key=master_key)
+        k = n + k0
+        for y, r in pairs:
+            g = _prf_bits(g_key, b"G", r, k0, n)
+            s = y ^ g
+            h = _prf_bits(h_key, b"H", s, n, k0)
+            x = (s << k0) | (r ^ h)
+            payload = _feistel_forward(captcha_key, k, x)
+            assert (ctx.g(r), ctx.h(s)) == (g, h)
+            token = encode(y, r, ctx)
+            assert token_payload(token, k) == payload
+            assert ctx.human.invert(token) == _feistel_inverse(captcha_key, k, payload) == x
 
 
 class TestParams:

@@ -157,6 +157,34 @@ class TestHonestUnseal:
         assert all(honest_unseal(inst, seed)[1] for seed in range(8))
 
 
+class TestReadoutMatchesAllBranches:
+    """The sampled readout is the one every branch's collapse would give."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            seal_naive("M", garbage="0"),
+            seal_garbage("M", [f"g{i}" for i in range(5)]),
+            seal_multipicture(pictures(6)),
+            seal_oaep(0x2D, OaepContext.create(k0=5, n=8, with_human=False)),
+        ],
+        ids=["naive", "garbage", "multipicture", "oaep"],
+    )
+    def test_measure_equals_collapse_for_seeds_0_to_7(self, inst):
+        branches = collapse_branches(inst.reference, readout(inst))
+        outcomes = sorted(branches)
+        total = sum(branches[o][0] for o in outcomes)
+        cumulative = np.cumsum([branches[o][0] for o in outcomes])
+        for seed in range(8):
+            draw = np.random.default_rng(seed).random() * total
+            first_above = int(np.searchsorted(cumulative, draw, side="right"))
+            expected = outcomes[min(first_above, len(outcomes) - 1)]
+            outcome, post, dist = measure_partition(inst.reference, readout(inst), seed)
+            assert outcome == expected
+            assert post.amps == branches[expected][1].amps
+            assert list(dist.items()) == [(o, prob) for o, (prob, _) in branches.items()]
+
+
 class TestVerifyReturn:
     @pytest.mark.parametrize(
         "inst",
