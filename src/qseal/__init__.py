@@ -68,9 +68,9 @@ from .states import (
     apply_unitary_c,
     collapse_branches,
     inner_product,
-    measure_partition,
     project_accept_probability,
     random_unitary,
+    sample_readout,
     squared_overlap,
     state_from_dict,
     state_to_dict,

@@ -252,12 +252,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _field_names(rows: Sequence) -> list[str]:
+    """The header: the first row's dataclass fields, or ``SweepRow``'s for no rows."""
+    return [f.name for f in fields(rows[0] if rows else SweepRow)]
+
+
 def rows_to_csv(rows: Sequence) -> str:
     """CSV text with the dataclass fields as header, doubles at 17 digits."""
-    if rows:
-        names = [f.name for f in fields(rows[0])]
-    else:
-        names = [f.name for f in fields(SweepRow)]
+    names = _field_names(rows)
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(_format_value(getattr(row, n)) for n in names))
@@ -265,9 +267,6 @@ def rows_to_csv(rows: Sequence) -> str:
 
 
 def rows_to_json(rows: Sequence) -> str:
-    if rows:
-        names = [f.name for f in fields(rows[0])]
-    else:
-        names = [f.name for f in fields(SweepRow)]
+    names = _field_names(rows)
     payload = [{n: getattr(row, n) for n in names} for row in rows]
     return json.dumps(payload, indent=2) + "\n"

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
-from .states import (
-    Label,
-    ProjPartition,
-    SparseState,
-    measure_partition,
-    squared_overlap,
-)
+from .states import Label, SparseState, sample_readout, squared_overlap
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
 REFERENCE_MASTER_KEY = bytes(range(32))
@@ -276,20 +270,35 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     return SealedInstance(OAEP, reference, decode, instance_params)
 
 
+def sealed_params(inst: SealedInstance) -> tuple[int, int, bytes]:
+    """(k0, n, master key) as ``seal_oaep`` wrote them: positive integers, not
+    booleans, and hex text; otherwise ``ValueError`` names the entry."""
+    k0, n, key = (inst.params.get(name) for name in ("k0", "n", "key"))
+    for name, value in (("k0", k0), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"params.{name} must be a positive integer, got {value!r}")
+    try:
+        return k0, n, bytes.fromhex(key)
+    except (TypeError, ValueError):
+        raise ValueError(f"params.key must be hex text, got {key!r}") from None
+
+
 def unseal_oaep(inst: SealedInstance, ctx: OaepContext, rng_seed: int) -> tuple[int, int]:
     """Measure register C, show the token to the human, undo the padding.
 
-    Returns (y, r); exactly one oracle query is spent per call.
+    Returns (y, r); exactly one oracle query is spent per call. Raises
+    ``ValueError`` when (r, token) is not a branch of the reference, which is
+    what a context with the wrong key or widths gives.
     """
     if inst.protocol != OAEP:
         raise ValueError(f"instance protocol is {inst.protocol!r}, not oaep")
     if ctx.human is None:
         raise OracleUnavailable("context has no inversion access")
-    token, _post, _dist = measure_partition(
-        inst.reference, ProjPartition.finest(inst.reference.c_labels()), rng_seed
-    )
-    x = ctx.human.invert(token)
-    return decode_preimage(ctx, x)
+    token = sample_readout(inst.reference, rng_seed)
+    y, r = decode_preimage(ctx, ctx.human.invert(token))
+    if (_pad_label(r, ctx.params.k0), token) not in inst.reference.amps:
+        raise ValueError(f"token {token!r} does not decode to its own pad: wrong key, k0 or n")
+    return y, r
 
 
 def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set[int]:
@@ -315,7 +324,7 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     pad the useless-pad state does not exist; by convention the overlap is 0
     and ``DegenerateUWarning`` is emitted.
     """
-    k0 = inst.params["k0"]
+    k0, _n, _key = sealed_params(inst)
     support = 1 << k0
     bad = {r for r in excluded if not 0 <= r < support}
     if bad:

@@ -24,10 +24,9 @@ import numpy as np
 from .states import (
     Ensemble,
     Label,
-    ProjPartition,
     SparseState,
-    measure_partition,
     project_accept_probability,
+    sample_readout,
     state_from_dict,
     state_to_dict,
 )
@@ -156,17 +155,11 @@ def honest_unseal(inst: SealedInstance, rng_seed: int) -> tuple[str | None, bool
     if inst.protocol == OAEP:
         from . import oaep
 
-        ctx = oaep.OaepContext.create(
-            k0=inst.params["k0"],
-            n=inst.params["n"],
-            master_key=bytes.fromhex(inst.params["key"]),
-        )
+        k0, n, key = oaep.sealed_params(inst)
+        ctx = oaep.OaepContext.create(k0=k0, n=n, master_key=key)
         y, _r = oaep.unseal_oaep(inst, ctx, rng_seed)
-        return format(y, f"0{inst.params['n']}b"), True
-    outcome, _post, _dist = measure_partition(
-        inst.reference, ProjPartition.finest(inst.reference.c_labels()), rng_seed
-    )
-    message = inst.decode.get(outcome)
+        return format(y, f"0{n}b"), True
+    message = inst.decode.get(sample_readout(inst.reference, rng_seed))
     return message, message is not None
 
 

@@ -11,6 +11,9 @@ lays a state's amplitudes on a C basis out as a |B| x |basis| array, and
 ``state_from_block`` turns such an array back into a ``SparseState``. A
 unitary on C is then one matrix product on that array (``apply_unitary_c``).
 
+``collapse_branches`` gives every outcome of a partition of C with its
+post-state; ``sample_readout`` draws one label of a basis readout of C.
+
 The mixed-state trace distance works in the span of the states involved (one
 QR column per state) instead of on a square matrix over their joint support,
 and that joint support is capped at ``DENSE_DIM_CAP`` keys.
@@ -89,13 +92,6 @@ class SparseState:
         """<self|self>, summed once by ``inner_product``; the construction-time
         sum of ``abs(a) ** 2`` rounds differently and would move overlap bits."""
         return inner_product(self, self).real
-
-    @classmethod
-    def uniform(cls, keys: Iterable[tuple[Label, Label]]) -> "SparseState":
-        """Equal-amplitude superposition of the given (b, c) basis pairs."""
-        keys = list(keys)
-        amp = 1.0 / math.sqrt(len(keys))
-        return cls({key: amp for key in keys})
 
     def b_labels(self) -> set[Label]:
         return {b for b, _ in self.amps}
@@ -278,29 +274,6 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary, *, total: bool = False) -> 
     return state_from_block(keys, block @ u.matrix.T, outside)
 
 
-def _outcome_buckets(
-    s: SparseState, p: ProjPartition
-) -> dict[Label, tuple[float, dict[tuple[Label, Label], complex]]]:
-    """(probability, amplitudes) of each outcome with nonzero probability."""
-    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
-    for (b, c), a in s.amps.items():
-        outcome = p.outcome_of.get(c)
-        if outcome is None:
-            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
-        buckets.setdefault(outcome, {})[(b, c)] = a
-    nonzero = {}
-    for outcome, amps in buckets.items():
-        prob = sum(abs(a) ** 2 for a in amps.values())
-        if prob > 0.0:
-            nonzero[outcome] = (prob, amps)
-    return nonzero
-
-
-def _post_state(prob: float, amps: Mapping[tuple[Label, Label], complex]) -> SparseState:
-    scale = 1.0 / math.sqrt(prob)
-    return SparseState({key: a * scale for key, a in amps.items()})
-
-
 def collapse_branches(
     s: SparseState, p: ProjPartition
 ) -> dict[Label, tuple[float, SparseState]]:
@@ -309,28 +282,36 @@ def collapse_branches(
     Raises:
         UncoveredLabel: the state has support on a label the partition omits.
     """
-    return {
-        outcome: (prob, _post_state(prob, amps))
-        for outcome, (prob, amps) in _outcome_buckets(s, p).items()
-    }
+    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
+    for (b, c), a in s.amps.items():
+        outcome = p.outcome_of.get(c)
+        if outcome is None:
+            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
+        buckets.setdefault(outcome, {})[(b, c)] = a
+    branches: dict[Label, tuple[float, SparseState]] = {}
+    for outcome, amps in buckets.items():
+        prob = sum(abs(a) ** 2 for a in amps.values())
+        if prob > 0.0:
+            scale = 1.0 / math.sqrt(prob)
+            branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
+    return branches
 
 
-def measure_partition(
-    s: SparseState, p: ProjPartition, rng_seed: int
-) -> tuple[Label, SparseState, dict[Label, float]]:
-    """Sample one projective outcome; deterministic for a fixed ``rng_seed``.
+def sample_readout(s: SparseState, rng_seed: int) -> Label:
+    """One computational-basis readout of register C; deterministic for a fixed ``rng_seed``.
 
-    Returns the sampled outcome label, the renormalized post-state, and the
-    exact outcome distribution. Only the sampled post-state is built.
+    Label c has weight sum_b |a(b, c)|^2, added in the order of ``s.amps``. The
+    draw ``default_rng(rng_seed).random()`` times the total weight is located
+    on the running sums over the labels in sorted order.
     """
-    buckets = _outcome_buckets(s, p)
-    distribution = {outcome: prob for outcome, (prob, _) in buckets.items()}
-    outcomes = sorted(distribution)
-    total = sum(distribution[o] for o in outcomes)
+    weights: dict[Label, float] = {}
+    for (_, c), a in s.amps.items():
+        weights[c] = weights.get(c, 0.0) + abs(a) ** 2
+    labels = sorted(weights)
+    total = sum(weights[c] for c in labels)
     draw = np.random.default_rng(rng_seed).random() * total
-    cumulative = list(itertools.accumulate(distribution[o] for o in outcomes))
-    sampled = outcomes[min(bisect.bisect_right(cumulative, draw), len(outcomes) - 1)]
-    return sampled, _post_state(*buckets[sampled]), distribution
+    cumulative = list(itertools.accumulate(weights[c] for c in labels))
+    return labels[min(bisect.bisect_right(cumulative, draw), len(labels) - 1)]
 
 
 def project_accept_probability(reference: SparseState, returned: Ensemble) -> float:

@@ -1,17 +1,37 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: trace
-distances come from numpy's eigensolver on dense matrices, and measurement
-statistics are enumerated with plain dictionary arithmetic, and random
-unitaries are checked against a Gram-Schmidt reference.
+distances come from numpy's eigensolver on dense matrices, measurement
+statistics are enumerated with plain dictionary arithmetic, random
+unitaries are checked against a Gram-Schmidt reference, and sampled readouts
+against a copy of the partition sampler that ``sample_readout`` replaced.
 """
+
+import bisect
+import itertools
+import math
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from qseal.states import Ensemble, LocalUnitary, SparseState
+from qseal.states import (
+    Ensemble,
+    Label,
+    LocalUnitary,
+    ProjPartition,
+    SparseState,
+    UncoveredLabel,
+)
 
 B_POOL = [f"b{i}" for i in range(6)]
 C_POOL = [f"c{i}" for i in range(6)]
+
+
+def uniform_state(keys: Iterable[tuple[Label, Label]]) -> SparseState:
+    """Equal-amplitude superposition of the given (b, c) basis pairs."""
+    keys = list(keys)
+    amp = 1.0 / math.sqrt(len(keys))
+    return SparseState({key: amp for key in keys})
 
 
 def random_state(seed, b_pool=None, c_pool=None, support=None):
@@ -102,3 +122,55 @@ def gram_schmidt_unitary(n, rng):
                 v -= (q[:, i].conj() @ v) * q[:, i]
         q[:, j] = v / np.linalg.norm(v)
     return q
+
+
+# The partition sampler as qseal had it before ``states.sample_readout``,
+# copied unchanged: it buckets the amplitudes per outcome, builds the sampled
+# post-state and returns the whole distribution, so it shares no code with the
+# sampler it checks beyond the draw's specification.
+
+
+def _outcome_buckets(
+    s: SparseState, p: ProjPartition
+) -> dict[Label, tuple[float, dict[tuple[Label, Label], complex]]]:
+    """(probability, amplitudes) of each outcome with nonzero probability."""
+    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
+    for (b, c), a in s.amps.items():
+        outcome = p.outcome_of.get(c)
+        if outcome is None:
+            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
+        buckets.setdefault(outcome, {})[(b, c)] = a
+    nonzero = {}
+    for outcome, amps in buckets.items():
+        prob = sum(abs(a) ** 2 for a in amps.values())
+        if prob > 0.0:
+            nonzero[outcome] = (prob, amps)
+    return nonzero
+
+
+def _post_state(prob: float, amps: Mapping[tuple[Label, Label], complex]) -> SparseState:
+    scale = 1.0 / math.sqrt(prob)
+    return SparseState({key: a * scale for key, a in amps.items()})
+
+
+def measure_partition(
+    s: SparseState, p: ProjPartition, rng_seed: int
+) -> tuple[Label, SparseState, dict[Label, float]]:
+    """Sample one projective outcome; deterministic for a fixed ``rng_seed``.
+
+    Returns the sampled outcome label, the renormalized post-state, and the
+    exact outcome distribution. Only the sampled post-state is built.
+    """
+    buckets = _outcome_buckets(s, p)
+    distribution = {outcome: prob for outcome, (prob, _) in buckets.items()}
+    outcomes = sorted(distribution)
+    total = sum(distribution[o] for o in outcomes)
+    draw = np.random.default_rng(rng_seed).random() * total
+    cumulative = list(itertools.accumulate(distribution[o] for o in outcomes))
+    sampled = outcomes[min(bisect.bisect_right(cumulative, draw), len(outcomes) - 1)]
+    return sampled, _post_state(*buckets[sampled]), distribution
+
+
+def oracle_readout(state: SparseState, rng_seed: int) -> Label:
+    """The outcome ``measure_partition`` draws for a readout of every C label."""
+    return measure_partition(state, ProjPartition.finest(state.c_labels()), rng_seed)[0]

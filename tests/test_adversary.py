@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_trace_distance, enumerate_basis_readout, max_abs_diff
+from conftest import dense_trace_distance, enumerate_basis_readout, max_abs_diff, uniform_state
 from qseal.adversary import (
     InvalidIndex,
     PartialPredicate,
@@ -215,7 +215,7 @@ class TestRandomStrategySweep:
     @staticmethod
     def rectangular_instance(n_b, n_c):
         """|B| = n_b and |C| = n_c: C label c{i} sits under B label b{i mod n_b}."""
-        reference = SparseState.uniform((f"b{i % n_b}", f"c{i}") for i in range(n_c))
+        reference = uniform_state((f"b{i % n_b}", f"c{i}") for i in range(n_c))
         decode = {f"c{i}": None for i in range(n_c)}
         decode["c0"] = "M"
         return SealedInstance(GARBAGE, reference, decode, {})

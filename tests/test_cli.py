@@ -339,6 +339,23 @@ class TestErrorExitCodes:
                        "--key", "00zz") == 1
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "entry, value, names",
+        [
+            ("key", "11" * 32, "does not decode to its own pad"),
+            ("k0", ..., "params.k0"),
+            ("k0", "4", "params.k0"),
+            ("k0", True, "params.k0"),
+        ],
+        ids=["wrong-key", "missing-k0", "text-k0", "boolean-k0"],
+    )
+    def test_bad_oaep_params_on_unseal(self, tmp_path, capsys, entry, value, names):
+        doc = json.loads((GOLDEN / "seal-oaep.json").read_text())
+        path = tmp_path / "oaep.json"
+        path.write_text(json.dumps(edited(doc, ("params", entry), value)))
+        assert run_cli("unseal", "--instance", str(path)) == 1
+        assert names in self.assert_one_line_error(capsys)
+
     def test_unknown_seal_config_key(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text("protocol = naive\nmesage = Hello\n")

@@ -22,13 +22,15 @@ from qseal.oaep import (
     encode,
     r_set,
     seal_oaep,
+    sealed_params,
     token_payload,
     tu_overlap,
     unseal_oaep,
     useless_query_bound,
 )
-from qseal.protocols import verify_return
-from qseal.states import Ensemble, ProjPartition, SparseState, measure_partition
+from conftest import oracle_readout
+from qseal.protocols import SealedInstance, honest_unseal, verify_return
+from qseal.states import Ensemble, SparseState, sample_readout
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -280,12 +282,43 @@ class TestUnsealOaep:
         for seed in range(8):
             ctx = OaepContext.create(k0=4, n=8)
             inst = seal_oaep(y, ctx)
-            token, _, _ = measure_partition(
-                inst.reference, ProjPartition.finest(inst.reference.c_labels()), seed
-            )
+            token = sample_readout(inst.reference, seed)
             got_y, got_r = unseal_oaep(inst, ctx, seed)
             assert got_y == y
             assert encode(y, got_r, ctx) == token
+
+    def test_wrong_key_is_caught(self):
+        inst = seal_oaep(0x31, OaepContext.create(k0=4, n=8))
+        wrong = OaepContext.create(k0=4, n=8, master_key=bytes([0x11]) * 32)
+        for seed in range(8):
+            with pytest.raises(ValueError, match="does not decode to its own pad"):
+                unseal_oaep(inst, wrong, seed)
+
+    @pytest.mark.parametrize(
+        "entry, value, names",
+        [
+            ("k0", ..., "params.k0"),
+            ("k0", "4", "params.k0"),
+            ("k0", True, "params.k0"),
+            ("n", 0, "params.n"),
+            ("n", 8.0, "params.n"),
+            ("key", "00zz", "params.key"),
+            ("key", 5, "params.key"),
+        ],
+        ids=["missing-k0", "text-k0", "boolean-k0", "zero-n", "float-n", "bad-hex-key", "number-key"],
+    )
+    def test_sealed_params_name_the_bad_entry(self, entry, value, names):
+        inst = seal_oaep(0x31, OaepContext.create(k0=4, n=8, with_human=False))
+        params = dict(inst.params)
+        if value is ...:
+            del params[entry]
+        else:
+            params[entry] = value
+        bad = SealedInstance(inst.protocol, inst.reference, inst.decode, params)
+        assert sealed_params(inst) == (4, 8, REFERENCE_MASTER_KEY)
+        for read in (sealed_params, lambda i: honest_unseal(i, 0), lambda i: tu_overlap(i, set())):
+            with pytest.raises(ValueError, match=names):
+                read(bad)
 
     def test_query_log_grows_by_one_per_unseal(self):
         ctx = OaepContext.create(k0=4, n=8)
@@ -438,6 +471,17 @@ class TestSupportCap:
         assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
         assert max(abs(acc - q) for _, _, acc in report.outcome_table) <= 1e-12
         assert report.s == pytest.approx(1.0 - q, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_honest_unseal_at_the_cap(self, sealed_at_cap, seed):
+        assert honest_unseal(sealed_at_cap, seed) == (format(0x11, "08b"), True)
+
+    def test_sample_equals_partition_sampler_at_the_cap(self, sealed_at_cap):
+        # The copied sampler takes about 0.3 s per draw here, so four seeds.
+        for seed in range(4):
+            assert sample_readout(sealed_at_cap.reference, seed) == oracle_readout(
+                sealed_at_cap.reference, seed
+            )
 
     def test_one_bit_above_the_cap_is_rejected(self):
         ExperimentConfig(oaep_k0=(16,))

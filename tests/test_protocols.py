@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs_diff
+from conftest import max_abs_diff, oracle_readout
 from qseal.adversary import basis_cheat, optimal_post_collapse_response
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import (
@@ -28,7 +28,7 @@ from qseal.states import (
     ProjPartition,
     SparseState,
     collapse_branches,
-    measure_partition,
+    sample_readout,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -113,9 +113,9 @@ class TestSealMultipicture:
 
     def test_honest_unseal_distribution_is_uniform(self):
         inst = seal_multipicture(pictures(4))
-        _, _, dist = measure_partition(inst.reference, readout(inst), 0)
-        assert set(dist) == set(pictures(4))
-        for prob in dist.values():
+        branches = collapse_branches(inst.reference, readout(inst))
+        assert set(branches) == set(pictures(4))
+        for prob, _ in branches.values():
             assert prob == pytest.approx(0.25, abs=1e-12)
 
     def test_honest_unseal_always_succeeds(self):
@@ -157,19 +157,19 @@ class TestHonestUnseal:
         assert all(honest_unseal(inst, seed)[1] for seed in range(8))
 
 
+SAMPLED_INSTANCES = [
+    seal_naive("M", garbage="0"),
+    seal_garbage("M", [f"g{i}" for i in range(5)]),
+    seal_multipicture(pictures(6)),
+    seal_oaep(0x2D, OaepContext.create(k0=5, n=8, with_human=False)),
+]
+SAMPLED_IDS = ["naive", "garbage", "multipicture", "oaep"]
+
+
 class TestReadoutMatchesAllBranches:
     """The sampled readout is the one every branch's collapse would give."""
 
-    @pytest.mark.parametrize(
-        "inst",
-        [
-            seal_naive("M", garbage="0"),
-            seal_garbage("M", [f"g{i}" for i in range(5)]),
-            seal_multipicture(pictures(6)),
-            seal_oaep(0x2D, OaepContext.create(k0=5, n=8, with_human=False)),
-        ],
-        ids=["naive", "garbage", "multipicture", "oaep"],
-    )
+    @pytest.mark.parametrize("inst", SAMPLED_INSTANCES, ids=SAMPLED_IDS)
     def test_measure_equals_collapse_for_seeds_0_to_7(self, inst):
         branches = collapse_branches(inst.reference, readout(inst))
         outcomes = sorted(branches)
@@ -179,10 +179,12 @@ class TestReadoutMatchesAllBranches:
             draw = np.random.default_rng(seed).random() * total
             first_above = int(np.searchsorted(cumulative, draw, side="right"))
             expected = outcomes[min(first_above, len(outcomes) - 1)]
-            outcome, post, dist = measure_partition(inst.reference, readout(inst), seed)
-            assert outcome == expected
-            assert post.amps == branches[expected][1].amps
-            assert list(dist.items()) == [(o, prob) for o, (prob, _) in branches.items()]
+            assert sample_readout(inst.reference, seed) == expected
+
+    @pytest.mark.parametrize("inst", SAMPLED_INSTANCES, ids=SAMPLED_IDS)
+    def test_sample_equals_partition_sampler_for_seeds_0_to_63(self, inst):
+        for seed in range(64):
+            assert sample_readout(inst.reference, seed) == oracle_readout(inst.reference, seed)
 
 
 class TestVerifyReturn:

@@ -12,8 +12,10 @@ from conftest import (
     gram_schmidt_unitary,
     identity_unitary,
     max_abs_diff,
+    oracle_readout,
     random_ensemble,
     random_state,
+    uniform_state,
 )
 from qseal.states import (
     DENSE_DIM_CAP,
@@ -27,9 +29,9 @@ from qseal.states import (
     apply_unitary_c,
     collapse_branches,
     inner_product,
-    measure_partition,
     project_accept_probability,
     random_unitary,
+    sample_readout,
     squared_overlap,
     state_from_dict,
     state_to_dict,
@@ -215,7 +217,7 @@ class TestApplyUnitary:
         # 4096 diagonal terms and a swap of two C labels: only the swapped
         # terms move, and no |B| x |C| array is built over the rest.
         n = 4096
-        state = SparseState.uniform((f"b{i}", f"c{i}") for i in range(n))
+        state = uniform_state((f"b{i}", f"c{i}") for i in range(n))
         swap = LocalUnitary(("c0", "c1"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = apply_unitary_c(state, swap)
         moved = {("b0", "c1"), ("b1", "c0")}
@@ -238,22 +240,22 @@ class TestApplyUnitary:
             assert after.get(b, 0.0) == pytest.approx(before.get(b, 0.0), abs=1e-9)
 
 
-class TestMeasurePartition:
+class TestCollapseBranches:
     def test_single_outcome_leaves_state_alone(self):
-        p = ProjPartition({"0": "all", "m": "all"})
-        outcome, post, dist = measure_partition(BELL, p, rng_seed=5)
-        assert outcome == "all"
-        assert dist == {"all": pytest.approx(1.0, abs=1e-12)}
+        branches = collapse_branches(BELL, ProjPartition({"0": "all", "m": "all"}))
+        assert list(branches) == ["all"]
+        prob, post = branches["all"]
+        assert prob == pytest.approx(1.0, abs=1e-12)
         assert max_abs_diff(post, BELL) < 1e-12
 
     def test_two_branch_split_is_even(self):
-        _, _, dist = measure_partition(BELL, ProjPartition.finest(["0", "m"]), 0)
-        assert dist["0"] == pytest.approx(0.5, abs=1e-12)
-        assert dist["m"] == pytest.approx(0.5, abs=1e-12)
+        branches = collapse_branches(BELL, ProjPartition.finest(["0", "m"]))
+        assert branches["0"][0] == pytest.approx(0.5, abs=1e-12)
+        assert branches["m"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_four_picture_split(self):
         pictures = [f"p{i}" for i in range(4)]
-        state = SparseState.uniform((str(i + 1), p) for i, p in enumerate(pictures))
+        state = uniform_state((str(i + 1), p) for i, p in enumerate(pictures))
         branches = collapse_branches(state, ProjPartition.finest(pictures))
         assert set(branches) == set(pictures)
         for i, picture in enumerate(pictures):
@@ -266,32 +268,33 @@ class TestMeasurePartition:
 
     def test_uncovered_label_raises(self):
         with pytest.raises(UncoveredLabel):
-            measure_partition(BELL, ProjPartition.finest(["0"]), 0)
-
-    def test_fixed_seed_is_reproducible(self):
-        p = ProjPartition.finest(["0", "m"])
-        runs = [measure_partition(BELL, p, rng_seed=123) for _ in range(3)]
-        outcomes = {r[0] for r in runs}
-        assert len(outcomes) == 1
-        assert runs[0][1].amps == runs[1][1].amps == runs[2][1].amps
-        assert runs[0][2] == runs[1][2]
-
-    def test_different_seeds_hit_both_outcomes(self):
-        p = ProjPartition.finest(["0", "m"])
-        outcomes = {measure_partition(BELL, p, seed)[0] for seed in range(32)}
-        assert outcomes == {"0", "m"}
+            collapse_branches(BELL, ProjPartition.finest(["0"]))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_post_state_normalized_and_distribution_sums_to_one(self, seed):
+    def test_post_states_normalized_and_distribution_sums_to_one(self, seed):
         state = random_state(seed)
-        _, post, dist = measure_partition(
-            state, ProjPartition.finest(state.c_labels()), seed
-        )
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(abs(a) ** 2 for a in post.amps.values()) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        branches = collapse_branches(state, ProjPartition.finest(state.c_labels()))
+        assert sum(prob for prob, _ in branches.values()) == pytest.approx(1.0, abs=1e-9)
+        for _, post in branches.values():
+            assert sum(abs(a) ** 2 for a in post.amps.values()) == pytest.approx(
+                1.0, abs=1e-9
+            )
+
+
+class TestSampleReadout:
+    def test_fixed_seed_is_reproducible(self):
+        assert len({sample_readout(BELL, 123) for _ in range(3)}) == 1
+
+    def test_different_seeds_hit_both_outcomes(self):
+        assert {sample_readout(BELL, seed) for seed in range(32)} == {"0", "m"}
+
+    @given(seed=st.integers(0, 2**32 - 1), rng_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_partition_sampler(self, seed, rng_seed):
+        # Several B labels per C label: the weight of a C label is a sum.
+        state = random_state(seed)
+        assert sample_readout(state, rng_seed) == oracle_readout(state, rng_seed)
 
 
 class TestAcceptProbability:
