@@ -64,7 +64,6 @@ from .states import (
     ProjPartition,
     SparseState,
     UncoveredLabel,
-    UnknownLabel,
     apply_unitary_c,
     collapse_branches,
     inner_product,

@@ -56,15 +56,11 @@ from .states import (
 )
 
 
-class AdversaryError(Exception):
-    pass
-
-
-class PartialPredicate(AdversaryError):
+class PartialPredicate(Exception):
     """The predicate does not cover every active C label."""
 
 
-class InvalidIndex(AdversaryError):
+class InvalidIndex(Exception):
     """The collapsed index label does not belong to the instance."""
 
 

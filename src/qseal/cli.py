@@ -3,8 +3,8 @@
 Subcommands: seal, unseal, cheat, verify, and experiment. Global flags
 (--seed, --config, --out, --format) sit before the subcommand. A key = value
 config file can supply any experiment or seal parameter, and no other key.
-Its values are text, typed once by the parameter they set
-(``ExperimentConfig.from_mapping`` for experiments, ``cmd_seal`` for seals).
+Its values are text, typed once by the parameter they set; integers go
+through ``harness.config_value`` for experiments and seals alike.
 Explicit flags, ``--seed`` included, win over the config file.
 
 Exit codes: 0 on success, 2 when an exact computation violates a guaranteed
@@ -27,6 +27,8 @@ from .harness import (
     ConfigInvalid,
     ExperimentConfig,
     InvariantViolation,
+    check_margin,
+    config_value,
     rows_to_csv,
     rows_to_json,
     run_bound_sweep,
@@ -101,10 +103,10 @@ def cmd_seal(args) -> int:
     elif protocol == protocols.OAEP:
         key = params.get("key")
         master = bytes.fromhex(key) if key else oaep_mod.REFERENCE_MASTER_KEY
-        ctx = oaep_mod.OaepContext.create(
-            k0=int(params.get("k0", 8)), n=int(params.get("n", 16)), master_key=master
-        )
-        inst = oaep_mod.seal_oaep(int(params.get("y", 0)), ctx)
+        k0, n, y = (config_value(name, params.get(name, default), int)
+                    for name, default in (("k0", 8), ("n", 16), ("y", 0)))
+        ctx = oaep_mod.OaepContext.create(k0=k0, n=n, master_key=master)
+        inst = oaep_mod.seal_oaep(y, ctx)
     else:
         raise ConfigInvalid(f"unknown or missing protocol {protocol!r}")
     _dump_json(protocols.instance_to_dict(inst), args.out)
@@ -133,6 +135,8 @@ def cmd_cheat(args) -> int:
                 random_strategy_sweep(inst, args.trials, args.seed or 0)
             )
         ]
+    for name, report in reports:
+        check_margin(report, args.instance, name)
     payload = [dict(attack=name, **report.to_dict()) for name, report in reports]
     _dump_json(payload if len(payload) > 1 else payload[0], args.out)
     return 0

@@ -95,21 +95,33 @@ class ExperimentConfig:
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
         """Build a config from config-file text or Python values.
 
-        Each value is typed once, by the type of its field's default: text
-        "1,2,4", a sequence, or one integer for tuple fields; text or an int
-        for int fields; anything for str fields.
+        Each value is typed once, by ``config_value`` with the type of its
+        field's default.
         """
-        parsers = {tuple: _to_ints, int: _to_int, str: str}
         defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key not in defaults:
                 raise ConfigInvalid(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = parsers[type(defaults[key])](value)
-            except (TypeError, ValueError):
-                raise ConfigInvalid(f"config key {key!r} needs integers, got {value!r}") from None
+            kwargs[key] = config_value(key, value, type(defaults[key]))
         return cls(**kwargs)
+
+
+def config_value(key: str, value, kind: type):
+    """A config value typed as ``kind``: text "1,2,4", a sequence, or one
+    integer for tuple; text or an int for int; anything for str. A value
+    that does not fit raises ``ConfigInvalid`` naming ``key``."""
+    parsers = {tuple: _to_ints, int: _to_int, str: str}
+    try:
+        return parsers[kind](value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"config key {key!r} needs integers, got {value!r}") from None
+
+
+def check_margin(report: CheatReport, instance: str, attack: str) -> None:
+    """Raise ``InvariantViolation`` when the report's s sits above its closed-form bound."""
+    if report.margin < -MARGIN_TOL:
+        raise InvariantViolation(f"negative margin {report.margin!r} for {instance}/{attack}")
 
 
 def _to_int(value) -> int:
@@ -184,27 +196,29 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 )
             )
         for attack, report in labelled:
-            row = SweepRow(name, attack, report.p, report.s, report.bound, report.margin)
-            if row.margin < -MARGIN_TOL:
-                raise InvariantViolation(
-                    f"negative margin {row.margin!r} for {name}/{attack}"
-                )
+            check_margin(report, name, attack)
             chain = proof_chain(inst, report)
             if not chain.holds(CHAIN_TOL):
                 raise InvariantViolation(
                     f"proof chain failed for {name}/{attack}: {chain}"
                 )
-            rows.append(row)
+            rows.append(SweepRow(name, attack, report.p, report.s, report.bound, report.margin))
     return rows
 
 
 def run_multipicture_scaling(n_values: Sequence[int]) -> list[ScalingRow]:
-    """Optimal post-collapse acceptance per picture count, from the states."""
+    """Optimal post-collapse acceptance per picture count, from the states.
+
+    The counts must increase, so that detection must increase with them.
+    """
+    if any(n < 2 for n in n_values):
+        raise ConfigInvalid("picture counts must be at least 2")
+    for earlier, n in zip(n_values, n_values[1:]):
+        if n <= earlier:
+            raise ConfigInvalid(f"picture counts must increase, got {n} after {earlier}")
     rows = []
     previous = -1.0
     for n in n_values:
-        if n < 2:
-            raise ConfigInvalid("picture counts must be at least 2")
         inst = seal_multipicture(_pictures(n))
         accept, _state = optimal_post_collapse_response(inst, "1")
         detection = 1.0 - accept

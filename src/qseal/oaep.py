@@ -52,15 +52,11 @@ _FEISTEL_ROUNDS = 4
 _PrfSpec = tuple[tuple[bytes, ...], int, int]
 
 
-class OaepError(Exception):
-    pass
-
-
-class LengthMismatch(OaepError):
+class LengthMismatch(Exception):
     """A value does not fit the bit width fixed by the parameters."""
 
 
-class OracleUnavailable(OaepError):
+class OracleUnavailable(Exception):
     """The context was built forward-only; nothing can invert f."""
 
 
@@ -70,15 +66,16 @@ class DegenerateUWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OaepParams:
-    """Security parameters: k-bit f inputs, k0-bit pads, n-bit messages."""
+    """Security parameters: k0-bit pads, n-bit messages, k = n + k0-bit f inputs."""
 
-    k: int
     k0: int
     n: int
 
+    @property
+    def k(self) -> int:
+        return self.n + self.k0
+
     def __post_init__(self) -> None:
-        if self.n != self.k - self.k0:
-            raise ValueError("parameters must satisfy n = k - k0")
         if not 1 <= self.k0 <= MAX_K0:
             raise ValueError(f"k0 must be between 1 and {MAX_K0} at desk scale")
         if self.n < 1:
@@ -193,7 +190,7 @@ class OaepContext:
         master_key: bytes = REFERENCE_MASTER_KEY,
         with_human: bool = True,
     ) -> "OaepContext":
-        params = OaepParams(k=n + k0, k0=k0, n=n)
+        params = OaepParams(k0=k0, n=n)
         captcha_key = hashlib.sha256(master_key + b"|captcha").digest()
         g_key = hashlib.sha256(master_key + b"|G").digest()
         h_key = hashlib.sha256(master_key + b"|H").digest()
@@ -346,10 +343,9 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     return squared_overlap(inst.reference, useless)
 
 
-def useless_query_bound(ctx: OaepContext | OaepParams, excluded: set[int]) -> float:
+def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:
     """Probability mass by which the full-pad test can diverge, |R| / 2**k0."""
-    params = ctx.params if isinstance(ctx, OaepContext) else ctx
-    support = 1 << params.k0
+    support = 1 << ctx.params.k0
     if len(excluded) > support:
         raise ValueError("excluded set larger than the pad space")
     return len(excluded) / support

@@ -38,23 +38,19 @@ OAEP = "oaep"
 PROTOCOLS = (NAIVE, GARBAGE, MULTIPICTURE, OAEP)
 
 
-class ProtocolError(Exception):
-    """Base class for protocol construction failures."""
-
-
-class LabelCollision(ProtocolError):
+class LabelCollision(Exception):
     """A garbage label collides with a message label or another garbage label."""
 
 
-class EmptyGarbageSet(ProtocolError):
+class EmptyGarbageSet(Exception):
     pass
 
 
-class DuplicatePicture(ProtocolError):
+class DuplicatePicture(Exception):
     pass
 
 
-class TooFewPictures(ProtocolError):
+class TooFewPictures(Exception):
     pass
 
 

@@ -40,23 +40,15 @@ NORM_TOL = 1e-9      # squared moduli and ensemble weights sum to 1 within this
 PRUNE_TOL = 1e-15    # amplitudes below this are dropped
 UNITARY_TOL = 1e-9   # largest entry of U^dagger U - I a LocalUnitary accepts
 CHAIN_TOL = 1e-8     # slack per proof-chain step; the trace distance is LAPACK's
-MARGIN_TOL = 1e-9    # how far a sweep row's s may sit above its closed form
+MARGIN_TOL = 1e-9    # how far a reported s may sit above its closed form
 EXACT_TOL = 1e-12    # two exact routes to one number (state, closed form) agree
 
 
-class StateError(Exception):
-    """Base class for state-level failures."""
-
-
-class DimensionTooLarge(StateError):
+class DimensionTooLarge(Exception):
     """A dense computation would exceed the supported dimension cap."""
 
 
-class UnknownLabel(StateError):
-    """A unitary declared total does not cover a label the state uses."""
-
-
-class UncoveredLabel(StateError):
+class UncoveredLabel(Exception):
     """A measurement partition does not cover a label the state uses."""
 
 
@@ -260,17 +252,13 @@ def state_from_block(
     return SparseState(amps)
 
 
-def apply_unitary_c(s: SparseState, u: LocalUnitary, *, total: bool = False) -> SparseState:
+def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
     """Apply ``u`` to register C, leaving register B untouched.
 
     One matrix product on the state's block over ``u.basis`` (``c_block``).
-    Labels outside the basis ride along unchanged unless ``total`` is set, in
-    which case support on an uncovered label raises ``UnknownLabel``.
+    Labels outside the basis ride along unchanged.
     """
     keys, block, outside = c_block(s, u.basis)
-    if total and outside:
-        _, c = next(iter(outside))
-        raise UnknownLabel(f"C label {c!r} is not covered by the unitary")
     return state_from_block(keys, block @ u.matrix.T, outside)
 
 

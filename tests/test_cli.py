@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qseal import harness
+from qseal import adversary, harness
 from qseal.cli import load_config, main
 from qseal.protocols import instance_from_dict, instance_to_dict
 
@@ -370,6 +370,30 @@ class TestErrorExitCodes:
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
         err = self.assert_one_line_error(capsys)
         assert "joint basis has dimension 513, cap is 512" in err
+
+    @pytest.mark.parametrize("counts", ["10,4", "4,4"])
+    def test_multi_scaling_counts_out_of_order(self, tmp_path, capsys, counts):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"picture_counts = {counts}\n")
+        assert run_cli("--config", str(config), "experiment", "multi-scaling") == 1
+        first, second = counts.split(",")
+        assert f"got {second} after {first}" in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("line", ["k0 = abc", "y = 1.5"])
+    def test_non_integer_seal_config_value(self, tmp_path, capsys, line):
+        config = tmp_path / "seal.cfg"
+        config.write_text(f"protocol = oaep\n{line}\n")
+        assert run_cli("--config", str(config), "seal") == 1
+        key = line.split(" ")[0]
+        assert f"config key {key!r} needs integers" in self.assert_one_line_error(capsys)
+
+    def test_negative_cheat_margin_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(adversary, "soundness_bound", lambda p: 0.0)
+        path = GOLDEN / "seal-naive.json"
+        assert run_cli("cheat", "--instance", str(path), "--attack", "basis") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: negative margin -0.5")
+        assert err.endswith(f"{path}/basis\n") and err.count("\n") == 1
 
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -210,5 +210,12 @@ class TestInvariantViolationDetection:
         assert issubclass(InvariantViolation, Exception)
 
     def test_scaling_raises_on_non_monotone_input_order(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ConfigInvalid, match="got 2 after 4"):
             run_multipicture_scaling([4, 2])
+
+    def test_scaling_raises_when_detection_stops_increasing(self, monkeypatch):
+        # A constant acceptance makes detection flat across increasing counts.
+        monkeypatch.setattr(harness, "optimal_post_collapse_response",
+                            lambda inst, label: (0.5, None))
+        with pytest.raises(InvariantViolation, match="not increasing at n=4"):
+            run_multipicture_scaling([2, 4])

@@ -148,20 +148,17 @@ class TestReferenceTokenMap:
 
 class TestParams:
     def test_accepts_consistent_sizes(self):
-        p = OaepParams(k=24, k0=8, n=16)
-        assert (p.k, p.k0, p.n) == (24, 8, 16)
-
-    def test_rejects_inconsistent_sizes(self):
-        with pytest.raises(ValueError):
-            OaepParams(k=24, k0=8, n=15)
+        p = OaepParams(k0=8, n=16)
+        assert (p.k0, p.n) == (8, 16)
+        assert p.k == 8 + 16
 
     def test_rejects_oversized_pad(self):
         with pytest.raises(ValueError):
-            OaepParams(k=33, k0=17, n=16)
+            OaepParams(k0=17, n=16)
 
     def test_rejects_empty_message_width(self):
         with pytest.raises(ValueError):
-            OaepParams(k=8, k0=8, n=0)
+            OaepParams(k0=8, n=0)
 
 
 class TestCaptchaFunction:
@@ -420,9 +417,6 @@ class TestUselessQueryBound:
             if previous is not None:
                 assert value == pytest.approx(previous / 2.0, abs=1e-12)
             previous = value
-
-    def test_accepts_params_directly(self):
-        assert useless_query_bound(OaepParams(k=12, k0=4, n=8), {0}) == 1 / 16
 
 
 class TestBasisCheatOnSealedTokens:

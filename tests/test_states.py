@@ -25,7 +25,6 @@ from qseal.states import (
     ProjPartition,
     SparseState,
     UncoveredLabel,
-    UnknownLabel,
     apply_unitary_c,
     collapse_branches,
     inner_product,
@@ -207,11 +206,6 @@ class TestApplyUnitary:
     def test_labels_outside_basis_ride_along(self):
         u = identity_unitary(["elsewhere"])
         assert max_abs_diff(apply_unitary_c(BELL, u), BELL) < 1e-12
-
-    def test_total_coverage_demanded(self):
-        u = identity_unitary(["0"])
-        with pytest.raises(UnknownLabel):
-            apply_unitary_c(BELL, u, total=True)
 
     def test_labels_outside_basis_stay_sparse(self):
         # 4096 diagonal terms and a swap of two C labels: only the swapped
