@@ -6,8 +6,6 @@ verification of the detection bounds they obey.
 
 from .adversary import (
     CheatReport,
-    InvalidIndex,
-    PartialPredicate,
     ProofChain,
     basis_cheat,
     optimal_post_collapse_response,
@@ -32,10 +30,8 @@ from .oaep import (
     CaptchaFunction,
     DegenerateUWarning,
     HumanOracle,
-    LengthMismatch,
     OaepContext,
     OaepParams,
-    OracleUnavailable,
     encode,
     r_set,
     seal_oaep,
@@ -44,11 +40,7 @@ from .oaep import (
     useless_query_bound,
 )
 from .protocols import (
-    DuplicatePicture,
-    EmptyGarbageSet,
-    LabelCollision,
     SealedInstance,
-    TooFewPictures,
     honest_unseal,
     instance_from_dict,
     instance_to_dict,
@@ -58,12 +50,10 @@ from .protocols import (
     verify_return,
 )
 from .states import (
-    DimensionTooLarge,
     Ensemble,
     LocalUnitary,
     ProjPartition,
     SparseState,
-    UncoveredLabel,
     apply_unitary_c,
     collapse_branches,
     inner_product,

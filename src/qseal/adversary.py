@@ -38,13 +38,11 @@ from .states import (
     CHAIN_TOL,
     DENSE_DIM_CAP,
     PRUNE_TOL,
-    DimensionTooLarge,
     Ensemble,
     Label,
     LocalUnitary,
     ProjPartition,
     SparseState,
-    UncoveredLabel,
     apply_unitary_c,  # noqa: F401  (not called; perfbench/test_oracles.py looks it up here)
     c_block,
     collapse_branches,
@@ -54,14 +52,6 @@ from .states import (
     state_from_block,
     trace_distance_pure_vs_ensemble,
 )
-
-
-class PartialPredicate(Exception):
-    """The predicate does not cover every active C label."""
-
-
-class InvalidIndex(Exception):
-    """The collapsed index label does not belong to the instance."""
 
 
 Predicate = Mapping[Label, int]
@@ -134,7 +124,7 @@ def _rotated_branches(
     the rotation.
 
     Raises:
-        UncoveredLabel: the partition omits an active label.
+        ValueError: the partition omits an active label.
     """
     n = len(unitary.basis)
     columns = unitary.basis + tuple(sorted(reference.c_labels() - set(unitary.basis)))
@@ -149,7 +139,7 @@ def _rotated_branches(
     for j in active:
         outcome = partition.outcome_of.get(columns[j])
         if outcome is None:
-            raise UncoveredLabel(f"C label {columns[j]!r} is not covered by the partition")
+            raise ValueError(f"C label {columns[j]!r} is not covered by the partition")
         cells.setdefault(outcome, []).append(j)
     undo = u.conj()
     for outcome in sorted(cells):
@@ -214,10 +204,10 @@ def predicate_cheat(inst: SealedInstance, g: Predicate) -> CheatReport:
     active = inst.reference.c_labels()
     missing = sorted(active - set(g))
     if missing:
-        raise PartialPredicate(f"predicate undefined on labels {missing}")
+        raise ValueError(f"predicate undefined on labels {missing}")
     bad = {label: v for label, v in g.items() if v not in (0, 1)}
     if bad:
-        raise PartialPredicate(f"predicate values must be 0 or 1, got {bad}")
+        raise ValueError(f"predicate values must be 0 or 1, got {bad}")
     partition = ProjPartition({label: f"g={g[label]}" for label in active})
     return strategy_report(inst, None, partition)
 
@@ -232,10 +222,10 @@ def optimal_post_collapse_response(
     by returning the matching branch itself.
     """
     if inst.protocol != MULTIPICTURE:
-        raise InvalidIndex(f"instance protocol is {inst.protocol!r}, not multipicture")
+        raise ValueError(f"instance protocol is {inst.protocol!r}, not multipicture")
     block = {k: a for k, a in inst.reference.amps.items() if k[0] == collapsed_b}
     if not block:
-        raise InvalidIndex(f"no branch with index label {collapsed_b!r}")
+        raise ValueError(f"no branch with index label {collapsed_b!r}")
     best_accept = sum(abs(a) ** 2 for a in block.values())
     scale = 1.0 / math.sqrt(best_accept)
     best_state = SparseState({k: a * scale for k, a in block.items()})
@@ -260,7 +250,7 @@ def random_strategy_sweep(
     Trial t is seeded with rng_seed + t, so sweeps are reproducible and
     trials could be evaluated independently.
 
-    Raises DimensionTooLarge when |B|*|C| exceeds ``DENSE_DIM_CAP``. A
+    Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``. A
     strategy is a few matrix products on the |B| x |C| block, but it returns
     up to |C| members of |B|*|C| keys each as sparse states, so a cap on |C|
     alone would admit slow strategies (up to 1.1 s for one at
@@ -271,7 +261,7 @@ def random_strategy_sweep(
     labels = sorted(inst.reference.c_labels())
     joint_dim = len(inst.reference.b_labels()) * len(labels)
     if joint_dim > DENSE_DIM_CAP:
-        raise DimensionTooLarge(
+        raise ValueError(
             f"sweep joint dimension {joint_dim} exceeds cap {DENSE_DIM_CAP}"
         )
     reports = []
@@ -312,7 +302,7 @@ def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     three links are read off the report: the acceptance gap is ``s``, the
     convex sum weighs each branch's pure-state distance sqrt(1 - acceptance)
     by its probability, and the closed form is ``bound``. Raises
-    DimensionTooLarge when the joint active basis exceeds ``DENSE_DIM_CAP``.
+    ValueError when the joint active basis exceeds ``DENSE_DIM_CAP``.
     """
     distance = trace_distance_pure_vs_ensemble(inst.reference, report.returned)
     convex = sum(

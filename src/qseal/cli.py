@@ -102,7 +102,12 @@ def cmd_seal(args) -> int:
         inst = protocols.seal_multipicture(_labels(params["pictures"]))
     elif protocol == protocols.OAEP:
         key = params.get("key")
-        master = bytes.fromhex(key) if key else oaep_mod.REFERENCE_MASTER_KEY
+        try:
+            master = oaep_mod.REFERENCE_MASTER_KEY if key is None else bytes.fromhex(key)
+        except ValueError:
+            master = b""
+        if not master:
+            raise ConfigInvalid(f"config key 'key' needs nonempty hex text, got {key!r}")
         k0, n, y = (config_value(name, params.get(name, default), int)
                     for name, default in (("k0", 8), ("n", 16), ("y", 0)))
         ctx = oaep_mod.OaepContext.create(k0=k0, n=n, master_key=master)

@@ -29,7 +29,7 @@ from .states import CHAIN_TOL, DENSE_DIM_CAP, EXACT_TOL, MARGIN_TOL
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(ValueError):
     pass
 
 
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigInvalid("picture counts must be at least 2")
         if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):
             raise ConfigInvalid(f"k0 values must be between 1 and {oaep_mod.MAX_K0}")
+        if self.oaep_n < 1:
+            raise ConfigInvalid(f"oaep_n must be at least 1, got {self.oaep_n}")
         if any(r < 0 for r in self.rset_sizes):
             raise ConfigInvalid("excluded-set sizes must be nonnegative")
         if not self.message:
@@ -166,7 +168,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
     Every row's proof chain is checked. Its trace distance refuses a joint
     support above ``DENSE_DIM_CAP`` (a garbage size above 511 or a picture
-    count above 512), so such an instance fails with DimensionTooLarge
+    count above 512), so such an instance fails with ValueError
     instead of emitting unchecked rows.
     """
     if cfg.experiment != "bound-sweep":

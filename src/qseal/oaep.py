@@ -52,14 +52,6 @@ _FEISTEL_ROUNDS = 4
 _PrfSpec = tuple[tuple[bytes, ...], int, int]
 
 
-class LengthMismatch(Exception):
-    """A value does not fit the bit width fixed by the parameters."""
-
-
-class OracleUnavailable(Exception):
-    """The context was built forward-only; nothing can invert f."""
-
-
 class DegenerateUWarning(UserWarning):
     """The excluded set covers every pad, leaving no useless-pad projector."""
 
@@ -135,7 +127,7 @@ class CaptchaFunction:
 
     def forward(self, x: int) -> str:
         if not 0 <= x < (1 << self.k):
-            raise LengthMismatch(f"input must be a {self.k}-bit value")
+            raise ValueError(f"input must be a {self.k}-bit value")
         value = _feistel_forward(self._rounds, self.k, x)
         return f"{TOKEN_PREFIX}{value:0{(self.k + 3) // 4}x}"
 
@@ -202,13 +194,13 @@ class OaepContext:
     def g(self, r: int) -> int:
         """Pad expander G: k0 bits in, n bits out."""
         if not 0 <= r < (1 << self.params.k0):
-            raise LengthMismatch(f"r must be a {self.params.k0}-bit value")
+            raise ValueError(f"r must be a {self.params.k0}-bit value")
         return _prf(self.g_spec, r)
 
     def h(self, s: int) -> int:
         """Digest H: n bits in, k0 bits out."""
         if not 0 <= s < (1 << self.params.n):
-            raise LengthMismatch(f"s must be a {self.params.n}-bit value")
+            raise ValueError(f"s must be a {self.params.n}-bit value")
         return _prf(self.h_spec, s)
 
 
@@ -216,9 +208,9 @@ def encode(y: int, r: int, ctx: OaepContext) -> str:
     """Token for message y under pad r: f(y xor G(r) || r xor H(y xor G(r)))."""
     params = ctx.params
     if not 0 <= y < (1 << params.n):
-        raise LengthMismatch(f"y must be an {params.n}-bit value")
+        raise ValueError(f"y must be an {params.n}-bit value")
     if not 0 <= r < (1 << params.k0):
-        raise LengthMismatch(f"r must be a {params.k0}-bit value")
+        raise ValueError(f"r must be a {params.k0}-bit value")
     s = y ^ ctx.g(r)
     t = r ^ ctx.h(s)
     return ctx.captcha.forward((s << params.k0) | t)
@@ -247,7 +239,7 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     """
     params = ctx.params
     if not 0 <= y < (1 << params.n):
-        raise LengthMismatch(f"y must be an {params.n}-bit value")
+        raise ValueError(f"y must be an {params.n}-bit value")
     support = 1 << params.k0
     amp = 1.0 / math.sqrt(float(support))
     amps = {}
@@ -290,7 +282,7 @@ def unseal_oaep(inst: SealedInstance, ctx: OaepContext, rng_seed: int) -> tuple[
     if inst.protocol != OAEP:
         raise ValueError(f"instance protocol is {inst.protocol!r}, not oaep")
     if ctx.human is None:
-        raise OracleUnavailable("context has no inversion access")
+        raise ValueError("context has no inversion access")
     token = sample_readout(inst.reference, rng_seed)
     y, r = decode_preimage(ctx, ctx.human.invert(token))
     if (_pad_label(r, ctx.params.k0), token) not in inst.reference.amps:
@@ -306,7 +298,7 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
     """
     if queries is None:
         if ctx.human is None:
-            raise OracleUnavailable("context has no oracle log to scan")
+            raise ValueError("context has no oracle log to scan")
         queries = ctx.human.query_log
     shown = set(queries)
     if not shown:

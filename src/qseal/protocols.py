@@ -38,22 +38,6 @@ OAEP = "oaep"
 PROTOCOLS = (NAIVE, GARBAGE, MULTIPICTURE, OAEP)
 
 
-class LabelCollision(Exception):
-    """A garbage label collides with a message label or another garbage label."""
-
-
-class EmptyGarbageSet(Exception):
-    pass
-
-
-class DuplicatePicture(Exception):
-    pass
-
-
-class TooFewPictures(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SealedInstance:
     """One sealed message: reference state, decode table, and parameters.
@@ -93,7 +77,7 @@ def seal_naive(m: str, garbage: Label = "0") -> SealedInstance:
     """
     _validate_message(m)
     if garbage == m:
-        raise LabelCollision(f"garbage label {garbage!r} equals the message label")
+        raise ValueError(f"garbage label {garbage!r} equals the message label")
     amp = 1.0 / math.sqrt(2.0)
     reference = SparseState({(garbage, garbage): amp, (m, m): amp})
     decode = {m: m, garbage: None}
@@ -105,11 +89,11 @@ def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
     _validate_message(m)
     garbage_set = list(garbage_set)
     if not garbage_set:
-        raise EmptyGarbageSet("need at least one garbage label")
+        raise ValueError("need at least one garbage label")
     if len(set(garbage_set)) != len(garbage_set):
-        raise LabelCollision("garbage labels must be distinct")
+        raise ValueError("garbage labels must be distinct")
     if m in garbage_set:
-        raise LabelCollision(f"garbage label {m!r} equals the message label")
+        raise ValueError(f"garbage label {m!r} equals the message label")
     n_g = len(garbage_set)
     amps: dict[tuple[Label, Label], complex] = {(m, m): 1.0 / math.sqrt(2.0)}
     g_amp = 1.0 / math.sqrt(2.0 * n_g)
@@ -131,9 +115,9 @@ def seal_multipicture(pictures: Sequence[str]) -> SealedInstance:
     """
     pictures = [_validate_message(p) for p in pictures]
     if len(pictures) < 2:
-        raise TooFewPictures("need at least two pictures")
+        raise ValueError("need at least two pictures")
     if len(set(pictures)) != len(pictures):
-        raise DuplicatePicture("pictures must be pairwise distinct")
+        raise ValueError("pictures must be pairwise distinct")
     n = len(pictures)
     amp = 1.0 / math.sqrt(n)
     reference = SparseState({(str(i + 1), p): amp for i, p in enumerate(pictures)})

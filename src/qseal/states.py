@@ -44,14 +44,6 @@ MARGIN_TOL = 1e-9    # how far a reported s may sit above its closed form
 EXACT_TOL = 1e-12    # two exact routes to one number (state, closed form) agree
 
 
-class DimensionTooLarge(Exception):
-    """A dense computation would exceed the supported dimension cap."""
-
-
-class UncoveredLabel(Exception):
-    """A measurement partition does not cover a label the state uses."""
-
-
 @dataclass(frozen=True)
 class SparseState:
     """Normalized pure state on registers B and C, stored sparsely.
@@ -134,7 +126,7 @@ class LocalUnitary:
         if len(set(self.basis)) != n:
             raise ValueError("basis labels must be distinct")
         defect = np.abs(m.conj().T @ m - np.eye(n)).max() if n else 0.0
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "matrix", m)
@@ -192,14 +184,14 @@ def trace_distance_pure_vs_ensemble(psi: SparseState, sigma: Ensemble) -> float:
     formed.
 
     Raises:
-        DimensionTooLarge: the joint active basis exceeds ``DENSE_DIM_CAP``.
+        ValueError: the joint active basis exceeds ``DENSE_DIM_CAP``.
     """
     index: dict[tuple[Label, Label], int] = {}
     for state in [psi] + [member for _, member in sigma.members]:
         for key in state.amps:
             index.setdefault(key, len(index))
     if len(index) > DENSE_DIM_CAP:
-        raise DimensionTooLarge(
+        raise ValueError(
             f"joint basis has dimension {len(index)}, cap is {DENSE_DIM_CAP}"
         )
     members = [(q, member) for q, member in sigma.members if q != 0.0]
@@ -268,13 +260,13 @@ def collapse_branches(
     """Exact outcome probabilities and renormalized post-states for a partition.
 
     Raises:
-        UncoveredLabel: the state has support on a label the partition omits.
+        ValueError: the state has support on a label the partition omits.
     """
     buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
     for (b, c), a in s.amps.items():
         outcome = p.outcome_of.get(c)
         if outcome is None:
-            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
+            raise ValueError(f"C label {c!r} is not covered by the partition")
         buckets.setdefault(outcome, {})[(b, c)] = a
     branches: dict[Label, tuple[float, SparseState]] = {}
     for outcome, amps in buckets.items():

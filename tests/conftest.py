@@ -20,7 +20,6 @@ from qseal.states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    UncoveredLabel,
 )
 
 B_POOL = [f"b{i}" for i in range(6)]
@@ -138,7 +137,7 @@ def _outcome_buckets(
     for (b, c), a in s.amps.items():
         outcome = p.outcome_of.get(c)
         if outcome is None:
-            raise UncoveredLabel(f"C label {c!r} is not covered by the partition")
+            raise ValueError(f"C label {c!r} is not covered by the partition")
         buckets.setdefault(outcome, {})[(b, c)] = a
     nonzero = {}
     for outcome, amps in buckets.items():

@@ -334,10 +334,17 @@ class TestErrorExitCodes:
         assert run_cli("seal", "--protocol", "oaep", "--k0", "17", "--n", "8") == 1
         self.assert_one_line_error(capsys)
 
-    def test_bad_hex_key(self, capsys):
-        assert run_cli("seal", "--protocol", "oaep", "--k0", "4", "--n", "8",
-                       "--key", "00zz") == 1
-        self.assert_one_line_error(capsys)
+    # An empty key must not fall back to the reference key.
+    @pytest.mark.parametrize("source, key", [("flag", ""), ("config", ""), ("flag", "00zz")],
+                             ids=["empty-flag", "empty-config", "non-hex"])
+    def test_bad_hex_key(self, tmp_path, capsys, source, key):
+        config = tmp_path / "seal.cfg"
+        config.write_text(f"key = {key}\n" if source == "config" else "")
+        argv = ["--key", key] if source == "flag" else []
+        assert run_cli("--config", str(config), "seal", "--protocol", "oaep",
+                       "--k0", "4", "--n", "8", *argv) == 1
+        err = self.assert_one_line_error(capsys)
+        assert f"config key 'key' needs nonempty hex text, got {key!r}" in err
 
     @pytest.mark.parametrize(
         "entry, value, names",
@@ -370,6 +377,13 @@ class TestErrorExitCodes:
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
         err = self.assert_one_line_error(capsys)
         assert "joint basis has dimension 513, cap is 512" in err
+
+    @pytest.mark.parametrize("experiment", ["bound-sweep", "oaep-negligibility"])
+    def test_zero_oaep_message_length(self, tmp_path, capsys, experiment):
+        config = tmp_path / "exp.cfg"
+        config.write_text("trials = 1\noaep_n = 0\n")
+        assert run_cli("--config", str(config), "experiment", experiment) == 1
+        assert "oaep_n must be at least 1" in self.assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("counts", ["10,4", "4,4"])
     def test_multi_scaling_counts_out_of_order(self, tmp_path, capsys, counts):

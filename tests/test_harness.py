@@ -40,6 +40,7 @@ class TestConfig:
             {"garbage_sizes": (0,)},
             {"picture_counts": (1,)},
             {"oaep_k0": (17,)},
+            {"oaep_n": 0},
             {"rset_sizes": (-2,)},
             {"message": ""},
         ],

@@ -10,11 +10,7 @@ from conftest import max_abs_diff, oracle_readout
 from qseal.adversary import basis_cheat, optimal_post_collapse_response
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import (
-    DuplicatePicture,
-    EmptyGarbageSet,
-    LabelCollision,
     SealedInstance,
-    TooFewPictures,
     honest_unseal,
     instance_from_dict,
     instance_to_dict,
@@ -56,7 +52,7 @@ class TestSealNaive:
         assert inst.decode == {"M": "M", "0": None}
 
     def test_rejects_label_collision(self):
-        with pytest.raises(LabelCollision):
+        with pytest.raises(ValueError, match="garbage label 'M' equals the message label"):
             seal_naive("M", garbage="M")
 
     def test_rejects_empty_message(self):
@@ -88,13 +84,13 @@ class TestSealGarbage:
         assert previous >= 0.746
 
     def test_rejects_empty_set(self):
-        with pytest.raises(EmptyGarbageSet):
+        with pytest.raises(ValueError, match="need at least one garbage label"):
             seal_garbage("M", [])
 
     def test_rejects_collisions(self):
-        with pytest.raises(LabelCollision):
+        with pytest.raises(ValueError, match="garbage labels must be distinct"):
             seal_garbage("M", ["g0", "g0"])
-        with pytest.raises(LabelCollision):
+        with pytest.raises(ValueError, match="garbage label 'M' equals the message label"):
             seal_garbage("M", ["g0", "M"])
 
 
@@ -106,9 +102,9 @@ class TestSealMultipicture:
             assert amp == pytest.approx(INV_SQRT2, abs=1e-15)
 
     def test_rejects_duplicates_and_short_lists(self):
-        with pytest.raises(DuplicatePicture):
+        with pytest.raises(ValueError, match="pictures must be pairwise distinct"):
             seal_multipicture(["a", "a"])
-        with pytest.raises(TooFewPictures):
+        with pytest.raises(ValueError, match="need at least two pictures"):
             seal_multipicture(["a"])
 
     def test_honest_unseal_distribution_is_uniform(self):

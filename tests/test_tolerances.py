@@ -1,6 +1,8 @@
-"""One tolerance table: small float literals live only in the states.py block."""
+"""One tolerance table: small float literals live only in the states.py block.
+One error type: every rejected input is a ``ValueError``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qseal
@@ -38,6 +40,27 @@ def test_small_float_literals_only_in_the_tolerance_table():
                 strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert strays == []
     assert len(tolerance_table(ast.parse((SRC / "states.py").read_text()))) == 6
+
+
+def test_one_error_type_for_rejected_input():
+    """Rejected input raises ``ValueError`` (``ConfigInvalid`` is one); the
+    only other exception is ``InvariantViolation``, which the CLI maps to exit 2."""
+    defined = {"ConfigInvalid", "InvariantViolation"}
+    raised = defined | {"ValueError"}
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = ast.unparse(node.exc.func)
+                if name not in raised:
+                    strays.append(f"{path.name}:{node.lineno}: raise {name}")
+            elif isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"qseal.{path.stem}"), node.name)
+                is_error = issubclass(cls, Exception) and not issubclass(cls, Warning)
+                if is_error and node.name not in defined:
+                    strays.append(f"{path.name}:{node.lineno}: class {node.name}")
+    assert strays == []
+    assert issubclass(harness.ConfigInvalid, ValueError)
 
 
 def test_tolerances_are_shared_not_restated():
