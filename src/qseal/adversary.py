@@ -14,8 +14,8 @@ term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
 With a unitary, a whole strategy runs on the reference's dense |B| x |C|
-block, and only the returned members become sparse states. Without one it
-stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
+block, and its returned members become sparse states only when read. Without
+one it stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -28,8 +28,9 @@ instance seals a single message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
     CHAIN_TOL,
     DENSE_DIM_CAP,
+    NORM_TOL,
     PRUNE_TOL,
     Ensemble,
     Label,
@@ -48,6 +50,7 @@ from .states import (
     collapse_branches,
     project_accept_probability,
     random_unitary,
+    span_trace_distance,
     squared_overlap,
     state_from_block,
     trace_distance_pure_vs_ensemble,
@@ -68,15 +71,26 @@ class CheatReport:
 
     ``outcome_table`` rows are (outcome label, branch probability q_i, branch
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
-    verification. ``margin`` is the slack left under the closed-form bound.
+    verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
+    (keys, V): V's column 0 is the reference on ``keys``, column i member i.
+    ``margin`` is the slack left under the closed-form bound.
     """
 
     p: float
     s: float
     bound: float
     outcome_table: tuple[tuple[Label, float, float], ...]
-    returned: Ensemble
+    members: Ensemble | tuple = field(repr=False, compare=False)
     p_bound: float
+
+    @cached_property
+    def returned(self) -> Ensemble:
+        """Built on first read: a dense strategy's members become sparse states here."""
+        if isinstance(self.members, Ensemble):
+            return self.members
+        keys, v = self.members
+        states = (state_from_block(keys, phi) for phi in v[:, 1:].T)
+        return Ensemble(tuple(zip((q for _, q, _ in self.outcome_table), states)))
 
     @property
     def margin(self) -> float:
@@ -92,13 +106,8 @@ class CheatReport:
         }
 
 
-Branch = tuple[Label, float, SparseState, set[Label]]
-
-
-def _sparse_branches(
-    reference: SparseState, partition: ProjPartition | None
-) -> Iterator[Branch]:
-    """(outcome, q, post-state, active labels) per outcome, with no unitary.
+def _sparse_branches(reference: SparseState, partition: ProjPartition | None) -> tuple:
+    """(table, active labels of each outcome, lazily, members, acceptance) with no unitary.
 
     The partition is diagonal, so each post-state is a rescaled piece of the
     reference: nothing needs undoing, and its C labels are the active ones.
@@ -106,25 +115,28 @@ def _sparse_branches(
     if partition is None:
         partition = ProjPartition.finest(sorted(reference.c_labels()))
     branches = collapse_branches(reference, partition)
-    for outcome in sorted(branches):
-        prob, post = branches[outcome]
-        yield outcome, prob, post, post.c_labels()
+    outcomes = sorted(branches)
+    returned = Ensemble(tuple(branches[outcome] for outcome in outcomes))
+    table = [(outcome, q, squared_overlap(reference, post))
+             for outcome, (q, post) in zip(outcomes, returned.members)]
+    actives = (post.c_labels() for _, post in returned.members)
+    return table, actives, returned, project_accept_probability(reference, returned)
 
 
 def _rotated_branches(
     reference: SparseState, unitary: LocalUnitary, partition: ProjPartition | None
-) -> Iterator[Branch]:
-    """(outcome, q, post-state, active labels) per outcome of rotate, measure, undo.
+) -> tuple:
+    """Rotate, measure, undo; returns what ``_sparse_branches`` does.
 
     The whole strategy stays in the reference's |B| x |C| block: rotate once
     (psi @ U^T), take each outcome's columns of the rotated block (q is their
     squared norm), and undo with the matching rows of conj(U). C labels
     outside the unitary's basis ride along under the identity. Active labels
     are the columns holding some amplitude of at least ``PRUNE_TOL`` after
-    the rotation.
+    the rotation. ``SparseState``'s and ``Ensemble``'s norm checks run on V.
 
     Raises:
-        ValueError: the partition omits an active label.
+        ValueError: the partition omits an active label, or a norm check fails.
     """
     n = len(unitary.basis)
     columns = unitary.basis + tuple(sorted(reference.c_labels() - set(unitary.basis)))
@@ -141,13 +153,29 @@ def _rotated_branches(
         if outcome is None:
             raise ValueError(f"C label {columns[j]!r} is not covered by the partition")
         cells.setdefault(outcome, []).append(j)
-    undo = u.conj()
-    for outcome in sorted(cells):
-        cell = cells[outcome]
-        branch = rotated[:, cell]
-        prob = float(np.vdot(branch, branch).real)
-        post = (branch / math.sqrt(prob)) @ undo[cell, :]
-        yield outcome, prob, state_from_block(keys, post), {columns[j] for j in cell}
+    # Members live on the basis columns and the reference's support: V keeps those keys.
+    kept = np.flatnonzero((psi != 0) | (np.arange(len(columns)) < n))
+    outcomes = sorted(cells)
+    v = np.empty((kept.size, len(outcomes) + 1), dtype=np.complex128)
+    v[:, 0], probs = psi.ravel()[kept], []
+    for i, outcome in enumerate(outcomes, 1):
+        branch = rotated[:, cells[outcome]]
+        probs.append(float(np.vdot(branch, branch).real))
+        v[:, i] = ((branch / math.sqrt(probs[-1])) @ u[cells[outcome], :].conj()).ravel()[kept]
+    norms = (np.abs(v) ** 2).sum(axis=0)
+    worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # a NaN is the argmax
+    if not abs(worst - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: sum of squared moduli is {worst!r}")
+    if not abs(sum(probs) - 1.0) <= NORM_TOL:
+        raise ValueError(f"ensemble weights sum to {sum(probs)!r}, expected 1")
+    # 1 - acceptance is |part of phi_i orthogonal to psi|^2 / |phi_i|^2: one minus
+    # the overlap ratio keeps 1e-16 of round-off, 1e-8 once the chain takes sqrt.
+    away = v[:, 1:] - np.outer(v[:, 0], (v[:, 0].conj() @ v[:, 1:]) / norms[0])
+    acceptances = np.maximum(0.0, 1.0 - (np.abs(away) ** 2).sum(axis=0) / norms[1:])
+    actives = ([columns[j] for j in cells[outcome]] for outcome in outcomes)
+    accept = min(1.0, max(0.0, float(np.dot(probs, acceptances))))
+    keys = [keys[k] for k in kept.tolist()]
+    return list(zip(outcomes, probs, acceptances.tolist())), actives, (keys, v), accept
 
 
 def strategy_report(
@@ -160,31 +188,18 @@ def strategy_report(
     ``unitary=None`` means the identity; ``partition=None`` means the finest
     computational-basis partition over the active C labels.
     """
-    reference = inst.reference
-    if unitary is None:
-        branches = _sparse_branches(reference, partition)
-    else:
-        branches = _rotated_branches(reference, unitary, partition)
-
-    members: list[tuple[float, SparseState]] = []
-    table: list[tuple[Label, float, float]] = []
+    table, actives, members, accept = (
+        _sparse_branches(inst.reference, partition) if unitary is None
+        else _rotated_branches(inst.reference, unitary, partition))
     recovery_mass: dict[str, float] = {}
-    for outcome, prob, post, active in branches:
-        acceptance = squared_overlap(reference, post)
-        members.append((prob, post))
-        table.append((outcome, prob, acceptance))
+    for (_, prob, _), active in zip(table, actives):
         if len(active) == 1:
             message = inst.decode.get(next(iter(active)))
             if message is not None:
                 recovery_mass[message] = recovery_mass.get(message, 0.0) + prob
-
     p = min(1.0, float(sum(recovery_mass.values())))
     p_bound = min(1.0, float(max(recovery_mass.values(), default=0.0)))
-    returned = Ensemble(tuple(members))
-    accept = project_accept_probability(reference, returned)
-    s = 1.0 - accept
-    bound = soundness_bound(p_bound)
-    return CheatReport(p, s, bound, tuple(table), returned, p_bound)
+    return CheatReport(p, 1.0 - accept, soundness_bound(p_bound), tuple(table), members, p_bound)
 
 
 def basis_cheat(inst: SealedInstance) -> CheatReport:
@@ -250,11 +265,10 @@ def random_strategy_sweep(
     Trial t is seeded with rng_seed + t, so sweeps are reproducible and
     trials could be evaluated independently.
 
-    Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``. A
-    strategy is a few matrix products on the |B| x |C| block, but it returns
-    up to |C| members of |B|*|C| keys each as sparse states, so a cap on |C|
-    alone would admit slow strategies (up to 1.1 s for one at
-    |B| = |C| = 129, against 0.19 s at 65).
+    Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``, the cap on the
+    proof chain's trace distance, so that every sweep report can be checked;
+    it also fixes ``bound-sweep``'s row set. It is not there for speed: one
+    strategy takes 0.02-0.07 s at |B| = |C| = 129.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -297,14 +311,17 @@ class ProofChain:
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """Evaluate the inequality chain for one report.
 
-    The trace distance comes from ``trace_distance_pure_vs_ensemble``, which
-    works in the span of the reference and the returned branches. The other
+    The trace distance is ``span_trace_distance`` on the reference and the
+    returned branches (for a sparse report through its Ensemble). The other
     three links are read off the report: the acceptance gap is ``s``, the
     convex sum weighs each branch's pure-state distance sqrt(1 - acceptance)
-    by its probability, and the closed form is ``bound``. Raises
-    ValueError when the joint active basis exceeds ``DENSE_DIM_CAP``.
+    by its probability, and the closed form is ``bound``. Raises ValueError
+    when the joint basis (a dense report's block) exceeds ``DENSE_DIM_CAP`` keys.
     """
-    distance = trace_distance_pure_vs_ensemble(inst.reference, report.returned)
+    if isinstance(report.members, Ensemble):
+        distance = trace_distance_pure_vs_ensemble(inst.reference, report.members)
+    else:
+        distance = span_trace_distance(report.members[1], [q for _, q, _ in report.outcome_table])
     convex = sum(
         q * math.sqrt(max(0.0, 1.0 - acceptance))
         for _, q, acceptance in report.outcome_table

@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
+    if args.seed is not None and args.seed < 0:  # NumPy takes no negative seed
+        parser.error(f"argument --seed: expected a nonnegative integer, got {args.seed}")
     try:
         return args.func(args)
     except InvariantViolation as exc:

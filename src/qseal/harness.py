@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {self.seed}")
         if self.trials < 0:
             raise ConfigInvalid("trials must be nonnegative")
         if any(n < 1 for n in self.garbage_sizes):
@@ -184,12 +186,10 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             ("basis", basis),
             ("predicate-split", predicate_cheat(inst, _split_predicate(inst))),
         ]
-        # Random strategies rotate the whole active C space, and their
-        # returned ensemble has up to |C| members of |B|*|C| keys each, so
-        # they run only while |B|*|C| is within DENSE_DIM_CAP. The named
-        # attacks above are sparse; their reports are exact at any size, but
-        # their chains share the cap on the joint support of the trace
-        # distance.
+        # Random strategies run only while |B|*|C| is within DENSE_DIM_CAP,
+        # the cap on a chain's trace distance, so every random row gets one.
+        # The named attacks are sparse and exact at any size, but their
+        # chains share that cap on the joint support.
         if cfg.trials and joint_dim <= DENSE_DIM_CAP:
             labelled.extend(
                 (f"random-{t}", report)

@@ -173,35 +173,36 @@ def trace_distance_pure(a: SparseState, b: SparseState) -> float:
 
 
 def trace_distance_pure_vs_ensemble(psi: SparseState, sigma: Ensemble) -> float:
-    """Trace distance between |psi><psi| and the ensemble's density operator.
-
-    The difference |psi><psi| - sum_i q_i |phi_i><phi_i| is V D V^dagger, where
-    the columns of V are psi and the members with q_i != 0, one row per key of
-    the joint support, and D = diag(1, -q_1, ..., -q_m). With V = Q R (thin QR,
-    Q with orthonormal columns), its nonzero eigenvalues are those of the small
-    Hermitian matrix R D R^dagger; half the sum of their moduli (its singular
-    values) is the trace distance. The joint-support square matrix is never
-    formed.
-
-    Raises:
-        ValueError: the joint active basis exceeds ``DENSE_DIM_CAP``.
-    """
+    """Trace distance between |psi><psi| and the ensemble's density operator:
+    ``span_trace_distance`` with one row per key of the joint support, which
+    is held to ``DENSE_DIM_CAP`` keys (else ValueError) before V is allocated."""
     index: dict[tuple[Label, Label], int] = {}
     for state in [psi] + [member for _, member in sigma.members]:
         for key in state.amps:
             index.setdefault(key, len(index))
     if len(index) > DENSE_DIM_CAP:
-        raise ValueError(
-            f"joint basis has dimension {len(index)}, cap is {DENSE_DIM_CAP}"
-        )
+        raise ValueError(f"joint basis has dimension {len(index)}, cap is {DENSE_DIM_CAP}")
     members = [(q, member) for q, member in sigma.members if q != 0.0]
-    columns = [psi] + [member for _, member in members]
-    v = np.zeros((len(index), len(columns)), dtype=np.complex128)
-    for j, state in enumerate(columns):
+    v = np.zeros((len(index), len(members) + 1), dtype=np.complex128)
+    for j, state in enumerate([psi] + [member for _, member in members]):
         for key, a in state.amps.items():
             v[index[key], j] = a
+    return span_trace_distance(v, [q for q, _ in members])
+
+
+def span_trace_distance(v: np.ndarray, q: Sequence[float]) -> float:
+    """Trace distance between |psi><psi| (column 0 of V) and sum_i q_i |phi_i><phi_i|
+    (phi_i column i), where V has at most ``DENSE_DIM_CAP`` rows (else ValueError).
+
+    The difference is V D V^dagger, D = diag(1, -q_1, ..., -q_m). With V = Q R
+    (thin QR), its nonzero eigenvalues are those of the small Hermitian matrix
+    R D R^dagger; half the sum of their moduli (its singular values) is the
+    trace distance, and no square matrix over V's rows is formed.
+    """
+    if len(v) > DENSE_DIM_CAP:
+        raise ValueError(f"joint basis has dimension {len(v)}, cap is {DENSE_DIM_CAP}")
     r = np.linalg.qr(v, mode="r")
-    weights = np.array([1.0] + [-q for q, _ in members])
+    weights = np.concatenate(([1.0], -np.asarray(q, dtype=float)))
     singular = np.linalg.svd((r * weights) @ r.conj().T, compute_uv=False)
     return min(1.0, max(0.0, 0.5 * float(singular.sum())))
 

@@ -16,13 +16,17 @@ from qseal.adversary import (
     soundness_bound,
     strategy_report,
 )
+from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import (
     Ensemble,
+    LocalUnitary,
     ProjPartition,
     SparseState,
     random_unitary,
+    squared_overlap,
     trace_distance_pure,
+    trace_distance_pure_vs_ensemble,
 )
 
 BOUND_AT_HALF = 0.8535533905932737  # (2 + sqrt 2) / 4
@@ -334,6 +338,88 @@ class TestDenseBlockOracle:
             strategy_report(inst, u, covers_support)
 
 
+class TestDenseEvaluation:
+    """A strategy with a unitary keeps its members dense until ``returned`` is read."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazily_built_members_match_the_dense_oracle(self, seed):
+        inst = seal_garbage("M", ["g0", "g1", "g2"])
+        labels = sorted(inst.reference.c_labels())
+        (report,) = random_strategy_sweep(inst, 1, rng_seed=seed)
+        assert proof_chain(inst, report).holds()
+        assert "returned" not in vars(report)
+        rng = np.random.default_rng(seed)
+        u = random_unitary(labels, rng)
+        partition = random_partition(labels, rng)
+        TestDenseBlockOracle.assert_matches(
+            report, dense_strategy(inst.reference, u.basis, u.matrix, partition.outcome_of)
+        )
+        assert vars(report)["returned"] is report.returned
+
+    def test_dense_chain_equals_the_chain_of_the_built_members(self):
+        for inst in (seal_naive("M", "0"), seal_garbage("M", ["g0", "g1"]),
+                     seal_multipicture(pictures(7))):
+            for report in random_strategy_sweep(inst, 15, rng_seed=4):
+                dense = proof_chain(inst, report).trace_distance
+                sparse = trace_distance_pure_vs_ensemble(inst.reference, report.returned)
+                assert abs(dense - sparse) <= 1e-12
+
+    def test_members_keep_only_the_keys_they_can_hold(self):
+        # A unitary on two of 32 OAEP tokens plus an ancilla: every member lives on
+        # the 3 basis columns (32 rows each) and the reference's other 30 keys,
+        # not on the whole 32 x 33 block.
+        inst = seal_oaep(7, OaepContext.create(k0=5, n=8, with_human=False))
+        labels = sorted(inst.reference.c_labels())
+        u = random_unitary(labels[:2] + ["work"], 3)
+        report = strategy_report(inst, u, None)
+        assert report.members[1].shape == (32 * 3 + 30, len(report.outcome_table) + 1)
+        TestDenseBlockOracle.assert_matches(
+            report, dense_strategy(inst.reference, u.basis, u.matrix, None)
+        )
+        assert proof_chain(inst, report).trace_distance == pytest.approx(
+            dense_trace_distance(inst.reference, report.returned), abs=1e-12
+        )
+
+    @staticmethod
+    def ancilla_strategy(n_b, n_c):
+        """|B| = n_b, |C| = n_c and one ancilla label: a block of n_b * (n_c + 1) keys."""
+        inst = TestRandomStrategySweep.rectangular_instance(n_b, n_c)
+        u = random_unitary(sorted(inst.reference.c_labels()) + ["work"], 0)
+        return inst, strategy_report(inst, u, None)
+
+    def test_block_at_the_chain_cap(self):
+        inst, report = self.ancilla_strategy(2, 255)
+        assert proof_chain(inst, report).holds()
+
+    def test_block_past_the_chain_cap(self):
+        inst, report = self.ancilla_strategy(3, 170)
+        message = "joint basis has dimension 513, cap is 512"
+        with pytest.raises(ValueError, match=message):
+            proof_chain(inst, report)
+        with pytest.raises(ValueError, match=message):
+            trace_distance_pure_vs_ensemble(inst.reference, report.returned)
+
+    @pytest.mark.parametrize("n_b", [1, 3, 10])
+    def test_chain_holds_where_the_closed_form_is_zero(self, n_b):
+        # Every strategy here leaves all the mass on the message label, so
+        # p_bound is 1 (up to round-off in q) and the closed form 0. An
+        # acceptance of 1 - 2^-52 would put 1.5e-8 into the convex sum.
+        reference = uniform_state((f"b{i}", "M") for i in range(n_b))
+        inst = SealedInstance(GARBAGE, reference, {"M": "M"}, {})
+        closed_forms = []
+        for seed in range(40):
+            phase = np.exp(2j * np.pi * np.random.default_rng(seed).random())
+            permutation = np.zeros((3, 3), dtype=complex)
+            permutation[0, 0], permutation[1, 2], permutation[2, 1] = phase, 1.0, 1.0
+            for u in (LocalUnitary(("M",), np.array([[phase]])),
+                      LocalUnitary(("M", "w1", "w2"), permutation)):
+                report = strategy_report(inst, u, None)
+                chain = proof_chain(inst, report)
+                assert chain.holds(), chain
+                closed_forms.append(chain.closed_form)
+        assert 0.0 in closed_forms
+
+
 class TestProofChain:
     @pytest.mark.parametrize(
         "inst",
@@ -385,17 +471,31 @@ class TestProofChain:
         assert report.s == pytest.approx(1.0 - float(np.sum(q**2)), abs=1e-12)
 
     def test_links_read_from_the_report_equal_the_overlap_formulas(self):
-        # Only the trace distance is computed afresh; the other links must be
-        # the same floats as the per-member overlaps and the closed form.
+        # Only the trace distance is computed afresh; the other links are read
+        # off the report. A sparse report's table holds the per-member
+        # overlaps, so its convex sum is the same float as theirs. A random
+        # report's acceptances come from its dense array; they are checked
+        # against the overlaps of the lazily built members, a separate path.
         for inst in (seal_garbage("M", ["g0", "g1", "g2"]), seal_multipicture(pictures(6))):
-            for report in [basis_cheat(inst), *random_strategy_sweep(inst, 20, rng_seed=3)]:
+            sparse = basis_cheat(inst)
+            chain = proof_chain(inst, sparse)
+            assert chain.convex_sum == sum(
+                q * trace_distance_pure(inst.reference, member)
+                for q, member in sparse.returned.members
+            )
+            for report in [sparse, *random_strategy_sweep(inst, 20, rng_seed=3)]:
                 chain = proof_chain(inst, report)
                 assert chain.acceptance_gap == report.s
                 assert chain.convex_sum == sum(
-                    q * trace_distance_pure(inst.reference, member)
-                    for q, member in report.returned.members
+                    q * math.sqrt(max(0.0, 1.0 - acceptance))
+                    for _, q, acceptance in report.outcome_table
                 )
                 assert chain.closed_form == soundness_bound(report.p_bound)
+                for (_, q, acceptance), (weight, member) in zip(
+                    report.outcome_table, report.returned.members, strict=True
+                ):
+                    assert q == weight
+                    assert abs(acceptance - squared_overlap(inst.reference, member)) <= 1e-12
 
     def test_chain_holds_under_random_strategies(self):
         inst = seal_multipicture(pictures(4))

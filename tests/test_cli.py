@@ -168,6 +168,13 @@ class TestGoldenOutput:
             assert report.read_bytes() == expected.read_bytes()
 
 
+    def test_bound_sweep_named_rows_bytes(self, tmp_path):
+        # With no random trials every row comes from a named, sparse attack.
+        out = tmp_path / "named.csv"
+        assert run_cli("--out", str(out), "experiment", "bound-sweep", "--trials", "0") == 0
+        assert out.read_bytes() == (GOLDEN.parent / "bound_sweep_named.csv").read_bytes()
+
+
 class TestVerify:
     def test_returning_the_reference_is_believed(self, naive_instance, tmp_path, capsys):
         instance = json.loads(naive_instance.read_text())
@@ -432,6 +439,32 @@ class TestErrorExitCodes:
             run_cli(*argv)
         assert exit_info.value.code == 1
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "bound-sweep", "--trials", "1"],
+            ["unseal", "--instance", "{instance}"],
+            ["cheat", "--instance", "{instance}", "--attack", "random"],
+            ["verify", "--instance", "{instance}", "--returned", "{instance}"],
+        ],
+        ids=["experiment", "unseal", "cheat-random", "verify"],
+    )
+    def test_negative_seed_flag(self, naive_instance, capsys, argv):
+        argv = [arg.format(instance=naive_instance) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--seed", "-1", *argv)
+        assert exit_info.value.code == 1
+        err = self.assert_one_line_error(capsys)
+        assert "--seed" in err and "-1" in err
+
+    def test_negative_config_seed(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("seed = -1\ntrials = 1\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
+        assert "'seed'" in self.assert_one_line_error(capsys)
+        config.write_text("seed = 0\ntrials = 1\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 0
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -36,6 +36,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"seed": -1},
             {"trials": -1},
             {"garbage_sizes": (0,)},
             {"picture_counts": (1,)},
