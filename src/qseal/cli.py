@@ -9,7 +9,7 @@ Explicit flags, ``--seed`` included, win over the config file.
 
 Exit codes: 0 on success, 2 when an exact computation violates a guaranteed
 inequality (which would indicate a broken build), 1 for ordinary errors,
-usage errors included.
+usage errors included. A warning is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import oaep as oaep_mod
@@ -226,7 +227,9 @@ def main(argv=None) -> int:
     if args.seed is not None and args.seed < 0:  # NumPy takes no negative seed
         parser.error(f"argument --seed: expected a nonnegative integer, got {args.seed}")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

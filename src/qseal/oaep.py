@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
-from .states import Label, SparseState, sample_readout, squared_overlap
+from .states import NORM_TOL, PRUNE_TOL, Label, SparseState, sample_readout
+from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
 REFERENCE_MASTER_KEY = bytes(range(32))
@@ -309,9 +310,10 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     """Squared overlap between the full-pad and useless-pad superpositions.
 
-    Computed from the actual state vectors. When ``excluded`` covers every
-    pad the useless-pad state does not exist; by convention the overlap is 0
-    and ``DegenerateUWarning`` is emitted.
+    Walks the reference's amplitudes and renormalizes those of pads outside
+    ``excluded`` into a list, checked and pruned as ``SparseState`` would be;
+    no state is built. When ``excluded`` covers every pad there is no useless-pad
+    state; by convention the overlap is 0 and ``DegenerateUWarning`` is emitted.
     """
     k0, _n, _key = sealed_params(inst)
     support = 1 << k0
@@ -325,14 +327,18 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
         )
         return 0.0
     excluded_labels = {_pad_label(r, k0) for r in excluded}
-    kept = {
-        key: a
-        for key, a in inst.reference.amps.items()
-        if key[0] not in excluded_labels
-    }
-    norm = math.sqrt(sum(abs(a) ** 2 for a in kept.values()))
-    useless = SparseState({key: a / norm for key, a in kept.items()})
-    return squared_overlap(inst.reference, useless)
+    kept = [a for (b, _c), a in inst.reference.amps.items() if b not in excluded_labels]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in kept))
+    useless = [a / norm for a in kept]
+    total = sum(abs(u) ** 2 for u in useless)
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: sum of squared moduli is {total!r}")
+    overlap = useless_sq = 0.0 + 0.0j
+    for a, u in zip(kept, useless):
+        if abs(u) >= PRUNE_TOL:
+            overlap += a.conjugate() * u
+            useless_sq += u.conjugate() * u
+    return abs(overlap) ** 2 / (inst.reference.norm_sq * useless_sq.real)
 
 
 def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:

@@ -3,23 +3,28 @@
 The oracles here deliberately avoid the code paths they check: trace
 distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, random
-unitaries are checked against a Gram-Schmidt reference, and sampled readouts
-against a copy of the partition sampler that ``sample_readout`` replaced.
+unitaries are checked against a Gram-Schmidt reference, sampled readouts
+against a copy of the partition sampler that ``sample_readout`` replaced, and
+``oaep.tu_overlap`` against a copy of the version that built a second state.
 """
 
 import bisect
 import itertools
 import math
+import warnings
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from qseal.oaep import DegenerateUWarning, _pad_label, sealed_params
+from qseal.protocols import SealedInstance
 from qseal.states import (
     Ensemble,
     Label,
     LocalUnitary,
     ProjPartition,
     SparseState,
+    squared_overlap,
 )
 
 B_POOL = [f"b{i}" for i in range(6)]
@@ -173,3 +178,38 @@ def measure_partition(
 def oracle_readout(state: SparseState, rng_seed: int) -> Label:
     """The outcome ``measure_partition`` draws for a readout of every C label."""
     return measure_partition(state, ProjPartition.finest(state.c_labels()), rng_seed)[0]
+
+
+# ``oaep.tu_overlap`` as qseal had it before it walked the reference over flat
+# lists, copied unchanged: it builds the useless-pad ``SparseState`` (norm
+# check, then prune) and takes ``squared_overlap`` with the reference. The
+# current version must return the same bits and raise and warn alike.
+
+
+def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
+    """Squared overlap between the full-pad and useless-pad superpositions.
+
+    Computed from the actual state vectors. When ``excluded`` covers every
+    pad the useless-pad state does not exist; by convention the overlap is 0
+    and ``DegenerateUWarning`` is emitted.
+    """
+    k0, _n, _key = sealed_params(inst)
+    support = 1 << k0
+    bad = {r for r in excluded if not 0 <= r < support}
+    if bad:
+        raise ValueError(f"excluded pads out of range: {sorted(bad)}")
+    if len(excluded) >= support:
+        warnings.warn(
+            "excluded set covers every pad; overlap is 0 by convention",
+            DegenerateUWarning,
+        )
+        return 0.0
+    excluded_labels = {_pad_label(r, k0) for r in excluded}
+    kept = {
+        key: a
+        for key, a in inst.reference.amps.items()
+        if key[0] not in excluded_labels
+    }
+    norm = math.sqrt(sum(abs(a) ** 2 for a in kept.values()))
+    useless = SparseState({key: a / norm for key, a in kept.items()})
+    return squared_overlap(inst.reference, useless)

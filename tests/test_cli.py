@@ -174,6 +174,15 @@ class TestGoldenOutput:
         assert run_cli("--out", str(out), "experiment", "bound-sweep", "--trials", "0") == 0
         assert out.read_bytes() == (GOLDEN.parent / "bound_sweep_named.csv").read_bytes()
 
+    @pytest.mark.parametrize("config, fmt", [("even", "csv"), ("even", "json"), ("odd", "csv")])
+    def test_oaep_negligibility_bytes(self, tmp_path, config, fmt):
+        # Odd k0 gives inexact amplitudes, so the last bits of the overlap show.
+        stem = GOLDEN.parent / f"oaep_negligibility_{config}"
+        out = tmp_path / f"rows.{fmt}"
+        assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),
+                       "experiment", "oaep-negligibility") == 0
+        assert out.read_bytes() == stem.with_suffix(f".{fmt}").read_bytes()
+
 
 class TestVerify:
     def test_returning_the_reference_is_believed(self, naive_instance, tmp_path, capsys):
@@ -247,6 +256,16 @@ class TestExperiment:
                        "experiment", "oaep-negligibility") == 0
         rows = json.loads(out.read_text())
         assert {"k0", "r_size", "divergence"} == set(rows[0])
+
+    def test_degenerate_overlap_warns_on_one_line(self, tmp_path, capsysbinary):
+        config = tmp_path / "exp.cfg"
+        config.write_text("oaep_k0 = 2\nrset_sizes = 0,4\n")
+        assert run_cli("--config", str(config), "experiment", "oaep-negligibility") == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"k0,r_size,divergence\n2,0,0\n2,4,1\n"
+        assert captured.err == (
+            b"warning: excluded set covers every pad; overlap is 0 by convention\n"
+        )
 
     def test_invariant_violation_exits_two(self, monkeypatch):
         def explode(cfg):

@@ -1,12 +1,15 @@
 import hashlib
 import math
 import random
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qseal.oaep
 import qseal.states
 from qseal.adversary import basis_cheat
 from qseal.harness import ConfigInvalid, ExperimentConfig
@@ -27,8 +30,9 @@ from qseal.oaep import (
     useless_query_bound,
 )
 from conftest import oracle_readout
-from qseal.protocols import SealedInstance, honest_unseal, verify_return
-from qseal.states import Ensemble, SparseState, sample_readout
+from conftest import tu_overlap as oracle_tu_overlap
+from qseal.protocols import OAEP, SealedInstance, honest_unseal, verify_return
+from qseal.states import PRUNE_TOL, Ensemble, SparseState, sample_readout
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -397,6 +401,116 @@ class TestProjectorOverlap:
         assert tu_overlap(inst, excluded) == pytest.approx(
             1.0 - useless_query_bound(ctx, excluded), abs=1e-12
         )
+
+
+def _hand_built(amps, k0, n=8):
+    """An OAEP instance over explicit (pad label, token) amplitudes."""
+    params = {"k": k0 + n, "k0": k0, "n": n, "key": REFERENCE_MASTER_KEY.hex(), "y": 0}
+    decode = {c: None for _, c in amps}
+    return SealedInstance(OAEP, SparseState(amps), decode, params)
+
+
+def _random_phases(k0, seed, pads=None):
+    """Random complex amplitudes on the given pads (default all), normalized."""
+    rng = np.random.default_rng(seed)
+    pads = range(1 << k0) if pads is None else pads
+    vec = rng.normal(size=len(pads)) + 1j * rng.normal(size=len(pads))
+    vec /= np.linalg.norm(vec)
+    return {(format(r, f"0{k0}b"), f"img_{r:04x}"): complex(a) for r, a in zip(pads, vec)}
+
+
+def _outcome(call, inst, excluded):
+    """(value, warning categories, error message) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value, error = call(inst, excluded), None
+        except ValueError as exc:
+            value, error = None, str(exc)
+    return value, [w.category for w in caught], error
+
+
+class TestTuOverlapMatchesOracle:
+    """``tu_overlap`` returns the bits the state-building version returned."""
+
+    @staticmethod
+    def same(inst, excluded):
+        got = _outcome(tu_overlap, inst, excluded)
+        assert got == _outcome(oracle_tu_overlap, inst, excluded)
+        return got
+
+    @pytest.mark.parametrize("k0", range(1, 11))
+    def test_sealed_instances(self, k0):
+        rng = random.Random(k0)
+        inst = seal_oaep(rng.randrange(256), OaepContext.create(k0=k0, n=8, with_human=False))
+        support = 1 << k0
+        for size in (0, 1, support // 2, support - 1):
+            self.same(inst, set(rng.sample(range(support), size)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_phases(self, seed):
+        inst = _hand_built(_random_phases(5, seed), 5)
+        rng = random.Random(seed)
+        for size in (0, 1, 3, 16, 31):
+            self.same(inst, set(rng.sample(range(32), size)))
+
+    def test_excluded_pads_missing_from_the_reference(self):
+        inst = _hand_built(_random_phases(4, 7, pads=[1, 2, 5, 9, 14]), 4)
+        for excluded in ({0, 3}, {0, 1, 3, 15}, {2, 4, 6, 8, 10, 12}):
+            value, _, error = self.same(inst, excluded)
+            assert value is not None and error is None
+
+    def test_amplitude_at_the_prune_tolerance(self):
+        # A reference norm just above 1 lets an amplitude above PRUNE_TOL
+        # renormalize to exactly PRUNE_TOL, which is kept.
+        scale = math.sqrt(1.0 + 4e-10)
+        amps = [(key, a * scale) for key, a in _random_phases(3, 11, pads=[0, 1, 3, 4]).items()]
+        tiny_key, tiny = ("010", "img_0002"), PRUNE_TOL * scale
+        for _ in range(4):  # at most a few ulps of tiny away
+            trial = dict(amps[:2] + [(tiny_key, tiny)] + amps[2:])
+            norm = math.sqrt(sum(abs(a) ** 2 for a in trial.values()))
+            if tiny / norm == PRUNE_TOL:
+                break
+            tiny = math.nextafter(tiny, 0.0 if tiny / norm > PRUNE_TOL else 1.0)
+        else:
+            pytest.fail("no amplitude renormalizes to exactly PRUNE_TOL")
+        inst = _hand_built(trial, 3)
+        assert tiny_key in inst.reference.amps
+        for excluded in (set(), {5}):
+            self.same(inst, excluded)
+
+    def test_amplitude_pruned_after_renormalizing(self):
+        # A norm just above 1 puts the middle amplitude just under PRUNE_TOL.
+        amps = {(format(r, "03b"), f"img_{r:04x}"): 0.5 for r in range(4)}
+        amps[("001", "img_0001")] = PRUNE_TOL
+        amps[("000", "img_0000")] = math.sqrt(0.5 + 1e-10)
+        amps[("011", "img_0003")] = 0.5j
+        inst = _hand_built(amps, 3)
+        assert inst.reference.amps[("001", "img_0001")] == PRUNE_TOL
+        for excluded in (set(), {5}, {2}):
+            self.same(inst, excluded)
+
+    def test_error_paths(self):
+        inst = seal_oaep(3, OaepContext.create(k0=3, n=8, with_human=False))
+        _, _, error = self.same(inst, {8, 9})
+        assert error == "excluded pads out of range: [8, 9]"
+        assert self.same(inst, set(range(8))) == (0.0, [DegenerateUWarning], None)
+        partial = _hand_built(_random_phases(3, 5, pads=[1, 6]), 3)
+        _, _, error = self.same(partial, {1, 6})
+        assert error == "state is not normalized: sum of squared moduli is 0"
+
+
+def test_tu_overlap_builds_no_state(monkeypatch):
+    inst = seal_oaep(0x5A, OaepContext.create(k0=8, n=8, with_human=False))
+    excluded = set(range(0, 256, 3))
+    expected = oracle_tu_overlap(inst, excluded)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tu_overlap must not build a state or call squared_overlap")
+
+    monkeypatch.setattr(qseal.oaep, "SparseState", forbidden)
+    monkeypatch.setattr(qseal.oaep, "squared_overlap", forbidden)
+    assert tu_overlap(inst, excluded) == expected
 
 
 class TestUselessQueryBound:
