@@ -2,7 +2,8 @@
 
 Subcommands: seal, unseal, cheat, verify, and experiment. Global flags
 (--seed, --config, --out, --format) sit before the subcommand. A key = value
-config file can supply any experiment or seal parameter, and no other key.
+config file can supply any experiment or seal parameter, or the ``seed`` of
+unseal, cheat and verify, and no other key.
 Its values are text, typed once by the parameter they set; integers go
 through ``harness.config_value`` for experiments and seals alike.
 Explicit flags, ``--seed`` included, win over the config file.
@@ -82,15 +83,29 @@ def _merged_params(args, flags: tuple[str, ...]) -> dict:
     return merged
 
 
+def _only_keys(params: dict, allowed: tuple[str, ...]) -> dict:
+    unknown = [key for key in params if key not in allowed]
+    if unknown:
+        raise ConfigInvalid(f"unknown config key {unknown[0]!r}")
+    return params
+
+
+def _seed(args) -> int:
+    """``--seed``, else the config's ``seed``, else 0: the one parameter of
+    unseal, cheat and verify that a config file can supply."""
+    params = _only_keys(_merged_params(args, ("seed",)), ("seed",))
+    seed = config_value("seed", params.get("seed", 0), int)
+    if seed < 0:
+        raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {seed}")
+    return seed
+
+
 def _labels(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def cmd_seal(args) -> int:
-    params = _merged_params(args, SEAL_PARAMS)
-    unknown = [key for key in params if key not in SEAL_PARAMS]
-    if unknown:
-        raise ConfigInvalid(f"unknown config key {unknown[0]!r}")
+    params = _only_keys(_merged_params(args, SEAL_PARAMS), SEAL_PARAMS)
     protocol = params.get("protocol")
     message = params.get("message", "M")
     if protocol == protocols.NAIVE:
@@ -120,13 +135,15 @@ def cmd_seal(args) -> int:
 
 
 def cmd_unseal(args) -> int:
+    seed = _seed(args)
     inst = _load_instance(args.instance)
-    message, success = protocols.honest_unseal(inst, args.seed or 0)
+    message, success = protocols.honest_unseal(inst, seed)
     _dump_json({"message": message, "success": success}, args.out)
     return 0
 
 
 def cmd_cheat(args) -> int:
+    seed = _seed(args)
     inst = _load_instance(args.instance)
     if args.attack in ("generic", "basis"):
         reports = [(args.attack, basis_cheat(inst))]
@@ -138,7 +155,7 @@ def cmd_cheat(args) -> int:
         reports = [
             (f"random-{i}", report)
             for i, report in enumerate(
-                random_strategy_sweep(inst, args.trials, args.seed or 0)
+                random_strategy_sweep(inst, args.trials, seed)
             )
         ]
     for name, report in reports:
@@ -149,9 +166,10 @@ def cmd_cheat(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    seed = _seed(args)
     inst = _load_instance(args.instance)
     returned = ensemble_from_dict(json.loads(Path(args.returned).read_text()))
-    believe, accept = protocols.verify_return(inst, returned, args.seed or 0)
+    believe, accept = protocols.verify_return(inst, returned, seed)
     _dump_json({"believe": believe, "accept_probability": accept}, args.out)
     return 0
 

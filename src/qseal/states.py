@@ -17,6 +17,13 @@ post-state; ``sample_readout`` draws one label of a basis readout of C.
 The mixed-state trace distance works in the span of the states involved (one
 QR column per state) instead of on a square matrix over their joint support,
 and that joint support is capped at ``DENSE_DIM_CAP`` keys.
+
+The dense helpers take one matrix or a stack of them (leading axes), so a
+random sweep runs one QR for its Haar draws (``haar_unitaries``), one
+unitarity check (``check_unitary``) and one trace-distance call per group of
+equal-shaped V's (``span_trace_distance``). numpy runs a stack slice by slice
+through the same LAPACK and BLAS calls, so a slice's result has the bits of
+the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -125,9 +132,7 @@ class LocalUnitary:
             raise ValueError(f"matrix shape {m.shape} does not match basis size {n}")
         if len(set(self.basis)) != n:
             raise ValueError("basis labels must be distinct")
-        defect = np.abs(m.conj().T @ m - np.eye(n)).max() if n else 0.0
-        if not defect <= UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        check_unitary(m)
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "matrix", m)
 
@@ -190,7 +195,7 @@ def trace_distance_pure_vs_ensemble(psi: SparseState, sigma: Ensemble) -> float:
     return span_trace_distance(v, [q for q, _ in members])
 
 
-def span_trace_distance(v: np.ndarray, q: Sequence[float]) -> float:
+def span_trace_distance(v: np.ndarray, q: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Trace distance between |psi><psi| (column 0 of V) and sum_i q_i |phi_i><phi_i|
     (phi_i column i), where V has at most ``DENSE_DIM_CAP`` rows (else ValueError).
 
@@ -198,13 +203,18 @@ def span_trace_distance(v: np.ndarray, q: Sequence[float]) -> float:
     (thin QR), its nonzero eigenvalues are those of the small Hermitian matrix
     R D R^dagger; half the sum of their moduli (its singular values) is the
     trace distance, and no square matrix over V's rows is formed.
+
+    A stack of V's (shape (..., rows, m + 1)) with a matching stack of q's
+    (shape (..., m)) gives an array of distances; one V gives a float.
     """
-    if len(v) > DENSE_DIM_CAP:
-        raise ValueError(f"joint basis has dimension {len(v)}, cap is {DENSE_DIM_CAP}")
+    if v.shape[-2] > DENSE_DIM_CAP:
+        raise ValueError(f"joint basis has dimension {v.shape[-2]}, cap is {DENSE_DIM_CAP}")
     r = np.linalg.qr(v, mode="r")
-    weights = np.concatenate(([1.0], -np.asarray(q, dtype=float)))
-    singular = np.linalg.svd((r * weights) @ r.conj().T, compute_uv=False)
-    return min(1.0, max(0.0, 0.5 * float(singular.sum())))
+    q = np.asarray(q, dtype=float)
+    weights = np.concatenate((np.ones(q.shape[:-1] + (1,)), -q), axis=-1)[..., None, :]
+    singular = np.linalg.svd((r * weights) @ np.swapaxes(r.conj(), -1, -2), compute_uv=False)
+    distances = np.clip(0.5 * singular.sum(axis=-1), 0.0, 1.0)
+    return float(distances) if distances.ndim == 0 else distances
 
 
 def c_block(
@@ -313,22 +323,42 @@ def project_accept_probability(reference: SparseState, returned: Ensemble) -> fl
     return min(1.0, max(0.0, total))
 
 
-def random_unitary(labels: Iterable[Label], rng: np.random.Generator | int) -> LocalUnitary:
-    """Haar-random unitary from the QR factorization of a seeded complex Gaussian.
+def check_unitary(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix in ``m`` (one, or a stack on the
+    leading axes) has U^dagger U within ``UNITARY_TOL`` of I, entry by entry;
+    the message gives the first failing matrix's defect. A NaN fails."""
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0).ravel()
+    failing = ~(defects <= UNITARY_TOL)
+    if failing.any():
+        raise ValueError(f"matrix is not unitary (defect {defects[failing.argmax()]:.3e})")
 
-    Each column of Q is multiplied by the phase d / |d| of R's matching
-    diagonal entry, which makes the factorization unique (R's diagonal
-    positive) and the distribution Haar (Mezzadri, "How to generate random
-    matrices from the classical compact groups", 2007).
+
+def haar_unitaries(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """One n x n Haar-random unitary per generator, as a (len(rngs), n, n) stack.
+
+    Each generator draws one complex Gaussian (real part, then imaginary
+    part); the stack goes through one QR. Each column of Q is multiplied by
+    the phase d / |d| of R's matching diagonal entry, which makes the
+    factorization unique (R's diagonal positive) and the distribution Haar
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", 2007). Not checked for unitarity: see ``check_unitary``.
     """
+    gaussians = np.empty((len(rngs), n, n), dtype=np.complex128)
+    for g, rng in zip(gaussians, rngs):
+        g[...] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def random_unitary(labels: Iterable[Label], rng: np.random.Generator | int) -> LocalUnitary:
+    """Haar-random unitary on ``labels`` from a seeded complex Gaussian
+    (``haar_unitaries`` with one generator)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     labels = tuple(labels)
-    n = len(labels)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(m)
-    d = np.diag(r)
-    return LocalUnitary(labels, q * (d / np.abs(d)))
+    return LocalUnitary(labels, haar_unitaries([rng], len(labels))[0])
 
 
 def state_to_dict(state: SparseState) -> dict:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_trace_distance, enumerate_basis_readout, max_abs_diff, uniform_state
+from qseal import adversary
 from qseal.adversary import (
     basis_cheat,
     optimal_post_collapse_response,
@@ -232,6 +233,79 @@ class TestRandomStrategySweep:
             random_strategy_sweep(inst, 1, rng_seed=0)
 
 
+
+class TestStackedSweep:
+    """The sweep's stacks change no bit: each report is ``strategy_report`` on
+    the trial's own draws, and its stored distance is ``proof_chain``'s."""
+
+    @staticmethod
+    def assert_trials_are_single_strategies(inst, trials, rng_seed):
+        labels = sorted(inst.reference.c_labels())
+        reports = random_strategy_sweep(inst, trials, rng_seed)
+        assert len(reports) == trials
+        for t, report in enumerate(reports):
+            rng = np.random.default_rng(rng_seed + t)
+            u, partition = random_unitary(labels, rng), random_partition(labels, rng)
+            single = strategy_report(inst, u, partition)
+            assert report.outcome_table == single.outcome_table
+            assert (report.p, report.s, report.bound) == (single.p, single.s, single.bound)
+            assert single.distance is None and report.distance is not None
+            assert proof_chain(inst, report) == proof_chain(inst, single)
+            assert np.array_equal(report.members[1], single.members[1])
+
+    @staticmethod
+    def per_chunk(inst):
+        n_b, n_c = len(inst.reference.b_labels()), len(inst.reference.c_labels())
+        return adversary._CHUNK_AMPLITUDES // (n_b * n_c * n_c)
+
+    @pytest.mark.parametrize(
+        "inst", [seal_multipicture(pictures(8)), seal_garbage("M", ["g0", "g1", "g2"])],
+        ids=["multipicture-8", "garbage-3"])
+    def test_trials_across_a_chunk_boundary(self, inst):
+        self.assert_trials_are_single_strategies(inst, self.per_chunk(inst) + 3, rng_seed=7)
+
+    def test_one_trial_per_chunk(self, monkeypatch):
+        inst = seal_multipicture(pictures(5))
+        monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 1)  # below one trial: one per chunk
+        self.assert_trials_are_single_strategies(inst, 12, rng_seed=3)
+
+    def test_non_unitary_slice_raises_the_local_unitary_message(self, monkeypatch):
+        inst = seal_multipicture(pictures(4))
+        draw = adversary.haar_unitaries
+
+        def one_bad_slice(rngs, n):
+            stack = draw(rngs, n)
+            stack[len(stack) // 2] *= 1.001
+            return stack
+
+        monkeypatch.setattr(adversary, "haar_unitaries", one_bad_slice)
+        labels = tuple(sorted(inst.reference.c_labels()))
+        bad = one_bad_slice([np.random.default_rng(t) for t in range(5)], len(labels))[2]
+        with pytest.raises(ValueError) as single:
+            LocalUnitary(labels, bad)
+        with pytest.raises(ValueError) as batch:
+            random_strategy_sweep(inst, 5, rng_seed=0)
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value).startswith("matrix is not unitary (defect 2.00")
+
+    def test_non_normalized_slice_raises_the_single_strategy_message(self):
+        # A unitary scaled past UNITARY_TOL, set on a LocalUnitary after its
+        # check, leaves every member's norm off 1 by the square of the scale.
+        inst = seal_multipicture(pictures(4))
+        labels = tuple(sorted(inst.reference.c_labels()))
+        stack = adversary.haar_unitaries([np.random.default_rng(t) for t in range(4)], len(labels))
+        stack[1] *= 1.001
+        u = random_unitary(labels, 0)
+        object.__setattr__(u, "matrix", stack[1])
+        with pytest.raises(ValueError) as single:
+            strategy_report(inst, u, None)
+        with pytest.raises(ValueError) as batch:
+            adversary._rotated_branches(inst.reference, labels, stack, [None] * 4)
+        message = str(batch.value)
+        assert message == str(single.value)
+        assert message.startswith("state is not normalized: sum of squared moduli is 1.002")
+
+
 def dense_strategy(reference, basis, matrix, outcome_of):
     """Oracle: rotate, measure and undo on dense arrays over every C label.
 
@@ -327,6 +401,20 @@ class TestDenseBlockOracle:
         self.assert_matches(
             report, dense_strategy(inst.reference, u.basis, u.matrix, partition.outcome_of)
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
+    def test_two_label_unitary_on_a_wide_reference(self, seed, finest):
+        # 62 of the 64 C labels ride along: their columns are copied, not multiplied.
+        inst = TestRandomStrategySweep.rectangular_instance(4, 64)
+        labels = sorted(inst.reference.c_labels())
+        rng = np.random.default_rng(seed)
+        u = random_unitary([str(c) for c in rng.choice(labels, size=2, replace=False)], rng)
+        partition = None if finest else random_partition(labels, rng)
+        report = strategy_report(inst, u, partition)
+        outcome_of = None if finest else partition.outcome_of
+        self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
+        assert report.members[1].shape == (4 * 2 + 62, len(report.outcome_table) + 1)
 
     def test_partition_missing_a_rotated_into_label_raises(self):
         inst = seal_naive("M", garbage="0")

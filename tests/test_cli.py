@@ -313,6 +313,59 @@ class TestExperiment:
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
 
 
+
+class TestSeedOnlyConfig:
+    """unseal, cheat and verify take ``seed`` from ``--config`` and no other key.
+
+    Each command's output depends on the seed: seed 3 unseals another
+    picture, draws other strategies and believes a half-accepted return,
+    where seed 0 does not.
+    """
+
+    @pytest.fixture
+    def argv(self, tmp_path, request):
+        pictures = tmp_path / "pictures.json"
+        assert run_cli("--out", str(pictures), "seal", "--protocol", "multipicture",
+                       "--pictures", "p1,p2,p3,p4,p5,p6,p7,p8") == 0
+        naive = tmp_path / "naive.json"
+        assert run_cli("--out", str(naive), "seal", "--protocol", "naive", "--message", "M") == 0
+        branch = tmp_path / "branch.json"
+        branch.write_text(json.dumps({"amps": [["M", "M", 1.0, 0.0]]}))
+        return {
+            "unseal": ["unseal", "--instance", str(pictures)],
+            "cheat": ["cheat", "--instance", str(naive), "--attack", "random", "--trials", "2"],
+            "verify": ["verify", "--instance", str(naive), "--returned", str(branch)],
+        }[request.param]
+
+    @staticmethod
+    def output(capsysbinary, *argv):
+        assert run_cli(*argv) == 0
+        return capsysbinary.readouterr().out
+
+    @pytest.mark.parametrize("argv", ["unseal", "cheat", "verify"], indirect=True)
+    def test_config_seed_runs_like_the_flag(self, argv, tmp_path, capsysbinary):
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = 3\n")
+        from_config = self.output(capsysbinary, "--config", str(config), *argv)
+        assert from_config == self.output(capsysbinary, "--seed", "3", *argv)
+        assert from_config != self.output(capsysbinary, *argv)
+        assert self.output(capsysbinary, "--seed", "0", "--config", str(config), *argv) == (
+            self.output(capsysbinary, *argv))
+
+    @pytest.mark.parametrize("argv", ["unseal", "cheat", "verify"], indirect=True)
+    @pytest.mark.parametrize("line, message", [
+        ("bogus = 1", "error: unknown config key 'bogus'"),
+        ("trials = 2", "error: unknown config key 'trials'"),
+        ("seed = -1", "error: config key 'seed' must be nonnegative, got -1"),
+        ("seed = x", "error: config key 'seed' needs integers, got 'x'"),
+    ])
+    def test_other_keys_and_bad_seeds_exit_one(self, argv, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("--config", str(config), *argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
 class TestErrorExitCodes:
     """Ordinary errors exit 1 with a one-line ``error:`` message, no traceback."""
 

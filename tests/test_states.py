@@ -24,11 +24,14 @@ from qseal.states import (
     ProjPartition,
     SparseState,
     apply_unitary_c,
+    check_unitary,
     collapse_branches,
+    haar_unitaries,
     inner_product,
     project_accept_probability,
     random_unitary,
     sample_readout,
+    span_trace_distance,
     squared_overlap,
     state_from_dict,
     state_to_dict,
@@ -179,6 +182,34 @@ class TestTraceDistanceEnsemble:
         sigma = random_ensemble(seed + 41)
         convex = sum(q * trace_distance_pure(psi, m) for q, m in sigma.members)
         assert trace_distance_pure_vs_ensemble(psi, sigma) <= convex + 1e-8
+
+
+
+class TestStackedTraceDistance:
+    """``span_trace_distance`` on a stack of V's is the call on each V alone, bit for bit."""
+
+    @staticmethod
+    def stack(seed, count, rows, m):
+        rng = np.random.default_rng(seed)
+        vs = rng.normal(size=(count, rows, m + 1)) + 1j * rng.normal(size=(count, rows, m + 1))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        qs = rng.dirichlet(np.ones(m), size=count)
+        return vs, qs
+
+    @pytest.mark.parametrize("rows, m", [(2, 1), (9, 4), (64, 8), (DENSE_DIM_CAP, 17)])
+    def test_each_slice_equals_the_single_call(self, rows, m):
+        vs, qs = self.stack(rows * 31 + m, 5, rows, m)
+        stacked = span_trace_distance(vs, qs)
+        assert stacked.shape == (5,)
+        for v, q, distance in zip(vs, qs, stacked.tolist()):
+            single = span_trace_distance(v, list(q))
+            assert isinstance(single, float)
+            assert distance == single
+
+    def test_cap_holds_for_a_stack(self):
+        vs, qs = self.stack(0, 2, DENSE_DIM_CAP + 1, 2)
+        with pytest.raises(ValueError, match="joint basis has dimension 513, cap is 512"):
+            span_trace_distance(vs, qs)
 
 
 class TestApplyUnitary:
@@ -388,6 +419,32 @@ class TestRandomUnitary:
         u1 = random_unitary(labels, 42)
         u2 = random_unitary(labels, 42)
         assert np.array_equal(u1.matrix, u2.matrix)
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_stacked_draws_equal_single_draws(self, n):
+        # One QR over the stack gives each slice the bits of its own draw, and
+        # each generator is left where random_unitary leaves it.
+        labels = [f"c{i}" for i in range(n)]
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        stack = haar_unitaries(rngs, n)
+        for seed, (u, rng) in enumerate(zip(stack, rngs)):
+            single_rng = np.random.default_rng(seed)
+            assert np.array_equal(u, random_unitary(labels, single_rng).matrix)
+            assert rng.random() == single_rng.random()
+
+    def test_stacked_check_names_the_failing_slice(self):
+        stack = haar_unitaries([np.random.default_rng(seed) for seed in range(4)], 3)
+        check_unitary(stack)
+        stack[2] *= 1.01
+        with pytest.raises(ValueError) as single:
+            LocalUnitary(("a", "b", "c"), stack[2])
+        with pytest.raises(ValueError) as stacked:
+            check_unitary(stack)
+        assert str(stacked.value) == str(single.value)
+        assert str(single.value).startswith("matrix is not unitary (defect 2.01")
+        stack[1, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(stack[:2])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
     @pytest.mark.parametrize("seed", [0, 1, 7, 8191])
