@@ -178,7 +178,7 @@ def _rotated_branches(
     """
     n = len(basis)
     columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
-    keys, psi, _ = c_block(reference, columns)
+    b_labels, psi, _ = c_block(reference, columns)
     rotated = psi[:, :n] @ np.swapaxes(matrices, -1, -2)
     undo = matrices.conj()
     rides = psi[:, n:]  # every ride-along column holds reference amplitude, so it is active
@@ -188,10 +188,12 @@ def _rotated_branches(
     # (b, basis column) keys, b-major, then the reference's keys on ride-along columns.
     ride_b, ride_j = np.nonzero(rides)
     n_basis = psi.shape[0] * n
-    kept = np.concatenate(((np.arange(psi.shape[0])[:, None] * len(columns) + np.arange(n)).ravel(),
-                           ride_b * len(columns) + n + ride_j))
-    keys = [keys[k] for k in kept.tolist()]
-    ride_keys, ride_amps = np.arange(n_basis, kept.size), rides[ride_b, ride_j]
+    keys = [(b, c) for b in b_labels for c in basis]
+    keys += [(b_labels[i], columns[n + j]) for i, j in zip(ride_b.tolist(), ride_j.tolist())]
+    ride_amps = rides[ride_b, ride_j]
+    reference_row = np.concatenate((psi[:, :n].ravel(), ride_amps))
+    ride_keys = np.arange(n_basis, len(keys))
+    del psi, rides  # |B| x |C|; only the kept keys' amplitudes are read below
     trials = []  # (outcomes, cells, probs) per trial
     for t, held in enumerate((np.abs(rotated) >= PRUNE_TOL).any(axis=-2).tolist()):
         active = [j for j, h in enumerate(held) if h] + list(range(n, len(columns)))
@@ -206,8 +208,8 @@ def _rotated_branches(
     groups = []
     for m, group in by_count.items():
         # Row 0 of a trial's slice is the reference, row i member i.
-        vts = np.zeros((len(group), m + 1, kept.size), dtype=np.complex128)
-        vts[:, 0] = psi.ravel()[kept]
+        vts = np.zeros((len(group), m + 1, len(keys)), dtype=np.complex128)
+        vts[:, 0] = reference_row
         qs = np.array([trials[t][2] for t in group])
         for vt, t, roots in zip(vts, group, np.sqrt(qs).tolist()):
             outcomes, cells, _ = trials[t]
@@ -225,7 +227,7 @@ def _rotated_branches(
                 members = np.swapaxes(branch, 0, 1) @ undo[t][j]
                 vt[rows, :n_basis] = members.reshape(len(rows), n_basis)
             if ride_j.size:
-                row_of = [0] * rides.shape[1]
+                row_of = [0] * (len(columns) - n)
                 for i, outcome in enumerate(outcomes, 1):
                     for j in cells[outcome]:
                         if j >= n:
@@ -243,8 +245,13 @@ def _rotated_branches(
         # 1 - acceptance is |part of phi_i orthogonal to psi|^2 / |phi_i|^2: one minus
         # the overlap ratio keeps 1e-16 of round-off, 1e-8 once the chain takes sqrt.
         overlaps = (vts[:, 1:] @ vts[:, 0, :, None].conj()) / norms[:, :1, None]
-        away = vts[:, 1:] - overlaps * vts[:, :1]
-        acceptances = np.maximum(0.0, 1.0 - (np.abs(away) ** 2).sum(axis=-1) / norms[:, 1:])
+        # In place, so that one complex array of V's size is live next to V at a time.
+        away = overlaps * vts[:, :1]
+        np.subtract(vts[:, 1:], away, out=away)
+        away_sq = np.abs(away)
+        del away
+        np.square(away_sq, out=away_sq)
+        acceptances = np.maximum(0.0, 1.0 - away_sq.sum(axis=-1) / norms[:, 1:])
         accepts = np.clip((qs * acceptances).sum(axis=-1), 0.0, 1.0)
         vs = np.swapaxes(vts, 1, 2)
         for t, v, probs, row, accept in zip(

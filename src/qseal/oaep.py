@@ -20,9 +20,12 @@ All bit strings are handled as Python ints with widths fixed by the context
 parameters: y has n bits, r has k0 bits, f inputs have k = n + k0 bits.
 
 G, H and the Feistel rounds are keyed SHA-256 expansions whose prefix, input
-width and shift are fixed once per context. Each digest is one call to this
-module's ``hashlib`` global, looked up at call time and never a pre-fed
-``copy()``, so a stand-in module (perfbench's tracer) counts all six per token.
+width and shift are fixed once per context. ``encode`` computes a token in its
+own body, from a layout ``OaepContext.create`` makes once: six inline digests
+(G, H, four rounds) when every hash fits one SHA-256 digest, else ``g``, ``h``
+and ``CaptchaFunction.forward``. Each digest is one call to this module's
+``hashlib`` global, looked up at call time and never a pre-fed ``copy()``, so
+a stand-in module (perfbench's tracer) counts every digest of every token.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
-from .states import NORM_TOL, PRUNE_TOL, Label, SparseState, sample_readout
+from .states import NORM_TOL, PRUNE_TOL, SparseState, sample_readout
 from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
@@ -51,6 +55,10 @@ _FEISTEL_ROUNDS = 4
 
 # One keyed hash's fixed input: (prefix per digest, value byte width, shift).
 _PrfSpec = tuple[tuple[bytes, ...], int, int]
+
+# encode's token map: (prefix, byte width, shift) of G, H and rounds 0-3, the
+# Feistel half width and mask, and the token's format (its hex digit count).
+_TokenLayout = tuple[tuple[tuple[bytes, int, int], ...], int, int, str]
 
 
 class DegenerateUWarning(UserWarning):
@@ -87,8 +95,6 @@ def _prf(spec: _PrfSpec, value: int) -> int:
     """Deterministic hash expansion of ``value`` to the spec's ``out_bits`` bits."""
     prefixes, width, shift = spec
     data = value.to_bytes(width, "big")
-    if len(prefixes) == 1:
-        return int.from_bytes(hashlib.sha256(prefixes[0] + data).digest(), "big") >> shift
     out = b"".join([hashlib.sha256(prefix + data).digest() for prefix in prefixes])
     return int.from_bytes(out, "big") >> shift
 
@@ -174,6 +180,19 @@ class OaepContext:
     human: HumanOracle | None
     g_spec: _PrfSpec
     h_spec: _PrfSpec
+    _layout: _TokenLayout | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        specs = (self.g_spec, self.h_spec, *self.captcha._rounds)
+        # encode inlines one digest per hash; a hash wider than 256 bits needs several.
+        if any(len(prefixes) > 1 for prefixes, _, _ in specs):
+            layout = None
+        else:
+            k = self.params.k
+            half = k - k // 2
+            hashes = tuple((prefixes[0], width, shift) for prefixes, width, shift in specs)
+            layout = (hashes, half, (1 << half) - 1, f"{TOKEN_PREFIX}%0{(k + 3) // 4}x")
+        object.__setattr__(self, "_layout", layout)
 
     @classmethod
     def create(
@@ -212,9 +231,23 @@ def encode(y: int, r: int, ctx: OaepContext) -> str:
         raise ValueError(f"y must be an {params.n}-bit value")
     if not 0 <= r < (1 << params.k0):
         raise ValueError(f"r must be a {params.k0}-bit value")
-    s = y ^ ctx.g(r)
-    t = r ^ ctx.h(s)
-    return ctx.captcha.forward((s << params.k0) | t)
+    if ctx._layout is None:
+        s = y ^ ctx.g(r)
+        t = r ^ ctx.h(s)
+        return ctx.captcha.forward((s << params.k0) | t)
+    hashes, half, mask, token = ctx._layout
+    (gp, gw, gs), (hp, hw, hs), (p0, w0, s0), (p1, w1, s1), (p2, w2, s2), (p3, w3, s3) = hashes
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    s = y ^ from_bytes(sha256(gp + r.to_bytes(gw, "big")).digest(), "big") >> gs
+    t = r ^ from_bytes(sha256(hp + s.to_bytes(hw, "big")).digest(), "big") >> hs
+    x = (s << params.k0) | t
+    # Four Feistel rounds, each xoring one half with the round function of the other.
+    left, right = x >> half, x & mask
+    left ^= from_bytes(sha256(p0 + right.to_bytes(w0, "big")).digest(), "big") >> s0
+    right ^= from_bytes(sha256(p1 + left.to_bytes(w1, "big")).digest(), "big") >> s1
+    left ^= from_bytes(sha256(p2 + right.to_bytes(w2, "big")).digest(), "big") >> s2
+    right ^= from_bytes(sha256(p3 + left.to_bytes(w3, "big")).digest(), "big") >> s3
+    return token % ((left << half) | right)
 
 
 def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
@@ -225,10 +258,6 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     r = t ^ ctx.h(s)
     y = s ^ ctx.g(r)
     return y, r
-
-
-def _pad_label(r: int, k0: int) -> Label:
-    return format(r, f"0{k0}b")
 
 
 def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
@@ -243,13 +272,11 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
         raise ValueError(f"y must be an {params.n}-bit value")
     support = 1 << params.k0
     amp = 1.0 / math.sqrt(float(support))
-    amps = {}
-    decode = {}
-    for r in range(support):
-        token = encode(y, r, ctx)
-        decode[token] = None
-        amps[(_pad_label(r, params.k0), token)] = amp
-    reference = SparseState(amps)
+    tokens = [encode(y, r, ctx) for r in range(support)]
+    spec = f"0{params.k0}b"
+    labels = [format(r, spec) for r in range(support)]
+    reference = SparseState(dict(zip(zip(labels, tokens), repeat(amp))))
+    decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,
         "k0": params.k0,
@@ -286,7 +313,7 @@ def unseal_oaep(inst: SealedInstance, ctx: OaepContext, rng_seed: int) -> tuple[
         raise ValueError("context has no inversion access")
     token = sample_readout(inst.reference, rng_seed)
     y, r = decode_preimage(ctx, ctx.human.invert(token))
-    if (_pad_label(r, ctx.params.k0), token) not in inst.reference.amps:
+    if (format(r, f"0{ctx.params.k0}b"), token) not in inst.reference.amps:
         raise ValueError(f"token {token!r} does not decode to its own pad: wrong key, k0 or n")
     return y, r
 
@@ -326,7 +353,8 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
             DegenerateUWarning,
         )
         return 0.0
-    excluded_labels = {_pad_label(r, k0) for r in excluded}
+    spec = f"0{k0}b"
+    excluded_labels = {format(r, spec) for r in excluded}
     kept = [a for (b, _c), a in inst.reference.amps.items() if b not in excluded_labels]
     norm = math.sqrt(sum(abs(a) ** 2 for a in kept))
     useless = [a / norm for a in kept]

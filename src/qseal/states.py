@@ -219,13 +219,13 @@ def span_trace_distance(v: np.ndarray, q: Sequence[float] | np.ndarray) -> float
 
 def c_block(
     s: SparseState, basis: Sequence[Label]
-) -> tuple[list[tuple[Label, Label]], np.ndarray, dict[tuple[Label, Label], complex]]:
+) -> tuple[list[Label], np.ndarray, dict[tuple[Label, Label], complex]]:
     """The state's amplitudes on a C basis as a dense |B| x |basis| array.
 
-    Returns (keys, block, outside): the rows are the B labels with support on
+    Returns (rows, block, outside): ``rows`` are the B labels with support on
     the basis, sorted, ``block[i, j]`` is the amplitude on key
-    ``keys[i * len(basis) + j]`` = (row i, basis[j]), and ``outside`` holds the
-    amplitudes on C labels not in the basis.
+    (rows[i], basis[j]), and ``outside`` holds the amplitudes on C labels not
+    in the basis. No key tuple is built; callers build the keys they keep.
     """
     col_of = {c: j for j, c in enumerate(basis)}
     outside = {key: a for key, a in s.amps.items() if key[1] not in col_of}
@@ -235,7 +235,7 @@ def c_block(
     for (b, c), a in s.amps.items():
         if c in col_of:
             block[row_of[b], col_of[c]] = a
-    return [(b, c) for b in rows for c in basis], block, outside
+    return rows, block, outside
 
 
 def state_from_block(
@@ -261,7 +261,8 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
     One matrix product on the state's block over ``u.basis`` (``c_block``).
     Labels outside the basis ride along unchanged.
     """
-    keys, block, outside = c_block(s, u.basis)
+    rows, block, outside = c_block(s, u.basis)
+    keys = [(b, c) for b in rows for c in u.basis]
     return state_from_block(keys, block @ u.matrix.T, outside)
 
 

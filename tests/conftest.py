@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from qseal.oaep import DegenerateUWarning, _pad_label, sealed_params
+from qseal.oaep import DegenerateUWarning, sealed_params
 from qseal.protocols import SealedInstance
 from qseal.states import (
     Ensemble,
@@ -204,7 +204,7 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
             DegenerateUWarning,
         )
         return 0.0
-    excluded_labels = {_pad_label(r, k0) for r in excluded}
+    excluded_labels = {format(r, f"0{k0}b") for r in excluded}
     kept = {
         key: a
         for key, a in inst.reference.amps.items()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,27 @@ class TestDenseEvaluation:
         assert proof_chain(inst, report).trace_distance == pytest.approx(
             dense_trace_distance(inst.reference, report.returned), abs=1e-12
         )
+
+    def test_large_reference_builds_only_the_keys_it_keeps(self):
+        # A unitary on two of 512 OAEP tokens: V holds the 512 x 2 basis keys and
+        # the reference's 510 other keys (12 MiB). Keys for the whole 512 x 512
+        # block, and two more arrays of V's size next to V and the block, took
+        # the tracemalloc peak to 40 MiB.
+        inst = seal_oaep(0x5A, OaepContext.create(k0=9, n=8, with_human=False))
+        labels = sorted(inst.reference.c_labels())
+        u = random_unitary(labels[:2], 3)
+        tracemalloc.start()
+        try:
+            report = strategy_report(inst, u, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keys, v = report.members
+        expected = [(b, c) for b in sorted(inst.reference.b_labels()) for c in labels[:2]]
+        expected += [key for key in sorted(inst.reference.amps) if key[1] not in labels[:2]]
+        assert keys == expected
+        assert v.shape == (512 * 2 + 510, len(report.outcome_table) + 1)
+        assert peak < 34 * 2**20
 
     @staticmethod
     def ancilla_strategy(n_b, n_c):

@@ -126,8 +126,15 @@ class TestReferenceTokenMap:
             # digests per hash.
             (4, 600, _seeded_pairs(4, 600, 64, seed=600)),
             (16, 16, _seeded_pairs(16, 16, 256, seed=16)),
+            # Digest boundaries: G emits 256 bits (one digest) or 257 (two);
+            # the wider Feistel half is 256 bits (k = 512) or 257 (k = 513).
+            (8, 256, _seeded_pairs(8, 256, 64, seed=256)),
+            (8, 257, _seeded_pairs(8, 257, 64, seed=257)),
+            (16, 496, _seeded_pairs(16, 496, 64, seed=496)),
+            (16, 497, _seeded_pairs(16, 497, 64, seed=497)),
         ],
-        ids=["k0=1,n=8", "k0=3,n=6", "k0=4,n=600", "k0=16,n=16"],
+        ids=["k0=1,n=8", "k0=3,n=6", "k0=4,n=600", "k0=16,n=16",
+             "k0=8,n=256", "k0=8,n=257", "k0=16,n=496", "k0=16,n=497"],
     )
     @pytest.mark.parametrize("master_key", [REFERENCE_MASTER_KEY, b"\xa5" * 32], ids=["ref", "a5"])
     def test_matches_reference(self, k0, n, pairs, master_key):
@@ -146,6 +153,43 @@ class TestReferenceTokenMap:
             token = encode(y, r, ctx)
             assert token_payload(token, k) == payload
             assert ctx.human.invert(token) == _feistel_inverse(captcha_key, k, payload) == x
+
+
+class _CountingHashlib:
+    """Stands in for ``qseal.oaep``'s ``hashlib`` and counts sha256 calls."""
+
+    def __init__(self):
+        self.sha256_calls = 0
+
+    def sha256(self, data=b""):
+        self.sha256_calls += 1
+        return hashlib.sha256(data)
+
+
+@pytest.mark.parametrize(
+    "k0, n, digests",
+    [(6, 8, 6), (4, 600, 3 + 1 + 4 * 2)],
+    ids=["one-digest-hashes", "k0=4,n=600"],
+)
+def test_seal_counts_every_digest_and_one_encode_per_pad(monkeypatch, k0, n, digests):
+    # A tracer counts the token map's work by swapping this module global after
+    # the context exists, and by wrapping encode: every digest must go through
+    # the global at call time, and every pad through one encode call.
+    ctx = OaepContext.create(k0=k0, n=n, with_human=False)
+    plain = seal_oaep(5, ctx)
+    counting, pads = _CountingHashlib(), []
+
+    def counted_encode(y, r, ctx):
+        pads.append(r)
+        return encode(y, r, ctx)
+
+    monkeypatch.setattr(qseal.oaep, "hashlib", counting)
+    monkeypatch.setattr(qseal.oaep, "encode", counted_encode)
+    counted = seal_oaep(5, ctx)
+    assert pads == list(range(1 << k0))
+    assert counting.sha256_calls == digests * (1 << k0)
+    assert list(counted.reference.amps.items()) == list(plain.reference.amps.items())
+    assert list(counted.decode.items()) == list(plain.decode.items())
 
 
 class TestParams:
@@ -588,6 +632,18 @@ class TestSupportCap:
             assert sample_readout(sealed_at_cap.reference, seed) == oracle_readout(
                 sealed_at_cap.reference, seed
             )
+
+    def test_tokens_match_the_reference_at_the_cap(self, sealed_at_cap):
+        captcha_key, g_key, h_key = (
+            hashlib.sha256(REFERENCE_MASTER_KEY + tag).digest()
+            for tag in (b"|captcha", b"|G", b"|H")
+        )
+        token_of = {int(pad, 2): token for pad, token in sealed_at_cap.reference.amps}
+        for r in random.Random(16).sample(range(SUPPORT_CAP), 256):
+            s = 0x11 ^ _prf_bits(g_key, b"G", r, 16, 8)
+            t = r ^ _prf_bits(h_key, b"H", s, 8, 16)
+            payload = _feistel_forward(captcha_key, 24, (s << 16) | t)
+            assert token_payload(token_of[r], 24) == payload
 
     def test_one_bit_above_the_cap_is_rejected(self):
         ExperimentConfig(oaep_k0=(16,))
