@@ -17,8 +17,10 @@ With a unitary, a whole strategy runs on the reference's dense |B| x |C|
 block, and its returned members become sparse states only when read. Without
 one it stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
 A random sweep evaluates its trials as stacks: one QR for the unitaries, one
-rotation, and one trace-distance call per group of trials with as many
-outcomes; a single strategy is a stack of one on the same path.
+rotation, and per group of trials with as many outcomes one boolean cell
+indicator, one masked product that undoes every member, and one trace-distance
+call, made when a proof chain first needs it; a single strategy is a stack of
+one on the same path.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -30,10 +32,9 @@ instance seals a single message.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,8 +80,8 @@ class CheatReport:
     verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
     (keys, V): V's column 0 is the reference on ``keys``, column i member i.
     ``margin`` is the slack left under the closed-form bound. ``distance`` is
-    the proof chain's trace distance when the report's maker computed it (a
-    random sweep does, in groups), else None.
+    None, or for a random sweep's report (its group's cached trace-distance
+    call, its index there), which ``proof_chain`` makes on first read.
     """
 
     p: float
@@ -89,7 +90,7 @@ class CheatReport:
     outcome_table: tuple[tuple[Label, float, float], ...]
     members: Ensemble | tuple = field(repr=False, compare=False)
     p_bound: float
-    distance: float | None = field(default=None, repr=False, compare=False)
+    distance: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def returned(self) -> Ensemble:
@@ -165,11 +166,13 @@ def _rotated_branches(
     outcome count; each trial's V is a slice of its group's stack.
 
     The whole strategy stays in the reference's |B| x |C| block: rotate the
-    basis columns once for the stack (psi @ U^T), take each outcome's columns
-    of the rotated block (q is their squared norm), and undo with the
-    matching rows of conj(U), one batched product per cell size. C labels
-    outside the basis ride along under the identity: their columns are the
-    reference's own and no product touches them. Active labels are the
+    basis columns once for the stack (psi @ U^T), and mark each group's cells
+    in one boolean indicator, in_cell[g, i, j] true when column j lies in
+    outcome i's cell. q is the sum of the columns' masses under it, and member
+    i on the basis columns is (the rotated block masked to its cell / sqrt(q_i))
+    @ conj(U): one batched product per group. C labels outside the basis ride
+    along under the identity: their entries are the reference's own, masked and
+    scaled the same way, and no product touches them. Active labels are the
     columns holding some amplitude of at least ``PRUNE_TOL`` after the
     rotation. ``SparseState``'s and ``Ensemble``'s norm checks run on V.
 
@@ -180,7 +183,6 @@ def _rotated_branches(
     columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
     b_labels, psi, _ = c_block(reference, columns)
     rotated = psi[:, :n] @ np.swapaxes(matrices, -1, -2)
-    undo = matrices.conj()
     rides = psi[:, n:]  # every ride-along column holds reference amplitude, so it is active
     mass = np.concatenate(((np.abs(rotated) ** 2).sum(axis=-2), np.broadcast_to(
         (np.abs(rides) ** 2).sum(axis=0), (len(matrices), rides.shape[1]))), axis=-1)
@@ -192,48 +194,33 @@ def _rotated_branches(
     keys += [(b_labels[i], columns[n + j]) for i, j in zip(ride_b.tolist(), ride_j.tolist())]
     ride_amps = rides[ride_b, ride_j]
     reference_row = np.concatenate((psi[:, :n].ravel(), ride_amps))
-    ride_keys = np.arange(n_basis, len(keys))
     del psi, rides  # |B| x |C|; only the kept keys' amplitudes are read below
-    trials = []  # (outcomes, cells, probs) per trial
+    trials = []  # (outcomes, cells, each column's outcome index, -1 if inactive) per trial
+    by_count: dict[int, list[int]] = {}
     for t, held in enumerate((np.abs(rotated) >= PRUNE_TOL).any(axis=-2).tolist()):
         active = [j for j, h in enumerate(held) if h] + list(range(n, len(columns)))
         outcomes, cells = _cells(columns, active, partitions[t])
-        order = [j for outcome in outcomes for j in cells[outcome]]
-        starts = list(itertools.accumulate((len(cells[o]) for o in outcomes[:-1]), initial=0))
-        trials.append((outcomes, cells, np.add.reduceat(mass[t, order], starts)))
-    by_count: dict[int, list[int]] = {}
-    for t, (outcomes, _, _) in enumerate(trials):
+        cell_of = np.full(len(columns), -1)
+        for i, outcome in enumerate(outcomes):
+            cell_of[cells[outcome]] = i
+        trials.append((outcomes, cells, cell_of))
         by_count.setdefault(len(outcomes), []).append(t)
     results: list = [None] * len(trials)
     groups = []
     for m, group in by_count.items():
-        # Row 0 of a trial's slice is the reference, row i member i.
+        in_cell = np.array([trials[t][2] for t in group])[:, None] == np.arange(m)[:, None]
+        qs = (mass[group][:, None] * in_cell).sum(axis=-1)
+        roots = np.sqrt(qs)[..., None]
+        # Row 0 of a trial's slice is the reference, row i member i. The product
+        # writes into V, so the masked block is the one temporary of V's size.
         vts = np.zeros((len(group), m + 1, len(keys)), dtype=np.complex128)
         vts[:, 0] = reference_row
-        qs = np.array([trials[t][2] for t in group])
-        for vt, t, roots in zip(vts, group, np.sqrt(qs).tolist()):
-            outcomes, cells, _ = trials[t]
-            by_size: dict[int, list[tuple[int, list[int]]]] = {}
-            for i, outcome in enumerate(outcomes, 1):
-                j = [j for j in cells[outcome] if j < n]
-                if j:
-                    by_size.setdefault(len(j), []).append((i, j))
-            # Member i on the basis columns is (its cell's rotated columns / sqrt(q_i))
-            # times the matching rows of conj(U): one product for the cells of each size.
-            for pairs in by_size.values():
-                rows = [i for i, _ in pairs]
-                j = np.array([j for _, j in pairs])
-                branch = rotated[t][:, j] / np.array([roots[i - 1] for i in rows])[:, None]
-                members = np.swapaxes(branch, 0, 1) @ undo[t][j]
-                vt[rows, :n_basis] = members.reshape(len(rows), n_basis)
-            if ride_j.size:
-                row_of = [0] * (len(columns) - n)
-                for i, outcome in enumerate(outcomes, 1):
-                    for j in cells[outcome]:
-                        if j >= n:
-                            row_of[j - n] = i
-                rows = np.array(row_of)[ride_j]
-                vt[rows, ride_keys] = ride_amps / np.array(roots)[rows - 1]
+        branch = rotated[group][:, :, None] * in_cell[:, None, :, :n]
+        branch /= roots[:, None]
+        members = vts[:, 1:, :n_basis].reshape(len(group), m, -1, n).swapaxes(1, 2)
+        np.matmul(branch, matrices[group].conj()[:, None], out=members)
+        del branch
+        np.divide(ride_amps * in_cell[..., n + ride_j], roots, out=vts[:, 1:, n_basis:])
         norms = (np.abs(vts) ** 2).sum(axis=-1)
         # The entry farthest from 1 in each V; a NaN is the argmax.
         worst = np.take_along_axis(norms, np.abs(norms - 1.0).argmax(axis=-1)[:, None], -1)
@@ -367,14 +354,14 @@ def random_strategy_sweep(
     report equals ``strategy_report`` on that unitary and partition. The
     trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
     unitarity check and one rotation per chunk, and one ``span_trace_distance``
-    call per group of trials with as many outcomes. Each report stores its
-    distance for ``proof_chain``.
+    call per group of trials with as many outcomes, made when ``proof_chain``
+    first reads one of the group's reports.
 
     Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``, the cap on the
     proof chain's trace distance, so that every sweep report can be checked;
     it also fixes ``bound-sweep``'s row set. It is not there for speed: 100
     trials with their proof chains take about 0.05 s at |B| = |C| = 17 and
-    2.6 s at |B| = 2, |C| = 256 (one vCPU, single-threaded BLAS).
+    2.9 s at |B| = 2, |C| = 256 (shared 2-vCPU VM, single-threaded BLAS).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -391,10 +378,11 @@ def random_strategy_sweep(
         check_unitary(unitaries)
         partitions = [random_partition(labels, rng) for rng in rngs]
         branches, groups = _rotated_branches(inst.reference, labels, unitaries, partitions)
-        distances = [0.0] * len(branches)
+        distances: list = [None] * len(branches)
         for group, vs, qs in groups:
-            for t, distance in zip(group, span_trace_distance(vs, qs).tolist()):
-                distances[t] = distance
+            call = cache(partial(span_trace_distance, vs, qs))
+            for index, t in enumerate(group):
+                distances[t] = (call, index)
         reports.extend(_report(inst, *b, d) for b, d in zip(branches, distances))
     return reports
 
@@ -423,7 +411,7 @@ class ProofChain:
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """Evaluate the inequality chain for one report.
 
-    The trace distance is the one the report stores (a random sweep's),
+    The trace distance is the report's group call's (a random sweep's),
     else ``span_trace_distance`` on the reference and the returned branches
     (for a sparse report through its Ensemble). The other
     three links are read off the report: the acceptance gap is ``s``, the
@@ -432,7 +420,8 @@ def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     when the joint basis (a dense report's block) exceeds ``DENSE_DIM_CAP`` keys.
     """
     if report.distance is not None:
-        distance = report.distance
+        call, index = report.distance
+        distance = float(call()[index])
     elif isinstance(report.members, Ensemble):
         distance = trace_distance_pure_vs_ensemble(inst.reference, report.members)
     else:

@@ -8,8 +8,9 @@ and cheap.
 
 Dense work on register C goes through one pair of block helpers: ``c_block``
 lays a state's amplitudes on a C basis out as a |B| x |basis| array, and
-``state_from_block`` turns such an array back into a ``SparseState``. A
-unitary on C is then one matrix product on that array (``apply_unitary_c``).
+``state_from_block`` turns such an array back into a ``SparseState``.
+Strategies rotate that array in ``adversary._rotated_branches``;
+``apply_unitary_c`` is the single-state reference kept for tests and perfbench.
 
 ``collapse_branches`` gives every outcome of a partition of C with its
 post-state; ``sample_readout`` draws one label of a basis readout of C.

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from qseal.adversary import (
     soundness_bound,
     strategy_report,
 )
+from qseal.cli import main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import (
@@ -307,6 +309,55 @@ class TestStackedSweep:
         assert message.startswith("state is not normalized: sum of squared moduli is 1.002")
 
 
+class TestLazyDistance:
+    """A sweep's trace distances are computed when a proof chain first reads one,
+    with one call per group of trials with as many outcomes."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        span = adversary.span_trace_distance
+
+        def counted(vs, qs):
+            calls.append(len(vs))
+            return span(vs, qs)
+
+        monkeypatch.setattr(adversary, "span_trace_distance", counted)
+        return calls
+
+    def test_cheat_random_computes_no_distance(self, monkeypatch, tmp_path):
+        calls = self.count_calls(monkeypatch)
+        instance, out = tmp_path / "multi.json", tmp_path / "cheat.json"
+        assert main(["--out", str(instance), "seal", "--protocol", "multipicture",
+                     "--pictures", ",".join(pictures(8))]) == 0
+        assert main(["--seed", "0", "--out", str(out), "cheat", "--instance", str(instance),
+                     "--attack", "random", "--trials", "300"]) == 0
+        assert len(json.loads(out.read_text())) == 300
+        assert calls == []
+
+    def test_proof_chains_make_one_call_per_group(self, monkeypatch):
+        # 100 trials on multipicture-8 fit one chunk, so the eager calls on
+        # that chunk's groups are the sweep's.
+        inst = seal_multipicture(pictures(8))
+        labels = sorted(inst.reference.c_labels())
+        rngs = [np.random.default_rng(t) for t in range(100)]
+        stack = adversary.haar_unitaries(rngs, len(labels))
+        partitions = [random_partition(labels, rng) for rng in rngs]
+        _, groups = adversary._rotated_branches(inst.reference, labels, stack, partitions)
+        eager = [0.0] * len(rngs)
+        for group, vs, qs in groups:
+            for t, distance in zip(group, adversary.span_trace_distance(vs, qs).tolist()):
+                eager[t] = distance
+        calls = self.count_calls(monkeypatch)
+        reports = random_strategy_sweep(inst, len(rngs), rng_seed=0)
+        assert calls == []
+        chains = [proof_chain(inst, report) for report in reports]
+        assert sorted(calls) == sorted(len(group) for group, _, _ in groups)
+        assert [chain.trace_distance for chain in chains] == eager
+        assert [proof_chain(inst, report) for report in reports] == chains
+        assert len(calls) == len(groups)
+
+
 def dense_strategy(reference, basis, matrix, outcome_of):
     """Oracle: rotate, measure and undo on dense arrays over every C label.
 
@@ -416,6 +467,31 @@ class TestDenseBlockOracle:
         outcome_of = None if finest else partition.outcome_of
         self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
         assert report.members[1].shape == (4 * 2 + 62, len(report.outcome_table) + 1)
+
+    def test_stacked_trials_with_ride_along_columns(self):
+        # g0, g1, g2 and an ancilla form the basis, so M and g3 ride along. The two
+        # finest partitions share an outcome count, and so do the two three-cell
+        # ones, which put the riders in different cells.
+        inst = seal_garbage("M", ["g0", "g1", "g2", "g3"])
+        labels = sorted(inst.reference.c_labels()) + ["work"]
+        basis = ["g0", "g1", "g2", "work"]
+        rng = np.random.default_rng(5)
+        stack = adversary.haar_unitaries([np.random.default_rng(t) for t in range(6)], 4)
+        partitions = [None, None] + [ProjPartition(dict(zip(labels, cells)))
+                                     for cells in ("aabbcc", "caabbc")]
+        partitions += [random_partition(labels, rng) for _ in range(2)]
+        results, groups = adversary._rotated_branches(inst.reference, basis, stack, partitions)
+        assert max(len(group) for group, _, _ in groups) > 1
+        for t, (result, matrix, partition) in enumerate(zip(results, stack, partitions)):
+            outcome_of = None if partition is None else partition.outcome_of
+            self.assert_matches(adversary._report(inst, *result),
+                                dense_strategy(inst.reference, basis, matrix, outcome_of))
+            (single,), _ = adversary._rotated_branches(
+                inst.reference, basis, stack[t:t + 1], [partition])
+            (table, actives, (keys, v), accept), (table1, actives1, (keys1, v1), accept1) = (
+                result, single)
+            assert (table, actives, keys, accept) == (table1, actives1, keys1, accept1)
+            assert np.array_equal(v, v1)
 
     def test_partition_missing_a_rotated_into_label_raises(self):
         inst = seal_naive("M", garbage="0")
