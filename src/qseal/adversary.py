@@ -17,10 +17,10 @@ With a unitary, a whole strategy runs on the reference's dense |B| x |C|
 block, and its returned members become sparse states only when read. Without
 one it stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
 A random sweep evaluates its trials as stacks: one QR for the unitaries, one
-rotation, and per group of trials with as many outcomes one boolean cell
-indicator, one masked product that undoes every member, and one trace-distance
-call, made when a proof chain first needs it; a single strategy is a stack of
-one on the same path.
+rotation, cell numbers ranked into outcomes by array operations, and per group
+of trials with as many outcomes one boolean cell indicator, one masked product
+that undoes every member, and one trace-distance call, made when a proof chain
+first needs it; a single strategy is a stack of one on the same path.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -80,8 +80,8 @@ class CheatReport:
     verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
     (keys, V): V's column 0 is the reference on ``keys``, column i member i.
     ``margin`` is the slack left under the closed-form bound. ``distance`` is
-    None, or for a random sweep's report (its group's cached trace-distance
-    call, its index there), which ``proof_chain`` makes on first read.
+    (a cached trace-distance call, the report's index in its result), made on
+    first read by ``proof_chain``; a random sweep's reports share their group's.
     """
 
     p: float
@@ -90,7 +90,7 @@ class CheatReport:
     outcome_table: tuple[tuple[Label, float, float], ...]
     members: Ensemble | tuple = field(repr=False, compare=False)
     p_bound: float
-    distance: tuple | None = field(default=None, repr=False, compare=False)
+    distance: tuple = field(repr=False, compare=False)
 
     @cached_property
     def returned(self) -> Ensemble:
@@ -116,10 +116,10 @@ class CheatReport:
 
 
 def _sparse_branches(reference: SparseState, partition: ProjPartition | None) -> tuple:
-    """(table, active labels of each outcome, lazily, members, acceptance) with no unitary.
+    """(table, outcomes' lone active labels (or None), lazily, members, acceptance, distance).
 
-    The partition is diagonal, so each post-state is a rescaled piece of the
-    reference: nothing needs undoing, and its C labels are the active ones.
+    With no unitary the partition is diagonal, so each post-state is a rescaled
+    piece of the reference: nothing needs undoing, its C labels are the active ones.
     """
     if partition is None:
         partition = ProjPartition.finest(sorted(reference.c_labels()))
@@ -129,52 +129,57 @@ def _sparse_branches(reference: SparseState, partition: ProjPartition | None) ->
     table = [(outcome, q, squared_overlap(reference, post))
              for outcome, (q, post) in zip(outcomes, returned.members)]
     actives = (post.c_labels() for _, post in returned.members)
-    return table, actives, returned, project_accept_probability(reference, returned)
+    lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
+    distance = cache(lambda: [trace_distance_pure_vs_ensemble(reference, returned)])
+    return table, lones, returned, project_accept_probability(reference, returned), (distance, 0)
 
 
-def _cells(
-    columns: Sequence[Label], active: list[int], partition: ProjPartition | None
-) -> tuple[list[Label], dict[Label, list[int]]]:
-    """(sorted outcomes, outcome -> its active column indices, ascending) of a
-    partition, the finest over the active labels when it is None.
+@cache
+def _cell_names(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the names "cell0" ... f"cell{n - 1}" in sorted order, each cell number's rank there)."""
+    order = sorted(range(n), key=lambda k: f"cell{k}")
+    return np.array([f"cell{k}" for k in order], dtype=object), np.argsort(order)
 
-    Raises:
-        ValueError: the partition omits an active label.
-    """
-    if partition is None:
-        partition = ProjPartition.finest(sorted(columns[j] for j in active))
-    cells: dict[Label, list[int]] = {}
-    for j in active:
-        outcome = partition.outcome_of.get(columns[j])
-        if outcome is None:
-            raise ValueError(f"C label {columns[j]!r} is not covered by the partition")
-        cells.setdefault(outcome, []).append(j)
-    return sorted(cells), cells
+
+def _outcome_codes(columns: Sequence[Label], partitions) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted outcome names, each trial's code per column: its outcome's index in
+    the names, -1 if uncovered) of a (trials, columns) int array of cell numbers,
+    cell k named f"cell{k}", or of one ``ProjPartition`` per trial, None for the finest."""
+    if isinstance(partitions, np.ndarray):
+        names, rank = _cell_names(partitions.shape[-1])
+        return names, rank[partitions]
+    rows = [[c if p is None else p.outcome_of.get(c) for c in columns] for p in partitions]
+    names = sorted({outcome for row in rows for outcome in row} - {None})
+    code = {name: i for i, name in enumerate(names)} | {None: -1}
+    return np.array(names, dtype=object), np.array([[code[o] for o in row] for row in rows])
 
 
 def _rotated_branches(
     reference: SparseState,
     basis: Sequence[Label],
     matrices: np.ndarray,
-    partitions: Sequence[ProjPartition | None],
+    partitions: np.ndarray | Sequence[ProjPartition | None],
 ) -> tuple[list[tuple], list[tuple]]:
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
-    ``matrices[t]`` is measured with ``partitions[t]``. Returns (results,
-    groups): ``results[t]`` is what ``_sparse_branches`` returns, and each
-    group is (trial indices, stacked V's, stacked q's) of the trials with one
-    outcome count; each trial's V is a slice of its group's stack.
+    ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
+    Returns (results, groups): ``results[t]`` is what ``_sparse_branches``
+    returns, and each group is (trial indices, stacked V's, stacked q's) of the
+    trials with one outcome count; each trial's V is a slice of its group's
+    stack, and its distance the group's one cached ``span_trace_distance`` call.
 
     The whole strategy stays in the reference's |B| x |C| block: rotate the
-    basis columns once for the stack (psi @ U^T), and mark each group's cells
-    in one boolean indicator, in_cell[g, i, j] true when column j lies in
-    outcome i's cell. q is the sum of the columns' masses under it, and member
-    i on the basis columns is (the rotated block masked to its cell / sqrt(q_i))
-    @ conj(U): one batched product per group. C labels outside the basis ride
-    along under the identity: their entries are the reference's own, masked and
-    scaled the same way, and no product touches them. Active labels are the
-    columns holding some amplitude of at least ``PRUNE_TOL`` after the
-    rotation. ``SparseState``'s and ``Ensemble``'s norm checks run on V.
+    basis columns once for the stack (psi @ U^T), rank all trials' outcomes at
+    once (a cumulative count over the outcome codes the active columns use),
+    and mark each group's cells in one boolean indicator, in_cell[g, i, j] true
+    when column j lies in outcome i's cell. q is the sum of the columns' masses
+    under it, and member i on the basis columns is (the rotated block masked to
+    its cell / sqrt(q_i)) @ conj(U): one batched product per group. C labels
+    outside the basis ride along under the identity: their entries are the
+    reference's own, masked and scaled the same way, and no product touches
+    them. Active labels are the columns holding some amplitude of at least
+    ``PRUNE_TOL`` after the rotation. ``SparseState``'s and ``Ensemble``'s norm
+    checks run on V.
 
     Raises:
         ValueError: a partition omits an active label, or a norm check fails.
@@ -183,9 +188,12 @@ def _rotated_branches(
     columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
     b_labels, psi, _ = c_block(reference, columns)
     rotated = psi[:, :n] @ np.swapaxes(matrices, -1, -2)
+    moduli = np.abs(rotated)
     rides = psi[:, n:]  # every ride-along column holds reference amplitude, so it is active
-    mass = np.concatenate(((np.abs(rotated) ** 2).sum(axis=-2), np.broadcast_to(
+    mass = np.concatenate(((moduli ** 2).sum(axis=-2), np.broadcast_to(
         (np.abs(rides) ** 2).sum(axis=0), (len(matrices), rides.shape[1]))), axis=-1)
+    held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2),
+                           np.ones((len(matrices), len(columns) - n), dtype=bool)), axis=-1)
     # Members live on the basis columns and the reference's support: V keeps the
     # (b, basis column) keys, b-major, then the reference's keys on ride-along columns.
     ride_b, ride_j = np.nonzero(rides)
@@ -195,20 +203,23 @@ def _rotated_branches(
     ride_amps = rides[ride_b, ride_j]
     reference_row = np.concatenate((psi[:, :n].ravel(), ride_amps))
     del psi, rides  # |B| x |C|; only the kept keys' amplitudes are read below
-    trials = []  # (outcomes, cells, each column's outcome index, -1 if inactive) per trial
+    names, codes = _outcome_codes(columns, partitions)
+    uncovered = np.argwhere(held & (codes < 0))
+    if len(uncovered):
+        raise ValueError(f"C label {columns[uncovered[0, 1]]!r} is not covered by the partition")
+    used = np.zeros((len(matrices), len(names)), dtype=bool)
+    at_t, at_j = np.nonzero(held)
+    used[at_t, codes[at_t, at_j]] = True
+    # Each column's outcome index among its trial's sorted outcomes, -1 if inactive.
+    cell_of = np.where(held, np.take_along_axis(np.cumsum(used, axis=-1) - 1, codes, -1), -1)
+    labels = np.array(columns + (None,), dtype=object)  # None: no lone active label
     by_count: dict[int, list[int]] = {}
-    for t, held in enumerate((np.abs(rotated) >= PRUNE_TOL).any(axis=-2).tolist()):
-        active = [j for j, h in enumerate(held) if h] + list(range(n, len(columns)))
-        outcomes, cells = _cells(columns, active, partitions[t])
-        cell_of = np.full(len(columns), -1)
-        for i, outcome in enumerate(outcomes):
-            cell_of[cells[outcome]] = i
-        trials.append((outcomes, cells, cell_of))
-        by_count.setdefault(len(outcomes), []).append(t)
-    results: list = [None] * len(trials)
+    for t, m in enumerate(used.sum(axis=-1).tolist()):
+        by_count.setdefault(m, []).append(t)
+    results: list = [None] * len(matrices)
     groups = []
     for m, group in by_count.items():
-        in_cell = np.array([trials[t][2] for t in group])[:, None] == np.arange(m)[:, None]
+        in_cell = cell_of[group][:, None] == np.arange(m)[:, None]
         qs = (mass[group][:, None] * in_cell).sum(axis=-1)
         roots = np.sqrt(qs)[..., None]
         # Row 0 of a trial's slice is the reference, row i member i. The product
@@ -241,23 +252,23 @@ def _rotated_branches(
         acceptances = np.maximum(0.0, 1.0 - away_sq.sum(axis=-1) / norms[:, 1:])
         accepts = np.clip((qs * acceptances).sum(axis=-1), 0.0, 1.0)
         vs = np.swapaxes(vts, 1, 2)
-        for t, v, probs, row, accept in zip(
-                group, vs, qs.tolist(), acceptances.tolist(), accepts.tolist()):
-            outcomes, cells, _ = trials[t]
-            actives = [[columns[j] for j in cells[outcome]] for outcome in outcomes]
-            results[t] = (list(zip(outcomes, probs, row)), actives, (keys, v), accept)
+        outcomes = names[np.nonzero(used[group])[1]].reshape(len(group), m).tolist()
+        lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
+        call = cache(partial(span_trace_distance, vs, qs))
+        for index, (t, v, named, probs, row, lone, accept) in enumerate(zip(
+                group, vs, outcomes, qs.tolist(), acceptances.tolist(), lones, accepts.tolist())):
+            results[t] = (list(zip(named, probs, row)), lone, (keys, v), accept, (call, index))
         groups.append((group, vs, qs))
     return results, groups
 
 
-def _report(inst: SealedInstance, table, actives, members, accept, distance=None) -> CheatReport:
+def _report(inst: SealedInstance, table, lones, members, accept, distance) -> CheatReport:
     """The report of one strategy from its branches (what ``_sparse_branches`` returns)."""
     recovery_mass: dict[str, float] = {}
-    for (_, prob, _), active in zip(table, actives):
-        if len(active) == 1:
-            message = inst.decode.get(next(iter(active)))
-            if message is not None:
-                recovery_mass[message] = recovery_mass.get(message, 0.0) + prob
+    for (_, prob, _), lone in zip(table, lones):
+        message = inst.decode.get(lone)
+        if message is not None:
+            recovery_mass[message] = recovery_mass.get(message, 0.0) + prob
     p = min(1.0, float(sum(recovery_mass.values())))
     p_bound = min(1.0, float(max(recovery_mass.values(), default=0.0)))
     return CheatReport(p, 1.0 - accept, soundness_bound(p_bound), tuple(table), members,
@@ -326,14 +337,17 @@ def optimal_post_collapse_response(
     return best_accept, best_state
 
 
+def _random_cells(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The cell numbers of n sorted labels: a cell count in 1..n, then one cell each."""
+    n_cells = int(rng.integers(1, n + 1))
+    return rng.integers(0, n_cells, size=n)
+
+
 def random_partition(labels: Sequence[Label], rng: np.random.Generator) -> ProjPartition:
     """Random assignment of labels to between 1 and len(labels) outcomes."""
     labels = sorted(labels)
-    n_cells = int(rng.integers(1, len(labels) + 1))
-    assignment = rng.integers(0, n_cells, size=len(labels))
-    return ProjPartition(
-        {label: f"cell{cell}" for label, cell in zip(labels, assignment)}
-    )
+    cells = _random_cells(len(labels), rng).tolist()
+    return ProjPartition({label: f"cell{cell}" for label, cell in zip(labels, cells)})
 
 
 # Trials per chunk of a sweep, so that a chunk's stacked V's (about
@@ -353,15 +367,16 @@ def random_strategy_sweep(
     and then ``random_partition`` draw, so sweeps are reproducible and each
     report equals ``strategy_report`` on that unitary and partition. The
     trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
-    unitarity check and one rotation per chunk, and one ``span_trace_distance``
-    call per group of trials with as many outcomes, made when ``proof_chain``
-    first reads one of the group's reports.
+    unitarity check, one rotation and one (trials, |C|) array of cell numbers
+    (no ``ProjPartition``) per chunk, and one ``span_trace_distance`` call per
+    group of trials with as many outcomes, made when ``proof_chain`` first reads
+    one of the group's reports.
 
     Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``, the cap on the
     proof chain's trace distance, so that every sweep report can be checked;
     it also fixes ``bound-sweep``'s row set. It is not there for speed: 100
-    trials with their proof chains take about 0.05 s at |B| = |C| = 17 and
-    2.9 s at |B| = 2, |C| = 256 (shared 2-vCPU VM, single-threaded BLAS).
+    trials with their proof chains take 0.03-0.05 s at |B| = |C| = 17 and
+    2.8-2.9 s at |B| = 2, |C| = 256 (shared 2-vCPU VM, single-threaded BLAS).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -376,14 +391,9 @@ def random_strategy_sweep(
                 for t in range(first, min(trials, first + per_chunk))]
         unitaries = haar_unitaries(rngs, n)
         check_unitary(unitaries)
-        partitions = [random_partition(labels, rng) for rng in rngs]
-        branches, groups = _rotated_branches(inst.reference, labels, unitaries, partitions)
-        distances: list = [None] * len(branches)
-        for group, vs, qs in groups:
-            call = cache(partial(span_trace_distance, vs, qs))
-            for index, t in enumerate(group):
-                distances[t] = (call, index)
-        reports.extend(_report(inst, *b, d) for b, d in zip(branches, distances))
+        cells = np.array([_random_cells(n, rng) for rng in rngs])
+        branches, _ = _rotated_branches(inst.reference, labels, unitaries, cells)
+        reports.extend(_report(inst, *b) for b in branches)
     return reports
 
 
@@ -411,21 +421,16 @@ class ProofChain:
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """Evaluate the inequality chain for one report.
 
-    The trace distance is the report's group call's (a random sweep's),
-    else ``span_trace_distance`` on the reference and the returned branches
-    (for a sparse report through its Ensemble). The other
+    The trace distance is the report's cached call, made once however often it
+    is read: ``span_trace_distance`` on its group's V's for a dense report, else
+    ``trace_distance_pure_vs_ensemble`` on the returned Ensemble. The other
     three links are read off the report: the acceptance gap is ``s``, the
     convex sum weighs each branch's pure-state distance sqrt(1 - acceptance)
     by its probability, and the closed form is ``bound``. Raises ValueError
     when the joint basis (a dense report's block) exceeds ``DENSE_DIM_CAP`` keys.
     """
-    if report.distance is not None:
-        call, index = report.distance
-        distance = float(call()[index])
-    elif isinstance(report.members, Ensemble):
-        distance = trace_distance_pure_vs_ensemble(inst.reference, report.members)
-    else:
-        distance = span_trace_distance(report.members[1], [q for _, q, _ in report.outcome_table])
+    call, index = report.distance
+    distance = float(call()[index])
     convex = sum(
         q * math.sqrt(max(0.0, 1.0 - acceptance))
         for _, q, acceptance in report.outcome_table

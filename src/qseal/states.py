@@ -339,16 +339,20 @@ def check_unitary(m: np.ndarray) -> None:
 def haar_unitaries(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
     """One n x n Haar-random unitary per generator, as a (len(rngs), n, n) stack.
 
-    Each generator draws one complex Gaussian (real part, then imaginary
-    part); the stack goes through one QR. Each column of Q is multiplied by
-    the phase d / |d| of R's matching diagonal entry, which makes the
+    Each generator fills its (2, n, n) slice of one normal block with one
+    ``standard_normal`` call (real parts, then imaginary parts: two ``normal``
+    draws' values); their complex stack goes through one QR. Each column of Q is
+    multiplied by the phase d / |d| of R's matching diagonal entry, which makes the
     factorization unique (R's diagonal positive) and the distribution Haar
     (Mezzadri, "How to generate random matrices from the classical compact
     groups", 2007). Not checked for unitarity: see ``check_unitary``.
     """
+    normals = np.empty((len(rngs), 2, n, n))
+    for block, rng in zip(normals, rngs):
+        rng.standard_normal(out=block)
     gaussians = np.empty((len(rngs), n, n), dtype=np.complex128)
-    for g, rng in zip(gaussians, rngs):
-        g[...] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gaussians.real, gaussians.imag = normals[:, 0], normals[:, 1]
+    del normals
     q, r = np.linalg.qr(gaussians)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: trace
 distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, random
-unitaries are checked against a Gram-Schmidt reference, sampled readouts
+unitaries are checked against a Gram-Schmidt reference, random partitions
+against a copy of the sampler that built them label by label, sampled readouts
 against a copy of the partition sampler that ``sample_readout`` replaced, and
 ``oaep.tu_overlap`` against a copy of the version that built a second state.
 """
@@ -12,7 +13,7 @@ import bisect
 import itertools
 import math
 import warnings
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,6 +127,19 @@ def gram_schmidt_unitary(n, rng):
                 v -= (q[:, i].conj() @ v) * q[:, i]
         q[:, j] = v / np.linalg.norm(v)
     return q
+
+
+# The random partition sampler as qseal had it before a sweep drew cell rows,
+# copied unchanged apart from its name: the draw order it fixes is the
+# specification ``adversary._random_cells`` keeps.
+def reference_random_partition(labels: Sequence[Label], rng: np.random.Generator) -> ProjPartition:
+    """Random assignment of labels to between 1 and len(labels) outcomes."""
+    labels = sorted(labels)
+    n_cells = int(rng.integers(1, len(labels) + 1))
+    assignment = rng.integers(0, n_cells, size=len(labels))
+    return ProjPartition(
+        {label: f"cell{cell}" for label, cell in zip(labels, assignment)}
+    )
 
 
 # The partition sampler as qseal had it before ``states.sample_readout``,

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_trace_distance, enumerate_basis_readout, max_abs_diff, uniform_state
+from conftest import (
+    dense_trace_distance,
+    enumerate_basis_readout,
+    identity_unitary,
+    max_abs_diff,
+    reference_random_partition,
+    uniform_state,
+)
 from qseal import adversary
 from qseal.adversary import (
     basis_cheat,
@@ -28,6 +35,7 @@ from qseal.states import (
     ProjPartition,
     SparseState,
     random_unitary,
+    span_trace_distance,
     squared_overlap,
     trace_distance_pure,
     trace_distance_pure_vs_ensemble,
@@ -252,9 +260,12 @@ class TestStackedSweep:
             single = strategy_report(inst, u, partition)
             assert report.outcome_table == single.outcome_table
             assert (report.p, report.s, report.bound) == (single.p, single.s, single.bound)
-            assert single.distance is None and report.distance is not None
+            qs = [q for _, q, _ in single.outcome_table]
+            assert proof_chain(inst, report).trace_distance == span_trace_distance(
+                single.members[1], qs)
             assert proof_chain(inst, report) == proof_chain(inst, single)
             assert np.array_equal(report.members[1], single.members[1])
+        return reports
 
     @staticmethod
     def per_chunk(inst):
@@ -266,6 +277,17 @@ class TestStackedSweep:
         ids=["multipicture-8", "garbage-3"])
     def test_trials_across_a_chunk_boundary(self, inst):
         self.assert_trials_are_single_strategies(inst, self.per_chunk(inst) + 3, rng_seed=7)
+
+    def test_cell_names_sort_as_text_across_a_chunk_boundary(self):
+        # 17 labels draw up to 17 cells, and "cell10" ... "cell16" sort before "cell2".
+        inst = seal_garbage("M", [f"g{i}" for i in range(16)])
+        assert self.per_chunk(inst) == 13
+        reports = self.assert_trials_are_single_strategies(inst, 16, rng_seed=7)
+        outcomes = [[row[0] for row in report.outcome_table] for report in reports]
+        assert all(names == sorted(names) for names in outcomes)
+        assert any("cell2" in names and any(len(o) == 6 and o.startswith("cell1")
+                                            for o in names[:names.index("cell2")])
+                   for names in outcomes)
 
     def test_one_trial_per_chunk(self, monkeypatch):
         inst = seal_multipicture(pictures(5))
@@ -307,6 +329,55 @@ class TestStackedSweep:
         message = str(batch.value)
         assert message == str(single.value)
         assert message.startswith("state is not normalized: sum of squared moduli is 1.002")
+
+
+class TestCellRows:
+    """A sweep hands its partitions to ``_rotated_branches`` as rows of cell numbers."""
+
+    def test_cell_rows_equal_their_partitions_with_an_inactive_column(self):
+        # The Hadamard on c0, c1 sends b0's two equal amplitudes wholly to c0, so
+        # c1 holds nothing after it: a cell holding only c1 is no outcome.
+        reference = uniform_state([("b0", "c0"), ("b0", "c1"), ("b1", "c2")])
+        basis = ["c0", "c1", "c2"]
+        root = math.sqrt(2.0)
+        hadamard = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, root]]) / root
+        drawn = adversary.haar_unitaries([np.random.default_rng(t) for t in range(4)], 3)
+        stack = np.concatenate((np.repeat(hadamard[None], 4, axis=0), drawn))
+        rng = np.random.default_rng(0)
+        cells = np.array([[0, 1, 0], [1, 2, 0], [2, 1, 0], [0, 0, 0]]
+                         + [adversary._random_cells(3, rng) for _ in range(4)])
+        partitions = [ProjPartition({c: f"cell{k}" for c, k in zip(basis, row)})
+                      for row in cells.tolist()]
+        by_row, row_groups = adversary._rotated_branches(reference, basis, stack, cells)
+        by_partition, groups = adversary._rotated_branches(reference, basis, stack, partitions)
+        assert [[o for o, _, _ in result[0]] for result in by_row[:4]] == [
+            ["cell0"], ["cell0", "cell1"], ["cell0", "cell2"], ["cell0"]]
+        assert [group for group, _, _ in row_groups] == [group for group, _, _ in groups]
+        for row, partition in zip(by_row, by_partition):
+            (table, lones, (keys, v), accept, _), (table1, lones1, (keys1, v1), accept1, _) = (
+                row, partition)
+            assert (table, lones, keys, accept) == (table1, lones1, keys1, accept1)
+            assert np.array_equal(v, v1)
+
+    def test_sweep_builds_no_partition(self, monkeypatch):
+        inst = seal_garbage("M", [f"g{i}" for i in range(11)])
+        expected = random_strategy_sweep(inst, 30, rng_seed=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep builds no ProjPartition")
+
+        monkeypatch.setattr(adversary, "random_partition", refuse)
+        monkeypatch.setattr(adversary, "ProjPartition", refuse)
+        assert random_strategy_sweep(inst, 30, rng_seed=2) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 17, 64])
+    def test_random_partition_draws_as_the_label_by_label_sampler(self, n):
+        labels = [f"c{i}" for i in reversed(range(n))]
+        for seed in range(32):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_partition(labels, rng) == reference_random_partition(
+                labels, reference_rng)
+            assert rng.random() == reference_rng.random()
 
 
 class TestLazyDistance:
@@ -411,6 +482,17 @@ class TestDenseBlockOracle:
             for key, want in want_amps.items():
                 assert abs(member.amps.get(key, 0.0) - want) <= 1e-12
 
+    @pytest.mark.parametrize("cells", ["aabc", "abcd", "aaaa"])
+    def test_identity_unitary_recovers_as_the_sparse_path(self, cells):
+        # Only a cell holding one active label pinpoints a picture.
+        inst = seal_multipicture(pictures(4))
+        labels = sorted(inst.reference.c_labels())
+        partition = ProjPartition(dict(zip(labels, cells)))
+        dense = strategy_report(inst, identity_unitary(labels), partition)
+        sparse = strategy_report(inst, None, partition)
+        assert dense.p == pytest.approx(sparse.p, abs=1e-12)
+        assert dense.p_bound == pytest.approx(sparse.p_bound, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
     def test_ancilla_label_outside_the_support(self, seed, finest):
@@ -488,9 +570,9 @@ class TestDenseBlockOracle:
                                 dense_strategy(inst.reference, basis, matrix, outcome_of))
             (single,), _ = adversary._rotated_branches(
                 inst.reference, basis, stack[t:t + 1], [partition])
-            (table, actives, (keys, v), accept), (table1, actives1, (keys1, v1), accept1) = (
+            (table, lones, (keys, v), accept, _), (table1, lones1, (keys1, v1), accept1, _) = (
                 result, single)
-            assert (table, actives, keys, accept) == (table1, actives1, keys1, accept1)
+            assert (table, lones, keys, accept) == (table1, lones1, keys1, accept1)
             assert np.array_equal(v, v1)
 
     def test_partition_missing_a_rotated_into_label_raises(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qseal import harness
+from qseal import adversary, harness
 from qseal.harness import (
     ConfigInvalid,
     ExperimentConfig,
@@ -119,6 +119,28 @@ class TestBoundSweep:
         assert len(rows) == 827
         assert len(chains) == len(rows)
         assert all(chain.holds() for chain in chains)
+
+    def test_named_rows_compute_each_distance_once(self, monkeypatch):
+        # generic and basis share one report, so 9 instances' 27 named rows
+        # need 18 trace distances; each is the one the sparse formula gives.
+        distance, chain_of = adversary.trace_distance_pure_vs_ensemble, harness.proof_chain
+        calls, chains = [], []
+
+        def counting_distance(psi, sigma):
+            calls.append(sigma)
+            return distance(psi, sigma)
+
+        def recording_proof_chain(inst, report):
+            chains.append((inst, report, chain_of(inst, report)))
+            return chains[-1][2]
+
+        monkeypatch.setattr(adversary, "trace_distance_pure_vs_ensemble", counting_distance)
+        monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
+        rows = run_bound_sweep(ExperimentConfig(trials=0))
+        assert len(rows) == len(chains) == 27
+        assert len(calls) == 18
+        for inst, report, chain in chains:
+            assert chain.trace_distance == distance(inst.reference, report.members)
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")
