@@ -32,6 +32,7 @@ instance seals a single message.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -350,6 +351,103 @@ def random_partition(labels: Sequence[Label], rng: np.random.Generator) -> ProjP
     return ProjPartition({label: f"cell{cell}" for label, cell in zip(labels, cells)})
 
 
+# numpy's SeedSequence hash constants and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _LOW128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, from the running constant ``h``."""
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal h
+        xor, h = h, h * mult & _LOW32
+        words = (words ^ np.uint32(xor)) * np.uint32(h)
+        return words ^ (words >> np.uint32(16))
+    return hashmix
+
+
+def _pcg64_states(seeds: range) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.default_rng(seed)``'s PCG64 for each seed.
+
+    ``SeedSequence``'s ``mix_entropy`` and ``generate_state(4, uint64)`` run as
+    uint32 array operations on the seeds' 32-bit words, low first, then PCG64's
+    seeding step: state = ((inc + s) * MULT + inc) mod 2^128, inc = 2 initseq + 1.
+    A missing pool word hashes as a zero word does, so seeds below 2^128 share
+    one pass on four words; longer ones take one pass per word count.
+    """
+    if seeds.start < 0:
+        raise ValueError("expected non-negative integer")
+    states: list[tuple[int, int]] = []
+    start = seeds.start
+    while start < seeds.stop:
+        width = max(4, -(-start.bit_length() // 32))
+        stop = min(seeds.stop, 1 << 32 * width)
+        entropy = b"".join(seed.to_bytes(4 * width, "little") for seed in range(start, stop))
+        words = list(np.frombuffer(entropy, dtype="<u4").reshape(-1, width).T)
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in words[:4]]
+        # Each pool word mixes in every other pool word's hash, then each extra word's.
+        for src, dst in [*itertools.permutations(range(4), 2),
+                         *itertools.product(range(4, width), range(4))]:
+            hashed = hashmix(pool[src] if src < 4 else words[src])
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+            pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        # generate_state's uint64 words join its uint32 words low half first;
+        # PCG64 reads s from uint64 words 0 and 1, initseq from 2 and 3, high word first.
+        s_hi, s_lo, i_hi, i_lo = ((lo | (hi << np.uint64(32))).tolist()
+                                  for lo, hi in zip(out[::2], out[1::2]))
+        for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+            inc = (c << 64 | d) << 1 & _LOW128 | 1
+            states.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _LOW128, inc))
+        start = stop
+    return states
+
+
+def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(draws in [0, k), accepted) of 32-bit words held as uint64, by the rule
+    ``Generator.integers`` applies (Lemire, "Fast random integer generation in
+    an interval", 2019): m = word * k gives m >> 32 unless m mod 2^32 < (2^32 - k) mod k."""
+    k = np.asarray(k, dtype=np.uint64)
+    m = words * k
+    return m >> np.uint64(32), (m & np.uint64(_LOW32)) >= (np.uint64(1 << 32) - k) % k
+
+
+def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 2, n, n) normal block and (T, n) cell rows that ``random_unitary``
+    and then ``_random_cells`` draw from each state, set in turn on ``rng``'s PCG64.
+
+    A trial makes one ``standard_normal`` fill and one ``random_raw`` call; its
+    cell count and cells are ``_lemire`` across the trials on the raw words'
+    32-bit halves, low half first (``next_uint32``'s order), where a range of
+    one takes no word. A trial with a rejected word (chance below n^2 / 2^32)
+    is drawn again by ``_random_cells``, word by word.
+    """
+    bitgen = rng.bit_generator
+    normals = np.empty((len(states), 2, n, n))
+    raw = np.empty((len(states), n // 2 + 1), dtype=np.uint64)  # n + 1 words or more
+
+    def reseed_and_fill(t: int) -> None:
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": dict(zip(("state", "inc"), states[t]))}
+        rng.standard_normal(out=normals[t])
+
+    for t in range(len(states)):
+        reseed_and_fill(t)
+        raw[t] = bitgen.random_raw(raw.shape[1])
+    words = np.stack((raw & np.uint64(_LOW32), raw >> np.uint64(32)), -1).reshape(len(raw), -1)
+    count, count_kept = _lemire(words[:, 0], n)
+    cells, kept = _lemire(words[:, 1:n + 1], count[:, None] + np.uint64(1))
+    cells = cells.astype(np.int64)
+    for t in np.flatnonzero(~(count_kept & kept.all(axis=-1))).tolist():
+        reseed_and_fill(t)
+        cells[t] = _random_cells(n, rng)
+    return normals, cells
+
+
 # Trials per chunk of a sweep, so that a chunk's stacked V's (about
 # |B| x |C| x |C| amplitudes per trial) hold at most this many amplitudes.
 # With every trial in one chunk, bound-sweep's peak memory rose from 44.1 to
@@ -364,19 +462,21 @@ def random_strategy_sweep(
     """Stress the bound with random unitaries and random partitions.
 
     Trial t draws from ``default_rng(rng_seed + t)`` what ``random_unitary``
-    and then ``random_partition`` draw, so sweeps are reproducible and each
-    report equals ``strategy_report`` on that unitary and partition. The
+    and then ``random_partition`` draw, bit for bit, so sweeps are reproducible
+    and each report equals ``strategy_report`` on that unitary and partition;
+    no generator is built per trial (``_pcg64_states``, ``_draw_trials``). The
     trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
     unitarity check, one rotation and one (trials, |C|) array of cell numbers
     (no ``ProjPartition``) per chunk, and one ``span_trace_distance`` call per
     group of trials with as many outcomes, made when ``proof_chain`` first reads
     one of the group's reports.
 
-    Raises ValueError when |B|*|C| exceeds ``DENSE_DIM_CAP``, the cap on the
-    proof chain's trace distance, so that every sweep report can be checked;
-    it also fixes ``bound-sweep``'s row set. It is not there for speed: 100
-    trials with their proof chains take 0.03-0.05 s at |B| = |C| = 17 and
-    2.8-2.9 s at |B| = 2, |C| = 256 (shared 2-vCPU VM, single-threaded BLAS).
+    Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
+    ``DENSE_DIM_CAP``, the cap on the proof chain's trace distance, so that
+    every sweep report can be checked; it also fixes ``bound-sweep``'s row set.
+    It is not there for speed: 100 trials with their proof chains take
+    0.03-0.05 s at |B| = |C| = 17 and 2.7-3.1 s at |B| = 2, |C| = 256 (shared
+    2-vCPU VM, single-threaded BLAS).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -385,13 +485,14 @@ def random_strategy_sweep(
     if n_b * n > DENSE_DIM_CAP:
         raise ValueError(f"sweep joint dimension {n_b * n} exceeds cap {DENSE_DIM_CAP}")
     per_chunk = max(1, _CHUNK_AMPLITUDES // (n_b * n * n))
+    states = _pcg64_states(range(rng_seed, rng_seed + trials))
+    rng = np.random.Generator(np.random.PCG64(0))  # reseeded per trial
     reports = []
     for first in range(0, trials, per_chunk):
-        rngs = [np.random.default_rng(rng_seed + t)
-                for t in range(first, min(trials, first + per_chunk))]
-        unitaries = haar_unitaries(rngs, n)
+        normals, cells = _draw_trials(rng, states[first:first + per_chunk], n)
+        unitaries = haar_unitaries(normals)
+        del normals  # not held through the rotation
         check_unitary(unitaries)
-        cells = np.array([_random_cells(n, rng) for rng in rngs])
         branches, _ = _rotated_branches(inst.reference, labels, unitaries, cells)
         reports.extend(_report(inst, *b) for b in branches)
     return reports

@@ -20,11 +20,13 @@ QR column per state) instead of on a square matrix over their joint support,
 and that joint support is capped at ``DENSE_DIM_CAP`` keys.
 
 The dense helpers take one matrix or a stack of them (leading axes), so a
-random sweep runs one QR for its Haar draws (``haar_unitaries``), one
-unitarity check (``check_unitary``) and one trace-distance call per group of
-equal-shaped V's (``span_trace_distance``). numpy runs a stack slice by slice
-through the same LAPACK and BLAS calls, so a slice's result has the bits of
-the call on that slice alone.
+random sweep runs one QR for its Haar draws (``haar_unitaries`` on a chunk's
+(trials, 2, n, n) normal block, each slice filled as ``default_rng(seed + t)``
+would fill it), one unitarity check (``check_unitary``) and one
+trace-distance call per group of equal-shaped V's (``span_trace_distance``).
+numpy runs a stack slice by slice through the same LAPACK and BLAS calls, so
+a slice's result has the bits of the call on that slice alone, and a sweep's
+unitaries have the bits of ``random_unitary`` on each trial's generator.
 """
 
 from __future__ import annotations
@@ -336,23 +338,20 @@ def check_unitary(m: np.ndarray) -> None:
         raise ValueError(f"matrix is not unitary (defect {defects[failing.argmax()]:.3e})")
 
 
-def haar_unitaries(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
-    """One n x n Haar-random unitary per generator, as a (len(rngs), n, n) stack.
+def haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """The n x n Haar-random unitaries of a (T, 2, n, n) standard normal block,
+    as a (T, n, n) stack.
 
-    Each generator fills its (2, n, n) slice of one normal block with one
-    ``standard_normal`` call (real parts, then imaginary parts: two ``normal``
-    draws' values); their complex stack goes through one QR. Each column of Q is
-    multiplied by the phase d / |d| of R's matching diagonal entry, which makes the
+    Slice t holds real parts, then imaginary parts: the values of one
+    ``standard_normal((2, n, n))`` fill, or of two ``normal(size=(n, n))`` draws.
+    Their complex stack goes through one QR. Each column of Q is multiplied by
+    the phase d / |d| of R's matching diagonal entry, which makes the
     factorization unique (R's diagonal positive) and the distribution Haar
     (Mezzadri, "How to generate random matrices from the classical compact
     groups", 2007). Not checked for unitarity: see ``check_unitary``.
     """
-    normals = np.empty((len(rngs), 2, n, n))
-    for block, rng in zip(normals, rngs):
-        rng.standard_normal(out=block)
-    gaussians = np.empty((len(rngs), n, n), dtype=np.complex128)
+    gaussians = np.empty(normals[:, 0].shape, dtype=np.complex128)
     gaussians.real, gaussians.imag = normals[:, 0], normals[:, 1]
-    del normals
     q, r = np.linalg.qr(gaussians)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
@@ -360,11 +359,11 @@ def haar_unitaries(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
 
 def random_unitary(labels: Iterable[Label], rng: np.random.Generator | int) -> LocalUnitary:
     """Haar-random unitary on ``labels`` from a seeded complex Gaussian
-    (``haar_unitaries`` with one generator)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    (``haar_unitaries`` on one ``standard_normal((1, 2, n, n))`` block)."""
     labels = tuple(labels)
-    return LocalUnitary(labels, haar_unitaries([rng], len(labels))[0])
+    n = len(labels)
+    normals = np.random.default_rng(rng).standard_normal((1, 2, n, n))  # a Generator passes through
+    return LocalUnitary(labels, haar_unitaries(normals)[0])
 
 
 def state_to_dict(state: SparseState) -> dict:

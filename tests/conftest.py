@@ -115,6 +115,12 @@ def identity_unitary(labels):
     return LocalUnitary(labels, np.eye(len(labels), dtype=np.complex128))
 
 
+def normal_block(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """The (len(rngs), 2, n, n) block ``haar_unitaries`` takes: one
+    ``standard_normal((2, n, n))`` fill per generator, as ``random_unitary`` draws."""
+    return np.stack([rng.standard_normal((2, n, n)) for rng in rngs])
+
+
 def gram_schmidt_unitary(n, rng):
     """Reference: Gram-Schmidt, applied twice per column, on the complex
     Gaussian draw ``random_unitary`` makes; R's diagonal comes out positive."""

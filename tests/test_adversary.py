@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from conftest import (
     enumerate_basis_readout,
     identity_unitary,
     max_abs_diff,
+    normal_block,
     reference_random_partition,
     uniform_state,
 )
@@ -194,6 +199,21 @@ class TestRandomStrategySweep:
         assert degenerate.bound == direct.bound
         assert degenerate.outcome_table == direct.outcome_table
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_strategy_sweep(seal_naive("M", garbage="0"), 3, rng_seed=-1)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, {}; print('numpy.random' in sys.modules)"
+        if subprocess.run([sys.executable, "-c", probe.format("numpy")], env=env,
+                          capture_output=True, text=True, check=True).stdout.strip() == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        loaded = subprocess.run([sys.executable, "-c", probe.format("qseal")], env=env,
+                                capture_output=True, text=True, check=True).stdout.strip()
+        assert loaded == "False"
+
     def test_sweep_is_deterministic(self):
         inst = seal_naive("M", garbage="0")
         a = random_strategy_sweep(inst, 10, rng_seed=3)
@@ -298,14 +318,15 @@ class TestStackedSweep:
         inst = seal_multipicture(pictures(4))
         draw = adversary.haar_unitaries
 
-        def one_bad_slice(rngs, n):
-            stack = draw(rngs, n)
+        def one_bad_slice(normals):
+            stack = draw(normals)
             stack[len(stack) // 2] *= 1.001
             return stack
 
         monkeypatch.setattr(adversary, "haar_unitaries", one_bad_slice)
         labels = tuple(sorted(inst.reference.c_labels()))
-        bad = one_bad_slice([np.random.default_rng(t) for t in range(5)], len(labels))[2]
+        rngs = [np.random.default_rng(t) for t in range(5)]
+        bad = one_bad_slice(normal_block(rngs, len(labels)))[2]
         with pytest.raises(ValueError) as single:
             LocalUnitary(labels, bad)
         with pytest.raises(ValueError) as batch:
@@ -318,7 +339,8 @@ class TestStackedSweep:
         # check, leaves every member's norm off 1 by the square of the scale.
         inst = seal_multipicture(pictures(4))
         labels = tuple(sorted(inst.reference.c_labels()))
-        stack = adversary.haar_unitaries([np.random.default_rng(t) for t in range(4)], len(labels))
+        stack = adversary.haar_unitaries(
+            normal_block([np.random.default_rng(t) for t in range(4)], len(labels)))
         stack[1] *= 1.001
         u = random_unitary(labels, 0)
         object.__setattr__(u, "matrix", stack[1])
@@ -341,7 +363,8 @@ class TestCellRows:
         basis = ["c0", "c1", "c2"]
         root = math.sqrt(2.0)
         hadamard = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, root]]) / root
-        drawn = adversary.haar_unitaries([np.random.default_rng(t) for t in range(4)], 3)
+        rngs = [np.random.default_rng(t) for t in range(4)]
+        drawn = adversary.haar_unitaries(normal_block(rngs, 3))
         stack = np.concatenate((np.repeat(hadamard[None], 4, axis=0), drawn))
         rng = np.random.default_rng(0)
         cells = np.array([[0, 1, 0], [1, 2, 0], [2, 1, 0], [0, 0, 0]]
@@ -380,6 +403,84 @@ class TestCellRows:
             assert rng.random() == reference_rng.random()
 
 
+def default_rng_state(seed):
+    """(state, inc) of numpy's own ``default_rng(seed)``."""
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestStreamEquivalence:
+    """A sweep seeds and draws its trials without ``default_rng``, and gets its bits.
+
+    The emulation copies numpy internals (``SeedSequence``'s hash, PCG64's
+    seeding step and ``Generator.integers``' rule), so these tests also run
+    against the oldest numpy ``pyproject.toml`` allows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                      2**128 - 1, 2**128, 2**200])
+    def test_states_at_word_boundaries(self, seed):
+        assert adversary._pcg64_states(range(seed, seed + 1)) == [default_rng_state(seed)]
+
+    def test_a_range_across_word_counts(self):
+        # Four words, then five: two hashing passes in one call.
+        seeds = range(2**128 - 3, 2**128 + 3)
+        assert adversary._pcg64_states(seeds) == [default_rng_state(s) for s in seeds]
+
+    @given(seed=st.integers(0, 2**140 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_states_equal_default_rng(self, seed):
+        assert adversary._pcg64_states(range(seed, seed + 1)) == [default_rng_state(seed)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256, 512])
+    def test_normals_and_cells_equal_default_rng_draws(self, n):
+        seeds = range(40, 40 + (24 if n <= 64 else 3))
+        rng = np.random.Generator(np.random.PCG64(0))
+        normals, cells = adversary._draw_trials(rng, adversary._pcg64_states(seeds), n)
+        assert normals.shape == (len(seeds), 2, n, n) and cells.shape == (len(seeds), n)
+        for seed, block, row in zip(seeds, normals, cells):
+            reference = np.random.default_rng(seed)
+            assert np.array_equal(block, reference.standard_normal((2, n, n)))
+            assert np.array_equal(row, adversary._random_cells(n, reference))
+
+    @pytest.mark.parametrize("k", [2**31 + 1, 3])
+    def test_lemire_rule_equals_integers(self, k):
+        # k = 2^31 + 1 rejects about half its words, so the accepted draws in
+        # order, low half before high half, must skip exactly numpy's rejects.
+        bitgen = np.random.PCG64(11)
+        reference = np.random.Generator(np.random.PCG64(11)).integers(0, k, size=200)
+        raw = bitgen.random_raw(300)
+        words = np.stack((raw & np.uint64(2**32 - 1), raw >> np.uint64(32)), axis=-1).ravel()
+        draws, kept = adversary._lemire(words, k)
+        if k == 3:
+            assert kept.all()
+        else:
+            assert 200 < kept.sum() < 400
+        assert np.array_equal(draws[kept][:200], reference)
+
+    def test_lemire_threshold_is_inclusive(self):
+        # k = 3: the threshold (2^32 - 3) mod 3 is 1. 0xAAAAAAAB * 3 = 2 * 2^32 + 1
+        # leaves exactly 1 and is kept (draw 2); a zero word leaves 0 and is rejected.
+        draws, kept = adversary._lemire(np.array([0xAAAAAAAB, 0], dtype=np.uint64), 3)
+        assert draws.tolist() == [2, 0] and kept.tolist() == [True, False]
+
+    def test_rejected_trials_are_redrawn_exactly(self, monkeypatch):
+        # A chunk's natural rejections are rarer than n^2 / 2^32 per trial, so
+        # reject every word of every other trial: each is redrawn by _random_cells.
+        inst = seal_garbage("M", [f"g{i}" for i in range(11)])
+        expected = random_strategy_sweep(inst, 30, rng_seed=9)
+        lemire = adversary._lemire
+
+        def reject_odd_trials(words, k):
+            draws, kept = lemire(words, k)
+            kept[1::2] = False
+            return draws * 0, kept
+
+        monkeypatch.setattr(adversary, "_lemire", reject_odd_trials)
+        redrawn = random_strategy_sweep(inst, 30, rng_seed=9)
+        assert redrawn[1::2] == expected[1::2]
+        assert redrawn[::2] != expected[::2]
+
+
 class TestLazyDistance:
     """A sweep's trace distances are computed when a proof chain first reads one,
     with one call per group of trials with as many outcomes."""
@@ -412,7 +513,7 @@ class TestLazyDistance:
         inst = seal_multipicture(pictures(8))
         labels = sorted(inst.reference.c_labels())
         rngs = [np.random.default_rng(t) for t in range(100)]
-        stack = adversary.haar_unitaries(rngs, len(labels))
+        stack = adversary.haar_unitaries(normal_block(rngs, len(labels)))
         partitions = [random_partition(labels, rng) for rng in rngs]
         _, groups = adversary._rotated_branches(inst.reference, labels, stack, partitions)
         eager = [0.0] * len(rngs)
@@ -558,7 +659,8 @@ class TestDenseBlockOracle:
         labels = sorted(inst.reference.c_labels()) + ["work"]
         basis = ["g0", "g1", "g2", "work"]
         rng = np.random.default_rng(5)
-        stack = adversary.haar_unitaries([np.random.default_rng(t) for t in range(6)], 4)
+        rngs = [np.random.default_rng(t) for t in range(6)]
+        stack = adversary.haar_unitaries(normal_block(rngs, 4))
         partitions = [None, None] + [ProjPartition(dict(zip(labels, cells)))
                                      for cells in ("aabbcc", "caabbc")]
         partitions += [random_partition(labels, rng) for _ in range(2)]

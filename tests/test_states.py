@@ -12,6 +12,7 @@ from conftest import (
     gram_schmidt_unitary,
     identity_unitary,
     max_abs_diff,
+    normal_block,
     oracle_readout,
     random_ensemble,
     random_state,
@@ -426,14 +427,14 @@ class TestRandomUnitary:
         # each generator is left where random_unitary leaves it.
         labels = [f"c{i}" for i in range(n)]
         rngs = [np.random.default_rng(seed) for seed in range(6)]
-        stack = haar_unitaries(rngs, n)
+        stack = haar_unitaries(normal_block(rngs, n))
         for seed, (u, rng) in enumerate(zip(stack, rngs)):
             single_rng = np.random.default_rng(seed)
             assert np.array_equal(u, random_unitary(labels, single_rng).matrix)
             assert rng.random() == single_rng.random()
 
     def test_stacked_check_names_the_failing_slice(self):
-        stack = haar_unitaries([np.random.default_rng(seed) for seed in range(4)], 3)
+        stack = haar_unitaries(normal_block([np.random.default_rng(seed) for seed in range(4)], 3))
         check_unitary(stack)
         stack[2] *= 1.01
         with pytest.raises(ValueError) as single:
