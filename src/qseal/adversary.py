@@ -13,14 +13,11 @@ honest return is always accepted and the bound carries no completeness-error
 term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
-With a unitary, a whole strategy runs on the reference's dense |B| x |C|
-block, and its returned members become sparse states only when read. Without
-one it stays sparse, so the basis and predicate cheats reach ``SUPPORT_CAP`` keys.
-A random sweep evaluates its trials as stacks: one QR for the unitaries, one
-rotation, cell numbers ranked into outcomes by array operations, and per group
-of trials with as many outcomes one boolean cell indicator, one masked product
-that undoes every member, and one trace-distance call, made when a proof chain
-first needs it; a single strategy is a stack of one on the same path.
+Two engines evaluate strategies; both return ``CheatReport``s built by
+``_report``. Without a unitary, ``_sparse_branches`` stays sparse, so the basis
+and predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
+runs a stack of strategies (one, or a sweep's trials) on the reference's dense
+|B| x |C| block, and members become sparse states only when read.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -44,7 +41,6 @@ from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
     CHAIN_TOL,
     DENSE_DIM_CAP,
-    NORM_TOL,
     PRUNE_TOL,
     Ensemble,
     Label,
@@ -53,13 +49,16 @@ from .states import (
     SparseState,
     apply_unitary_c,  # noqa: F401  (not called; perfbench/test_oracles.py looks it up here)
     c_block,
+    check_norm,
     check_unitary,
+    check_weights,
     collapse_branches,
     haar_unitaries,
     project_accept_probability,
     span_trace_distance,
     squared_overlap,
     state_from_block,
+    sum_in_order,
     trace_distance_pure_vs_ensemble,
 )
 
@@ -116,14 +115,21 @@ class CheatReport:
         }
 
 
-def _sparse_branches(reference: SparseState, partition: ProjPartition | None) -> tuple:
-    """(table, outcomes' lone active labels (or None), lazily, members, acceptance, distance).
+def _report(inst: SealedInstance, table, lones, members, accept, distance) -> CheatReport:
+    """A strategy's report. ``lones`` are its outcomes' lone active labels (None for
+    several); they are distinct and ``decode`` is injective, so no message is pinpointed twice."""
+    masses = [q for (_, q, _), lone in zip(table, lones) if inst.decode.get(lone) is not None]
+    p = min(1.0, sum_in_order(masses))
+    p_bound = min(1.0, max(masses, default=0.0))
+    return CheatReport(p, 1.0 - accept, soundness_bound(p_bound), tuple(table), members,
+                       p_bound, distance)
 
-    With no unitary the partition is diagonal, so each post-state is a rescaled
-    piece of the reference: nothing needs undoing, its C labels are the active ones.
-    """
-    if partition is None:
-        partition = ProjPartition.finest(sorted(reference.c_labels()))
+
+def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
+    """The report of the strategy with no unitary. The partition is diagonal, so each
+    post-state is a rescaled piece of the reference: nothing needs undoing, and its
+    C labels are the active ones."""
+    reference = inst.reference
     branches = collapse_branches(reference, partition)
     outcomes = sorted(branches)
     returned = Ensemble(tuple(branches[outcome] for outcome in outcomes))
@@ -132,7 +138,8 @@ def _sparse_branches(reference: SparseState, partition: ProjPartition | None) ->
     actives = (post.c_labels() for _, post in returned.members)
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
     distance = cache(lambda: [trace_distance_pure_vs_ensemble(reference, returned)])
-    return table, lones, returned, project_accept_probability(reference, returned), (distance, 0)
+    accept = project_accept_probability(reference, returned)
+    return _report(inst, table, lones, returned, accept, (distance, 0))
 
 
 @cache
@@ -145,29 +152,28 @@ def _cell_names(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _outcome_codes(columns: Sequence[Label], partitions) -> tuple[np.ndarray, np.ndarray]:
     """(sorted outcome names, each trial's code per column: its outcome's index in
     the names, -1 if uncovered) of a (trials, columns) int array of cell numbers,
-    cell k named f"cell{k}", or of one ``ProjPartition`` per trial, None for the finest."""
+    cell k named f"cell{k}", or of one ``ProjPartition`` per trial."""
     if isinstance(partitions, np.ndarray):
         names, rank = _cell_names(partitions.shape[-1])
         return names, rank[partitions]
-    rows = [[c if p is None else p.outcome_of.get(c) for c in columns] for p in partitions]
+    rows = [[p.outcome_of.get(c) for c in columns] for p in partitions]
     names = sorted({outcome for row in rows for outcome in row} - {None})
     code = {name: i for i, name in enumerate(names)} | {None: -1}
     return np.array(names, dtype=object), np.array([[code[o] for o in row] for row in rows])
 
 
 def _rotated_branches(
-    reference: SparseState,
+    inst: SealedInstance,
     basis: Sequence[Label],
     matrices: np.ndarray,
-    partitions: np.ndarray | Sequence[ProjPartition | None],
-) -> tuple[list[tuple], list[tuple]]:
+    partitions: np.ndarray | Sequence[ProjPartition],
+) -> list[CheatReport]:
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
-    Returns (results, groups): ``results[t]`` is what ``_sparse_branches``
-    returns, and each group is (trial indices, stacked V's, stacked q's) of the
-    trials with one outcome count; each trial's V is a slice of its group's
-    stack, and its distance the group's one cached ``span_trace_distance`` call.
+    Returns one report per trial, its members (keys, V) with V a slice of the
+    stacked V's of the trials with as many outcomes, and its distance their one
+    cached ``span_trace_distance`` call.
 
     The whole strategy stays in the reference's |B| x |C| block: rotate the
     basis columns once for the stack (psi @ U^T), rank all trials' outcomes at
@@ -179,15 +185,14 @@ def _rotated_branches(
     outside the basis ride along under the identity: their entries are the
     reference's own, masked and scaled the same way, and no product touches
     them. Active labels are the columns holding some amplitude of at least
-    ``PRUNE_TOL`` after the rotation. ``SparseState``'s and ``Ensemble``'s norm
-    checks run on V.
+    ``PRUNE_TOL`` after the rotation. V and the q's pass ``check_norm``, ``check_weights``.
 
     Raises:
         ValueError: a partition omits an active label, or a norm check fails.
     """
     n = len(basis)
-    columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
-    b_labels, psi, _ = c_block(reference, columns)
+    columns = tuple(basis) + tuple(sorted(inst.reference.c_labels() - set(basis)))
+    b_labels, psi, _ = c_block(inst.reference, columns)
     rotated = psi[:, :n] @ np.swapaxes(matrices, -1, -2)
     moduli = np.abs(rotated)
     rides = psi[:, n:]  # every ride-along column holds reference amplitude, so it is active
@@ -217,8 +222,7 @@ def _rotated_branches(
     by_count: dict[int, list[int]] = {}
     for t, m in enumerate(used.sum(axis=-1).tolist()):
         by_count.setdefault(m, []).append(t)
-    results: list = [None] * len(matrices)
-    groups = []
+    reports: list = [None] * len(matrices)
     for m, group in by_count.items():
         in_cell = cell_of[group][:, None] == np.arange(m)[:, None]
         qs = (mass[group][:, None] * in_cell).sum(axis=-1)
@@ -237,10 +241,8 @@ def _rotated_branches(
         # The entry farthest from 1 in each V; a NaN is the argmax.
         worst = np.take_along_axis(norms, np.abs(norms - 1.0).argmax(axis=-1)[:, None], -1)
         for w, total in zip(worst[:, 0].tolist(), qs.sum(axis=-1).tolist()):
-            if not abs(w - 1.0) <= NORM_TOL:
-                raise ValueError(f"state is not normalized: sum of squared moduli is {w!r}")
-            if not abs(total - 1.0) <= NORM_TOL:
-                raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
+            check_norm(w)
+            check_weights(total)
         # 1 - acceptance is |part of phi_i orthogonal to psi|^2 / |phi_i|^2: one minus
         # the overlap ratio keeps 1e-16 of round-off, 1e-8 once the chain takes sqrt.
         overlaps = (vts[:, 1:] @ vts[:, 0, :, None].conj()) / norms[:, :1, None]
@@ -258,22 +260,9 @@ def _rotated_branches(
         call = cache(partial(span_trace_distance, vs, qs))
         for index, (t, v, named, probs, row, lone, accept) in enumerate(zip(
                 group, vs, outcomes, qs.tolist(), acceptances.tolist(), lones, accepts.tolist())):
-            results[t] = (list(zip(named, probs, row)), lone, (keys, v), accept, (call, index))
-        groups.append((group, vs, qs))
-    return results, groups
-
-
-def _report(inst: SealedInstance, table, lones, members, accept, distance) -> CheatReport:
-    """The report of one strategy from its branches (what ``_sparse_branches`` returns)."""
-    recovery_mass: dict[str, float] = {}
-    for (_, prob, _), lone in zip(table, lones):
-        message = inst.decode.get(lone)
-        if message is not None:
-            recovery_mass[message] = recovery_mass.get(message, 0.0) + prob
-    p = min(1.0, float(sum(recovery_mass.values())))
-    p_bound = min(1.0, float(max(recovery_mass.values(), default=0.0)))
-    return CheatReport(p, 1.0 - accept, soundness_bound(p_bound), tuple(table), members,
-                       p_bound, distance)
+            reports[t] = _report(inst, list(zip(named, probs, row)), lone, (keys, v), accept,
+                                 (call, index))
+    return reports
 
 
 def strategy_report(
@@ -284,13 +273,15 @@ def strategy_report(
     """Evaluate one measure-and-uncompute strategy exactly.
 
     ``unitary=None`` means the identity; ``partition=None`` means the finest
-    computational-basis partition over the active C labels.
+    computational-basis partition over the reference's C labels and the unitary's basis.
     """
+    if partition is None:
+        basis = () if unitary is None else unitary.basis
+        partition = ProjPartition.finest(inst.reference.c_labels().union(basis))
     if unitary is None:
-        return _report(inst, *_sparse_branches(inst.reference, partition))
-    (branches,), _ = _rotated_branches(
-        inst.reference, unitary.basis, unitary.matrix[None], [partition])
-    return _report(inst, *branches)
+        return _sparse_branches(inst, partition)
+    (report,) = _rotated_branches(inst, unitary.basis, unitary.matrix[None], [partition])
+    return report
 
 
 def basis_cheat(inst: SealedInstance) -> CheatReport:
@@ -332,7 +323,7 @@ def optimal_post_collapse_response(
     block = {k: a for k, a in inst.reference.amps.items() if k[0] == collapsed_b}
     if not block:
         raise ValueError(f"no branch with index label {collapsed_b!r}")
-    best_accept = sum(abs(a) ** 2 for a in block.values())
+    best_accept = sum_in_order(abs(a) ** 2 for a in block.values())
     scale = 1.0 / math.sqrt(best_accept)
     best_state = SparseState({k: a * scale for k, a in block.items()})
     return best_accept, best_state
@@ -493,8 +484,7 @@ def random_strategy_sweep(
         unitaries = haar_unitaries(normals)
         del normals  # not held through the rotation
         check_unitary(unitaries)
-        branches, _ = _rotated_branches(inst.reference, labels, unitaries, cells)
-        reports.extend(_report(inst, *b) for b in branches)
+        reports.extend(_rotated_branches(inst, labels, unitaries, cells))
     return reports
 
 
@@ -532,7 +522,7 @@ def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """
     call, index = report.distance
     distance = float(call()[index])
-    convex = sum(
+    convex = sum_in_order(
         q * math.sqrt(max(0.0, 1.0 - acceptance))
         for _, q, acceptance in report.outcome_table
     )

@@ -38,7 +38,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
-from .states import NORM_TOL, PRUNE_TOL, SparseState, sample_readout
+from .states import PRUNE_TOL, SparseState, check_norm, sample_readout, sum_in_order
 from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
@@ -356,11 +356,9 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     spec = f"0{k0}b"
     excluded_labels = {format(r, spec) for r in excluded}
     kept = [a for (b, _c), a in inst.reference.amps.items() if b not in excluded_labels]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in kept))
+    norm = math.sqrt(sum_in_order([abs(a) ** 2 for a in kept]))
     useless = [a / norm for a in kept]
-    total = sum(abs(u) ** 2 for u in useless)
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise ValueError(f"state is not normalized: sum of squared moduli is {total!r}")
+    check_norm(sum(abs(u) ** 2 for u in useless))
     overlap = useless_sq = 0.0 + 0.0j
     for a, u in zip(kept, useless):
         if abs(u) >= PRUNE_TOL:

@@ -67,13 +67,8 @@ class SparseState:
     amps: dict[tuple[Label, Label], complex]
 
     def __post_init__(self) -> None:
-        # Summed before the prune, and compared so that NaN fails: a NaN
-        # amplitude would otherwise be pruned away unseen.
-        total = sum(abs(a) ** 2 for a in self.amps.values())
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: sum of squared moduli is {total!r}"
-            )
+        # Summed before the prune, so that a NaN amplitude fails instead of vanishing.
+        check_norm(sum(abs(a) ** 2 for a in self.amps.values()))
         pruned = {
             key: complex(a)
             for key, a in self.amps.items()
@@ -105,9 +100,7 @@ class Ensemble:
         members = tuple((float(q), state) for q, state in self.members)
         if any(q < 0.0 for q, _ in members):
             raise ValueError("ensemble weights must be nonnegative")
-        total = sum(q for q, _ in members)
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
+        check_weights(sum(q for q, _ in members))
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -150,6 +143,26 @@ class ProjPartition:
     def finest(cls, labels: Iterable[Label]) -> "ProjPartition":
         """One outcome per label, named after the label itself."""
         return cls({label: label for label in labels})
+
+
+def check_norm(total: float) -> None:
+    """Raise ValueError unless a state's squared moduli sum to 1 within ``NORM_TOL``; NaN fails."""
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: sum of squared moduli is {total!r}")
+
+
+def check_weights(total: float) -> None:
+    """Raise ValueError unless an ensemble's weights sum to 1 within ``NORM_TOL``; NaN fails."""
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """The floats added one at a time, left to right: ``sum`` compensates from CPython 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def inner_product(a: SparseState, b: SparseState) -> complex:
@@ -285,10 +298,9 @@ def collapse_branches(
         buckets.setdefault(outcome, {})[(b, c)] = a
     branches: dict[Label, tuple[float, SparseState]] = {}
     for outcome, amps in buckets.items():
-        prob = sum(abs(a) ** 2 for a in amps.values())
-        if prob > 0.0:
-            scale = 1.0 / math.sqrt(prob)
-            branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
+        prob = sum_in_order(abs(a) ** 2 for a in amps.values())
+        scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
+        branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
     return branches
 
 
@@ -296,16 +308,15 @@ def sample_readout(s: SparseState, rng_seed: int) -> Label:
     """One computational-basis readout of register C; deterministic for a fixed ``rng_seed``.
 
     Label c has weight sum_b |a(b, c)|^2, added in the order of ``s.amps``. The
-    draw ``default_rng(rng_seed).random()`` times the total weight is located
-    on the running sums over the labels in sorted order.
+    draw ``default_rng(rng_seed).random()`` times the total weight, the last
+    running sum over the labels in sorted order, is located on those sums.
     """
     weights: dict[Label, float] = {}
     for (_, c), a in s.amps.items():
         weights[c] = weights.get(c, 0.0) + abs(a) ** 2
     labels = sorted(weights)
-    total = sum(weights[c] for c in labels)
-    draw = np.random.default_rng(rng_seed).random() * total
     cumulative = list(itertools.accumulate(weights[c] for c in labels))
+    draw = np.random.default_rng(rng_seed).random() * cumulative[-1]
     return labels[min(bisect.bisect_right(cumulative, draw), len(labels) - 1)]
 
 

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -12,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compensated_sum,
     dense_trace_distance,
     enumerate_basis_readout,
     identity_unitary,
+    left_to_right_sum,
     max_abs_diff,
     normal_block,
     reference_random_partition,
     uniform_state,
 )
-from qseal import adversary
+from qseal import adversary, harness
 from qseal.adversary import (
     basis_cheat,
     optimal_post_collapse_response,
@@ -35,6 +38,7 @@ from qseal.cli import main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import (
+    DENSE_DIM_CAP,
     Ensemble,
     LocalUnitary,
     ProjPartition,
@@ -51,6 +55,18 @@ BOUND_AT_HALF = 0.8535533905932737  # (2 + sqrt 2) / 4
 
 def pictures(n):
     return [f"pic{i + 1}" for i in range(n)]
+
+
+def distance_groups(reports):
+    """The reports' indices grouped by the cached trace-distance call they share,
+    each at its index in the call's result, groups in order of first appearance."""
+    groups = {}
+    for t, report in enumerate(reports):
+        call, index = report.distance
+        group = groups.setdefault(id(call), [])
+        assert index == len(group)
+        group.append(t)
+    return list(groups.values())
 
 
 class TestSoundnessBound:
@@ -347,7 +363,7 @@ class TestStackedSweep:
         with pytest.raises(ValueError) as single:
             strategy_report(inst, u, None)
         with pytest.raises(ValueError) as batch:
-            adversary._rotated_branches(inst.reference, labels, stack, [None] * 4)
+            adversary._rotated_branches(inst, labels, stack, [ProjPartition.finest(labels)] * 4)
         message = str(batch.value)
         assert message == str(single.value)
         assert message.startswith("state is not normalized: sum of squared moduli is 1.002")
@@ -371,16 +387,17 @@ class TestCellRows:
                          + [adversary._random_cells(3, rng) for _ in range(4)])
         partitions = [ProjPartition({c: f"cell{k}" for c, k in zip(basis, row)})
                       for row in cells.tolist()]
-        by_row, row_groups = adversary._rotated_branches(reference, basis, stack, cells)
-        by_partition, groups = adversary._rotated_branches(reference, basis, stack, partitions)
-        assert [[o for o, _, _ in result[0]] for result in by_row[:4]] == [
+        inst = SealedInstance(GARBAGE, reference, {c: c.upper() for c in basis}, {})
+        by_row = adversary._rotated_branches(inst, basis, stack, cells)
+        by_partition = adversary._rotated_branches(inst, basis, stack, partitions)
+        assert [[o for o, _, _ in report.outcome_table] for report in by_row[:4]] == [
             ["cell0"], ["cell0", "cell1"], ["cell0", "cell2"], ["cell0"]]
-        assert [group for group, _, _ in row_groups] == [group for group, _, _ in groups]
+        assert distance_groups(by_row) == distance_groups(by_partition)
         for row, partition in zip(by_row, by_partition):
-            (table, lones, (keys, v), accept, _), (table1, lones1, (keys1, v1), accept1, _) = (
-                row, partition)
-            assert (table, lones, keys, accept) == (table1, lones1, keys1, accept1)
-            assert np.array_equal(v, v1)
+            # Reports compare p, s, bound, the table and p_bound, which reads the lone labels.
+            assert row == partition
+            assert row.members[0] == partition.members[0]
+            assert np.array_equal(row.members[1], partition.members[1])
 
     def test_sweep_builds_no_partition(self, monkeypatch):
         inst = seal_garbage("M", [f"g{i}" for i in range(11)])
@@ -515,16 +532,19 @@ class TestLazyDistance:
         rngs = [np.random.default_rng(t) for t in range(100)]
         stack = adversary.haar_unitaries(normal_block(rngs, len(labels)))
         partitions = [random_partition(labels, rng) for rng in rngs]
-        _, groups = adversary._rotated_branches(inst.reference, labels, stack, partitions)
+        stacked = adversary._rotated_branches(inst, labels, stack, partitions)
+        groups = distance_groups(stacked)
         eager = [0.0] * len(rngs)
-        for group, vs, qs in groups:
+        for group in groups:
+            vs = np.stack([stacked[t].members[1] for t in group])
+            qs = np.array([[q for _, q, _ in stacked[t].outcome_table] for t in group])
             for t, distance in zip(group, adversary.span_trace_distance(vs, qs).tolist()):
                 eager[t] = distance
         calls = self.count_calls(monkeypatch)
         reports = random_strategy_sweep(inst, len(rngs), rng_seed=0)
         assert calls == []
         chains = [proof_chain(inst, report) for report in reports]
-        assert sorted(calls) == sorted(len(group) for group, _, _ in groups)
+        assert sorted(calls) == sorted(len(group) for group in groups)
         assert [chain.trace_distance for chain in chains] == eager
         assert [proof_chain(inst, report) for report in reports] == chains
         assert len(calls) == len(groups)
@@ -661,21 +681,18 @@ class TestDenseBlockOracle:
         rng = np.random.default_rng(5)
         rngs = [np.random.default_rng(t) for t in range(6)]
         stack = adversary.haar_unitaries(normal_block(rngs, 4))
-        partitions = [None, None] + [ProjPartition(dict(zip(labels, cells)))
-                                     for cells in ("aabbcc", "caabbc")]
+        partitions = [ProjPartition.finest(labels)] * 2 + [ProjPartition(dict(zip(labels, cells)))
+                                                           for cells in ("aabbcc", "caabbc")]
         partitions += [random_partition(labels, rng) for _ in range(2)]
-        results, groups = adversary._rotated_branches(inst.reference, basis, stack, partitions)
-        assert max(len(group) for group, _, _ in groups) > 1
-        for t, (result, matrix, partition) in enumerate(zip(results, stack, partitions)):
-            outcome_of = None if partition is None else partition.outcome_of
-            self.assert_matches(adversary._report(inst, *result),
-                                dense_strategy(inst.reference, basis, matrix, outcome_of))
-            (single,), _ = adversary._rotated_branches(
-                inst.reference, basis, stack[t:t + 1], [partition])
-            (table, lones, (keys, v), accept, _), (table1, lones1, (keys1, v1), accept1, _) = (
-                result, single)
-            assert (table, lones, keys, accept) == (table1, lones1, keys1, accept1)
-            assert np.array_equal(v, v1)
+        reports = adversary._rotated_branches(inst, basis, stack, partitions)
+        assert max(len(group) for group in distance_groups(reports)) > 1
+        for t, (report, matrix, partition) in enumerate(zip(reports, stack, partitions)):
+            self.assert_matches(report, dense_strategy(inst.reference, basis, matrix,
+                                                       partition.outcome_of))
+            (single,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
+            assert report == single
+            assert report.members[0] == single.members[0]
+            assert np.array_equal(report.members[1], single.members[1])
 
     def test_partition_missing_a_rotated_into_label_raises(self):
         inst = seal_naive("M", garbage="0")
@@ -685,6 +702,74 @@ class TestDenseBlockOracle:
         covers_support = ProjPartition.finest(inst.reference.c_labels())
         with pytest.raises(ValueError, match="C label 'work' is not covered by the partition"):
             strategy_report(inst, u, covers_support)
+
+
+def pinpointed_messages(inst, basis, matrix, outcome_of):
+    """Oracle: {outcome: message} of the outcomes whose cell holds one active
+    label that decodes to a message. Active labels hold amplitude of at least
+    1e-15 after the rotation (identity off ``basis``)."""
+    b_at = {b: i for i, b in enumerate(sorted(inst.reference.b_labels()))}
+    c_at = {c: j for j, c in enumerate(basis)}
+    psi = np.zeros((len(b_at), len(basis)), dtype=complex)
+    for (b, c), a in inst.reference.amps.items():
+        if c in c_at:
+            psi[b_at[b], c_at[c]] = a
+    rotated = psi @ np.asarray(matrix).T
+    active = {c for c in basis if np.abs(rotated[:, c_at[c]]).max() >= 1e-15}
+    cells = {}
+    for c in active | (inst.reference.c_labels() - set(basis)):
+        cells.setdefault(outcome_of[c], []).append(c)
+    messages = {outcome: inst.decode.get(labels[0])
+                for outcome, labels in cells.items() if len(labels) == 1}
+    return {outcome: m for outcome, m in messages.items() if m is not None}
+
+
+class TestPinpointedMessages:
+    """No two outcomes of a report pinpoint the same message, so p is the sum of
+    the pinpointing rows' q's, added left to right in table order."""
+
+    @staticmethod
+    def assert_distinct(inst, report, basis=(), matrix=np.eye(0), outcome_of=None):
+        if outcome_of is None:
+            outcome_of = ProjPartition.finest(inst.reference.c_labels() | set(basis)).outcome_of
+        messages = pinpointed_messages(inst, basis, matrix, outcome_of)
+        assert len(set(messages.values())) == len(messages)
+        pinpointing = [q for outcome, q, _ in report.outcome_table if outcome in messages]
+        assert report.p == min(1.0, left_to_right_sum(pinpointing))
+
+    @pytest.mark.parametrize("inst", [pytest.param(inst, id=name) for name, inst in
+                                      harness._sweep_instances(harness.ExperimentConfig())])
+    def test_bound_sweep_instances(self, inst):
+        self.assert_distinct(inst, basis_cheat(inst))
+        split = harness._split_predicate(inst)
+        self.assert_distinct(inst, predicate_cheat(inst, split),
+                             outcome_of={label: f"g={v}" for label, v in split.items()})
+        labels = sorted(inst.reference.c_labels())
+        if len(inst.reference.b_labels()) * len(labels) > DENSE_DIM_CAP:
+            return  # a sweep refuses it, as bound-sweep does
+        for t, report in enumerate(random_strategy_sweep(inst, 50, rng_seed=0)):
+            rng = np.random.default_rng(t)
+            u = random_unitary(labels, rng)
+            partition = random_partition(labels, rng)
+            self.assert_distinct(inst, report, u.basis, u.matrix, partition.outcome_of)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
+    def test_ride_along_strategy(self, seed, finest):
+        inst = seal_garbage("M", ["g0", "g1", "g2", "g3"])
+        labels = sorted(inst.reference.c_labels())
+        rng = np.random.default_rng(seed)
+        u = random_unitary(labels[1:], rng)
+        partition = None if finest else random_partition(labels, rng)
+        report = strategy_report(inst, u, partition)
+        self.assert_distinct(inst, report, u.basis, u.matrix,
+                             None if finest else partition.outcome_of)
+
+    def test_oaep_basis_cheat(self):
+        inst = seal_oaep(5, OaepContext.create(k0=6, n=8, with_human=False))
+        report = basis_cheat(inst)
+        self.assert_distinct(inst, report)
+        assert report.p == 0.0
 
 
 class TestDenseEvaluation:
@@ -840,23 +925,26 @@ class TestProofChain:
         assert chain.trace_distance == pytest.approx(closed, abs=1e-12)
         assert report.s == pytest.approx(1.0 - float(np.sum(q**2)), abs=1e-12)
 
-    def test_links_read_from_the_report_equal_the_overlap_formulas(self):
+    def test_links_read_from_the_report_equal_the_overlap_formulas(self, monkeypatch):
         # Only the trace distance is computed afresh; the other links are read
         # off the report. A sparse report's table holds the per-member
         # overlaps, so its convex sum is the same float as theirs. A random
         # report's acceptances come from its dense array; they are checked
         # against the overlaps of the lazily built members, a separate path.
+        # Builtin sum compensates as from CPython 3.12 on, so a convex sum not
+        # added left to right fails on every Python version.
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
         for inst in (seal_garbage("M", ["g0", "g1", "g2"]), seal_multipicture(pictures(6))):
             sparse = basis_cheat(inst)
             chain = proof_chain(inst, sparse)
-            assert chain.convex_sum == sum(
+            assert chain.convex_sum == left_to_right_sum(
                 q * trace_distance_pure(inst.reference, member)
                 for q, member in sparse.returned.members
             )
             for report in [sparse, *random_strategy_sweep(inst, 20, rng_seed=3)]:
                 chain = proof_chain(inst, report)
                 assert chain.acceptance_gap == report.s
-                assert chain.convex_sum == sum(
+                assert chain.convex_sum == left_to_right_sum(
                     q * math.sqrt(max(0.0, 1.0 - acceptance))
                     for _, q, acceptance in report.outcome_table
                 )

@@ -1,8 +1,11 @@
+import builtins
 import contextlib
 import copy
 import io
 import json
 import math
+import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compensated_sum, left_to_right_sum
 from qseal import adversary, harness
 from qseal.cli import load_config, main
+from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
+from qseal.states import SparseState, squared_overlap
 
 
 def run_cli(*argv):
@@ -182,6 +188,62 @@ class TestGoldenOutput:
         assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),
                        "experiment", "oaep-negligibility") == 0
         assert out.read_bytes() == stem.with_suffix(f".{fmt}").read_bytes()
+
+
+class TestGoldenOutputUnderCompensatedSum(TestGoldenOutput):
+    """The same bytes when builtin ``sum`` compensates, as from CPython 3.12 on."""
+
+    @pytest.fixture(autouse=True)
+    def compensated(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+
+
+class TestCompensatedSum:
+    """``compensated_sum`` is CPython 3.12+'s ``sum``, and qseal prints the same under it."""
+
+    def test_known_sums(self):
+        assert compensated_sum([0.1] * 10) == 1.0
+        assert left_to_right_sum([0.1] * 10) == 0.9999999999999999
+        assert compensated_sum([2, True, 3]) == 6
+        assert compensated_sum([0.1] * 10 + [1j]) == 1.0 + 1j
+        with pytest.raises(TypeError, match="can't sum strings"):
+            compensated_sum(["b"], "a")
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum compensates from 3.12")
+    def test_equals_builtin_sum(self):
+        rng = random.Random(0)
+        for n in range(200):
+            xs = [rng.random() * 10.0 ** rng.randint(-9, 9) for _ in range(n)]
+            for values in (xs, xs + [3, 0.25j, 0.5], [7, *xs, 2**70, 0.5]):
+                assert repr(compensated_sum(values)) == repr(sum(values))
+
+    def test_reproduces_cpython_3_12_on_the_odd_oaep_overlap(self):
+        # The useless-pad norm summed as tu_overlap once did, by builtin sum:
+        # CPython 3.12.1 printed the first value at k0 = 11, |R| = 8, and the
+        # golden file holds the second.
+        inst = seal_oaep(0, OaepContext.create(k0=11, n=16, with_human=False))
+        kept = {key: a for key, a in inst.reference.amps.items() if int(key[0], 2) >= 8}
+        divergences = []
+        for add in (compensated_sum, left_to_right_sum):
+            norm = math.sqrt(add(abs(a) ** 2 for a in kept.values()))
+            useless = SparseState({key: a / norm for key, a in kept.items()})
+            divergences.append(1.0 - squared_overlap(inst.reference, useless))
+        assert divergences == [0.0039062499999913403, 0.0039062499999912292]
+
+    def test_multi_scaling_and_unseal_print_the_plain_bytes(self, tmp_path, capsys, monkeypatch):
+        sealed = tmp_path / "garbage-16.json"
+        assert run_cli("--out", str(sealed), "seal", "--protocol", "garbage",
+                       "--garbage", ",".join(f"g{i}" for i in range(16))) == 0
+
+        def printed():
+            assert run_cli("experiment", "multi-scaling") == 0
+            for seed in range(4):
+                assert run_cli("--seed", str(seed), "unseal", "--instance", str(sealed)) == 0
+            return capsys.readouterr().out
+
+        plain = printed()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert printed() == plain
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     b_weights,
+    compensated_sum,
     dense_trace_distance,
     gram_schmidt_unitary,
     identity_unitary,
+    left_to_right_sum,
     max_abs_diff,
     normal_block,
     oracle_readout,
@@ -306,6 +309,17 @@ class TestCollapseBranches:
             assert sum(abs(a) ** 2 for a in post.amps.values()) == pytest.approx(
                 1.0, abs=1e-9
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_masses_add_left_to_right_in_amplitude_order(self, seed, monkeypatch):
+        # Builtin sum compensates as from CPython 3.12 on, so a mass not added
+        # left to right fails on every Python version.
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        state = random_state(seed, b_pool=[f"b{i}" for i in range(40)], support=200)
+        branches = collapse_branches(state, ProjPartition.finest(state.c_labels()))
+        for outcome, (prob, _) in branches.items():
+            assert prob == left_to_right_sum(
+                abs(a) ** 2 for (_, c), a in state.amps.items() if c == outcome)
 
 
 class TestSampleReadout:
