@@ -39,8 +39,8 @@ import numpy as np
 
 from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
-    CHAIN_TOL,
     DENSE_DIM_CAP,
+    EXACT_TOL,
     PRUNE_TOL,
     Ensemble,
     Label,
@@ -492,8 +492,9 @@ def random_strategy_sweep(
 class ProofChain:
     """The four quantities whose chain of inequalities backs the bound.
 
-    acceptance_gap <= trace_distance <= convex_sum <= closed_form, each
-    within numerical tolerance.
+    acceptance_gap <= trace_distance <= convex_sum <= closed_form, each link
+    within ``tol``. Every quantity is computed exactly, so the default is
+    ``EXACT_TOL``, the tolerance between two exact routes to one number.
     """
 
     acceptance_gap: float
@@ -501,7 +502,7 @@ class ProofChain:
     convex_sum: float
     closed_form: float
 
-    def holds(self, tol: float = CHAIN_TOL) -> bool:
+    def holds(self, tol: float = EXACT_TOL) -> bool:
         return (
             self.acceptance_gap <= self.trace_distance + tol
             and self.trace_distance <= self.convex_sum + tol

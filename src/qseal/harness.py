@@ -24,7 +24,7 @@ from .adversary import (
     random_strategy_sweep,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from .states import CHAIN_TOL, DENSE_DIM_CAP, EXACT_TOL, MARGIN_TOL
+from .states import DENSE_DIM_CAP, EXACT_TOL
 
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 
@@ -123,8 +123,8 @@ def config_value(key: str, value, kind: type):
 
 
 def check_margin(report: CheatReport, instance: str, attack: str) -> None:
-    """Raise ``InvariantViolation`` when the report's s sits above its closed-form bound."""
-    if report.margin < -MARGIN_TOL:
+    """Raise ``InvariantViolation`` when s exceeds its closed-form bound by more than ``EXACT_TOL``."""
+    if report.margin < -EXACT_TOL:
         raise InvariantViolation(f"negative margin {report.margin!r} for {instance}/{attack}")
 
 
@@ -200,7 +200,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         for attack, report in labelled:
             check_margin(report, name, attack)
             chain = proof_chain(inst, report)
-            if not chain.holds(CHAIN_TOL):
+            if not chain.holds():
                 raise InvariantViolation(
                     f"proof chain failed for {name}/{attack}: {chain}"
                 )

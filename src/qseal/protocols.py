@@ -70,18 +70,14 @@ def _validate_message(m: str) -> str:
 
 
 def seal_naive(m: str, garbage: Label = "0") -> SealedInstance:
-    """Equal superposition of the message branch and one garbage branch.
+    """Equal superposition of the message branch and one garbage branch: the
+    garbage seal with one label, under its own protocol name and params.
 
     The honest unseal is a computational-basis measurement of register C,
     which recovers the message with probability 1/2.
     """
-    _validate_message(m)
-    if garbage == m:
-        raise ValueError(f"garbage label {garbage!r} equals the message label")
-    amp = 1.0 / math.sqrt(2.0)
-    reference = SparseState({(garbage, garbage): amp, (m, m): amp})
-    decode = {m: m, garbage: None}
-    return SealedInstance(NAIVE, reference, decode, {"message": m, "garbage": garbage})
+    inst = seal_garbage(m, [garbage])
+    return SealedInstance(NAIVE, inst.reference, inst.decode, {"message": m, "garbage": garbage})
 
 
 def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:

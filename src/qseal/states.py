@@ -44,14 +44,11 @@ Label = str
 
 DENSE_DIM_CAP = 512
 
-# Tolerances, one reason each. Every qseal module takes its tolerances from
+# Tolerances, one meaning each. Every qseal module takes its tolerances from
 # this block; a test rejects small float literals anywhere else in src/qseal.
-NORM_TOL = 1e-9      # squared moduli and ensemble weights sum to 1 within this
 PRUNE_TOL = 1e-15    # amplitudes below this are dropped
-UNITARY_TOL = 1e-9   # largest entry of U^dagger U - I a LocalUnitary accepts
-CHAIN_TOL = 1e-8     # slack per proof-chain step; the trace distance is LAPACK's
-MARGIN_TOL = 1e-9    # how far a reported s may sit above its closed form
-EXACT_TOL = 1e-12    # two exact routes to one number (state, closed form) agree
+NORM_TOL = 1e-9      # how far an input's norm, ensemble weights or U^dagger U may miss exact
+EXACT_TOL = 1e-12    # how far two exact routes to one number may differ (chain links, margins)
 
 
 @dataclass(frozen=True)
@@ -340,11 +337,12 @@ def project_accept_probability(reference: SparseState, returned: Ensemble) -> fl
 
 def check_unitary(m: np.ndarray) -> None:
     """Raise ValueError unless every matrix in ``m`` (one, or a stack on the
-    leading axes) has U^dagger U within ``UNITARY_TOL`` of I, entry by entry;
-    the message gives the first failing matrix's defect. A NaN fails."""
+    leading axes) has U^dagger U within ``NORM_TOL`` of I, entry by entry:
+    an input check, as loose as the norm's. The message gives the first
+    failing matrix's defect. A NaN fails."""
     gram = np.swapaxes(m.conj(), -1, -2) @ m
     defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0).ravel()
-    failing = ~(defects <= UNITARY_TOL)
+    failing = ~(defects <= NORM_TOL)
     if failing.any():
         raise ValueError(f"matrix is not unitary (defect {defects[failing.argmax()]:.3e})")
 

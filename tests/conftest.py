@@ -93,6 +93,15 @@ def left_to_right_sum(values: Iterable[float]) -> float:
     return total
 
 
+def chain_excess(chain) -> float:
+    """The most by which a proof chain's link exceeds the next one (<= 0 when exact)."""
+    return max(
+        chain.acceptance_gap - chain.trace_distance,
+        chain.trace_distance - chain.convex_sum,
+        chain.convex_sum - chain.closed_form,
+    )
+
+
 def uniform_state(keys: Iterable[tuple[Label, Label]]) -> SparseState:
     """Equal-amplitude superposition of the given (b, c) basis pairs."""
     keys = list(keys)

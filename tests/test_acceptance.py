@@ -110,10 +110,10 @@ def test_criterion_06_theorem_property_sweep():
         for rep in random_strategy_sweep(inst, trials, rng_seed=seed):
             total += 1
             min_margin = min(min_margin, rep.margin)
-            if not proof_chain(inst, rep).holds(1e-8):
+            if not proof_chain(inst, rep).holds(TOL):
                 chains_ok = False
     elapsed = time.perf_counter() - start
-    ok = total >= 1000 and min_margin >= -1e-9 and chains_ok and elapsed < 120.0
+    ok = total >= 1000 and min_margin >= -TOL and chains_ok and elapsed < 120.0
     report(
         6,
         ok,

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    chain_excess,
     compensated_sum,
     dense_trace_distance,
     enumerate_basis_readout,
@@ -39,6 +40,7 @@ from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import (
     DENSE_DIM_CAP,
+    EXACT_TOL,
     Ensemble,
     LocalUnitary,
     ProjPartition,
@@ -55,6 +57,23 @@ BOUND_AT_HALF = 0.8535533905932737  # (2 + sqrt 2) / 4
 
 def pictures(n):
     return [f"pic{i + 1}" for i in range(n)]
+
+
+LABELS = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def sealed_instances(draw):
+    """A naive seal, a garbage seal with 1-40 labels or a multipicture seal with
+    2-22 pictures, on generated label text; up to garbage size 21 and every
+    picture count, |B|*|C| stays within DENSE_DIM_CAP for random trials."""
+    kind = draw(st.sampled_from(["naive", "garbage", "multipicture"]))
+    if kind == "multipicture":
+        return seal_multipicture(draw(st.lists(LABELS, min_size=2, max_size=22, unique=True)))
+    message = draw(LABELS)
+    garbage = draw(st.lists(LABELS.filter(lambda g: g != message), min_size=1,
+                            max_size=1 if kind == "naive" else 40, unique=True))
+    return seal_naive(message, garbage[0]) if kind == "naive" else seal_garbage(message, garbage)
 
 
 def distance_groups(reports):
@@ -113,7 +132,7 @@ class TestGenericCheat:
         assert report.p == pytest.approx(1.0, abs=1e-12)
         assert report.s == pytest.approx(0.75, abs=1e-12)
         assert report.p_bound == pytest.approx(0.25, abs=1e-12)
-        assert report.margin >= -1e-9
+        assert report.margin >= -1e-12
 
     def test_outcome_probabilities_sum_to_one(self):
         report = basis_cheat(seal_garbage("M", ["g0", "g1", "g2"]))
@@ -170,7 +189,7 @@ class TestPredicateCheat:
         report = predicate_cheat(inst, {"M": 1, "0": 0})
         assert report.p == pytest.approx(0.5, abs=1e-12)
         assert report.s == pytest.approx(0.5, abs=1e-12)
-        assert report.margin >= -1e-9
+        assert report.margin >= -1e-12
 
     def test_partial_predicate_rejected(self):
         inst = seal_multipicture(pictures(4))
@@ -244,7 +263,7 @@ class TestRandomStrategySweep:
         ]
         for inst in instances:
             for report in random_strategy_sweep(inst, 60, rng_seed=0):
-                assert report.margin >= -1e-9
+                assert report.margin >= -1e-12
 
     def test_margin_slack_is_reported(self):
         inst = seal_naive("M", garbage="0")
@@ -271,7 +290,7 @@ class TestRandomStrategySweep:
     def test_guard_admits_joint_dimension_at_the_cap(self):
         inst = self.rectangular_instance(2, 256)  # |B| * |C| = 512
         (report,) = random_strategy_sweep(inst, 1, rng_seed=0)
-        assert report.margin >= -1e-9
+        assert report.margin >= -1e-12
         assert proof_chain(inst, report).holds()
 
     def test_guard_rejects_joint_dimension_past_the_cap(self):
@@ -351,7 +370,7 @@ class TestStackedSweep:
         assert str(batch.value).startswith("matrix is not unitary (defect 2.00")
 
     def test_non_normalized_slice_raises_the_single_strategy_message(self):
-        # A unitary scaled past UNITARY_TOL, set on a LocalUnitary after its
+        # A unitary scaled past NORM_TOL, set on a LocalUnitary after its
         # check, leaves every member's norm off 1 by the square of the scale.
         inst = seal_multipicture(pictures(4))
         labels = tuple(sorted(inst.reference.c_labels()))
@@ -888,7 +907,7 @@ class TestProofChain:
     def test_chain_holds_for_deterministic_attacks(self, inst):
         report = basis_cheat(inst)
         chain = proof_chain(inst, report)
-        assert chain.holds(1e-8)
+        assert chain.holds()
         assert chain.acceptance_gap == pytest.approx(report.s, abs=1e-12)
 
     def test_chain_middle_matches_numpy_oracle(self):
@@ -955,10 +974,26 @@ class TestProofChain:
                     assert q == weight
                     assert abs(acceptance - squared_overlap(inst.reference, member)) <= 1e-12
 
+    @given(inst=sealed_instances(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(inst=seal_garbage("M", [f"g{i}" for i in range(21)]), seed=0)
+    @example(inst=seal_garbage("M", [f"g{i}" for i in range(40)]), seed=0)
+    @example(inst=seal_multipicture(pictures(22)), seed=8191)
+    def test_chain_holds_at_exact_tol_on_sealed_instances(self, inst, seed):
+        labels = sorted(inst.reference.c_labels())
+        split = {label: int(i < len(labels) // 2) for i, label in enumerate(labels)}
+        reports = [basis_cheat(inst), predicate_cheat(inst, split)]
+        if len(inst.reference.b_labels()) * len(labels) <= DENSE_DIM_CAP:
+            reports += random_strategy_sweep(inst, 5, rng_seed=seed)
+        for report in reports:
+            chain = proof_chain(inst, report)
+            assert chain.holds(EXACT_TOL), (chain_excess(chain), chain)
+            assert report.margin >= -EXACT_TOL
+
     def test_chain_holds_under_random_strategies(self):
         inst = seal_multipicture(pictures(4))
         for report in random_strategy_sweep(inst, 25, rng_seed=5):
-            assert proof_chain(inst, report).holds(1e-8)
+            assert proof_chain(inst, report).holds()
 
     def test_naive_distance_reaches_soundness(self):
         inst = seal_naive("M", garbage="0")

@@ -142,7 +142,7 @@ class TestCheat:
         second = json.loads(capsys.readouterr().out)
         assert first == second
         assert len(first) == 3
-        assert all(row["margin"] >= -1e-9 for row in first)
+        assert all(row["margin"] >= -1e-12 for row in first)
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli"

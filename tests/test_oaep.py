@@ -583,7 +583,7 @@ class TestBasisCheatOnSealedTokens:
         assert report.s == pytest.approx(1.0 - 2.0**-k0, abs=1e-12)
         assert report.p == 0.0
         assert report.bound == 1.0
-        assert report.margin >= -1e-9
+        assert report.margin >= -1e-12
 
     def test_reference_norm_is_summed_once(self, monkeypatch):
         # Re-summing <ref|ref> for every branch makes the attack

@@ -1,4 +1,5 @@
 import builtins
+import itertools
 import json
 import math
 
@@ -335,6 +336,24 @@ class TestSampleReadout:
         # Several B labels per C label: the weight of a C label is a sum.
         state = random_state(seed)
         assert sample_readout(state, rng_seed) == oracle_readout(state, rng_seed)
+
+    def test_draw_is_scaled_by_the_left_to_right_total(self, monkeypatch):
+        # Ten weights of 0.1 add to 0.9999999999999999 left to right and to 1.0
+        # compensated. A draw u at the ninth running sum, scaled by the first
+        # total, lands below it (label 9); by the second, on it (label 10).
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        labels = [f"c{i}" for i in range(10)]
+        state = SparseState({("b", c): math.sqrt(0.1) for c in labels})
+        weights = [abs(a) ** 2 for a in state.amps.values()]
+        running = list(itertools.accumulate(weights))
+        assert running[-1] < compensated_sum(weights) == 1.0
+
+        class FixedDraw:
+            def random(self):
+                return running[8]
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraw())
+        assert sample_readout(state, 0) == "c8"
 
 
 class TestAcceptProbability:

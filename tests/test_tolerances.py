@@ -39,7 +39,7 @@ def test_small_float_literals_only_in_the_tolerance_table():
             ):
                 strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert strays == []
-    assert len(tolerance_table(ast.parse((SRC / "states.py").read_text()))) == 6
+    assert len(tolerance_table(ast.parse((SRC / "states.py").read_text()))) == 3
 
 
 def test_one_error_type_for_rejected_input():
@@ -64,6 +64,6 @@ def test_one_error_type_for_rejected_input():
 
 
 def test_tolerances_are_shared_not_restated():
-    assert adversary.CHAIN_TOL is states.CHAIN_TOL
-    assert harness.MARGIN_TOL is states.MARGIN_TOL
-    assert ProofChain.holds.__defaults__ == (states.CHAIN_TOL,)
+    assert adversary.EXACT_TOL is states.EXACT_TOL
+    assert harness.EXACT_TOL is states.EXACT_TOL
+    assert ProofChain.holds.__defaults__ == (states.EXACT_TOL,)
