@@ -17,7 +17,9 @@ Two engines evaluate strategies; both return ``CheatReport``s built by
 ``_report``. Without a unitary, ``_sparse_branches`` stays sparse, so the basis
 and predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
 runs a stack of strategies (one, or a sweep's trials) on the reference's dense
-|B| x |C| block, and members become sparse states only when read.
+|B| x |C| block and keeps only the outcome masses; members become sparse
+states only when read. Every link of a proof chain is a function of the
+outcome masses (``chain_links``), so no chain has a size cap.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -47,28 +49,64 @@ from .states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    apply_unitary_c,  # noqa: F401  (not called; perfbench/test_oracles.py looks it up here)
+    apply_unitary_c,
     c_block,
-    check_norm,
     check_unitary,
     check_weights,
     collapse_branches,
     haar_unitaries,
     project_accept_probability,
-    span_trace_distance,
     squared_overlap,
-    state_from_block,
     sum_in_order,
-    trace_distance_pure_vs_ensemble,
 )
 
 
 Predicate = Mapping[Label, int]
 
 
-def soundness_bound(p: float) -> float:
-    """Closed-form ceiling on detection for a recovery probability ``p``."""
-    return p * math.sqrt(max(0.0, 1.0 - p)) + (1.0 - p)
+def soundness_bound(p: float, c: float | None = None) -> float:
+    """Closed-form ceiling p*sqrt(c) + c on detection for a recovery probability
+    ``p``, where c = 1 - p is the mass of the other outcomes. Reports pass c
+    from ``complements``, which keeps its digits when p is near 1."""
+    c = 1.0 - p if c is None else c
+    return p * math.sqrt(max(0.0, c)) + c
+
+
+def complements(q: np.ndarray) -> np.ndarray:
+    """Each outcome mass's complement c_i, the sum of the other masses, along the last axis.
+
+    1 - q_i is exact enough where q_i <= 1/2. A mass above 1/2 (one, or two
+    within round-off of 1/2) gets the sum of the others instead: 1 - q_i keeps
+    only the digits of 1 that q_i lacks, 0 at q = (1 - 1e-17, 1e-17).
+    """
+    big = q > 0.5
+    rest = np.where(big, 0.0, q).sum(axis=-1, keepdims=True)
+    other_big = np.where(big, q, 0.0).sum(axis=-1, keepdims=True) - q
+    return np.where(big, rest + other_big, 1.0 - q)
+
+
+def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(trace distance, convex sum) of each row's strategy, from its zero-padded
+    outcome masses q and their ``complements`` c.
+
+    The members phi_i are orthonormal and <phi_i|psi> = sqrt(q_i), so in their
+    basis |psi><psi| - sum_i q_i |phi_i><phi_i| is w w^T - diag(q), w_i = sqrt(q_i).
+    Its one positive eigenvalue, the trace distance, is the root lambda of
+    sum_i q_i / (q_i + lambda) = 1, a rank-one-modified eigenproblem (Golub 1973;
+    Bunch, Nielsen and Sorensen 1978). Written as g(lambda) =
+    sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits near 0 and
+    1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1. Bisection halves the
+    bit patterns of the floats in [0, 1] (below 2^62 of them), so 62 steps leave
+    adjacent floats around the root; a row whose lower end never moves has its
+    root below the least positive float, so 0. The convex sum is sum_i q_i sqrt(c_i).
+    """
+    lo, hi = np.zeros(len(q), dtype=np.int64), np.ones(len(q)).view(np.int64)
+    for _ in range(62):
+        mid = (lo + hi + 1) // 2  # above lo, so lambda > 0
+        lam = mid.view(np.float64)[:, None]
+        above = (q * (c - lam) / (q + lam)).sum(axis=-1) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -78,10 +116,10 @@ class CheatReport:
     ``outcome_table`` rows are (outcome label, branch probability q_i, branch
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
     verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
-    (keys, V): V's column 0 is the reference on ``keys``, column i member i.
-    ``margin`` is the slack left under the closed-form bound. ``distance`` is
-    (a cached trace-distance call, the report's index in its result), made on
-    first read by ``proof_chain``; a random sweep's reports share their group's.
+    (reference, columns, U, each column's outcome or None), U acting on the
+    first len(U) columns. ``margin`` is the slack left under the closed-form
+    bound. ``links`` is (a cached ``chain_links`` call, the report's row in
+    it), made on first read by ``proof_chain``; a stack's reports share one.
     """
 
     p: float
@@ -90,16 +128,22 @@ class CheatReport:
     outcome_table: tuple[tuple[Label, float, float], ...]
     members: Ensemble | tuple = field(repr=False, compare=False)
     p_bound: float
-    distance: tuple = field(repr=False, compare=False)
+    links: tuple = field(repr=False, compare=False)
 
     @cached_property
     def returned(self) -> Ensemble:
-        """Built on first read: a dense strategy's members become sparse states here."""
+        """Built on first read for a dense strategy, by the single-state route:
+        ``apply_unitary_c`` with U, ``collapse_branches``, ``apply_unitary_c``
+        with U^dagger, weighted by the table's q's."""
         if isinstance(self.members, Ensemble):
             return self.members
-        keys, v = self.members
-        states = (state_from_block(keys, phi) for phi in v[:, 1:].T)
-        return Ensemble(tuple(zip((q for _, q, _ in self.outcome_table), states)))
+        reference, columns, u, outcomes = self.members
+        basis = columns[:len(u)]
+        partition = ProjPartition({c: o for c, o in zip(columns, outcomes) if o is not None})
+        branches = collapse_branches(apply_unitary_c(reference, LocalUnitary(basis, u)), partition)
+        undo = LocalUnitary(basis, u.conj().T)
+        return Ensemble(tuple((q, apply_unitary_c(branches[outcome][1], undo))
+                              for outcome, q, _ in self.outcome_table))
 
     @property
     def margin(self) -> float:
@@ -115,14 +159,16 @@ class CheatReport:
         }
 
 
-def _report(inst: SealedInstance, table, lones, members, accept, distance) -> CheatReport:
+def _report(inst: SealedInstance, table, lones, rests, s, members, links) -> CheatReport:
     """A strategy's report. ``lones`` are its outcomes' lone active labels (None for
-    several); they are distinct and ``decode`` is injective, so no message is pinpointed twice."""
-    masses = [q for (_, q, _), lone in zip(table, lones) if inst.decode.get(lone) is not None]
-    p = min(1.0, sum_in_order(masses))
-    p_bound = min(1.0, max(masses, default=0.0))
-    return CheatReport(p, 1.0 - accept, soundness_bound(p_bound), tuple(table), members,
-                       p_bound, distance)
+    several), ``rests`` its masses' ``complements``; the lones are distinct and
+    ``decode`` is injective, so no message is pinpointed twice."""
+    pinned = [(q, c) for (_, q, _), c, lone in zip(table, rests, lones)
+              if inst.decode.get(lone) is not None]
+    p = min(1.0, sum_in_order(q for q, _ in pinned))
+    p_bound, c = max(pinned, default=(0.0, 1.0))
+    p_bound = min(1.0, p_bound)
+    return CheatReport(p, s, soundness_bound(p_bound, c), tuple(table), members, p_bound, links)
 
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
@@ -137,9 +183,11 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
              for outcome, (q, post) in zip(outcomes, returned.members)]
     actives = (post.c_labels() for _, post in returned.members)
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
-    distance = cache(lambda: [trace_distance_pure_vs_ensemble(reference, returned)])
+    qs = np.array([[q for _, q, _ in table]])
+    cs = complements(qs)
     accept = project_accept_probability(reference, returned)
-    return _report(inst, table, lones, returned, accept, (distance, 0))
+    return _report(inst, table, lones, cs[0].tolist(), 1.0 - accept, returned,
+                   (cache(partial(chain_links, qs, cs)), 0))
 
 
 @cache
@@ -171,44 +219,33 @@ def _rotated_branches(
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
-    Returns one report per trial, its members (keys, V) with V a slice of the
-    stacked V's of the trials with as many outcomes, and its distance their one
-    cached ``span_trace_distance`` call.
-
-    The whole strategy stays in the reference's |B| x |C| block: rotate the
-    basis columns once for the stack (psi @ U^T), rank all trials' outcomes at
-    once (a cumulative count over the outcome codes the active columns use),
-    and mark each group's cells in one boolean indicator, in_cell[g, i, j] true
-    when column j lies in outcome i's cell. q is the sum of the columns' masses
-    under it, and member i on the basis columns is (the rotated block masked to
-    its cell / sqrt(q_i)) @ conj(U): one batched product per group. C labels
-    outside the basis ride along under the identity: their entries are the
-    reference's own, masked and scaled the same way, and no product touches
-    them. Active labels are the columns holding some amplitude of at least
-    ``PRUNE_TOL`` after the rotation. V and the q's pass ``check_norm``, ``check_weights``.
+    Every number of a report is a function of its outcome masses q, so no
+    member is built. The strategy stays in the reference's |B| x |C| block:
+    rotate the basis columns once for the stack (psi @ U^T), rank all trials'
+    outcomes at once (a cumulative count over the outcome codes the active
+    columns use), and mark each trial's cells in one boolean indicator,
+    in_cell[t, i, j] true when column j lies in outcome i's cell. q is the sum
+    of the columns' masses under it, zero-padded to one entry per column, so
+    every sum over a trial's q's has the bits it has for that trial alone. C
+    labels outside the basis ride along under the identity with their
+    reference mass. Active labels are the columns holding some amplitude of at
+    least ``PRUNE_TOL`` after the rotation. The q's pass ``check_weights``;
+    acceptance i is q_i and s is 1 - sum q_i^2.
+    The reports share one cached ``chain_links`` call.
 
     Raises:
-        ValueError: a partition omits an active label, or a norm check fails.
+        ValueError: a partition omits an active label, or the q's do not sum to 1.
     """
     n = len(basis)
-    columns = tuple(basis) + tuple(sorted(inst.reference.c_labels() - set(basis)))
-    b_labels, psi, _ = c_block(inst.reference, columns)
-    rotated = psi[:, :n] @ np.swapaxes(matrices, -1, -2)
-    moduli = np.abs(rotated)
-    rides = psi[:, n:]  # every ride-along column holds reference amplitude, so it is active
-    mass = np.concatenate(((moduli ** 2).sum(axis=-2), np.broadcast_to(
-        (np.abs(rides) ** 2).sum(axis=0), (len(matrices), rides.shape[1]))), axis=-1)
-    held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2),
-                           np.ones((len(matrices), len(columns) - n), dtype=bool)), axis=-1)
-    # Members live on the basis columns and the reference's support: V keeps the
-    # (b, basis column) keys, b-major, then the reference's keys on ride-along columns.
-    ride_b, ride_j = np.nonzero(rides)
-    n_basis = psi.shape[0] * n
-    keys = [(b, c) for b in b_labels for c in basis]
-    keys += [(b_labels[i], columns[n + j]) for i, j in zip(ride_b.tolist(), ride_j.tolist())]
-    ride_amps = rides[ride_b, ride_j]
-    reference_row = np.concatenate((psi[:, :n].ravel(), ride_amps))
-    del psi, rides  # |B| x |C|; only the kept keys' amplitudes are read below
+    reference = inst.reference
+    columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
+    _, psi, _ = c_block(reference, columns)
+    moduli = np.abs(psi[:, :n] @ np.swapaxes(matrices, -1, -2))
+    rides = np.ones((len(matrices), len(columns) - n), dtype=bool)  # hold reference mass: active
+    mass = np.concatenate(((moduli ** 2).sum(axis=-2),
+                           rides * (np.abs(psi[:, n:]) ** 2).sum(axis=0)), axis=-1)
+    held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2), rides), axis=-1)
+    del psi, moduli
     names, codes = _outcome_codes(columns, partitions)
     uncovered = np.argwhere(held & (codes < 0))
     if len(uncovered):
@@ -218,50 +255,25 @@ def _rotated_branches(
     used[at_t, codes[at_t, at_j]] = True
     # Each column's outcome index among its trial's sorted outcomes, -1 if inactive.
     cell_of = np.where(held, np.take_along_axis(np.cumsum(used, axis=-1) - 1, codes, -1), -1)
+    counts = used.sum(axis=-1)
+    in_cell = cell_of[:, None] == np.arange(counts.max())[:, None]
+    qs = np.zeros(mass.shape)
+    qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
+    for total in qs.sum(axis=-1).tolist():
+        check_weights(total)
+    cs = complements(qs)
+    detections = np.clip(1.0 - (qs ** 2).sum(axis=-1), 0.0, 1.0).tolist()
     labels = np.array(columns + (None,), dtype=object)  # None: no lone active label
-    by_count: dict[int, list[int]] = {}
-    for t, m in enumerate(used.sum(axis=-1).tolist()):
-        by_count.setdefault(m, []).append(t)
-    reports: list = [None] * len(matrices)
-    for m, group in by_count.items():
-        in_cell = cell_of[group][:, None] == np.arange(m)[:, None]
-        qs = (mass[group][:, None] * in_cell).sum(axis=-1)
-        roots = np.sqrt(qs)[..., None]
-        # Row 0 of a trial's slice is the reference, row i member i. The product
-        # writes into V, so the masked block is the one temporary of V's size.
-        vts = np.zeros((len(group), m + 1, len(keys)), dtype=np.complex128)
-        vts[:, 0] = reference_row
-        branch = rotated[group][:, :, None] * in_cell[:, None, :, :n]
-        branch /= roots[:, None]
-        members = vts[:, 1:, :n_basis].reshape(len(group), m, -1, n).swapaxes(1, 2)
-        np.matmul(branch, matrices[group].conj()[:, None], out=members)
-        del branch
-        np.divide(ride_amps * in_cell[..., n + ride_j], roots, out=vts[:, 1:, n_basis:])
-        norms = (np.abs(vts) ** 2).sum(axis=-1)
-        # The entry farthest from 1 in each V; a NaN is the argmax.
-        worst = np.take_along_axis(norms, np.abs(norms - 1.0).argmax(axis=-1)[:, None], -1)
-        for w, total in zip(worst[:, 0].tolist(), qs.sum(axis=-1).tolist()):
-            check_norm(w)
-            check_weights(total)
-        # 1 - acceptance is |part of phi_i orthogonal to psi|^2 / |phi_i|^2: one minus
-        # the overlap ratio keeps 1e-16 of round-off, 1e-8 once the chain takes sqrt.
-        overlaps = (vts[:, 1:] @ vts[:, 0, :, None].conj()) / norms[:, :1, None]
-        # In place, so that one complex array of V's size is live next to V at a time.
-        away = overlaps * vts[:, :1]
-        np.subtract(vts[:, 1:], away, out=away)
-        away_sq = np.abs(away)
-        del away
-        np.square(away_sq, out=away_sq)
-        acceptances = np.maximum(0.0, 1.0 - away_sq.sum(axis=-1) / norms[:, 1:])
-        accepts = np.clip((qs * acceptances).sum(axis=-1), 0.0, 1.0)
-        vs = np.swapaxes(vts, 1, 2)
-        outcomes = names[np.nonzero(used[group])[1]].reshape(len(group), m).tolist()
-        lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
-        call = cache(partial(span_trace_distance, vs, qs))
-        for index, (t, v, named, probs, row, lone, accept) in enumerate(zip(
-                group, vs, outcomes, qs.tolist(), acceptances.tolist(), lones, accepts.tolist())):
-            reports[t] = _report(inst, list(zip(named, probs, row)), lone, (keys, v), accept,
-                                 (call, index))
+    lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
+    outcomes = np.append(names, None)[codes]  # each column's outcome, None where uncovered
+    named = iter(names[np.nonzero(used)[1]].tolist())  # trial by trial, in sorted order
+    links = cache(partial(chain_links, qs, cs))
+    reports = []
+    for t, (m, probs, rests, lone, s) in enumerate(zip(
+            counts.tolist(), qs.tolist(), cs.tolist(), lones, detections)):
+        table = list(zip(itertools.islice(named, m), probs[:m], probs[:m]))
+        reports.append(_report(inst, table, lone[:m], rests[:m], s,
+                               (reference, columns, matrices[t], outcomes[t]), (links, t)))
     return reports
 
 
@@ -439,11 +451,11 @@ def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, 
     return normals, cells
 
 
-# Trials per chunk of a sweep, so that a chunk's stacked V's (about
-# |B| x |C| x |C| amplitudes per trial) hold at most this many amplitudes.
-# With every trial in one chunk, bound-sweep's peak memory rose from 44.1 to
-# 46.8 MiB; at this budget it is below the per-trial loop's, and a chunk still
-# holds 13 trials at |B| = |C| = 17 and 8192 at |B| = |C| = 2.
+# Trials per chunk of a sweep: this many over |B| x |C| x |C|, at least one.
+# A chunk holds each trial's Haar block (2 |C|^2 normals, then U), its rotation
+# (|B| x |C| amplitudes) and its cell indicator with the masses under it (at
+# most |C| x |C| each), so no array of a chunk passes 2^17 entries unless one
+# trial does. A chunk holds 13 trials at |B| = |C| = 17 and 8192 at |B| = |C| = 2.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -458,15 +470,14 @@ def random_strategy_sweep(
     no generator is built per trial (``_pcg64_states``, ``_draw_trials``). The
     trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
     unitarity check, one rotation and one (trials, |C|) array of cell numbers
-    (no ``ProjPartition``) per chunk, and one ``span_trace_distance`` call per
-    group of trials with as many outcomes, made when ``proof_chain`` first reads
-    one of the group's reports.
+    (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk,
+    made when ``proof_chain`` first reads one of its reports.
 
     Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
-    ``DENSE_DIM_CAP``, the cap on the proof chain's trace distance, so that
-    every sweep report can be checked; it also fixes ``bound-sweep``'s row set.
-    It is not there for speed: 100 trials with their proof chains take
-    0.03-0.05 s at |B| = |C| = 17 and 2.7-3.1 s at |B| = 2, |C| = 256 (shared
+    ``DENSE_DIM_CAP``. No report or chain needs that guard; it fixes which
+    rows ``bound-sweep`` prints, and so the rows its reference records.
+    100 trials with their proof chains take 0.013-0.015 s at |B| = |C| = 17
+    and 1.6-1.9 s at |B| = 2, |C| = 256, where the Haar QR dominates (shared
     2-vCPU VM, single-threaded BLAS).
     """
     if trials < 1:
@@ -513,18 +524,11 @@ class ProofChain:
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
     """Evaluate the inequality chain for one report.
 
-    The trace distance is the report's cached call, made once however often it
-    is read: ``span_trace_distance`` on its group's V's for a dense report, else
-    ``trace_distance_pure_vs_ensemble`` on the returned Ensemble. The other
-    three links are read off the report: the acceptance gap is ``s``, the
-    convex sum weighs each branch's pure-state distance sqrt(1 - acceptance)
-    by its probability, and the closed form is ``bound``. Raises ValueError
-    when the joint basis (a dense report's block) exceeds ``DENSE_DIM_CAP`` keys.
+    Every link is a function of the report's outcome masses, so no report is
+    too large for its chain. The trace distance and the convex sum are the
+    report's row of its cached ``chain_links`` call, made once however often
+    it is read; the acceptance gap is ``s`` and the closed form ``bound``.
     """
-    call, index = report.distance
-    distance = float(call()[index])
-    convex = sum_in_order(
-        q * math.sqrt(max(0.0, 1.0 - acceptance))
-        for _, q, acceptance in report.outcome_table
-    )
-    return ProofChain(report.s, distance, convex, report.bound)
+    call, index = report.links
+    distances, convex_sums = call()
+    return ProofChain(report.s, float(distances[index]), float(convex_sums[index]), report.bound)

@@ -6,27 +6,27 @@ sparse map from (b_label, c_label) to a complex number. Encodings whose label
 space is exponentially large but whose support is small therefore stay exact
 and cheap.
 
-Dense work on register C goes through one pair of block helpers: ``c_block``
-lays a state's amplitudes on a C basis out as a |B| x |basis| array, and
-``state_from_block`` turns such an array back into a ``SparseState``.
-Strategies rotate that array in ``adversary._rotated_branches``;
-``apply_unitary_c`` is the single-state reference kept for tests and perfbench.
+Dense work on register C starts from ``c_block``, which lays a state's
+amplitudes on a C basis out as a |B| x |basis| array. Strategies rotate that
+array in ``adversary._rotated_branches``, which keeps only outcome masses;
+``apply_unitary_c`` rotates one state, and builds a dense report's returned
+mixture when it is read.
 
 ``collapse_branches`` gives every outcome of a partition of C with its
 post-state; ``sample_readout`` draws one label of a basis readout of C.
 
-The mixed-state trace distance works in the span of the states involved (one
-QR column per state) instead of on a square matrix over their joint support,
-and that joint support is capped at ``DENSE_DIM_CAP`` keys.
+The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
+span of the states involved (one QR column per state, ``span_trace_distance``)
+instead of on a square matrix over their joint support, which is capped at
+``DENSE_DIM_CAP`` keys. No strategy calls it: a proof chain reads its outcome
+masses (``adversary.chain_links``), and the tests keep these two as its oracle.
 
-The dense helpers take one matrix or a stack of them (leading axes), so a
-random sweep runs one QR for its Haar draws (``haar_unitaries`` on a chunk's
+``haar_unitaries`` and ``check_unitary`` take a stack of matrices (leading
+axes), so a random sweep runs one QR for its Haar draws (a chunk's
 (trials, 2, n, n) normal block, each slice filled as ``default_rng(seed + t)``
-would fill it), one unitarity check (``check_unitary``) and one
-trace-distance call per group of equal-shaped V's (``span_trace_distance``).
-numpy runs a stack slice by slice through the same LAPACK and BLAS calls, so
-a slice's result has the bits of the call on that slice alone, and a sweep's
-unitaries have the bits of ``random_unitary`` on each trial's generator.
+would fill it) and one unitarity check. numpy runs a stack slice by slice
+through the same LAPACK calls, so a sweep's unitaries have the bits of
+``random_unitary`` on each trial's generator.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def trace_distance_pure_vs_ensemble(psi: SparseState, sigma: Ensemble) -> float:
     return span_trace_distance(v, [q for q, _ in members])
 
 
-def span_trace_distance(v: np.ndarray, q: Sequence[float] | np.ndarray) -> float | np.ndarray:
+def span_trace_distance(v: np.ndarray, q: Sequence[float]) -> float:
     """Trace distance between |psi><psi| (column 0 of V) and sum_i q_i |phi_i><phi_i|
     (phi_i column i), where V has at most ``DENSE_DIM_CAP`` rows (else ValueError).
 
@@ -216,18 +216,13 @@ def span_trace_distance(v: np.ndarray, q: Sequence[float] | np.ndarray) -> float
     (thin QR), its nonzero eigenvalues are those of the small Hermitian matrix
     R D R^dagger; half the sum of their moduli (its singular values) is the
     trace distance, and no square matrix over V's rows is formed.
-
-    A stack of V's (shape (..., rows, m + 1)) with a matching stack of q's
-    (shape (..., m)) gives an array of distances; one V gives a float.
     """
-    if v.shape[-2] > DENSE_DIM_CAP:
-        raise ValueError(f"joint basis has dimension {v.shape[-2]}, cap is {DENSE_DIM_CAP}")
+    if len(v) > DENSE_DIM_CAP:
+        raise ValueError(f"joint basis has dimension {len(v)}, cap is {DENSE_DIM_CAP}")
     r = np.linalg.qr(v, mode="r")
-    q = np.asarray(q, dtype=float)
-    weights = np.concatenate((np.ones(q.shape[:-1] + (1,)), -q), axis=-1)[..., None, :]
-    singular = np.linalg.svd((r * weights) @ np.swapaxes(r.conj(), -1, -2), compute_uv=False)
-    distances = np.clip(0.5 * singular.sum(axis=-1), 0.0, 1.0)
-    return float(distances) if distances.ndim == 0 else distances
+    weights = np.concatenate(([1.0], -np.asarray(q, dtype=float)))
+    singular = np.linalg.svd((r * weights) @ r.conj().T, compute_uv=False)
+    return float(np.clip(0.5 * singular.sum(), 0.0, 1.0))
 
 
 def c_block(
@@ -238,7 +233,7 @@ def c_block(
     Returns (rows, block, outside): ``rows`` are the B labels with support on
     the basis, sorted, ``block[i, j]`` is the amplitude on key
     (rows[i], basis[j]), and ``outside`` holds the amplitudes on C labels not
-    in the basis. No key tuple is built; callers build the keys they keep.
+    in the basis. No key tuple is built.
     """
     col_of = {c: j for j, c in enumerate(basis)}
     outside = {key: a for key, a in s.amps.items() if key[1] not in col_of}
@@ -251,32 +246,21 @@ def c_block(
     return rows, block, outside
 
 
-def state_from_block(
-    keys: Sequence[tuple[Label, Label]],
-    block: np.ndarray,
-    outside: Mapping[tuple[Label, Label], complex] | None = None,
-) -> SparseState:
-    """The state with amplitude ``block.flat[k]`` on ``keys[k]``, plus ``outside``.
-
-    Entries below ``PRUNE_TOL`` are left out. States built from one ``keys``
-    list share its key tuples, which keeps a returned ensemble small.
-    """
-    flat = np.ravel(block)
-    (kept,) = np.nonzero(np.abs(flat) >= PRUNE_TOL)
-    amps = dict(outside or {})
-    amps.update(zip([keys[k] for k in kept.tolist()], flat[kept].tolist()))
-    return SparseState(amps)
-
-
 def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
     """Apply ``u`` to register C, leaving register B untouched.
 
-    One matrix product on the state's block over ``u.basis`` (``c_block``).
-    Labels outside the basis ride along unchanged.
+    One matrix product on the state's block over ``u.basis`` (``c_block``);
+    entries below ``PRUNE_TOL`` are left out before any key is built. Labels
+    outside the basis ride along unchanged.
     """
     rows, block, outside = c_block(s, u.basis)
-    keys = [(b, c) for b in rows for c in u.basis]
-    return state_from_block(keys, block @ u.matrix.T, outside)
+    flat = (block @ u.matrix.T).ravel()
+    (kept,) = np.nonzero(np.abs(flat) >= PRUNE_TOL)
+    n = len(u.basis)
+    amps = dict(outside)
+    amps.update(((rows[k // n], u.basis[k % n]), a)
+                for k, a in zip(kept.tolist(), flat[kept].tolist()))
+    return SparseState(amps)
 
 
 def collapse_branches(

@@ -1,4 +1,3 @@
-import builtins
 import json
 import math
 import os
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     chain_excess,
-    compensated_sum,
     dense_trace_distance,
     enumerate_basis_readout,
     identity_unitary,
@@ -26,6 +24,7 @@ from conftest import (
 )
 from qseal import adversary, harness
 from qseal.adversary import (
+    ProofChain,
     basis_cheat,
     optimal_post_collapse_response,
     predicate_cheat,
@@ -46,7 +45,6 @@ from qseal.states import (
     ProjPartition,
     SparseState,
     random_unitary,
-    span_trace_distance,
     squared_overlap,
     trace_distance_pure,
     trace_distance_pure_vs_ensemble,
@@ -77,11 +75,12 @@ def sealed_instances(draw):
 
 
 def distance_groups(reports):
-    """The reports' indices grouped by the cached trace-distance call they share,
-    each at its index in the call's result, groups in order of first appearance."""
+    """The reports' indices grouped by the cached ``chain_links`` call they share
+    (one per stack, so one per sweep chunk), each at its row in the call's
+    result, groups in order of first appearance."""
     groups = {}
     for t, report in enumerate(reports):
-        call, index = report.distance
+        call, index = report.links
         group = groups.setdefault(id(call), [])
         assert index == len(group)
         group.append(t)
@@ -315,11 +314,9 @@ class TestStackedSweep:
             single = strategy_report(inst, u, partition)
             assert report.outcome_table == single.outcome_table
             assert (report.p, report.s, report.bound) == (single.p, single.s, single.bound)
-            qs = [q for _, q, _ in single.outcome_table]
-            assert proof_chain(inst, report).trace_distance == span_trace_distance(
-                single.members[1], qs)
+            # The chain holds the trace distance: stack and single agree bit for bit.
             assert proof_chain(inst, report) == proof_chain(inst, single)
-            assert np.array_equal(report.members[1], single.members[1])
+            assert np.array_equal(report.members[2], single.members[2])
         return reports
 
     @staticmethod
@@ -371,7 +368,7 @@ class TestStackedSweep:
 
     def test_non_normalized_slice_raises_the_single_strategy_message(self):
         # A unitary scaled past NORM_TOL, set on a LocalUnitary after its
-        # check, leaves every member's norm off 1 by the square of the scale.
+        # check, leaves the outcome masses summing to the square of the scale.
         inst = seal_multipicture(pictures(4))
         labels = tuple(sorted(inst.reference.c_labels()))
         stack = adversary.haar_unitaries(
@@ -385,7 +382,7 @@ class TestStackedSweep:
             adversary._rotated_branches(inst, labels, stack, [ProjPartition.finest(labels)] * 4)
         message = str(batch.value)
         assert message == str(single.value)
-        assert message.startswith("state is not normalized: sum of squared moduli is 1.002")
+        assert message.startswith("ensemble weights sum to 1.002")
 
 
 class TestCellRows:
@@ -411,12 +408,14 @@ class TestCellRows:
         by_partition = adversary._rotated_branches(inst, basis, stack, partitions)
         assert [[o for o, _, _ in report.outcome_table] for report in by_row[:4]] == [
             ["cell0"], ["cell0", "cell1"], ["cell0", "cell2"], ["cell0"]]
-        assert distance_groups(by_row) == distance_groups(by_partition)
+        assert distance_groups(by_row) == distance_groups(by_partition) == [list(range(8))]
         for row, partition in zip(by_row, by_partition):
             # Reports compare p, s, bound, the table and p_bound, which reads the lone labels.
             assert row == partition
-            assert row.members[0] == partition.members[0]
-            assert np.array_equal(row.members[1], partition.members[1])
+            assert proof_chain(inst, row) == proof_chain(inst, partition)
+            assert row.members[1] == partition.members[1]
+            assert list(row.members[3]) == list(partition.members[3])
+            assert row.returned == partition.returned
 
     def test_sweep_builds_no_partition(self, monkeypatch):
         inst = seal_garbage("M", [f"g{i}" for i in range(11)])
@@ -519,18 +518,18 @@ class TestStreamEquivalence:
 
 class TestLazyDistance:
     """A sweep's trace distances are computed when a proof chain first reads one,
-    with one call per group of trials with as many outcomes."""
+    with one ``chain_links`` call per chunk."""
 
     @staticmethod
     def count_calls(monkeypatch):
         calls = []
-        span = adversary.span_trace_distance
+        links = adversary.chain_links
 
-        def counted(vs, qs):
-            calls.append(len(vs))
-            return span(vs, qs)
+        def counted(q, c):
+            calls.append(len(q))
+            return links(q, c)
 
-        monkeypatch.setattr(adversary, "span_trace_distance", counted)
+        monkeypatch.setattr(adversary, "chain_links", counted)
         return calls
 
     def test_cheat_random_computes_no_distance(self, monkeypatch, tmp_path):
@@ -543,30 +542,31 @@ class TestLazyDistance:
         assert len(json.loads(out.read_text())) == 300
         assert calls == []
 
-    def test_proof_chains_make_one_call_per_group(self, monkeypatch):
-        # 100 trials on multipicture-8 fit one chunk, so the eager calls on
-        # that chunk's groups are the sweep's.
+    def test_proof_chains_make_one_call_per_chunk(self, monkeypatch):
+        # 100 trials on multipicture-8 fit one chunk, so the chains of one stack
+        # of the same draws are the sweep's.
         inst = seal_multipicture(pictures(8))
         labels = sorted(inst.reference.c_labels())
         rngs = [np.random.default_rng(t) for t in range(100)]
         stack = adversary.haar_unitaries(normal_block(rngs, len(labels)))
         partitions = [random_partition(labels, rng) for rng in rngs]
         stacked = adversary._rotated_branches(inst, labels, stack, partitions)
-        groups = distance_groups(stacked)
-        eager = [0.0] * len(rngs)
-        for group in groups:
-            vs = np.stack([stacked[t].members[1] for t in group])
-            qs = np.array([[q for _, q, _ in stacked[t].outcome_table] for t in group])
-            for t, distance in zip(group, adversary.span_trace_distance(vs, qs).tolist()):
-                eager[t] = distance
+        assert distance_groups(stacked) == [list(range(100))]
+        eager = [proof_chain(inst, report) for report in stacked]
         calls = self.count_calls(monkeypatch)
         reports = random_strategy_sweep(inst, len(rngs), rng_seed=0)
         assert calls == []
         chains = [proof_chain(inst, report) for report in reports]
-        assert sorted(calls) == sorted(len(group) for group in groups)
-        assert [chain.trace_distance for chain in chains] == eager
+        assert calls == [100]
+        assert chains == eager
         assert [proof_chain(inst, report) for report in reports] == chains
-        assert len(calls) == len(groups)
+        assert calls == [100]
+        # 30 trials per chunk: four chunks, four calls, the same chains.
+        monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 30 * 8 * 8 * 8)
+        chunked = random_strategy_sweep(inst, len(rngs), rng_seed=0)
+        assert [len(group) for group in distance_groups(chunked)] == [30, 30, 30, 10]
+        assert [proof_chain(inst, report) for report in chunked] == chains
+        assert calls == [100, 30, 30, 30, 10]
 
 
 def dense_strategy(reference, basis, matrix, outcome_of):
@@ -679,7 +679,7 @@ class TestDenseBlockOracle:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("finest", [True, False], ids=["finest", "random-partition"])
     def test_two_label_unitary_on_a_wide_reference(self, seed, finest):
-        # 62 of the 64 C labels ride along: their columns are copied, not multiplied.
+        # 62 of the 64 C labels ride along: their masses are read, not multiplied.
         inst = TestRandomStrategySweep.rectangular_instance(4, 64)
         labels = sorted(inst.reference.c_labels())
         rng = np.random.default_rng(seed)
@@ -688,12 +688,13 @@ class TestDenseBlockOracle:
         report = strategy_report(inst, u, partition)
         outcome_of = None if finest else partition.outcome_of
         self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
-        assert report.members[1].shape == (4 * 2 + 62, len(report.outcome_table) + 1)
+        _, columns, matrix, _ = report.members
+        assert columns[:2] == u.basis and len(columns) == 64 and matrix.shape == (2, 2)
 
     def test_stacked_trials_with_ride_along_columns(self):
         # g0, g1, g2 and an ancilla form the basis, so M and g3 ride along. The two
-        # finest partitions share an outcome count, and so do the two three-cell
-        # ones, which put the riders in different cells.
+        # three-cell partitions put the riders in different cells; the six trials
+        # run as one stack with one chain call.
         inst = seal_garbage("M", ["g0", "g1", "g2", "g3"])
         labels = sorted(inst.reference.c_labels()) + ["work"]
         basis = ["g0", "g1", "g2", "work"]
@@ -704,14 +705,13 @@ class TestDenseBlockOracle:
                                                            for cells in ("aabbcc", "caabbc")]
         partitions += [random_partition(labels, rng) for _ in range(2)]
         reports = adversary._rotated_branches(inst, basis, stack, partitions)
-        assert max(len(group) for group in distance_groups(reports)) > 1
+        assert distance_groups(reports) == [list(range(6))]
         for t, (report, matrix, partition) in enumerate(zip(reports, stack, partitions)):
             self.assert_matches(report, dense_strategy(inst.reference, basis, matrix,
                                                        partition.outcome_of))
             (single,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
             assert report == single
-            assert report.members[0] == single.members[0]
-            assert np.array_equal(report.members[1], single.members[1])
+            assert proof_chain(inst, report) == proof_chain(inst, single)
 
     def test_partition_missing_a_rotated_into_label_raises(self):
         inst = seal_naive("M", garbage="0")
@@ -818,14 +818,18 @@ class TestDenseEvaluation:
                 assert abs(dense - sparse) <= 1e-12
 
     def test_members_keep_only_the_keys_they_can_hold(self):
-        # A unitary on two of 32 OAEP tokens plus an ancilla: every member lives on
-        # the 3 basis columns (32 rows each) and the reference's other 30 keys,
-        # not on the whole 32 x 33 block.
+        # A unitary on two of 32 OAEP tokens plus an ancilla: every built member
+        # lives on the 3 basis columns (32 rows each) and the reference's other
+        # 30 keys, not on the whole 32 x 33 block.
         inst = seal_oaep(7, OaepContext.create(k0=5, n=8, with_human=False))
         labels = sorted(inst.reference.c_labels())
         u = random_unitary(labels[:2] + ["work"], 3)
         report = strategy_report(inst, u, None)
-        assert report.members[1].shape == (32 * 3 + 30, len(report.outcome_table) + 1)
+        assert "returned" not in vars(report)
+        held = {(b, c) for b in inst.reference.b_labels() for c in u.basis}
+        held |= {key for key in inst.reference.amps if key[1] not in u.basis}
+        assert len(held) == 32 * 3 + 30
+        assert {key for _, member in report.returned.members for key in member.amps} <= held
         TestDenseBlockOracle.assert_matches(
             report, dense_strategy(inst.reference, u.basis, u.matrix, None)
         )
@@ -834,10 +838,12 @@ class TestDenseEvaluation:
         )
 
     def test_large_reference_builds_only_the_keys_it_keeps(self):
-        # A unitary on two of 512 OAEP tokens: V holds the 512 x 2 basis keys and
-        # the reference's 510 other keys (12 MiB). Keys for the whole 512 x 512
-        # block, and two more arrays of V's size next to V and the block, took
-        # the tracemalloc peak to 40 MiB.
+        # A unitary on two of 512 OAEP tokens: the report keeps the 2 x 2 unitary
+        # and each column's outcome, and no key or member until ``returned`` is
+        # read. The tracemalloc peak measured 6.1 MiB: the 512 x 512 block
+        # (4 MiB) and the masses under the cell indicator (2 MiB). Building V,
+        # the 512 x 2 basis keys and the 510 others as one (keys, members) array,
+        # took it to 30.5 MiB.
         inst = seal_oaep(0x5A, OaepContext.create(k0=9, n=8, with_human=False))
         labels = sorted(inst.reference.c_labels())
         u = random_unitary(labels[:2], 3)
@@ -847,12 +853,13 @@ class TestDenseEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        keys, v = report.members
-        expected = [(b, c) for b in sorted(inst.reference.b_labels()) for c in labels[:2]]
-        expected += [key for key in sorted(inst.reference.amps) if key[1] not in labels[:2]]
-        assert keys == expected
-        assert v.shape == (512 * 2 + 510, len(report.outcome_table) + 1)
-        assert peak < 34 * 2**20
+        _, columns, matrix, outcomes = report.members
+        assert columns[:2] == tuple(labels[:2]) and sorted(columns) == labels
+        assert matrix.shape == (2, 2) and list(outcomes) == list(columns)
+        assert peak < 8 * 2**20
+        expected = {(b, c) for b in inst.reference.b_labels() for c in labels[:2]}
+        expected |= {key for key in inst.reference.amps if key[1] not in labels[:2]}
+        assert {key for _, member in report.returned.members for key in member.amps} <= expected
 
     @staticmethod
     def ancilla_strategy(n_b, n_c):
@@ -866,11 +873,14 @@ class TestDenseEvaluation:
         assert proof_chain(inst, report).holds()
 
     def test_block_past_the_chain_cap(self):
+        # The chain reads the masses, so 513 keys hold it; the state-route
+        # oracle that keeps the cap refuses them, and numpy's eigensolver agrees.
         inst, report = self.ancilla_strategy(3, 170)
-        message = "joint basis has dimension 513, cap is 512"
-        with pytest.raises(ValueError, match=message):
-            proof_chain(inst, report)
-        with pytest.raises(ValueError, match=message):
+        chain = proof_chain(inst, report)
+        assert chain.holds()
+        assert chain.trace_distance == pytest.approx(
+            dense_trace_distance(inst.reference, report.returned), abs=1e-12)
+        with pytest.raises(ValueError, match="joint basis has dimension 513, cap is 512"):
             trace_distance_pure_vs_ensemble(inst.reference, report.returned)
 
     @pytest.mark.parametrize("n_b", [1, 3, 10])
@@ -944,35 +954,56 @@ class TestProofChain:
         assert chain.trace_distance == pytest.approx(closed, abs=1e-12)
         assert report.s == pytest.approx(1.0 - float(np.sum(q**2)), abs=1e-12)
 
-    def test_links_read_from_the_report_equal_the_overlap_formulas(self, monkeypatch):
-        # Only the trace distance is computed afresh; the other links are read
-        # off the report. A sparse report's table holds the per-member
-        # overlaps, so its convex sum is the same float as theirs. A random
-        # report's acceptances come from its dense array; they are checked
-        # against the overlaps of the lazily built members, a separate path.
-        # Builtin sum compensates as from CPython 3.12 on, so a convex sum not
-        # added left to right fails on every Python version.
-        monkeypatch.setattr(builtins, "sum", compensated_sum)
+    def test_links_read_from_the_report_equal_the_overlap_formulas(self):
+        # The acceptance gap and the closed form are read off the report; the
+        # trace distance and the convex sum come from the outcome masses. The
+        # masses and the table are checked against the overlaps of the built
+        # members, a separate path, and the convex sum against each member's
+        # pure-state distance sqrt(1 - overlap) weighed by its mass. Where an
+        # overlap is within a few ulps of 1 (a one-cell partition), that square
+        # root is off by up to sqrt(2^-50) = 2^-25, so the random rows allow it.
         for inst in (seal_garbage("M", ["g0", "g1", "g2"]), seal_multipicture(pictures(6))):
             sparse = basis_cheat(inst)
-            chain = proof_chain(inst, sparse)
-            assert chain.convex_sum == left_to_right_sum(
-                q * trace_distance_pure(inst.reference, member)
-                for q, member in sparse.returned.members
-            )
             for report in [sparse, *random_strategy_sweep(inst, 20, rng_seed=3)]:
                 chain = proof_chain(inst, report)
                 assert chain.acceptance_gap == report.s
-                assert chain.convex_sum == left_to_right_sum(
-                    q * math.sqrt(max(0.0, 1.0 - acceptance))
-                    for _, q, acceptance in report.outcome_table
-                )
-                assert chain.closed_form == soundness_bound(report.p_bound)
-                for (_, q, acceptance), (weight, member) in zip(
-                    report.outcome_table, report.returned.members, strict=True
+                assert chain.closed_form == report.bound
+                assert abs(report.bound - soundness_bound(report.p_bound)) <= 1e-12
+                overlaps = [squared_overlap(inst.reference, member)
+                            for _, member in report.returned.members]
+                by_overlaps = left_to_right_sum(
+                    q * trace_distance_pure(inst.reference, member)
+                    for q, member in report.returned.members)
+                tol = 1e-12 if report is sparse else 2.0**-25
+                assert abs(chain.convex_sum - by_overlaps) <= tol
+                for (_, q, acceptance), (weight, _), overlap in zip(
+                    report.outcome_table, report.returned.members, overlaps, strict=True
                 ):
                     assert q == weight
-                    assert abs(acceptance - squared_overlap(inst.reference, member)) <= 1e-12
+                    assert abs(acceptance - overlap) <= 1e-12
+
+    @staticmethod
+    def near_one_references():
+        """Hand-built references whose basis cheat leaves one mass within 1e-12 of 1."""
+        for eps in (1e-12, 1e-14, 1e-15, 1e-17):
+            reference = SparseState({("M", "M"): math.sqrt(1.0 - eps), ("g", "g"): math.sqrt(eps)})
+            inst = SealedInstance(GARBAGE, reference, {"M": "M", "g": None}, {})
+            yield pytest.param(inst, eps, id=f"eps-{eps:g}")
+        for n_b in (10, 14, 21, 25, 26, 27):
+            reference = uniform_state((f"b{i}", "M") for i in range(n_b))
+            inst = SealedInstance(GARBAGE, reference, {"M": "M"}, {})
+            yield pytest.param(inst, None, id=f"one-label-{n_b}")
+
+    @pytest.mark.parametrize("inst, eps", list(near_one_references()))
+    def test_near_one_reference_holds_its_chain(self, inst, eps):
+        # The message's outcome holds nearly all the mass, so 1 - q_M keeps none
+        # of the digits of the other outcomes' mass: the complement is their sum.
+        report = basis_cheat(inst)
+        chain = proof_chain(inst, report)
+        assert chain.holds(), (chain_excess(chain), chain)
+        if eps == 1e-17:
+            assert abs(report.bound - (math.sqrt(eps) * (1.0 - eps) + eps)) <= 1e-12
+            assert report.bound > 1e-9
 
     @given(inst=sealed_instances(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -999,6 +1030,73 @@ class TestProofChain:
         inst = seal_naive("M", garbage="0")
         chain = proof_chain(inst, basis_cheat(inst))
         assert chain.trace_distance >= 0.5 - 1e-10
+
+
+def mass_chain(q):
+    """The proof chain a dense report of outcome masses q has, its largest
+    mass pinpointing the message: s = 1 - sum q^2, ``chain_links`` and the bound."""
+    qs = np.array([q], dtype=float)
+    cs = adversary.complements(qs)
+    (distance,), (convex,) = adversary.chain_links(qs, cs)
+    best = int(qs[0].argmax())
+    gap = min(1.0, max(0.0, 1.0 - float((qs ** 2).sum())))
+    closed_form = soundness_bound(qs[0, best], cs[0, best])
+    return ProofChain(gap, float(distance), float(convex), closed_form)
+
+
+@st.composite
+def probability_vectors(draw):
+    weights = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=24)
+                   .filter(lambda w: sum(w) > 0.0))
+    return (np.array(weights) / math.fsum(weights)).tolist()
+
+
+class TestMassChain:
+    """The chain read from outcome masses, against oracles that share none of its code."""
+
+    @given(q=probability_vectors())
+    @settings(max_examples=200, deadline=None)
+    @example(q=[1.0 - 1e-12, 1e-12])
+    @example(q=[1.0 - 1e-15, 1e-15])
+    @example(q=[1.0 - 1e-17, 1e-17])
+    @example(q=[1.0 - 2e-17, 1e-17, 1e-17])
+    @example(q=[0.5000000000000001, 0.5000000000000002])
+    @example(q=[1.0])
+    def test_chain_holds_and_the_root_is_the_positive_eigenvalue(self, q):
+        # In the members' basis the difference is w w^T - diag(q), w_i = sqrt(q_i).
+        chain = mass_chain(q)
+        assert chain.holds(EXACT_TOL), (chain_excess(chain), chain)
+        w = np.sqrt(q)
+        closed = 0.5 * np.abs(np.linalg.eigvalsh(np.outer(w, w) - np.diag(q))).sum()
+        assert abs(chain.trace_distance - closed) <= 1e-12
+
+    def test_equal_masses_at_the_support_cap(self):
+        chain = mass_chain([2.0**-16] * 2**16)
+        assert chain.holds(EXACT_TOL)
+        assert chain.trace_distance == 1.0 - 2.0**-16
+
+    @pytest.mark.parametrize("q", [
+        [0.5, 0.5], [0.7, 0.2, 0.1], [0.25] * 4, [0.9, 0.1], [1.0],
+        [1.0 - 1e-12, 1e-12], [1.0 - 1e-15, 1e-15], [1.0 - 1e-17, 1e-17],
+        *(np.random.default_rng(k).dirichlet(np.full(k, 0.05)).tolist() for k in (2, 3, 6, 9)),
+    ], ids=lambda q: f"{len(q)}-masses-max-{max(q):.17g}")
+    def test_root_and_convex_sum_equal_40_digit_values(self, q):
+        # mpmath's symmetric eigensolver on w w^T - diag(q) at 40 digits, with the
+        # float masses taken as exact; c_i is the exact sum of the other masses.
+        import mpmath
+
+        with mpmath.workdps(40):
+            exact = [mpmath.mpf(x) for x in q]
+            w = [mpmath.sqrt(x) for x in exact]
+            diff = mpmath.matrix(len(q))
+            for i in range(len(q)):
+                for j in range(len(q)):
+                    diff[i, j] = w[i] * w[j] - (exact[i] if i == j else 0)
+            root = mpmath.fsum(abs(e) for e in mpmath.eigsy(diff, eigvals_only=True)) / 2
+            convex = mpmath.fsum(x * mpmath.sqrt(mpmath.fsum(exact) - x) for x in exact)
+            chain = mass_chain(q)
+            assert abs(chain.trace_distance - root) <= 2.0**-50 * root
+            assert abs(chain.convex_sum - convex) <= 2.0**-50 * convex
 
 
 class TestReportSerialization:

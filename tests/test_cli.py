@@ -510,14 +510,24 @@ class TestErrorExitCodes:
         assert run_cli("--config", str(config), "seal") == 1
         assert "'mesage'" in self.assert_one_line_error(capsys)
 
-    def test_bound_sweep_past_the_chain_cap(self, tmp_path, capsys):
-        # garbage-512 has a joint support of 513 keys, one past DENSE_DIM_CAP,
-        # so its proof chain cannot be checked and the sweep fails.
+    def test_bound_sweep_past_the_chain_cap(self, tmp_path, capsys, monkeypatch):
+        # garbage-512 has a joint support of 513 keys, one past DENSE_DIM_CAP.
+        # A chain reads the outcome masses, so its named rows are chained and
+        # printed; only random rows stop at the cap.
+        chain_of, chains = harness.proof_chain, []
+
+        def recording_proof_chain(inst, report):
+            chains.append(chain_of(inst, report))
+            return chains[-1]
+
+        monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
         config = tmp_path / "exp.cfg"
         config.write_text("trials = 1\ngarbage_sizes = 512\npicture_counts = 2\n")
-        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
-        err = self.assert_one_line_error(capsys)
-        assert "joint basis has dimension 513, cap is 512" in err
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 4 + 3 + 4 == 1 + len(chains)
+        assert sum(line.startswith("garbage-512,") for line in lines) == 3
+        assert all(chain.holds() for chain in chains)
 
     @pytest.mark.parametrize("experiment", ["bound-sweep", "oaep-negligibility"])
     def test_zero_oaep_message_length(self, tmp_path, capsys, experiment):
@@ -543,7 +553,7 @@ class TestErrorExitCodes:
         assert f"config key {key!r} needs integers" in self.assert_one_line_error(capsys)
 
     def test_negative_cheat_margin_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setattr(adversary, "soundness_bound", lambda p: 0.0)
+        monkeypatch.setattr(adversary, "soundness_bound", lambda p, c: 0.0)
         path = GOLDEN / "seal-naive.json"
         assert run_cli("cheat", "--instance", str(path), "--attack", "basis") == 2
         err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from qseal.harness import (
     run_multipicture_scaling,
     run_oaep_negligibility,
 )
+from qseal.states import trace_distance_pure_vs_ensemble
 
 SMALL = ExperimentConfig(
     trials=4,
@@ -129,25 +130,26 @@ class TestBoundSweep:
 
     def test_named_rows_compute_each_distance_once(self, monkeypatch):
         # generic and basis share one report, so 9 instances' 27 named rows
-        # need 18 trace distances; each is the one the sparse formula gives.
-        distance, chain_of = adversary.trace_distance_pure_vs_ensemble, harness.proof_chain
+        # need 18 roots; each is the distance the states give, to 1e-12.
+        links, chain_of = adversary.chain_links, harness.proof_chain
         calls, chains = [], []
 
-        def counting_distance(psi, sigma):
-            calls.append(sigma)
-            return distance(psi, sigma)
+        def counting_links(q, c):
+            calls.append(q)
+            return links(q, c)
 
         def recording_proof_chain(inst, report):
             chains.append((inst, report, chain_of(inst, report)))
             return chains[-1][2]
 
-        monkeypatch.setattr(adversary, "trace_distance_pure_vs_ensemble", counting_distance)
+        monkeypatch.setattr(adversary, "chain_links", counting_links)
         monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
         rows = run_bound_sweep(ExperimentConfig(trials=0))
         assert len(rows) == len(chains) == 27
         assert len(calls) == 18
         for inst, report, chain in chains:
-            assert chain.trace_distance == distance(inst.reference, report.members)
+            assert chain.trace_distance == pytest.approx(
+                trace_distance_pure_vs_ensemble(inst.reference, report.returned), abs=1e-12)
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")

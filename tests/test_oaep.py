@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qseal.oaep
 import qseal.states
-from qseal.adversary import basis_cheat
+from qseal.adversary import basis_cheat, proof_chain
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
     REFERENCE_MASTER_KEY,
@@ -609,18 +609,30 @@ def sealed_at_cap():
     return seal_oaep(0x11, OaepContext.create(k0=16, n=8, with_human=False))
 
 
+@pytest.fixture(scope="module")
+def cheat_at_cap(sealed_at_cap):
+    """The basis cheat on ``sealed_at_cap``, run once."""
+    return basis_cheat(sealed_at_cap)
+
+
 class TestSupportCap:
     def test_support_fills_the_cap(self, sealed_at_cap):
         assert len(sealed_at_cap.reference.amps) == SUPPORT_CAP
         assert len(sealed_at_cap.reference.c_labels()) == SUPPORT_CAP
 
-    def test_basis_cheat_is_exact_at_the_cap(self, sealed_at_cap):
-        report = basis_cheat(sealed_at_cap)
+    def test_basis_cheat_is_exact_at_the_cap(self, cheat_at_cap):
+        report = cheat_at_cap
         q = 2.0**-16
         assert len(report.outcome_table) == SUPPORT_CAP
         assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
         assert max(abs(acc - q) for _, _, acc in report.outcome_table) <= 1e-12
         assert report.s == pytest.approx(1.0 - q, abs=1e-12)
+
+    def test_basis_cheat_chain_at_the_cap(self, sealed_at_cap, cheat_at_cap):
+        # 2^16 equal masses: the root of sum_i q / (q + lambda) = 1 is 1 - q, exactly.
+        chain = proof_chain(sealed_at_cap, cheat_at_cap)
+        assert chain.trace_distance == 1.0 - 2.0**-16
+        assert chain.holds()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_honest_unseal_at_the_cap(self, sealed_at_cap, seed):

@@ -190,31 +190,29 @@ class TestTraceDistanceEnsemble:
 
 
 
-class TestStackedTraceDistance:
-    """``span_trace_distance`` on a stack of V's is the call on each V alone, bit for bit."""
+class TestSpanTraceDistance:
+    """``span_trace_distance`` on one V against the dense difference's eigenvalues."""
 
     @staticmethod
-    def stack(seed, count, rows, m):
+    def members(seed, rows, m):
         rng = np.random.default_rng(seed)
-        vs = rng.normal(size=(count, rows, m + 1)) + 1j * rng.normal(size=(count, rows, m + 1))
-        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        qs = rng.dirichlet(np.ones(m), size=count)
-        return vs, qs
+        v = rng.normal(size=(rows, m + 1)) + 1j * rng.normal(size=(rows, m + 1))
+        v /= np.linalg.norm(v, axis=0)
+        return v, rng.dirichlet(np.ones(m))
 
     @pytest.mark.parametrize("rows, m", [(2, 1), (9, 4), (64, 8), (DENSE_DIM_CAP, 17)])
-    def test_each_slice_equals_the_single_call(self, rows, m):
-        vs, qs = self.stack(rows * 31 + m, 5, rows, m)
-        stacked = span_trace_distance(vs, qs)
-        assert stacked.shape == (5,)
-        for v, q, distance in zip(vs, qs, stacked.tolist()):
-            single = span_trace_distance(v, list(q))
-            assert isinstance(single, float)
-            assert distance == single
+    def test_equals_half_the_nuclear_norm(self, rows, m):
+        v, q = self.members(rows * 31 + m, rows, m)
+        difference = (v * np.concatenate(([1.0], -q))) @ v.conj().T
+        distance = span_trace_distance(v, list(q))
+        assert isinstance(distance, float)
+        assert distance == pytest.approx(
+            0.5 * np.abs(np.linalg.eigvalsh(difference)).sum(), abs=1e-12)
 
-    def test_cap_holds_for_a_stack(self):
-        vs, qs = self.stack(0, 2, DENSE_DIM_CAP + 1, 2)
+    def test_cap_holds_past_the_last_row(self):
+        v, q = self.members(0, DENSE_DIM_CAP + 1, 2)
         with pytest.raises(ValueError, match="joint basis has dimension 513, cap is 512"):
-            span_trace_distance(vs, qs)
+            span_trace_distance(v, q)
 
 
 class TestApplyUnitary:
