@@ -95,16 +95,42 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum_i q_i / (q_i + lambda) = 1, a rank-one-modified eigenproblem (Golub 1973;
     Bunch, Nielsen and Sorensen 1978). Written as g(lambda) =
     sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits near 0 and
-    1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1. Bisection halves the
-    bit patterns of the floats in [0, 1] (below 2^62 of them), so 62 steps leave
-    adjacent floats around the root; a row whose lower end never moves has its
-    root below the least positive float, so 0. The convex sum is sum_i q_i sqrt(c_i).
+    1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1, and is convex.
+    Newton's method, g'(lambda) = -sum_i q_i / (q_i + lambda)^2, starts each row
+    at s = 1 - sum_i q_i^2 (on or below the root by the chain) clipped to
+    [least positive float, 1]; by convexity one step from either side lands
+    left of the root, and the iterates climb to it. A row stops once its step
+    is within 4 ulps, within 64 steps, and brackets its iterate by +-4 float
+    bit patterns if g changes sign there (a lower end of 0 is taken as given);
+    other rows take [0, 1]. Bisection halves the brackets' bit patterns (under
+    2^62 in [0, 1]) down to adjacent floats. The distance is the upper end, or
+    0 where the lower end is 0: a root below the least positive float. No row's
+    bits depend on another's, and g is never evaluated at 0, where zero padding
+    gives 0/0. The convex sum is sum_i q_i sqrt(c_i).
     """
-    lo, hi = np.zeros(len(q), dtype=np.int64), np.ones(len(q)).view(np.int64)
-    for _ in range(62):
+    def g(lam: np.ndarray) -> np.ndarray:
+        lam = lam[:, None]
+        return (q * (c - lam) / (q + lam)).sum(axis=-1)
+
+    tiny = np.nextafter(0.0, 1.0)  # the float with bit pattern 1
+    one = np.ones(len(q)).view(np.int64)  # each row's bit pattern of 1.0
+    lam = np.clip(1.0 - (q ** 2).sum(axis=-1), tiny, 1.0)
+    moving = np.ones(len(q), dtype=bool)
+    for _ in range(64):
+        if not moving.any():
+            break
+        d = q + lam[:, None]
+        nxt = np.clip(lam + g(lam) / (q / d / d).sum(axis=-1), tiny, 1.0)
+        small = np.abs(nxt - lam) <= 4 * np.spacing(lam)
+        lam, moving = np.where(moving, nxt, lam), moving & ~small
+    bits = lam.view(np.int64)
+    lo, hi = np.maximum(bits - 4, 0), np.minimum(bits + 4, one)
+    at = np.maximum(lo, 1).view(np.float64)
+    checked = ~moving & ((lo == 0) | (g(at) > 0.0)) & (g(hi.view(np.float64)) <= 0.0)
+    lo, hi = np.where(checked, lo, 0), np.where(checked, hi, one)
+    for _ in range(int((hi - lo).max(initial=1) - 1).bit_length()):
         mid = (lo + hi + 1) // 2  # above lo, so lambda > 0
-        lam = mid.view(np.float64)[:, None]
-        above = (q * (c - lam) / (q + lam)).sum(axis=-1) > 0.0
+        above = g(mid.view(np.float64)) > 0.0
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
 
@@ -220,30 +246,37 @@ def _rotated_branches(
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
     Every number of a report is a function of its outcome masses q, so no
-    member is built. The strategy stays in the reference's |B| x |C| block:
-    rotate the basis columns once for the stack (psi @ U^T), rank all trials'
+    member is built. The strategy stays in the reference's |B| x |basis|
+    block: rotate it once for the stack (psi @ U^T), rank all trials'
     outcomes at once (a cumulative count over the outcome codes the active
     columns use), and mark each trial's cells in one boolean indicator,
     in_cell[t, i, j] true when column j lies in outcome i's cell. q is the sum
     of the columns' masses under it, zero-padded to one entry per column, so
     every sum over a trial's q's has the bits it has for that trial alone. C
-    labels outside the basis ride along under the identity with their
-    reference mass. Active labels are the columns holding some amplitude of at
-    least ``PRUNE_TOL`` after the rotation. The q's pass ``check_weights``;
-    acceptance i is q_i and s is 1 - sum q_i^2.
+    labels outside the basis (riders) ride along under the identity with their
+    reference mass, summed from the amplitudes ``c_block`` leaves outside the
+    block, so no rider is laid out densely. Active labels are the columns
+    holding some amplitude of at least ``PRUNE_TOL`` after the rotation. The
+    q's pass ``check_weights``; acceptance i is q_i and s is 1 - sum q_i^2.
     The reports share one cached ``chain_links`` call.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.
     """
-    n = len(basis)
     reference = inst.reference
-    columns = tuple(basis) + tuple(sorted(reference.c_labels() - set(basis)))
-    _, psi, _ = c_block(reference, columns)
-    moduli = np.abs(psi[:, :n] @ np.swapaxes(matrices, -1, -2))
-    rides = np.ones((len(matrices), len(columns) - n), dtype=bool)  # hold reference mass: active
-    mass = np.concatenate(((moduli ** 2).sum(axis=-2),
-                           rides * (np.abs(psi[:, n:]) ** 2).sum(axis=0)), axis=-1)
+    _, psi, outside = c_block(reference, basis)
+    riders = sorted({c for _, c in outside})
+    columns = tuple(basis) + tuple(riders)
+    # Each rider's mass, added left to right in sorted-B order as numpy adds
+    # the rows of a block of two or more columns.
+    rider_at = {c: j for j, c in enumerate(riders)}
+    entries = sorted(outside.items(), key=lambda item: item[0][0])
+    at = np.fromiter((rider_at[c] for (_, c), _ in entries), dtype=np.intp, count=len(entries))
+    amps = np.fromiter((a for _, a in entries), dtype=np.complex128, count=len(entries))
+    rider_mass = np.bincount(at, weights=np.abs(amps) ** 2, minlength=len(riders))
+    moduli = np.abs(psi @ np.swapaxes(matrices, -1, -2))
+    rides = np.ones((len(matrices), len(riders)), dtype=bool)  # hold reference mass: active
+    mass = np.concatenate(((moduli ** 2).sum(axis=-2), rides * rider_mass), axis=-1)
     held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2), rides), axis=-1)
     del psi, moduli
     names, codes = _outcome_codes(columns, partitions)
@@ -476,9 +509,9 @@ def random_strategy_sweep(
     Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
     ``DENSE_DIM_CAP``. No report or chain needs that guard; it fixes which
     rows ``bound-sweep`` prints, and so the rows its reference records.
-    100 trials with their proof chains take 0.013-0.015 s at |B| = |C| = 17
-    and 1.6-1.9 s at |B| = 2, |C| = 256, where the Haar QR dominates (shared
-    2-vCPU VM, single-threaded BLAS).
+    100 trials with their proof chains take 0.012 s at |B| = |C| = 17 and
+    1.5 s at |B| = 2, |C| = 256, where the Haar QR dominates (medians of 30
+    and 5 runs on a shared 2-vCPU VM, single-threaded BLAS).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

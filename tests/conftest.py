@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: trace
 distances come from numpy's eigensolver on dense matrices, measurement
-statistics are enumerated with plain dictionary arithmetic, random
+statistics are enumerated with plain dictionary arithmetic, chain
+distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, random partitions
 against a copy of the sampler that built them label by label, sampled readouts
 against a copy of the partition sampler that ``sample_readout`` replaced, and
@@ -128,6 +129,33 @@ def random_ensemble(seed, members=3, **kwargs):
     weights = rng.dirichlet(np.ones(members))
     states = [random_state(seed * 977 + 13 * i + 1, **kwargs) for i in range(members)]
     return Ensemble(tuple((float(w), s) for w, s in zip(weights, states)))
+
+
+# ``adversary.chain_links`` as qseal had it before it started each root by
+# Newton's method, copied unchanged apart from its name: 62 bisection steps over
+# the bit patterns of every float in [0, 1], whatever the masses.
+def bisection_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(trace distance, convex sum) of each row's strategy, from its zero-padded
+    outcome masses q and their ``complements`` c.
+
+    The members phi_i are orthonormal and <phi_i|psi> = sqrt(q_i), so in their
+    basis |psi><psi| - sum_i q_i |phi_i><phi_i| is w w^T - diag(q), w_i = sqrt(q_i).
+    Its one positive eigenvalue, the trace distance, is the root lambda of
+    sum_i q_i / (q_i + lambda) = 1, a rank-one-modified eigenproblem (Golub 1973;
+    Bunch, Nielsen and Sorensen 1978). Written as g(lambda) =
+    sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits near 0 and
+    1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1. Bisection halves the
+    bit patterns of the floats in [0, 1] (below 2^62 of them), so 62 steps leave
+    adjacent floats around the root; a row whose lower end never moves has its
+    root below the least positive float, so 0. The convex sum is sum_i q_i sqrt(c_i).
+    """
+    lo, hi = np.zeros(len(q), dtype=np.int64), np.ones(len(q)).view(np.int64)
+    for _ in range(62):
+        mid = (lo + hi + 1) // 2  # above lo, so lambda > 0
+        lam = mid.view(np.float64)[:, None]
+        above = (q * (c - lam) / (q + lam)).sum(axis=-1) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
 
 
 def dense_trace_distance(psi, sigma):

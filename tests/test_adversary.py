@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bisection_links,
     chain_excess,
     dense_trace_distance,
     enumerate_basis_readout,
@@ -840,10 +841,10 @@ class TestDenseEvaluation:
     def test_large_reference_builds_only_the_keys_it_keeps(self):
         # A unitary on two of 512 OAEP tokens: the report keeps the 2 x 2 unitary
         # and each column's outcome, and no key or member until ``returned`` is
-        # read. The tracemalloc peak measured 6.1 MiB: the 512 x 512 block
-        # (4 MiB) and the masses under the cell indicator (2 MiB). Building V,
-        # the 512 x 2 basis keys and the 510 others as one (keys, members) array,
-        # took it to 30.5 MiB.
+        # read. The tracemalloc peak measured 2.5 MiB, mostly the masses under
+        # the 512 x 512 cell indicator (2 MiB). Building V, the 512 x 2 basis
+        # keys and the 510 others as one (keys, members) array, took it to
+        # 30.5 MiB; laying the riders out in the 512 x 512 block, to 6.1 MiB.
         inst = seal_oaep(0x5A, OaepContext.create(k0=9, n=8, with_human=False))
         labels = sorted(inst.reference.c_labels())
         u = random_unitary(labels[:2], 3)
@@ -860,6 +861,24 @@ class TestDenseEvaluation:
         expected = {(b, c) for b in inst.reference.b_labels() for c in labels[:2]}
         expected |= {key for key in inst.reference.amps if key[1] not in labels[:2]}
         assert {key for _, member in report.returned.members for key in member.amps} <= expected
+
+    def test_riders_are_summed_from_their_amplitudes(self):
+        # A unitary on two of 4096 OAEP tokens, measured with two cells: the
+        # 4094 riders' masses come from their amplitudes, not from a 4096 x 4096
+        # block, which took the tracemalloc peak to 384 MiB (1.3 MiB without).
+        inst = seal_oaep(0x5A, OaepContext.create(k0=12, n=8, with_human=False))
+        labels = sorted(inst.reference.c_labels())
+        u = random_unitary(labels[:2], 3)
+        partition = ProjPartition({c: f"half{i % 2}" for i, c in enumerate(labels)})
+        tracemalloc.start()
+        try:
+            report = strategy_report(inst, u, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert [row[0] for row in report.outcome_table] == ["half0", "half1"]
+        assert abs(report.s - 0.5) <= EXACT_TOL and report.p == 0.0
 
     @staticmethod
     def ancilla_strategy(n_b, n_c):
@@ -1097,6 +1116,127 @@ class TestMassChain:
             chain = mass_chain(q)
             assert abs(chain.trace_distance - root) <= 2.0**-50 * root
             assert abs(chain.convex_sum - convex) <= 2.0**-50 * convex
+
+
+def g_at(q, c, lam):
+    """g(lambda) = sum_i q_i (c_i - lambda) / (q_i + lambda) of each row, as
+    ``chain_links`` evaluates it."""
+    lam = np.asarray(lam, dtype=float)[:, None]
+    return (q * (c - lam) / (q + lam)).sum(axis=-1)
+
+
+@st.composite
+def mass_rows(draw):
+    """2 to 64 outcome masses, drawn between 1e-17 and 1 and normalised, then up
+    to 8 zeros of padding."""
+    weights = [10.0 ** e for e in draw(st.lists(st.floats(-17.0, 0.0), min_size=2, max_size=64))]
+    total = math.fsum(weights)
+    return [w / total for w in weights] + [0.0] * draw(st.integers(0, 8))
+
+
+def stack(rows):
+    """(masses, complements) of rows zero-padded to one width, as a stack has them."""
+    qs = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        qs[i, :len(row)] = row
+    return qs, adversary.complements(qs)
+
+
+# The strategies of acceptance criterion 6: (instance, trials, rng_seed).
+CRITERION_6_PLAN = (
+    (seal_naive("M", garbage="0"), 250, 100),
+    (seal_garbage("M", ["g0", "g1"]), 150, 400),
+    (seal_garbage("M", [f"g{i}" for i in range(4)]), 150, 800),
+    (seal_multipicture(pictures(4)), 200, 1200),
+    (seal_multipicture(pictures(6)), 150, 1600),
+    (seal_multipicture(pictures(8)), 100, 2000),
+)
+
+# Rows the Newton start serves badly or not at all: a root below the least
+# positive float, two near-pure rows that climb for 24 and 34 Newton steps from
+# a start that lost its digits, and one that hits the 64-step cap and falls back
+# to bisection over [0, 1].
+DEGENERATE_ROWS = ([1.0, 0.0], [1.0], [0.0, 1.0, 0.0], [1.0 - 1e-12, 1e-12],
+                   [1.0 - 1e-17, 1e-17], [1.0, 1e-40])
+
+
+class TestNewtonRoot:
+    """``chain_links``' Newton-started root against ``bisection_links``, the
+    62-step bisection it replaced."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        """Each ``chain_links`` call's (masses, complements, result), as made."""
+        calls = []
+        links = adversary.chain_links
+
+        def recorded(q, c):
+            calls.append((q, c, links(q, c)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(adversary, "chain_links", recorded)
+        return calls
+
+    @staticmethod
+    def assert_equal_bits(calls):
+        for q, c, (distances, convex_sums) in calls:
+            want, want_convex = bisection_links(q, c)
+            assert distances.tobytes() == want.tobytes()
+            assert convex_sums.tobytes() == want_convex.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bound_sweep_rows_equal_the_oracle(self, monkeypatch, seed):
+        calls = self.recorded_calls(monkeypatch)
+        rows = harness.run_bound_sweep(harness.ExperimentConfig(seed=seed, trials=100))
+        # Every report's row is checked once; generic and basis share a report.
+        shared = sum(row.attack == "generic" for row in rows)
+        assert sum(len(q) for q, _, _ in calls) == len(rows) - shared
+        self.assert_equal_bits(calls)
+
+    def test_criterion_6_plan_equals_the_oracle(self, monkeypatch):
+        calls = self.recorded_calls(monkeypatch)
+        for inst, trials, seed in CRITERION_6_PLAN:
+            for report in random_strategy_sweep(inst, trials, rng_seed=seed):
+                proof_chain(inst, report)
+        assert sum(len(q) for q, _, _ in calls) == 1000
+        self.assert_equal_bits(calls)
+
+    @given(q=mass_rows())
+    @settings(max_examples=300, deadline=None)
+    @example(q=[1.0, 0.0])
+    @example(q=[1.0 - 1e-17, 1e-17])
+    @example(q=[1.0 - 1e-12, 1e-12, 0.0, 0.0])
+    @example(q=[2.0**-16] * 2**16)
+    def test_a_checked_sign_change_within_4_ulps_of_the_oracle(self, q):
+        qs, cs = stack([q])
+        (distance,), _ = adversary.chain_links(qs, cs)
+        (want,), _ = bisection_links(qs, cs)
+        assert abs(int(distance.view(np.int64)) - int(want.view(np.int64))) <= 4  # ulps
+        if distance == 0.0:
+            assert g_at(qs, cs, [np.nextafter(0.0, 1.0)]) <= 0.0
+        else:
+            assert 0.0 < distance <= 1.0
+            assert g_at(qs, cs, [distance]) <= 0.0 < g_at(qs, cs, [np.nextafter(distance, 0.0)])
+
+    def test_each_row_of_a_mixed_stack_gets_its_bits_alone(self):
+        rng = np.random.default_rng(11)
+        ordinary = [rng.dirichlet(np.full(k, 0.3)).tolist() for k in (2, 5, 9, 17, 40)]
+        rows = [*ordinary[:2], *DEGENERATE_ROWS, *ordinary[2:], [0.25] * 4]
+        qs, cs = stack(rows)
+        distances, convex_sums = adversary.chain_links(qs, cs)
+        for t in range(len(rows)):
+            alone, alone_convex = adversary.chain_links(qs[t:t + 1], cs[t:t + 1])
+            assert distances[t:t + 1].tobytes() == alone.tobytes()
+            assert convex_sums[t:t + 1].tobytes() == alone_convex.tobytes()
+        want, _ = bisection_links(qs, cs)
+        assert distances.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_padded_and_degenerate_rows_raise_no_warning(self):
+        qs, cs = stack([*DEGENERATE_ROWS, [0.5, 0.5], [2.0**-16] * 2**16])
+        distances, _ = adversary.chain_links(qs, cs)
+        assert distances[0] == distances[1] == 0.0 and distances[2] == 0.0
+        assert distances[-1] == 1.0 - 2.0**-16
 
 
 class TestReportSerialization:
