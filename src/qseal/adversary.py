@@ -13,9 +13,10 @@ honest return is always accepted and the bound carries no completeness-error
 term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
-Two engines evaluate strategies; both return ``CheatReport``s built by
-``_report``. Without a unitary, ``_sparse_branches`` stays sparse, so the basis
-and predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
+Two engines evaluate strategies; both hand a stack of outcome masses to
+``_reports``, which builds each ``CheatReport`` with its ``ProofChain``.
+Without a unitary, ``_sparse_branches`` stays sparse, so the basis and
+predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
 runs a stack of strategies (one, or a sweep's trials) on the reference's dense
 |B| x |C| block and keeps only the outcome masses; members become sparse
 states only when read. Every link of a proof chain is a function of the
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,16 +98,20 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits near 0 and
     1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1, and is convex.
     Newton's method, g'(lambda) = -sum_i q_i / (q_i + lambda)^2, starts each row
-    at s = 1 - sum_i q_i^2 (on or below the root by the chain) clipped to
-    [least positive float, 1]; by convexity one step from either side lands
-    left of the root, and the iterates climb to it. A row stops once its step
-    is within 4 ulps, within 64 steps, and brackets its iterate by +-4 float
-    bit patterns if g changes sign there (a lower end of 0 is taken as given);
-    other rows take [0, 1]. Bisection halves the brackets' bit patterns (under
-    2^62 in [0, 1]) down to adjacent floats. The distance is the upper end, or
-    0 where the lower end is 0: a root below the least positive float. No row's
-    bits depend on another's, and g is never evaluated at 0, where zero padding
-    gives 0/0. The convex sum is sum_i q_i sqrt(c_i).
+    at max(s, sqrt(q_max c_max)) clipped to [least positive float, 1]. Both lie
+    on or below the root: s = 1 - sum_i q_i^2 by the chain, and sqrt(q_max c_max)
+    (c_max the largest mass's complement) is the root once the other outcomes
+    merge into one, which lowers each sum of the concave x / (x + lambda) and so
+    the root; it keeps a near-pure row's digits, where s cancels. By convexity
+    one step from either side lands left of the root, and the iterates climb to
+    it. A row stops once its step is within 4 ulps, within 64 steps, and
+    brackets its iterate by +-4 float bit patterns if g changes sign there (a
+    lower end of 0 is taken as given); other rows take [0, 1]. Bisection halves
+    the brackets' bit patterns (under 2^62 in [0, 1]) down to adjacent floats.
+    The distance is the upper end, or 0 where the lower end is 0: a root below
+    the least positive float. No row's bits depend on another's, and g is never
+    evaluated at 0, where zero padding gives 0/0. The convex sum is
+    sum_i q_i sqrt(c_i).
     """
     def g(lam: np.ndarray) -> np.ndarray:
         lam = lam[:, None]
@@ -114,7 +119,8 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     tiny = np.nextafter(0.0, 1.0)  # the float with bit pattern 1
     one = np.ones(len(q)).view(np.int64)  # each row's bit pattern of 1.0
-    lam = np.clip(1.0 - (q ** 2).sum(axis=-1), tiny, 1.0)
+    pair = np.sqrt(np.take_along_axis(q * c, q.argmax(axis=-1)[:, None], -1)[:, 0])
+    lam = np.clip(np.maximum(1.0 - (q ** 2).sum(axis=-1), pair), tiny, 1.0)
     moving = np.ones(len(q), dtype=bool)
     for _ in range(64):
         if not moving.any():
@@ -136,6 +142,28 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class ProofChain:
+    """The four quantities whose chain of inequalities backs the bound.
+
+    acceptance_gap <= trace_distance <= convex_sum <= closed_form, each link
+    within ``tol``. Every quantity is computed exactly, so the default is
+    ``EXACT_TOL``, the tolerance between two exact routes to one number.
+    """
+
+    acceptance_gap: float
+    trace_distance: float
+    convex_sum: float
+    closed_form: float
+
+    def holds(self, tol: float = EXACT_TOL) -> bool:
+        return (
+            self.acceptance_gap <= self.trace_distance + tol
+            and self.trace_distance <= self.convex_sum + tol
+            and self.convex_sum <= self.closed_form + tol
+        )
+
+
+@dataclass(frozen=True)
 class CheatReport:
     """Exact outcome of one cheating strategy.
 
@@ -144,8 +172,7 @@ class CheatReport:
     verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
     (reference, columns, U, each column's outcome or None), U acting on the
     first len(U) columns. ``margin`` is the slack left under the closed-form
-    bound. ``links`` is (a cached ``chain_links`` call, the report's row in
-    it), made on first read by ``proof_chain``; a stack's reports share one.
+    bound. ``chain`` is the report's ``ProofChain``, built with it.
     """
 
     p: float
@@ -154,7 +181,7 @@ class CheatReport:
     outcome_table: tuple[tuple[Label, float, float], ...]
     members: Ensemble | tuple = field(repr=False, compare=False)
     p_bound: float
-    links: tuple = field(repr=False, compare=False)
+    chain: ProofChain = field(repr=False, compare=False)
 
     @cached_property
     def returned(self) -> Ensemble:
@@ -185,16 +212,28 @@ class CheatReport:
         }
 
 
-def _report(inst: SealedInstance, table, lones, rests, s, members, links) -> CheatReport:
-    """A strategy's report. ``lones`` are its outcomes' lone active labels (None for
-    several), ``rests`` its masses' ``complements``; the lones are distinct and
-    ``decode`` is injective, so no message is pinpointed twice."""
-    pinned = [(q, c) for (_, q, _), c, lone in zip(table, rests, lones)
-              if inst.decode.get(lone) is not None]
-    p = min(1.0, sum_in_order(q for q, _ in pinned))
-    p_bound, c = max(pinned, default=(0.0, 1.0))
-    p_bound = min(1.0, p_bound)
-    return CheatReport(p, s, soundness_bound(p_bound, c), tuple(table), members, p_bound, links)
+def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, detections,
+             members) -> list[CheatReport]:
+    """A stack's reports with their proof chains, from one ``chain_links`` call on
+    its zero-padded outcome masses ``qs``. Strategy t has outcome table
+    ``tables[t]``, s ``detections[t]``, ``CheatReport.members`` ``members[t]``
+    and ``lones[t]``, its outcomes' lone active labels (None for several); they
+    are distinct and ``decode`` is injective, so no message is pinpointed twice."""
+    cs = complements(qs)
+    distances, convex_sums = chain_links(qs, cs)
+    reports = []
+    for table, rests, lone, s, mixture, distance, convex in zip(
+            tables, cs.tolist(), lones, detections, members,
+            distances.tolist(), convex_sums.tolist()):
+        pinned = [(q, c) for (_, q, _), c, label in zip(table, rests, lone)
+                  if inst.decode.get(label) is not None]
+        p = min(1.0, sum_in_order(q for q, _ in pinned))
+        p_bound, c = max(pinned, default=(0.0, 1.0))
+        p_bound = min(1.0, p_bound)
+        bound = soundness_bound(p_bound, c)
+        reports.append(CheatReport(p, s, bound, tuple(table), mixture, p_bound,
+                                   ProofChain(s, distance, convex, bound)))
+    return reports
 
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
@@ -209,11 +248,10 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
              for outcome, (q, post) in zip(outcomes, returned.members)]
     actives = (post.c_labels() for _, post in returned.members)
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
-    qs = np.array([[q for _, q, _ in table]])
-    cs = complements(qs)
     accept = project_accept_probability(reference, returned)
-    return _report(inst, table, lones, cs[0].tolist(), 1.0 - accept, returned,
-                   (cache(partial(chain_links, qs, cs)), 0))
+    (report,) = _reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones],
+                         [1.0 - accept], [returned])
+    return report
 
 
 @cache
@@ -258,7 +296,8 @@ def _rotated_branches(
     block, so no rider is laid out densely. Active labels are the columns
     holding some amplitude of at least ``PRUNE_TOL`` after the rotation. The
     q's pass ``check_weights``; acceptance i is q_i and s is 1 - sum q_i^2.
-    The reports share one cached ``chain_links`` call.
+    ``_reports`` builds the reports with their proof chains, one
+    ``chain_links`` call for the stack.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.
@@ -294,20 +333,15 @@ def _rotated_branches(
     qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
     for total in qs.sum(axis=-1).tolist():
         check_weights(total)
-    cs = complements(qs)
     detections = np.clip(1.0 - (qs ** 2).sum(axis=-1), 0.0, 1.0).tolist()
     labels = np.array(columns + (None,), dtype=object)  # None: no lone active label
     lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
     outcomes = np.append(names, None)[codes]  # each column's outcome, None where uncovered
     named = iter(names[np.nonzero(used)[1]].tolist())  # trial by trial, in sorted order
-    links = cache(partial(chain_links, qs, cs))
-    reports = []
-    for t, (m, probs, rests, lone, s) in enumerate(zip(
-            counts.tolist(), qs.tolist(), cs.tolist(), lones, detections)):
-        table = list(zip(itertools.islice(named, m), probs[:m], probs[:m]))
-        reports.append(_report(inst, table, lone[:m], rests[:m], s,
-                               (reference, columns, matrices[t], outcomes[t]), (links, t)))
-    return reports
+    tables = [list(zip(itertools.islice(named, m), probs[:m], probs[:m]))
+              for m, probs in zip(counts.tolist(), qs.tolist())]
+    return _reports(inst, qs, tables, lones, detections,
+                    [(reference, columns, u, row) for u, row in zip(matrices, outcomes)])
 
 
 def strategy_report(
@@ -503,8 +537,8 @@ def random_strategy_sweep(
     no generator is built per trial (``_pcg64_states``, ``_draw_trials``). The
     trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
     unitarity check, one rotation and one (trials, |C|) array of cell numbers
-    (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk,
-    made when ``proof_chain`` first reads one of its reports.
+    (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk
+    for its reports' proof chains.
 
     Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
     ``DENSE_DIM_CAP``. No report or chain needs that guard; it fixes which
@@ -532,36 +566,7 @@ def random_strategy_sweep(
     return reports
 
 
-@dataclass(frozen=True)
-class ProofChain:
-    """The four quantities whose chain of inequalities backs the bound.
-
-    acceptance_gap <= trace_distance <= convex_sum <= closed_form, each link
-    within ``tol``. Every quantity is computed exactly, so the default is
-    ``EXACT_TOL``, the tolerance between two exact routes to one number.
-    """
-
-    acceptance_gap: float
-    trace_distance: float
-    convex_sum: float
-    closed_form: float
-
-    def holds(self, tol: float = EXACT_TOL) -> bool:
-        return (
-            self.acceptance_gap <= self.trace_distance + tol
-            and self.trace_distance <= self.convex_sum + tol
-            and self.convex_sum <= self.closed_form + tol
-        )
-
-
 def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
-    """Evaluate the inequality chain for one report.
-
-    Every link is a function of the report's outcome masses, so no report is
-    too large for its chain. The trace distance and the convex sum are the
-    report's row of its cached ``chain_links`` call, made once however often
-    it is read; the acceptance gap is ``s`` and the closed form ``bound``.
-    """
-    call, index = report.links
-    distances, convex_sums = call()
-    return ProofChain(report.s, float(distances[index]), float(convex_sums[index]), report.bound)
+    """The inequality chain of one report of ``inst``: its ``chain``, built with
+    it from the outcome masses, so no report is too large for its chain."""
+    return report.chain

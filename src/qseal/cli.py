@@ -29,7 +29,7 @@ from .harness import (
     ConfigInvalid,
     ExperimentConfig,
     InvariantViolation,
-    check_margin,
+    check_report,
     config_value,
     rows_to_csv,
     rows_to_json,
@@ -152,14 +152,10 @@ def cmd_cheat(args) -> int:
         g = {label: int(label in true_labels) for label in inst.reference.c_labels()}
         reports = [("predicate", predicate_cheat(inst, g))]
     else:
-        reports = [
-            (f"random-{i}", report)
-            for i, report in enumerate(
-                random_strategy_sweep(inst, args.trials, seed)
-            )
-        ]
+        reports = [(f"random-{i}", report) for i, report in
+                   enumerate(random_strategy_sweep(inst, args.trials, seed))]
     for name, report in reports:
-        check_margin(report, args.instance, name)
+        check_report(inst, report, args.instance, name)
     payload = [dict(attack=name, **report.to_dict()) for name, report in reports]
     _dump_json(payload if len(payload) > 1 else payload[0], args.out)
     return 0

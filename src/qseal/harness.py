@@ -122,10 +122,14 @@ def config_value(key: str, value, kind: type):
         raise ConfigInvalid(f"config key {key!r} needs integers, got {value!r}") from None
 
 
-def check_margin(report: CheatReport, instance: str, attack: str) -> None:
-    """Raise ``InvariantViolation`` when s exceeds its closed-form bound by more than ``EXACT_TOL``."""
+def check_report(inst: SealedInstance, report: CheatReport, instance: str, attack: str) -> None:
+    """Raise ``InvariantViolation`` when s exceeds its closed-form bound by more
+    than ``EXACT_TOL``, or when the report's ``proof_chain`` does not hold."""
     if report.margin < -EXACT_TOL:
         raise InvariantViolation(f"negative margin {report.margin!r} for {instance}/{attack}")
+    chain = proof_chain(inst, report)
+    if not chain.holds():
+        raise InvariantViolation(f"proof chain failed for {instance}/{attack}: {chain}")
 
 
 def _to_int(value) -> int:
@@ -190,19 +194,10 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         # Their chains need no cap; the guard fixes which rows bound-sweep
         # prints, and so the rows its recorded reference holds.
         if cfg.trials and joint_dim <= DENSE_DIM_CAP:
-            labelled.extend(
-                (f"random-{t}", report)
-                for t, report in enumerate(
-                    random_strategy_sweep(inst, cfg.trials, cfg.seed)
-                )
-            )
+            labelled.extend((f"random-{t}", report) for t, report in
+                            enumerate(random_strategy_sweep(inst, cfg.trials, cfg.seed)))
         for attack, report in labelled:
-            check_margin(report, name, attack)
-            chain = proof_chain(inst, report)
-            if not chain.holds():
-                raise InvariantViolation(
-                    f"proof chain failed for {name}/{attack}: {chain}"
-                )
+            check_report(inst, report, name, attack)
             rows.append(SweepRow(name, attack, report.p, report.s, report.bound, report.margin))
     return rows
 

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -35,7 +34,6 @@ from qseal.adversary import (
     soundness_bound,
     strategy_report,
 )
-from qseal.cli import main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
 from qseal.states import (
@@ -75,17 +73,18 @@ def sealed_instances(draw):
     return seal_naive(message, garbage[0]) if kind == "naive" else seal_garbage(message, garbage)
 
 
-def distance_groups(reports):
-    """The reports' indices grouped by the cached ``chain_links`` call they share
-    (one per stack, so one per sweep chunk), each at its row in the call's
-    result, groups in order of first appearance."""
-    groups = {}
-    for t, report in enumerate(reports):
-        call, index = report.links
-        group = groups.setdefault(id(call), [])
-        assert index == len(group)
-        group.append(t)
-    return list(groups.values())
+def chain_calls(monkeypatch):
+    """The row count of each ``chain_links`` call made from now on: one call per
+    ``_rotated_branches`` call, so one per sweep chunk."""
+    calls = []
+    links = adversary.chain_links
+
+    def counted(q, c):
+        calls.append(len(q))
+        return links(q, c)
+
+    monkeypatch.setattr(adversary, "chain_links", counted)
+    return calls
 
 
 class TestSoundnessBound:
@@ -389,7 +388,7 @@ class TestStackedSweep:
 class TestCellRows:
     """A sweep hands its partitions to ``_rotated_branches`` as rows of cell numbers."""
 
-    def test_cell_rows_equal_their_partitions_with_an_inactive_column(self):
+    def test_cell_rows_equal_their_partitions_with_an_inactive_column(self, monkeypatch):
         # The Hadamard on c0, c1 sends b0's two equal amplitudes wholly to c0, so
         # c1 holds nothing after it: a cell holding only c1 is no outcome.
         reference = uniform_state([("b0", "c0"), ("b0", "c1"), ("b1", "c2")])
@@ -405,11 +404,12 @@ class TestCellRows:
         partitions = [ProjPartition({c: f"cell{k}" for c, k in zip(basis, row)})
                       for row in cells.tolist()]
         inst = SealedInstance(GARBAGE, reference, {c: c.upper() for c in basis}, {})
+        calls = chain_calls(monkeypatch)
         by_row = adversary._rotated_branches(inst, basis, stack, cells)
         by_partition = adversary._rotated_branches(inst, basis, stack, partitions)
         assert [[o for o, _, _ in report.outcome_table] for report in by_row[:4]] == [
             ["cell0"], ["cell0", "cell1"], ["cell0", "cell2"], ["cell0"]]
-        assert distance_groups(by_row) == distance_groups(by_partition) == [list(range(8))]
+        assert calls == [8, 8]
         for row, partition in zip(by_row, by_partition):
             # Reports compare p, s, bound, the table and p_bound, which reads the lone labels.
             assert row == partition
@@ -517,31 +517,9 @@ class TestStreamEquivalence:
         assert redrawn[::2] != expected[::2]
 
 
-class TestLazyDistance:
-    """A sweep's trace distances are computed when a proof chain first reads one,
-    with one ``chain_links`` call per chunk."""
-
-    @staticmethod
-    def count_calls(monkeypatch):
-        calls = []
-        links = adversary.chain_links
-
-        def counted(q, c):
-            calls.append(len(q))
-            return links(q, c)
-
-        monkeypatch.setattr(adversary, "chain_links", counted)
-        return calls
-
-    def test_cheat_random_computes_no_distance(self, monkeypatch, tmp_path):
-        calls = self.count_calls(monkeypatch)
-        instance, out = tmp_path / "multi.json", tmp_path / "cheat.json"
-        assert main(["--out", str(instance), "seal", "--protocol", "multipicture",
-                     "--pictures", ",".join(pictures(8))]) == 0
-        assert main(["--seed", "0", "--out", str(out), "cheat", "--instance", str(instance),
-                     "--attack", "random", "--trials", "300"]) == 0
-        assert len(json.loads(out.read_text())) == 300
-        assert calls == []
+class TestChainsPerChunk:
+    """A sweep builds its reports' proof chains with them, one ``chain_links``
+    call per chunk; reading a chain makes no call."""
 
     def test_proof_chains_make_one_call_per_chunk(self, monkeypatch):
         # 100 trials on multipicture-8 fit one chunk, so the chains of one stack
@@ -551,21 +529,20 @@ class TestLazyDistance:
         rngs = [np.random.default_rng(t) for t in range(100)]
         stack = adversary.haar_unitaries(normal_block(rngs, len(labels)))
         partitions = [random_partition(labels, rng) for rng in rngs]
+        calls = chain_calls(monkeypatch)
         stacked = adversary._rotated_branches(inst, labels, stack, partitions)
-        assert distance_groups(stacked) == [list(range(100))]
-        eager = [proof_chain(inst, report) for report in stacked]
-        calls = self.count_calls(monkeypatch)
-        reports = random_strategy_sweep(inst, len(rngs), rng_seed=0)
-        assert calls == []
-        chains = [proof_chain(inst, report) for report in reports]
         assert calls == [100]
+        eager = [proof_chain(inst, report) for report in stacked]
+        calls.clear()
+        reports = random_strategy_sweep(inst, len(rngs), rng_seed=0)
+        assert calls == [100]
+        chains = [proof_chain(inst, report) for report in reports]
         assert chains == eager
-        assert [proof_chain(inst, report) for report in reports] == chains
         assert calls == [100]
         # 30 trials per chunk: four chunks, four calls, the same chains.
         monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 30 * 8 * 8 * 8)
         chunked = random_strategy_sweep(inst, len(rngs), rng_seed=0)
-        assert [len(group) for group in distance_groups(chunked)] == [30, 30, 30, 10]
+        assert calls == [100, 30, 30, 30, 10]
         assert [proof_chain(inst, report) for report in chunked] == chains
         assert calls == [100, 30, 30, 30, 10]
 
@@ -692,7 +669,7 @@ class TestDenseBlockOracle:
         _, columns, matrix, _ = report.members
         assert columns[:2] == u.basis and len(columns) == 64 and matrix.shape == (2, 2)
 
-    def test_stacked_trials_with_ride_along_columns(self):
+    def test_stacked_trials_with_ride_along_columns(self, monkeypatch):
         # g0, g1, g2 and an ancilla form the basis, so M and g3 ride along. The two
         # three-cell partitions put the riders in different cells; the six trials
         # run as one stack with one chain call.
@@ -705,8 +682,9 @@ class TestDenseBlockOracle:
         partitions = [ProjPartition.finest(labels)] * 2 + [ProjPartition(dict(zip(labels, cells)))
                                                            for cells in ("aabbcc", "caabbc")]
         partitions += [random_partition(labels, rng) for _ in range(2)]
+        calls = chain_calls(monkeypatch)
         reports = adversary._rotated_branches(inst, basis, stack, partitions)
-        assert distance_groups(reports) == [list(range(6))]
+        assert calls == [6]
         for t, (report, matrix, partition) in enumerate(zip(reports, stack, partitions)):
             self.assert_matches(report, dense_strategy(inst.reference, basis, matrix,
                                                        partition.outcome_of))
@@ -1152,12 +1130,11 @@ CRITERION_6_PLAN = (
     (seal_multipicture(pictures(8)), 100, 2000),
 )
 
-# Rows the Newton start serves badly or not at all: a root below the least
-# positive float, two near-pure rows that climb for 24 and 34 Newton steps from
-# a start that lost its digits, and one that hits the 64-step cap and falls back
-# to bisection over [0, 1].
+# Roots below the least positive float, then near-pure rows, where s = 1 - sum q^2
+# cancels. Started at s alone, Newton took 24, 34 and 55 steps on the first three
+# near-pure rows, and the last hit the 64-step cap and fell back to bisection.
 DEGENERATE_ROWS = ([1.0, 0.0], [1.0], [0.0, 1.0, 0.0], [1.0 - 1e-12, 1e-12],
-                   [1.0 - 1e-17, 1e-17], [1.0, 1e-40])
+                   [1.0 - 1e-17, 1e-17], [1.0, 1e-30], [1.0, 1e-40])
 
 
 class TestNewtonRoot:
@@ -1217,6 +1194,26 @@ class TestNewtonRoot:
         else:
             assert 0.0 < distance <= 1.0
             assert g_at(qs, cs, [distance]) <= 0.0 < g_at(qs, cs, [np.nextafter(distance, 0.0)])
+
+    @pytest.mark.parametrize("q", DEGENERATE_ROWS[3:], ids=str)
+    def test_near_pure_rows_take_few_newton_steps(self, monkeypatch, q):
+        # Newton starts at sqrt(q_max c_max), the root of the two-outcome merge,
+        # and each step computes the stopping test's np.spacing once.
+        qs, cs = stack([q])
+        (want,), _ = bisection_links(qs, cs)
+        steps, spacing = [], np.spacing
+        monkeypatch.setattr(np, "spacing", lambda lam: steps.append(lam) or spacing(lam))
+        (distance,), _ = adversary.chain_links(qs, cs)
+        assert 1 <= len(steps) <= 4
+        assert distance.tobytes() == want.tobytes()
+
+    def test_rows_that_hit_the_cap_fall_back_to_the_oracle(self, monkeypatch):
+        # No known row reaches the 64-step cap, so no step may count as small here.
+        qs, cs = stack([*DEGENERATE_ROWS, [0.7, 0.2, 0.1], [0.25] * 4])
+        want, _ = bisection_links(qs, cs)
+        monkeypatch.setattr(np, "spacing", lambda lam: np.full_like(lam, -1.0))
+        distances, _ = adversary.chain_links(qs, cs)
+        assert distances.tobytes() == want.tobytes()
 
     def test_each_row_of_a_mixed_stack_gets_its_bits_alone(self):
         rng = np.random.default_rng(11)

@@ -560,6 +560,26 @@ class TestErrorExitCodes:
         assert err.startswith("invariant violation: negative margin -0.5")
         assert err.endswith(f"{path}/basis\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("attack, first", [
+        (["generic"], "generic"), (["basis"], "basis"), (["predicate"], "predicate"),
+        (["random", "--trials", "3"], "random-0"),
+    ], ids=["generic", "basis", "predicate", "random"])
+    def test_failed_cheat_chain_exits_two(self, monkeypatch, capsys, attack, first):
+        # A trace distance above the convex sum breaks the chain's middle link.
+        links = adversary.chain_links
+
+        def inflated(q, c):
+            _, convex_sums = links(q, c)
+            return convex_sums + 0.5, convex_sums
+
+        monkeypatch.setattr(adversary, "chain_links", inflated)
+        path = GOLDEN / "seal-naive.json"
+        assert run_cli("cheat", "--instance", str(path), "--attack", *attack) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invariant violation: proof chain failed for {path}/{first}: ")
+        assert err.endswith(")\n") and err.count("\n") == 1
+        assert "ProofChain(acceptance_gap=" in err
+
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text("trials = 2.7\n")
