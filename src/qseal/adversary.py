@@ -58,7 +58,6 @@ from .states import (
     haar_unitaries,
     project_accept_probability,
     squared_overlap,
-    sum_in_order,
 )
 
 
@@ -227,7 +226,7 @@ def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, detections,
             distances.tolist(), convex_sums.tolist()):
         pinned = [(q, c) for (_, q, _), c, label in zip(table, rests, lone)
                   if inst.decode.get(label) is not None]
-        p = min(1.0, sum_in_order(q for q, _ in pinned))
+        p = min(1.0, math.fsum(q for q, _ in pinned))
         p_bound, c = max(pinned, default=(0.0, 1.0))
         p_bound = min(1.0, p_bound)
         bound = soundness_bound(p_bound, c)
@@ -402,7 +401,7 @@ def optimal_post_collapse_response(
     block = {k: a for k, a in inst.reference.amps.items() if k[0] == collapsed_b}
     if not block:
         raise ValueError(f"no branch with index label {collapsed_b!r}")
-    best_accept = sum_in_order(abs(a) ** 2 for a in block.values())
+    best_accept = math.fsum(abs(a) ** 2 for a in block.values())
     scale = 1.0 / math.sqrt(best_accept)
     best_state = SparseState({k: a * scale for k, a in block.items()})
     return best_accept, best_state

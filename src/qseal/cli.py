@@ -148,14 +148,18 @@ def cmd_cheat(args) -> int:
     if args.attack in ("generic", "basis"):
         reports = [(args.attack, basis_cheat(inst))]
     elif args.attack == "predicate":
-        true_labels = set((args.predicate_true or "").split(","))
-        g = {label: int(label in true_labels) for label in inst.reference.c_labels()}
+        c_labels = inst.reference.c_labels()
+        true_labels = _labels(args.predicate_true or "")
+        unknown = [label for label in true_labels if label not in c_labels]
+        if unknown:
+            raise ValueError(f"--predicate-true label {unknown[0]!r} is not a C label of the instance")
+        g = {label: int(label in true_labels) for label in c_labels}
         reports = [("predicate", predicate_cheat(inst, g))]
     else:
         reports = [(f"random-{i}", report) for i, report in
                    enumerate(random_strategy_sweep(inst, args.trials, seed))]
     for name, report in reports:
-        check_report(inst, report, args.instance, name)
+        check_report(report, args.instance, name)
     payload = [dict(attack=name, **report.to_dict()) for name, report in reports]
     _dump_json(payload if len(payload) > 1 else payload[0], args.out)
     return 0

@@ -20,7 +20,6 @@ from .adversary import (
     basis_cheat,
     optimal_post_collapse_response,
     predicate_cheat,
-    proof_chain,
     random_strategy_sweep,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
@@ -122,14 +121,13 @@ def config_value(key: str, value, kind: type):
         raise ConfigInvalid(f"config key {key!r} needs integers, got {value!r}") from None
 
 
-def check_report(inst: SealedInstance, report: CheatReport, instance: str, attack: str) -> None:
+def check_report(report: CheatReport, instance: str, attack: str) -> None:
     """Raise ``InvariantViolation`` when s exceeds its closed-form bound by more
-    than ``EXACT_TOL``, or when the report's ``proof_chain`` does not hold."""
+    than ``EXACT_TOL``, or when the report's proof ``chain`` does not hold."""
     if report.margin < -EXACT_TOL:
         raise InvariantViolation(f"negative margin {report.margin!r} for {instance}/{attack}")
-    chain = proof_chain(inst, report)
-    if not chain.holds():
-        raise InvariantViolation(f"proof chain failed for {instance}/{attack}: {chain}")
+    if not report.chain.holds():
+        raise InvariantViolation(f"proof chain failed for {instance}/{attack}: {report.chain}")
 
 
 def _to_int(value) -> int:
@@ -197,7 +195,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             labelled.extend((f"random-{t}", report) for t, report in
                             enumerate(random_strategy_sweep(inst, cfg.trials, cfg.seed)))
         for attack, report in labelled:
-            check_report(inst, report, name, attack)
+            check_report(report, name, attack)
             rows.append(SweepRow(name, attack, report.p, report.s, report.bound, report.margin))
     return rows
 

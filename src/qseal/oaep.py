@@ -38,7 +38,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .protocols import OAEP, SealedInstance
-from .states import PRUNE_TOL, SparseState, check_norm, sample_readout, sum_in_order
+from .states import PRUNE_TOL, SparseState, check_norm, sample_readout
 from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
@@ -356,9 +356,9 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     spec = f"0{k0}b"
     excluded_labels = {format(r, spec) for r in excluded}
     kept = [a for (b, _c), a in inst.reference.amps.items() if b not in excluded_labels]
-    norm = math.sqrt(sum_in_order([abs(a) ** 2 for a in kept]))
+    norm = math.sqrt(math.fsum(abs(a) ** 2 for a in kept))
     useless = [a / norm for a in kept]
-    check_norm(sum(abs(u) ** 2 for u in useless))
+    check_norm(math.fsum(abs(u) ** 2 for u in useless))
     overlap = useless_sq = 0.0 + 0.0j
     for a, u in zip(kept, useless):
         if abs(u) >= PRUNE_TOL:

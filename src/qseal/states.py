@@ -65,7 +65,7 @@ class SparseState:
 
     def __post_init__(self) -> None:
         # Summed before the prune, so that a NaN amplitude fails instead of vanishing.
-        check_norm(sum(abs(a) ** 2 for a in self.amps.values()))
+        check_norm(math.fsum(abs(a) ** 2 for a in self.amps.values()))
         pruned = {
             key: complex(a)
             for key, a in self.amps.items()
@@ -97,7 +97,7 @@ class Ensemble:
         members = tuple((float(q), state) for q, state in self.members)
         if any(q < 0.0 for q, _ in members):
             raise ValueError("ensemble weights must be nonnegative")
-        check_weights(sum(q for q, _ in members))
+        check_weights(math.fsum(q for q, _ in members))
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -152,14 +152,6 @@ def check_weights(total: float) -> None:
     """Raise ValueError unless an ensemble's weights sum to 1 within ``NORM_TOL``; NaN fails."""
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
-
-
-def sum_in_order(values: Iterable[float]) -> float:
-    """The floats added one at a time, left to right: ``sum`` compensates from CPython 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def inner_product(a: SparseState, b: SparseState) -> complex:
@@ -279,7 +271,7 @@ def collapse_branches(
         buckets.setdefault(outcome, {})[(b, c)] = a
     branches: dict[Label, tuple[float, SparseState]] = {}
     for outcome, amps in buckets.items():
-        prob = sum_in_order(abs(a) ** 2 for a in amps.values())
+        prob = math.fsum(abs(a) ** 2 for a in amps.values())
         scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
         branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
     return branches
@@ -291,6 +283,7 @@ def sample_readout(s: SparseState, rng_seed: int) -> Label:
     Label c has weight sum_b |a(b, c)|^2, added in the order of ``s.amps``. The
     draw ``default_rng(rng_seed).random()`` times the total weight, the last
     running sum over the labels in sorted order, is located on those sums.
+    The running sums are a CDF, so they add in label order, not by ``math.fsum``.
     """
     weights: dict[Label, float] = {}
     for (_, c), a in s.amps.items():

@@ -7,16 +7,15 @@ distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, random partitions
 against a copy of the sampler that built them label by label, sampled readouts
 against a copy of the partition sampler that ``sample_readout`` replaced, and
-``oaep.tu_overlap`` against a copy of the version that built a second state.
-``compensated_sum`` stands in for ``builtins.sum`` as CPython 3.12+ runs it, so
-every Python version can check that qseal prints the same bytes under it.
+``oaep.tu_overlap`` against a copy of the version that built a second state,
+and every ``math.fsum`` in qseal against ``exact_sum``'s ``Fraction`` total.
 """
 
 import bisect
-import builtins
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,63 +34,10 @@ from qseal.states import (
 B_POOL = [f"b{i}" for i in range(6)]
 C_POOL = [f"c{i}" for i in range(6)]
 
-_plain_sum = builtins.sum
-_C_LONG = range(-(1 << 63), 1 << 63)
-
-
-def compensated_sum(iterable, /, start=0):
-    """``builtins.sum`` as CPython 3.12 and later compute it.
-
-    While the running total is an int in C long range, exact ints (and bools)
-    add exactly. Once it is an exact float, exact float items add with
-    Neumaier's compensation and ints in C long range add plainly as doubles;
-    the compensation joins the total at the end, or before the first other
-    item, which, like every later one, goes through generic ``+``. Before 3.12
-    floats add plainly, left to right.
-    """
-    if isinstance(start, (str, bytes, bytearray)):
-        return _plain_sum(iterable, start)  # raises sum's own TypeError
-    items = iter(iterable)
-    result = start
-    if type(result) is int and result in _C_LONG:
-        for item in items:
-            if type(item) in (int, bool) and item in _C_LONG and result + item in _C_LONG:
-                result += item
-                continue
-            result = result + item
-            break
-    if type(result) is float:
-        total, compensation = result, 0.0
-        for item in items:
-            if type(item) is float:
-                t = total + item
-                if abs(total) >= abs(item):
-                    compensation += (total - t) + item
-                else:
-                    compensation += (item - t) + total
-                total = t
-            elif isinstance(item, int) and item in _C_LONG:
-                total += float(item)
-            else:
-                if compensation and math.isfinite(compensation):
-                    total += compensation
-                result = total + item
-                break
-        else:
-            if compensation and math.isfinite(compensation):
-                total += compensation
-            return total
-    for item in items:
-        result = result + item
-    return result
-
-
-def left_to_right_sum(values: Iterable[float]) -> float:
-    """Floats added one at a time in iteration order, as ``sum`` did before 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def exact_sum(values: Iterable[float]) -> float:
+    """The floats' exact sum, rounded once: ``Fraction`` arithmetic, which
+    shares no code with ``math.fsum``."""
+    return float(sum(map(Fraction, values), Fraction(0)))
 
 
 def chain_excess(chain) -> float:
@@ -299,10 +245,10 @@ def oracle_readout(state: SparseState, rng_seed: int) -> Label:
 
 
 # ``oaep.tu_overlap`` as qseal had it before it walked the reference over flat
-# lists, copied unchanged apart from the norm, summed left to right as builtin
-# ``sum`` did before 3.12: it builds the useless-pad ``SparseState`` (norm
-# check, then prune) and takes ``squared_overlap`` with the reference. The
-# current version must return the same bits and raise and warn alike.
+# lists, copied unchanged apart from the norm, summed exactly by ``exact_sum``:
+# it builds the useless-pad ``SparseState`` (norm check, then prune) and takes
+# ``squared_overlap`` with the reference. The current version must return the
+# same bits and raise and warn alike.
 
 
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
@@ -329,6 +275,6 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
         for key, a in inst.reference.amps.items()
         if key[0] not in excluded_labels
     }
-    norm = math.sqrt(left_to_right_sum(abs(a) ** 2 for a in kept.values()))
+    norm = math.sqrt(exact_sum(abs(a) ** 2 for a in kept.values()))
     useless = SparseState({key: a / norm for key, a in kept.items()})
     return squared_overlap(inst.reference, useless)

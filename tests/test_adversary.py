@@ -15,10 +15,11 @@ from conftest import (
     chain_excess,
     dense_trace_distance,
     enumerate_basis_readout,
+    exact_sum,
     identity_unitary,
-    left_to_right_sum,
     max_abs_diff,
     normal_block,
+    random_state,
     reference_random_partition,
     uniform_state,
 )
@@ -35,7 +36,14 @@ from qseal.adversary import (
     strategy_report,
 )
 from qseal.oaep import OaepContext, seal_oaep
-from qseal.protocols import GARBAGE, SealedInstance, seal_garbage, seal_multipicture, seal_naive
+from qseal.protocols import (
+    GARBAGE,
+    MULTIPICTURE,
+    SealedInstance,
+    seal_garbage,
+    seal_multipicture,
+    seal_naive,
+)
 from qseal.states import (
     DENSE_DIM_CAP,
     EXACT_TOL,
@@ -208,6 +216,18 @@ class TestOptimalPostCollapse:
         accept, state = optimal_post_collapse_response(inst, "1")
         assert accept == pytest.approx(expected, abs=1e-12)
         assert set(state.amps) == {("1", "pic1")}
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_best_acceptance_is_the_correctly_rounded_branch_mass(self, seed):
+        # A hand-built reference with about 33 amplitudes per index label.
+        reference = random_state(seed, b_pool=["1", "2", "3"],
+                                 c_pool=[f"c{i}" for i in range(40)], support=100)
+        inst = SealedInstance(MULTIPICTURE, reference, {}, {})
+        for index in sorted(reference.b_labels()):
+            accept, _ = optimal_post_collapse_response(inst, index)
+            assert accept == exact_sum(
+                abs(a) ** 2 for (b, _), a in reference.amps.items() if b == index)
 
     def test_orthogonal_branch_scores_zero(self):
         from qseal.states import project_accept_probability
@@ -724,7 +744,7 @@ def pinpointed_messages(inst, basis, matrix, outcome_of):
 
 class TestPinpointedMessages:
     """No two outcomes of a report pinpoint the same message, so p is the sum of
-    the pinpointing rows' q's, added left to right in table order."""
+    the pinpointing rows' q's, correctly rounded."""
 
     @staticmethod
     def assert_distinct(inst, report, basis=(), matrix=np.eye(0), outcome_of=None):
@@ -733,7 +753,7 @@ class TestPinpointedMessages:
         messages = pinpointed_messages(inst, basis, matrix, outcome_of)
         assert len(set(messages.values())) == len(messages)
         pinpointing = [q for outcome, q, _ in report.outcome_table if outcome in messages]
-        assert report.p == min(1.0, left_to_right_sum(pinpointing))
+        assert report.p == min(1.0, exact_sum(pinpointing))
 
     @pytest.mark.parametrize("inst", [pytest.param(inst, id=name) for name, inst in
                                       harness._sweep_instances(harness.ExperimentConfig())])
@@ -968,7 +988,7 @@ class TestProofChain:
                 assert abs(report.bound - soundness_bound(report.p_bound)) <= 1e-12
                 overlaps = [squared_overlap(inst.reference, member)
                             for _, member in report.returned.members]
-                by_overlaps = left_to_right_sum(
+                by_overlaps = exact_sum(
                     q * trace_distance_pure(inst.reference, member)
                     for q, member in report.returned.members)
                 tol = 1e-12 if report is sparse else 2.0**-25

@@ -1,11 +1,8 @@
-import builtins
 import contextlib
 import copy
 import io
 import json
 import math
-import random
-import sys
 import tempfile
 from pathlib import Path
 
@@ -13,12 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compensated_sum, left_to_right_sum
 from qseal import adversary, harness
 from qseal.cli import load_config, main
-from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
-from qseal.states import SparseState, squared_overlap
 
 
 def run_cli(*argv):
@@ -133,6 +127,16 @@ class TestCheat:
         data = json.loads(capsys.readouterr().out)
         assert data["s"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_predicate_labels_are_stripped(self, capsys):
+        path = str(GOLDEN / "seal-garbage.json")
+        printed = []
+        for labels in ("Hello, g0", "Hello,g0"):
+            assert run_cli("cheat", "--instance", path, "--attack", "predicate",
+                           "--predicate-true", labels) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["outcome_table"][1][:2] == ["g=1", pytest.approx(2 / 3)]
+
     def test_random_attacks_are_seeded(self, naive_instance, capsys):
         assert run_cli("--seed", "5", "cheat", "--instance", str(naive_instance),
                        "--attack", "random", "--trials", "3") == 0
@@ -188,62 +192,6 @@ class TestGoldenOutput:
         assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),
                        "experiment", "oaep-negligibility") == 0
         assert out.read_bytes() == stem.with_suffix(f".{fmt}").read_bytes()
-
-
-class TestGoldenOutputUnderCompensatedSum(TestGoldenOutput):
-    """The same bytes when builtin ``sum`` compensates, as from CPython 3.12 on."""
-
-    @pytest.fixture(autouse=True)
-    def compensated(self, monkeypatch):
-        monkeypatch.setattr(builtins, "sum", compensated_sum)
-
-
-class TestCompensatedSum:
-    """``compensated_sum`` is CPython 3.12+'s ``sum``, and qseal prints the same under it."""
-
-    def test_known_sums(self):
-        assert compensated_sum([0.1] * 10) == 1.0
-        assert left_to_right_sum([0.1] * 10) == 0.9999999999999999
-        assert compensated_sum([2, True, 3]) == 6
-        assert compensated_sum([0.1] * 10 + [1j]) == 1.0 + 1j
-        with pytest.raises(TypeError, match="can't sum strings"):
-            compensated_sum(["b"], "a")
-
-    @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum compensates from 3.12")
-    def test_equals_builtin_sum(self):
-        rng = random.Random(0)
-        for n in range(200):
-            xs = [rng.random() * 10.0 ** rng.randint(-9, 9) for _ in range(n)]
-            for values in (xs, xs + [3, 0.25j, 0.5], [7, *xs, 2**70, 0.5]):
-                assert repr(compensated_sum(values)) == repr(sum(values))
-
-    def test_reproduces_cpython_3_12_on_the_odd_oaep_overlap(self):
-        # The useless-pad norm summed as tu_overlap once did, by builtin sum:
-        # CPython 3.12.1 printed the first value at k0 = 11, |R| = 8, and the
-        # golden file holds the second.
-        inst = seal_oaep(0, OaepContext.create(k0=11, n=16, with_human=False))
-        kept = {key: a for key, a in inst.reference.amps.items() if int(key[0], 2) >= 8}
-        divergences = []
-        for add in (compensated_sum, left_to_right_sum):
-            norm = math.sqrt(add(abs(a) ** 2 for a in kept.values()))
-            useless = SparseState({key: a / norm for key, a in kept.items()})
-            divergences.append(1.0 - squared_overlap(inst.reference, useless))
-        assert divergences == [0.0039062499999913403, 0.0039062499999912292]
-
-    def test_multi_scaling_and_unseal_print_the_plain_bytes(self, tmp_path, capsys, monkeypatch):
-        sealed = tmp_path / "garbage-16.json"
-        assert run_cli("--out", str(sealed), "seal", "--protocol", "garbage",
-                       "--garbage", ",".join(f"g{i}" for i in range(16))) == 0
-
-        def printed():
-            assert run_cli("experiment", "multi-scaling") == 0
-            for seed in range(4):
-                assert run_cli("--seed", str(seed), "unseal", "--instance", str(sealed)) == 0
-            return capsys.readouterr().out
-
-        plain = printed()
-        monkeypatch.setattr(builtins, "sum", compensated_sum)
-        assert printed() == plain
 
 
 class TestVerify:
@@ -514,13 +462,13 @@ class TestErrorExitCodes:
         # garbage-512 has a joint support of 513 keys, one past DENSE_DIM_CAP.
         # A chain reads the outcome masses, so its named rows are chained and
         # printed; only random rows stop at the cap.
-        chain_of, chains = harness.proof_chain, []
+        check, chains = harness.check_report, []
 
-        def recording_proof_chain(inst, report):
-            chains.append(chain_of(inst, report))
-            return chains[-1]
+        def recording_check(report, instance, attack):
+            chains.append(report.chain)
+            check(report, instance, attack)
 
-        monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
+        monkeypatch.setattr(harness, "check_report", recording_check)
         config = tmp_path / "exp.cfg"
         config.write_text("trials = 1\ngarbage_sizes = 512\npicture_counts = 2\n")
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 0
@@ -579,6 +527,12 @@ class TestErrorExitCodes:
         assert err.startswith(f"invariant violation: proof chain failed for {path}/{first}: ")
         assert err.endswith(")\n") and err.count("\n") == 1
         assert "ProofChain(acceptance_gap=" in err
+
+    def test_unknown_predicate_label(self, capsys):
+        path = str(GOLDEN / "seal-garbage.json")
+        assert run_cli("cheat", "--instance", path, "--attack", "predicate",
+                       "--predicate-true", "Hello, typo,g9") == 1
+        assert "'typo' is not a C label of the instance" in self.assert_one_line_error(capsys)
 
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

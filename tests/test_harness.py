@@ -112,14 +112,14 @@ class TestBoundSweep:
         # Tighter than ``holds()``, which allows EXACT_TOL per link: the worst
         # excess of a link over the next, or of s over its bound, measured
         # 1.35e-15 over bound-sweep at 67 seeds.
-        original = harness.proof_chain
+        check = harness.check_report
         chains = []
 
-        def recording_proof_chain(inst, report):
-            chains.append((report, original(inst, report)))
-            return chains[-1][1]
+        def recording_check(report, instance, attack):
+            chains.append((report, report.chain))
+            check(report, instance, attack)
 
-        monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
+        monkeypatch.setattr(harness, "check_report", recording_check)
         for seed in (0, 7, 8191):
             chains.clear()
             rows = run_bound_sweep(ExperimentConfig(seed=seed, trials=100))
@@ -131,25 +131,28 @@ class TestBoundSweep:
     def test_named_rows_compute_each_distance_once(self, monkeypatch):
         # generic and basis share one report, so 9 instances' 27 named rows
         # need 18 roots; each is the distance the states give, to 1e-12.
-        links, chain_of = adversary.chain_links, harness.proof_chain
+        links, check = adversary.chain_links, harness.check_report
         calls, chains = [], []
 
         def counting_links(q, c):
             calls.append(q)
             return links(q, c)
 
-        def recording_proof_chain(inst, report):
-            chains.append((inst, report, chain_of(inst, report)))
-            return chains[-1][2]
+        def recording_check(report, instance, attack):
+            chains.append((instance, report))
+            check(report, instance, attack)
 
         monkeypatch.setattr(adversary, "chain_links", counting_links)
-        monkeypatch.setattr(harness, "proof_chain", recording_proof_chain)
-        rows = run_bound_sweep(ExperimentConfig(trials=0))
+        monkeypatch.setattr(harness, "check_report", recording_check)
+        cfg = ExperimentConfig(trials=0)
+        rows = run_bound_sweep(cfg)
         assert len(rows) == len(chains) == 27
         assert len(calls) == 18
-        for inst, report, chain in chains:
-            assert chain.trace_distance == pytest.approx(
-                trace_distance_pure_vs_ensemble(inst.reference, report.returned), abs=1e-12)
+        instances = dict(harness._sweep_instances(cfg))
+        for name, report in chains:
+            assert report.chain.trace_distance == pytest.approx(
+                trace_distance_pure_vs_ensemble(instances[name].reference, report.returned),
+                abs=1e-12)
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")

@@ -498,6 +498,14 @@ class TestTuOverlapMatchesOracle:
         for size in (0, 1, 3, 16, 31):
             self.same(inst, set(rng.sample(range(32), size)))
 
+    def test_norm_of_every_pad_at_the_cap(self):
+        # 65,536 random squared moduli, so an order-dependent norm would show:
+        # the oracle's norm is their exact sum, rounded once.
+        k0 = SUPPORT_CAP.bit_length() - 1
+        inst = _hand_built(_random_phases(k0, 16), k0)
+        for excluded in (set(), {0, 1, 2}):
+            self.same(inst, excluded)
+
     def test_excluded_pads_missing_from_the_reference(self):
         inst = _hand_built(_random_phases(4, 7, pads=[1, 2, 5, 9, 14]), 4)
         for excluded in ({0, 3}, {0, 1, 3, 15}, {2, 4, 6, 8, 10, 12}):
@@ -512,7 +520,7 @@ class TestTuOverlapMatchesOracle:
         tiny_key, tiny = ("010", "img_0002"), PRUNE_TOL * scale
         for _ in range(4):  # at most a few ulps of tiny away
             trial = dict(amps[:2] + [(tiny_key, tiny)] + amps[2:])
-            norm = math.sqrt(sum(abs(a) ** 2 for a in trial.values()))
+            norm = math.sqrt(math.fsum(abs(a) ** 2 for a in trial.values()))
             if tiny / norm == PRUNE_TOL:
                 break
             tiny = math.nextafter(tiny, 0.0 if tiny / norm > PRUNE_TOL else 1.0)
@@ -541,7 +549,7 @@ class TestTuOverlapMatchesOracle:
         assert self.same(inst, set(range(8))) == (0.0, [DegenerateUWarning], None)
         partial = _hand_built(_random_phases(3, 5, pads=[1, 6]), 3)
         _, _, error = self.same(partial, {1, 6})
-        assert error == "state is not normalized: sum of squared moduli is 0"
+        assert error == "state is not normalized: sum of squared moduli is 0.0"
 
 
 def test_tu_overlap_builds_no_state(monkeypatch):

@@ -1,5 +1,6 @@
 """One tolerance table: small float literals live only in the states.py block.
-One error type: every rejected input is a ``ValueError``."""
+One error type: every rejected input is a ``ValueError``.
+One summation rule: no builtin ``sum`` in src/qseal."""
 
 import ast
 import importlib
@@ -40,6 +41,19 @@ def test_small_float_literals_only_in_the_tolerance_table():
                 strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert strays == []
     assert len(tolerance_table(ast.parse((SRC / "states.py").read_text()))) == 3
+
+
+def test_no_builtin_sum():
+    """Python-level float sums are ``math.fsum``, correctly rounded in any order;
+    builtin ``sum`` compensates from CPython 3.12 on, so its bits depend on
+    the interpreter."""
+    strays = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert strays == []
 
 
 def test_one_error_type_for_rejected_input():
