@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_sum
 from qseal import adversary, harness
 from qseal.cli import load_config, main
+from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
+from qseal.states import SparseState, squared_overlap
 
 
 def run_cli(*argv):
@@ -192,6 +196,75 @@ class TestGoldenOutput:
         assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),
                        "experiment", "oaep-negligibility") == 0
         assert out.read_bytes() == stem.with_suffix(f".{fmt}").read_bytes()
+
+
+def sum_exactly(monkeypatch):
+    """Make every ``math.fsum`` in qseal ``exact_sum``; the returned list counts
+    the calls, so a test can show that qseal summed through it."""
+    calls = []
+
+    def counted(values):
+        calls.append(None)
+        return exact_sum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+class TestGoldenOutputUnderExactSum(TestGoldenOutput):
+    """The same bytes when every ``math.fsum`` is a ``Fraction`` sum rounded
+    once: the goldens hold the correctly rounded sums, not one route to them."""
+
+    @pytest.fixture(autouse=True)
+    def exact(self, monkeypatch):
+        calls = sum_exactly(monkeypatch)
+        yield
+        assert calls
+
+
+class TestExactSum:
+    """``exact_sum`` is the correctly rounded sum, and qseal prints the same under it."""
+
+    def test_known_sums(self):
+        assert exact_sum([0.1] * 10) == 1.0
+        assert exact_sum([0.1, 0.2]) == 0.30000000000000004
+        assert exact_sum([1e16, 1.0, -1e16]) == 1.0
+        assert repr(exact_sum([])) == "0.0"
+
+    def test_equals_math_fsum(self):
+        rng = random.Random(0)
+        for n in range(200):
+            xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 9) for _ in range(n)]
+            for values in (xs, xs[::-1], [1e100, *xs, -1e100]):
+                assert repr(exact_sum(values)) == repr(math.fsum(values))
+
+    def test_odd_oaep_overlap_is_the_golden_value(self):
+        # The useless-pad norm at k0 = 11, |R| = 8, summed exactly and by fsum,
+        # gives the value line 21 of oaep_negligibility_odd.csv holds.
+        inst = seal_oaep(0, OaepContext.create(k0=11, n=16, with_human=False))
+        kept = {key: a for key, a in inst.reference.amps.items() if int(key[0], 2) >= 8}
+        divergences = []
+        for add in (exact_sum, math.fsum):
+            norm = math.sqrt(add(abs(a) ** 2 for a in kept.values()))
+            useless = SparseState({key: a / norm for key, a in kept.items()})
+            divergences.append(1.0 - squared_overlap(inst.reference, useless))
+        assert divergences == [0.0039062499999913403] * 2
+
+    def test_multi_scaling_and_unseal_print_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        sealed = tmp_path / "garbage-16.json"
+        assert run_cli("--out", str(sealed), "seal", "--protocol", "garbage",
+                       "--garbage", ",".join(f"g{i}" for i in range(16))) == 0
+
+        def printed():
+            assert run_cli("experiment", "multi-scaling") == 0
+            for seed in range(4):
+                assert run_cli("--seed", str(seed), "unseal", "--instance", str(sealed)) == 0
+            return capsys.readouterr().out
+
+        plain = printed()
+        calls = sum_exactly(monkeypatch)
+        assert printed() == plain
+        assert calls
 
 
 class TestVerify:

@@ -318,6 +318,17 @@ class TestCollapseBranches:
             assert prob == exact_sum(
                 abs(a) ** 2 for (_, c), a in state.amps.items() if c == outcome)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_masses_do_not_depend_on_amplitude_order(self, seed):
+        # Left to right, the reversed amplitudes would move some masses by an ulp.
+        state = random_state(seed, b_pool=[f"b{i}" for i in range(40)], support=200)
+        reversed_state = SparseState(dict(reversed(state.amps.items())))
+        partition = ProjPartition.finest(state.c_labels())
+        masses = [{outcome: prob for outcome, (prob, _) in collapse_branches(s, partition).items()}
+                  for s in (state, reversed_state)]
+        assert masses[0] == masses[1]
+
 
 class TestSampleReadout:
     def test_fixed_seed_is_reproducible(self):
