@@ -19,8 +19,8 @@ Without a unitary, ``_sparse_branches`` stays sparse, so the basis and
 predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
 runs a stack of strategies (one, or a sweep's trials) on the reference's dense
 |B| x |C| block and keeps only the outcome masses; members become sparse
-states only when read. Every link of a proof chain is a function of the
-outcome masses (``chain_links``), so no chain has a size cap.
+states only when read. A report's s and every link of its proof chain are
+functions of the outcome masses (``chain_links``), so no chain has a size cap.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -56,7 +56,6 @@ from .states import (
     check_weights,
     collapse_branches,
     haar_unitaries,
-    project_accept_probability,
     squared_overlap,
 )
 
@@ -85,32 +84,32 @@ def complements(q: np.ndarray) -> np.ndarray:
     return np.where(big, rest + other_big, 1.0 - q)
 
 
-def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(trace distance, convex sum) of each row's strategy, from its zero-padded
-    outcome masses q and their ``complements`` c.
+def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, trace distance, convex sum) of each row's strategy, from its zero-padded
+    outcome masses q and their ``complements`` c. s = 1 - sum_i q_i^2 is summed as
+    sum_i q_i c_i, whose terms are all >= 0, so no digit cancels near a pure state.
+    The convex sum is sum_i q_i sqrt(c_i).
 
-    The members phi_i are orthonormal and <phi_i|psi> = sqrt(q_i), so in their
-    basis |psi><psi| - sum_i q_i |phi_i><phi_i| is w w^T - diag(q), w_i = sqrt(q_i).
-    Its one positive eigenvalue, the trace distance, is the root lambda of
+    The members phi_i are orthonormal and <phi_i|psi> = sqrt(q_i), so in their basis
+    |psi><psi| - sum_i q_i |phi_i><phi_i| is w w^T - diag(q), w_i = sqrt(q_i). Its one
+    positive eigenvalue, the trace distance, is the root lambda of
     sum_i q_i / (q_i + lambda) = 1, a rank-one-modified eigenproblem (Golub 1973;
-    Bunch, Nielsen and Sorensen 1978). Written as g(lambda) =
-    sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits near 0 and
-    1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1, and is convex.
-    Newton's method, g'(lambda) = -sum_i q_i / (q_i + lambda)^2, starts each row
-    at max(s, sqrt(q_max c_max)) clipped to [least positive float, 1]. Both lie
-    on or below the root: s = 1 - sum_i q_i^2 by the chain, and sqrt(q_max c_max)
-    (c_max the largest mass's complement) is the root once the other outcomes
-    merge into one, which lowers each sum of the concave x / (x + lambda) and so
-    the root; it keeps a near-pure row's digits, where s cancels. By convexity
-    one step from either side lands left of the root, and the iterates climb to
-    it. A row stops once its step is within 4 ulps, within 64 steps, and
-    brackets its iterate by +-4 float bit patterns if g changes sign there (a
-    lower end of 0 is taken as given); other rows take [0, 1]. Bisection halves
-    the brackets' bit patterns (under 2^62 in [0, 1]) down to adjacent floats.
-    The distance is the upper end, or 0 where the lower end is 0: a root below
-    the least positive float. No row's bits depend on another's, and g is never
-    evaluated at 0, where zero padding gives 0/0. The convex sum is
-    sum_i q_i sqrt(c_i).
+    Bunch, Nielsen and Sorensen 1978). Written as
+    g(lambda) = sum_i q_i (c_i - lambda) / (q_i + lambda) = 0, it keeps its digits
+    near 0 and 1; g falls from sum_i c_i >= 0 at 0 to at most 0 at 1, and is convex.
+    Newton's method, g'(lambda) = -sum_i q_i / (q_i + lambda)^2, starts each row at
+    max(s, sqrt(q_max c_max)) clipped to [least positive float, 1]. Both lie on or
+    below the root: s by the chain, and sqrt(q_max c_max) (c_max the largest mass's
+    complement) is the root once the other outcomes merge into one, which lowers each
+    sum of the concave x / (x + lambda) and so the root; near a pure row it is far
+    above s. By convexity one step from either side lands left of the root, and the
+    iterates climb to it. A row stops once its step is within 4 ulps, within 64 steps,
+    and brackets its iterate by +-4 float bit patterns if g changes sign there (a lower
+    end of 0 is taken as given); other rows take [0, 1]. Bisection halves the brackets'
+    bit patterns (under 2^62 in [0, 1]) down to adjacent floats. The distance is the
+    upper end, or 0 where the lower end is 0: a root below the least positive float.
+    No row's bits depend on another's, and g is never evaluated at 0, where zero
+    padding gives 0/0.
     """
     def g(lam: np.ndarray) -> np.ndarray:
         lam = lam[:, None]
@@ -119,7 +118,8 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tiny = np.nextafter(0.0, 1.0)  # the float with bit pattern 1
     one = np.ones(len(q)).view(np.int64)  # each row's bit pattern of 1.0
     pair = np.sqrt(np.take_along_axis(q * c, q.argmax(axis=-1)[:, None], -1)[:, 0])
-    lam = np.clip(np.maximum(1.0 - (q ** 2).sum(axis=-1), pair), tiny, 1.0)
+    s = (q * c).sum(axis=-1)
+    lam = np.clip(np.maximum(s, pair), tiny, 1.0)
     moving = np.ones(len(q), dtype=bool)
     for _ in range(64):
         if not moving.any():
@@ -137,7 +137,7 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mid = (lo + hi + 1) // 2  # above lo, so lambda > 0
         above = g(mid.view(np.float64)) > 0.0
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
+    return s, np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class CheatReport:
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
     verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
     (reference, columns, U, each column's outcome or None), U acting on the
-    first len(U) columns. ``margin`` is the slack left under the closed-form
-    bound. ``chain`` is the report's ``ProofChain``, built with it.
+    first len(U) columns. ``s`` is sum_i q_i c_i of the q's (``chain_links``),
+    ``margin`` the slack under the closed-form bound, ``chain`` the ``ProofChain``.
     """
 
     p: float
@@ -211,19 +211,17 @@ class CheatReport:
         }
 
 
-def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, detections,
-             members) -> list[CheatReport]:
-    """A stack's reports with their proof chains, from one ``chain_links`` call on
-    its zero-padded outcome masses ``qs``. Strategy t has outcome table
-    ``tables[t]``, s ``detections[t]``, ``CheatReport.members`` ``members[t]``
-    and ``lones[t]``, its outcomes' lone active labels (None for several); they
-    are distinct and ``decode`` is injective, so no message is pinpointed twice."""
+def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, members) -> list[CheatReport]:
+    """A stack's reports, their s and proof chains from one ``chain_links`` call
+    on its zero-padded outcome masses ``qs``. Strategy t has outcome table
+    ``tables[t]``, ``CheatReport.members`` ``members[t]`` and ``lones[t]``, its
+    outcomes' lone active labels (None for several); they are distinct and
+    ``decode`` is injective, so no message is pinpointed twice."""
     cs = complements(qs)
-    distances, convex_sums = chain_links(qs, cs)
+    links = zip(*(column.tolist() for column in chain_links(qs, cs)))
     reports = []
-    for table, rests, lone, s, mixture, distance, convex in zip(
-            tables, cs.tolist(), lones, detections, members,
-            distances.tolist(), convex_sums.tolist()):
+    for table, rests, lone, mixture, (s, distance, convex) in zip(
+            tables, cs.tolist(), lones, members, links):
         pinned = [(q, c) for (_, q, _), c, label in zip(table, rests, lone)
                   if inst.decode.get(label) is not None]
         p = min(1.0, math.fsum(q for q, _ in pinned))
@@ -247,9 +245,7 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
              for outcome, (q, post) in zip(outcomes, returned.members)]
     actives = (post.c_labels() for _, post in returned.members)
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
-    accept = project_accept_probability(reference, returned)
-    (report,) = _reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones],
-                         [1.0 - accept], [returned])
+    (report,) = _reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones], [returned])
     return report
 
 
@@ -294,9 +290,9 @@ def _rotated_branches(
     reference mass, summed from the amplitudes ``c_block`` leaves outside the
     block, so no rider is laid out densely. Active labels are the columns
     holding some amplitude of at least ``PRUNE_TOL`` after the rotation. The
-    q's pass ``check_weights``; acceptance i is q_i and s is 1 - sum q_i^2.
-    ``_reports`` builds the reports with their proof chains, one
-    ``chain_links`` call for the stack.
+    q's pass ``check_weights``; acceptance i is q_i. ``_reports`` builds the
+    reports, s and proof chains included, from one ``chain_links`` call for
+    the stack.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.
@@ -332,14 +328,13 @@ def _rotated_branches(
     qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
     for total in qs.sum(axis=-1).tolist():
         check_weights(total)
-    detections = np.clip(1.0 - (qs ** 2).sum(axis=-1), 0.0, 1.0).tolist()
     labels = np.array(columns + (None,), dtype=object)  # None: no lone active label
     lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
     outcomes = np.append(names, None)[codes]  # each column's outcome, None where uncovered
     named = iter(names[np.nonzero(used)[1]].tolist())  # trial by trial, in sorted order
     tables = [list(zip(itertools.islice(named, m), probs[:m], probs[:m]))
               for m, probs in zip(counts.tolist(), qs.tolist())]
-    return _reports(inst, qs, tables, lones, detections,
+    return _reports(inst, qs, tables, lones,
                     [(reference, columns, u, row) for u, row in zip(matrices, outcomes)])
 
 

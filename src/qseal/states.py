@@ -65,12 +65,8 @@ class SparseState:
 
     def __post_init__(self) -> None:
         # Summed before the prune, so that a NaN amplitude fails instead of vanishing.
-        check_norm(math.fsum(abs(a) ** 2 for a in self.amps.values()))
-        pruned = {
-            key: complex(a)
-            for key, a in self.amps.items()
-            if abs(a) >= PRUNE_TOL
-        }
+        check_norm(_total_or_inf(abs(a) ** 2 for a in self.amps.values()))
+        pruned = {key: complex(a) for key, a in self.amps.items() if abs(a) >= PRUNE_TOL}
         object.__setattr__(self, "amps", pruned)
 
     @cached_property
@@ -97,7 +93,7 @@ class Ensemble:
         members = tuple((float(q), state) for q, state in self.members)
         if any(q < 0.0 for q, _ in members):
             raise ValueError("ensemble weights must be nonnegative")
-        check_weights(math.fsum(q for q, _ in members))
+        check_weights(_total_or_inf(q for q, _ in members))
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -140,6 +136,14 @@ class ProjPartition:
     def finest(cls, labels: Iterable[Label]) -> "ProjPartition":
         """One outcome per label, named after the label itself."""
         return cls({label: label for label in labels})
+
+
+def _total_or_inf(values: Iterable[float]) -> float:
+    """``math.fsum``, or inf where a value or the total overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def check_norm(total: float) -> None:

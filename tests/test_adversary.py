@@ -51,6 +51,7 @@ from qseal.states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
+    project_accept_probability,
     random_unitary,
     squared_overlap,
     trace_distance_pure,
@@ -230,8 +231,6 @@ class TestOptimalPostCollapse:
                 abs(a) ** 2 for (b, _), a in reference.amps.items() if b == index)
 
     def test_orthogonal_branch_scores_zero(self):
-        from qseal.states import project_accept_probability
-
         inst = seal_multipicture(pictures(4))
         wrong = SparseState({("1", "pic2"): 1.0})
         assert project_accept_probability(inst.reference, Ensemble.pure(wrong)) == 0.0
@@ -1049,16 +1048,63 @@ class TestProofChain:
         assert chain.trace_distance >= 0.5 - 1e-10
 
 
+class TestDetectionFromMasses:
+    """s is sum_i q_i c_i of the outcome masses (``chain_links``), against the
+    verification route, ``project_accept_probability`` on the returned
+    mixture, which shares no code with it."""
+
+    @staticmethod
+    def assert_s_is_one_minus_acceptance(inst, report):
+        accept = project_accept_probability(inst.reference, report.returned)
+        assert abs(report.s - (1.0 - accept)) <= EXACT_TOL, (report.s, accept)
+        assert report.chain.acceptance_gap == report.s
+
+    def test_named_bound_sweep_reports(self, monkeypatch):
+        reports, check = [], harness.check_report
+
+        def recording_check(report, instance, attack):
+            reports.append((instance, report))
+            check(report, instance, attack)
+
+        monkeypatch.setattr(harness, "check_report", recording_check)
+        cfg = harness.ExperimentConfig(trials=0)
+        harness.run_bound_sweep(cfg)
+        assert len(reports) == 27
+        instances = dict(harness._sweep_instances(cfg))
+        for name, report in reports:
+            assert isinstance(report.members, Ensemble)  # sparse: no unitary
+            self.assert_s_is_one_minus_acceptance(instances[name], report)
+
+    @pytest.mark.parametrize("k0", [4, 8, 12])
+    def test_oaep_basis_cheats(self, k0):
+        inst = seal_oaep(0x5A, OaepContext.create(k0=k0, n=8, with_human=False))
+        self.assert_s_is_one_minus_acceptance(inst, basis_cheat(inst))
+
+    @pytest.mark.parametrize("inst", [seal_garbage("M", ["g0", "g1", "g2"]),
+                                      seal_multipicture(pictures(6))],
+                             ids=["garbage-3", "multipicture-6"])
+    def test_random_trials(self, inst):
+        for report in random_strategy_sweep(inst, 20, rng_seed=3):
+            self.assert_s_is_one_minus_acceptance(inst, report)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-15, 1e-17])
+    def test_near_pure_reference_keeps_the_small_masses_digits(self, eps):
+        # 1 - sum q^2 cancels here (to 0 at eps = 1e-17); each q_i c_i keeps eps's digits.
+        reference = SparseState({("M", "M"): math.sqrt(1.0 - eps), ("g", "g"): math.sqrt(eps)})
+        report = basis_cheat(SealedInstance(GARBAGE, reference, {"M": "M", "g": None}, {}))
+        exact = 2.0 * eps * (1.0 - eps)
+        assert abs(report.s - exact) <= 4e-16 * exact
+
+
 def mass_chain(q):
     """The proof chain a dense report of outcome masses q has, its largest
-    mass pinpointing the message: s = 1 - sum q^2, ``chain_links`` and the bound."""
+    mass pinpointing the message: ``chain_links``' three links and the bound."""
     qs = np.array([q], dtype=float)
     cs = adversary.complements(qs)
-    (distance,), (convex,) = adversary.chain_links(qs, cs)
+    (gap,), (distance,), (convex,) = adversary.chain_links(qs, cs)
     best = int(qs[0].argmax())
-    gap = min(1.0, max(0.0, 1.0 - float((qs ** 2).sum())))
     closed_form = soundness_bound(qs[0, best], cs[0, best])
-    return ProofChain(gap, float(distance), float(convex), closed_form)
+    return ProofChain(float(gap), float(distance), float(convex), closed_form)
 
 
 @st.composite
@@ -1176,7 +1222,7 @@ class TestNewtonRoot:
 
     @staticmethod
     def assert_equal_bits(calls):
-        for q, c, (distances, convex_sums) in calls:
+        for q, c, (_, distances, convex_sums) in calls:
             want, want_convex = bisection_links(q, c)
             assert distances.tobytes() == want.tobytes()
             assert convex_sums.tobytes() == want_convex.tobytes()
@@ -1206,7 +1252,7 @@ class TestNewtonRoot:
     @example(q=[2.0**-16] * 2**16)
     def test_a_checked_sign_change_within_4_ulps_of_the_oracle(self, q):
         qs, cs = stack([q])
-        (distance,), _ = adversary.chain_links(qs, cs)
+        _, (distance,), _ = adversary.chain_links(qs, cs)
         (want,), _ = bisection_links(qs, cs)
         assert abs(int(distance.view(np.int64)) - int(want.view(np.int64))) <= 4  # ulps
         if distance == 0.0:
@@ -1223,7 +1269,7 @@ class TestNewtonRoot:
         (want,), _ = bisection_links(qs, cs)
         steps, spacing = [], np.spacing
         monkeypatch.setattr(np, "spacing", lambda lam: steps.append(lam) or spacing(lam))
-        (distance,), _ = adversary.chain_links(qs, cs)
+        _, (distance,), _ = adversary.chain_links(qs, cs)
         assert 1 <= len(steps) <= 4
         assert distance.tobytes() == want.tobytes()
 
@@ -1232,7 +1278,7 @@ class TestNewtonRoot:
         qs, cs = stack([*DEGENERATE_ROWS, [0.7, 0.2, 0.1], [0.25] * 4])
         want, _ = bisection_links(qs, cs)
         monkeypatch.setattr(np, "spacing", lambda lam: np.full_like(lam, -1.0))
-        distances, _ = adversary.chain_links(qs, cs)
+        _, distances, _ = adversary.chain_links(qs, cs)
         assert distances.tobytes() == want.tobytes()
 
     def test_each_row_of_a_mixed_stack_gets_its_bits_alone(self):
@@ -1240,18 +1286,17 @@ class TestNewtonRoot:
         ordinary = [rng.dirichlet(np.full(k, 0.3)).tolist() for k in (2, 5, 9, 17, 40)]
         rows = [*ordinary[:2], *DEGENERATE_ROWS, *ordinary[2:], [0.25] * 4]
         qs, cs = stack(rows)
-        distances, convex_sums = adversary.chain_links(qs, cs)
+        together = adversary.chain_links(qs, cs)
         for t in range(len(rows)):
-            alone, alone_convex = adversary.chain_links(qs[t:t + 1], cs[t:t + 1])
-            assert distances[t:t + 1].tobytes() == alone.tobytes()
-            assert convex_sums[t:t + 1].tobytes() == alone_convex.tobytes()
+            alone = adversary.chain_links(qs[t:t + 1], cs[t:t + 1])
+            assert [x[t:t + 1].tobytes() for x in together] == [x.tobytes() for x in alone]
         want, _ = bisection_links(qs, cs)
-        assert distances.tobytes() == want.tobytes()
+        assert together[1].tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_padded_and_degenerate_rows_raise_no_warning(self):
         qs, cs = stack([*DEGENERATE_ROWS, [0.5, 0.5], [2.0**-16] * 2**16])
-        distances, _ = adversary.chain_links(qs, cs)
+        _, distances, _ = adversary.chain_links(qs, cs)
         assert distances[0] == distances[1] == 0.0 and distances[2] == 0.0
         assert distances[-1] == 1.0 - 2.0**-16
 

@@ -590,8 +590,8 @@ class TestErrorExitCodes:
         links = adversary.chain_links
 
         def inflated(q, c):
-            _, convex_sums = links(q, c)
-            return convex_sums + 0.5, convex_sums
+            detections, _, convex_sums = links(q, c)
+            return detections, convex_sums + 0.5, convex_sums
 
         monkeypatch.setattr(adversary, "chain_links", inflated)
         path = GOLDEN / "seal-naive.json"
@@ -757,9 +757,16 @@ class TestHostileJson:
             ({"amps": [[1, 1, 1.0, 0.0]]}, "state.amps[0]"),
             ({}, '"amps" list or a "members" list'),
             ([], '"amps" list or a "members" list'),
+            # Overflowing magnitudes fail the norm or weight check as inf.
+            ({"amps": [["0", "0", 1.2e154, 0.0], ["0", "1", 1.2e154, 0.0]]},
+             "state is not normalized: sum of squared moduli is inf"),
+            ({"amps": [["0", "0", 1e200, 0.0]]}, "state is not normalized: sum of squared moduli is inf"),
+            ({"members": [{"weight": 1e308, "state": NAIVE_INSTANCE["reference"]}] * 2},
+             "ensemble weights sum to inf, expected 1"),
         ],
         ids=["text-weight", "bool-weight", "numeric-label", "missing-amps",
-             "non-list-members", "numeric-state-labels", "empty-object", "array"],
+             "non-list-members", "numeric-state-labels", "empty-object", "array",
+             "overflowing-squares", "overflowing-square", "overflowing-weights"],
     )
     def test_hostile_returned(self, returned, names):
         code, _, err = verify_files(NAIVE_INSTANCE, returned)
