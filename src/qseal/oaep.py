@@ -30,12 +30,16 @@ a stand-in module (perfbench's tracer) counts every digest of every token.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable
+
+import numpy as np
 
 from .protocols import OAEP, SealedInstance
 from .states import PRUNE_TOL, SparseState, check_norm, sample_readout
@@ -260,6 +264,13 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     return y, r
 
 
+@functools.cache
+def pad_labels(k0: int) -> tuple[str, ...]:
+    """Each k0-bit pad's B label in pad order, built once per valid k0 (1 to MAX_K0)."""
+    spec = f"0{k0}b"
+    return tuple(format(r, spec) for r in range(1 << k0))
+
+
 def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     """Uniform superposition of |r> paired with the token encoding y under r.
 
@@ -271,11 +282,9 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     if not 0 <= y < (1 << params.n):
         raise ValueError(f"y must be an {params.n}-bit value")
     support = 1 << params.k0
-    amp = 1.0 / math.sqrt(float(support))
+    amp = complex(1.0 / math.sqrt(float(support)))
     tokens = [encode(y, r, ctx) for r in range(support)]
-    spec = f"0{params.k0}b"
-    labels = [format(r, spec) for r in range(support)]
-    reference = SparseState(dict(zip(zip(labels, tokens), repeat(amp))))
+    reference = SparseState(dict(zip(zip(pad_labels(params.k0), tokens), repeat(amp))))
     decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,
@@ -334,43 +343,54 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
     return {r for r in range(1 << ctx.params.k0) if encode(y, r, ctx) in shown}
 
 
+def _pad_space(excluded: set[int], k0: int) -> int:
+    """2**k0, once every pad in ``excluded`` is known to lie below it."""
+    support = 1 << k0
+    if excluded and not (min(excluded) >= 0 and max(excluded) < support):
+        bad = sorted(r for r in excluded if not 0 <= r < support)
+        raise ValueError(f"excluded pads out of range: {bad}")
+    return support
+
+
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     """Squared overlap between the full-pad and useless-pad superpositions.
 
-    Walks the reference's amplitudes and renormalizes those of pads outside
-    ``excluded`` into a list, checked and pruned as ``SparseState`` would be;
-    no state is built. When ``excluded`` covers every pad there is no useless-pad
-    state; by convention the overlap is 0 and ``DegenerateUWarning`` is emitted.
+    Renormalizes the reference's amplitudes on pads outside ``excluded`` as
+    arrays, checked and pruned as ``SparseState`` would be; no state is built.
+    The arithmetic keeps the per-amplitude loop's bits: ``np.hypot`` is Python's
+    ``abs`` (``np.abs`` is not), Python's ``pow`` squares for ``math.fsum``
+    (numpy's ``power`` rounds otherwise), and ``np.add.accumulate`` sums left to
+    right, not pairwise. If ``excluded`` covers every pad, the overlap is 0 by
+    convention and ``DegenerateUWarning`` is emitted.
     """
-    k0, _n, _key = sealed_params(inst)
-    support = 1 << k0
-    bad = {r for r in excluded if not 0 <= r < support}
-    if bad:
-        raise ValueError(f"excluded pads out of range: {sorted(bad)}")
-    if len(excluded) >= support:
+    k0, n, _key = sealed_params(inst)
+    if len(excluded) >= _pad_space(excluded, OaepParams(k0, n).k0):
         warnings.warn(
             "excluded set covers every pad; overlap is 0 by convention",
             DegenerateUWarning,
         )
         return 0.0
-    spec = f"0{k0}b"
-    excluded_labels = {format(r, spec) for r in excluded}
-    kept = [a for (b, _c), a in inst.reference.amps.items() if b not in excluded_labels]
-    norm = math.sqrt(math.fsum(abs(a) ** 2 for a in kept))
-    useless = [a / norm for a in kept]
-    check_norm(math.fsum(abs(u) ** 2 for u in useless))
-    overlap = useless_sq = 0.0 + 0.0j
-    for a, u in zip(kept, useless):
-        if abs(u) >= PRUNE_TOL:
-            overlap += a.conjugate() * u
-            useless_sq += u.conjugate() * u
-    return abs(overlap) ** 2 / (inst.reference.norm_sq * useless_sq.real)
+    labels = pad_labels(k0)
+    excluded_labels = {labels[r] for r in excluded}
+    amps = inst.reference.amps
+    dropped = np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
+    kept = np.fromiter(amps.values(), complex, len(amps))[~dropped]
+    ar, ai = kept.real, kept.imag
+    norm = math.sqrt(math.fsum(map(pow, np.hypot(ar, ai).tolist(), repeat(2))))
+    # CPython divides a complex by a float part by part, not by multiplying by 1/norm.
+    ur, ui = ar / norm, ai / norm
+    moduli = np.hypot(ur, ui)
+    check_norm(math.fsum(map(pow, moduli.tolist(), repeat(2))))
+    live = moduli >= PRUNE_TOL
+    ar, ai, ur, ui = ar[live], ai[live], ur[live], ui[live]
+    # conj(a) * u and conj(u) * u as CPython multiplies complex numbers.
+    re, im, useless_sq = (
+        np.add.accumulate(terms)[-1].item()
+        for terms in (ar * ur + ai * ui, ar * ui - ai * ur, ur * ur + ui * ui)
+    )
+    return abs(complex(re, im)) ** 2 / (inst.reference.norm_sq * useless_sq)
 
 
 def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:
     """Probability mass by which the full-pad test can diverge, |R| / 2**k0."""
-    support = 1 << ctx.params.k0
-    if len(excluded) > support:
-        raise ValueError("excluded set larger than the pad space")
-    return len(excluded) / support
-
+    return len(excluded) / _pad_space(excluded, ctx.params.k0)

@@ -188,9 +188,12 @@ class TestGoldenOutput:
         assert run_cli("--out", str(out), "experiment", "bound-sweep", "--trials", "0") == 0
         assert out.read_bytes() == (GOLDEN.parent / "bound_sweep_named.csv").read_bytes()
 
-    @pytest.mark.parametrize("config, fmt", [("even", "csv"), ("even", "json"), ("odd", "csv")])
+    @pytest.mark.parametrize(
+        "config, fmt", [("even", "csv"), ("even", "json"), ("odd", "csv"), ("cap", "csv")]
+    )
     def test_oaep_negligibility_bytes(self, tmp_path, config, fmt):
-        # Odd k0 gives inexact amplitudes, so the last bits of the overlap show.
+        # Odd k0 gives inexact amplitudes, so the last bits of the overlap show;
+        # "cap" cuts up to half the pads at k0 = 15 and 16 (SUPPORT_CAP).
         stem = GOLDEN.parent / f"oaep_negligibility_{config}"
         out = tmp_path / f"rows.{fmt}"
         assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),

@@ -196,6 +196,13 @@ class TestOaepNegligibility:
         with pytest.raises(ConfigInvalid):
             run_oaep_negligibility([4], [17])
 
+    @pytest.mark.xfail(raises=InvariantViolation, strict=True,
+                       reason="known defect: left-to-right overlap sums drift past EXACT_TOL")
+    def test_cut_near_the_cap_matches_closed_form(self):
+        # 31,744 kept pads at k0 = 15: the running sums of tu_overlap land
+        # 1.3e-12 from 1/32, so the experiment raises instead of writing a row.
+        run_oaep_negligibility([15], [1024])
+
 
 class TestReports:
     def test_csv_header_and_values(self):

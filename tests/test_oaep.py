@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import qseal.states
 from qseal.adversary import basis_cheat, proof_chain
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
+    MAX_K0,
     REFERENCE_MASTER_KEY,
     SUPPORT_CAP,
     DegenerateUWarning,
@@ -21,6 +23,7 @@ from qseal.oaep import (
     OaepParams,
     decode_preimage,
     encode,
+    pad_labels,
     r_set,
     seal_oaep,
     sealed_params,
@@ -311,6 +314,35 @@ class TestSealOaep:
         with pytest.raises(ValueError, match="y must be an 8-bit value"):
             seal_oaep(1 << 8, ctx)
 
+    def test_branches_share_one_amplitude(self):
+        inst = seal_oaep(0x5A, OaepContext.create(k0=6, n=8, with_human=False))
+        assert len({id(a) for a in inst.reference.amps.values()}) == 1
+
+
+class TestPadLabels:
+    @pytest.mark.parametrize("k0", [1, 7, 16])
+    def test_labels_are_the_formatted_pads(self, k0):
+        labels = pad_labels(k0)
+        assert len(labels) == 1 << k0
+        assert all(label == format(r, f"0{k0}b") for r, label in enumerate(labels))
+
+    def test_seal_keys_are_the_table_strings_in_pad_order(self):
+        inst = seal_oaep(0x3C, OaepContext.create(k0=7, n=8, with_human=False))
+        b_labels = [b for b, _ in inst.reference.amps]
+        assert b_labels == list(pad_labels(7))
+        assert all(b is label for b, label in zip(b_labels, pad_labels(7)))
+
+    def test_cache_holds_at_most_one_table_per_pad_width(self, sealed_at_cap):
+        for k0 in range(1, MAX_K0):
+            inst = seal_oaep(1, OaepContext.create(k0=k0, n=8, with_human=False))
+            tu_overlap(inst, {0})
+        tu_overlap(sealed_at_cap, {0})
+        # A hand-built instance past the cap is refused before any table is built.
+        too_wide = _hand_built({("0" * (MAX_K0 + 1), "img_0000"): 1.0}, MAX_K0 + 1)
+        with pytest.raises(ValueError, match=f"k0 must be between 1 and {MAX_K0}"):
+            tu_overlap(too_wide, {0})
+        assert pad_labels.cache_info().currsize == MAX_K0
+
 
 class TestUnsealOaep:
     def test_recovers_message_on_every_branch(self):
@@ -551,6 +583,29 @@ class TestTuOverlapMatchesOracle:
         _, _, error = self.same(partial, {1, 6})
         assert error == "state is not normalized: sum of squared moduli is 0.0"
 
+    def test_excluded_pad_with_two_tokens(self):
+        amps = {(format(r, "03b"), f"img_{r:04x}"): 1.0 / 3.0 for r in range(8)}
+        amps[("010", "img_0102")] = 1.0 / 3.0
+        inst = _hand_built(amps, 3)
+        value, _, _ = self.same(inst, {2})
+        # Both of pad 2's amplitudes drop: 7 of 9 equal branches are left.
+        assert value == pytest.approx(7.0 / 9.0, abs=1e-12)
+
+    def test_label_of_the_wrong_width_is_never_excluded(self):
+        amps = {(format(r, "03b"), f"img_{r:04x}"): 1.0 / 3.0 for r in range(8)}
+        amps[("0101", "img_0105")] = 1.0 / 3.0
+        inst = _hand_built(amps, 3)
+        value, _, _ = self.same(inst, {5})
+        assert value == pytest.approx(8.0 / 9.0, abs=1e-12)
+        value, _, _ = self.same(inst, {0, 1, 2, 3, 4, 6, 7})
+        assert value == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+    def test_seeded_cuts_at_the_cap(self, sealed_at_cap):
+        rng = random.Random(SUPPORT_CAP)
+        for size in (1, 1 << 10, 1 << 15):
+            value, _, error = self.same(sealed_at_cap, set(rng.sample(range(SUPPORT_CAP), size)))
+            assert value is not None and error is None
+
 
 def test_tu_overlap_builds_no_state(monkeypatch):
     inst = seal_oaep(0x5A, OaepContext.create(k0=8, n=8, with_human=False))
@@ -572,6 +627,18 @@ class TestUselessQueryBound:
         assert useless_query_bound(ctx8, set(range(4))) == 4 / 256
         assert useless_query_bound(ctx12, set(range(4))) == 4 / 4096
         assert useless_query_bound(ctx8, set()) == 0.0
+
+    @pytest.mark.parametrize("pad", [99, -1])
+    def test_pad_outside_the_pad_space_rejected(self, pad):
+        ctx = OaepContext.create(k0=4, n=8, with_human=False)
+        inst = seal_oaep(0, ctx)
+        message = re.escape(f"excluded pads out of range: [{pad}]")
+        with pytest.raises(ValueError, match=message):
+            useless_query_bound(ctx, {pad})
+        with pytest.raises(ValueError, match=message):
+            tu_overlap(inst, {3, pad})
+        with pytest.raises(ValueError, match=re.escape("out of range: [-1, 99]")):
+            useless_query_bound(ctx, {-1, 3, 99})
 
     def test_halves_per_pad_bit(self):
         previous = None
