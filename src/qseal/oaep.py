@@ -30,7 +30,6 @@ a stand-in module (perfbench's tracer) counts every digest of every token.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import warnings
@@ -264,13 +263,6 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     return y, r
 
 
-@functools.cache
-def pad_labels(k0: int) -> tuple[str, ...]:
-    """Each k0-bit pad's B label in pad order, built once per valid k0 (1 to MAX_K0)."""
-    spec = f"0{k0}b"
-    return tuple(format(r, spec) for r in range(1 << k0))
-
-
 def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     """Uniform superposition of |r> paired with the token encoding y under r.
 
@@ -284,7 +276,9 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     support = 1 << params.k0
     amp = complex(1.0 / math.sqrt(float(support)))
     tokens = [encode(y, r, ctx) for r in range(support)]
-    reference = SparseState(dict(zip(zip(pad_labels(params.k0), tokens), repeat(amp))))
+    spec = f"0{params.k0}b"
+    labels = [format(r, spec) for r in range(support)]
+    reference = SparseState(dict(zip(zip(labels, tokens), repeat(amp))))
     decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,
@@ -363,15 +357,15 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     right, not pairwise. If ``excluded`` covers every pad, the overlap is 0 by
     convention and ``DegenerateUWarning`` is emitted.
     """
-    k0, n, _key = sealed_params(inst)
-    if len(excluded) >= _pad_space(excluded, OaepParams(k0, n).k0):
+    k0, _n, _key = sealed_params(inst)
+    if len(excluded) >= _pad_space(excluded, k0):
         warnings.warn(
             "excluded set covers every pad; overlap is 0 by convention",
             DegenerateUWarning,
         )
         return 0.0
-    labels = pad_labels(k0)
-    excluded_labels = {labels[r] for r in excluded}
+    spec = f"0{k0}b"
+    excluded_labels = {format(r, spec) for r in excluded}
     amps = inst.reference.amps
     dropped = np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
     kept = np.fromiter(amps.values(), complex, len(amps))[~dropped]

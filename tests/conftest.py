@@ -246,9 +246,9 @@ def oracle_readout(state: SparseState, rng_seed: int) -> Label:
 
 # ``oaep.tu_overlap`` as qseal had it before it renormalized the reference as
 # numpy arrays, copied unchanged apart from the norm, summed exactly by
-# ``exact_sum``: it formats the excluded pads' labels itself, builds the
-# useless-pad ``SparseState`` (norm check, then prune) and takes
-# ``squared_overlap`` with the reference, one Python complex at a time. The
+# ``exact_sum``: it builds the useless-pad ``SparseState`` (norm check, then
+# prune) and takes ``squared_overlap`` with the reference, one Python complex
+# at a time. The
 # array version, which shares no arithmetic with it, must return the same bits
 # and raise and warn alike.
 

@@ -15,7 +15,6 @@ import qseal.states
 from qseal.adversary import basis_cheat, proof_chain
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
-    MAX_K0,
     REFERENCE_MASTER_KEY,
     SUPPORT_CAP,
     DegenerateUWarning,
@@ -23,7 +22,6 @@ from qseal.oaep import (
     OaepParams,
     decode_preimage,
     encode,
-    pad_labels,
     r_set,
     seal_oaep,
     sealed_params,
@@ -314,34 +312,9 @@ class TestSealOaep:
         with pytest.raises(ValueError, match="y must be an 8-bit value"):
             seal_oaep(1 << 8, ctx)
 
-    def test_branches_share_one_amplitude(self):
-        inst = seal_oaep(0x5A, OaepContext.create(k0=6, n=8, with_human=False))
-        assert len({id(a) for a in inst.reference.amps.values()}) == 1
-
-
-class TestPadLabels:
-    @pytest.mark.parametrize("k0", [1, 7, 16])
-    def test_labels_are_the_formatted_pads(self, k0):
-        labels = pad_labels(k0)
-        assert len(labels) == 1 << k0
-        assert all(label == format(r, f"0{k0}b") for r, label in enumerate(labels))
-
-    def test_seal_keys_are_the_table_strings_in_pad_order(self):
+    def test_b_labels_are_the_formatted_pads_in_pad_order(self):
         inst = seal_oaep(0x3C, OaepContext.create(k0=7, n=8, with_human=False))
-        b_labels = [b for b, _ in inst.reference.amps]
-        assert b_labels == list(pad_labels(7))
-        assert all(b is label for b, label in zip(b_labels, pad_labels(7)))
-
-    def test_cache_holds_at_most_one_table_per_pad_width(self, sealed_at_cap):
-        for k0 in range(1, MAX_K0):
-            inst = seal_oaep(1, OaepContext.create(k0=k0, n=8, with_human=False))
-            tu_overlap(inst, {0})
-        tu_overlap(sealed_at_cap, {0})
-        # A hand-built instance past the cap is refused before any table is built.
-        too_wide = _hand_built({("0" * (MAX_K0 + 1), "img_0000"): 1.0}, MAX_K0 + 1)
-        with pytest.raises(ValueError, match=f"k0 must be between 1 and {MAX_K0}"):
-            tu_overlap(too_wide, {0})
-        assert pad_labels.cache_info().currsize == MAX_K0
+        assert [b for b, _ in inst.reference.amps] == [format(r, "07b") for r in range(128)]
 
 
 class TestUnsealOaep:
