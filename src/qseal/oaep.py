@@ -22,26 +22,33 @@ parameters: y has n bits, r has k0 bits, f inputs have k = n + k0 bits.
 G, H and the Feistel rounds are keyed SHA-256 expansions whose prefix, input
 width and shift are fixed once per context. ``encode`` computes a token in its
 own body, from a layout ``OaepContext.create`` makes once: six inline digests
-(G, H, four rounds) when every hash fits one SHA-256 digest, else ``g``, ``h``
-and ``CaptchaFunction.forward``. Each digest is one call to this module's
-``hashlib`` global, looked up at call time and never a pre-fed ``copy()``, so
-a stand-in module (perfbench's tracer) counts every digest of every token.
+(G, H, four rounds) when every hash reads a value of 1, 2, 4 or 8 bytes, so
+that every output is at most 64 bits, else ``g``, ``h`` and
+``CaptchaFunction.forward``. Inline, one precompiled ``struct`` packs each
+digest's prefix and value, and the output is the digest's first 8 bytes
+shifted down. Each digest is one call to this module's ``hashlib`` global,
+looked up at call time and never a pre-fed ``copy()``, so a stand-in module
+(perfbench's tracer) counts every digest of every token.
+
+A seal's pad labels, and a cut's excluded ones, are ``_pad_labels``: each
+label joins the formatted high and low halves of its pad.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .protocols import OAEP, SealedInstance
-from .states import PRUNE_TOL, SparseState, check_norm, sample_readout
+from .states import SparseState, check_norm, sample_readout
 from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
@@ -59,9 +66,14 @@ _FEISTEL_ROUNDS = 4
 # One keyed hash's fixed input: (prefix per digest, value byte width, shift).
 _PrfSpec = tuple[tuple[bytes, ...], int, int]
 
-# encode's token map: (prefix, byte width, shift) of G, H and rounds 0-3, the
-# Feistel half width and mask, and the token's format (its hex digit count).
-_TokenLayout = tuple[tuple[tuple[bytes, int, int], ...], int, int, str]
+# encode's token map: (prefix, packer of prefix and value, shift of the first
+# 8 digest bytes) of G, H and rounds 0-3, the Feistel half width and mask, and
+# the token's format (its hex digit count).
+_TokenLayout = tuple[tuple[tuple[bytes, Callable[[bytes, int], bytes], int], ...], int, int, str]
+
+# struct codes of the value widths encode packs inline.
+_WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_FIRST_U64 = struct.Struct(">Q").unpack_from
 
 
 class DegenerateUWarning(UserWarning):
@@ -187,14 +199,20 @@ class OaepContext:
 
     def __post_init__(self) -> None:
         specs = (self.g_spec, self.h_spec, *self.captcha._rounds)
-        # encode inlines one digest per hash; a hash wider than 256 bits needs several.
-        if any(len(prefixes) > 1 for prefixes, _, _ in specs):
-            layout = None
-        else:
+        # encode packs each value with one struct code and reads each output
+        # from one digest's first 8 bytes. Every output is another hash's
+        # value (G's is H's, H's is G's, a round's is the next round's), so
+        # values of at most 8 bytes bound every output to 64 bits.
+        if all(width in _WIDTH_CODES for _, width, _ in specs):
             k = self.params.k
             half = k - k // 2
-            hashes = tuple((prefixes[0], width, shift) for prefixes, width, shift in specs)
+            hashes = tuple(
+                (prefix, struct.Struct(f">{len(prefix)}s{_WIDTH_CODES[width]}").pack, shift - 192)
+                for (prefix,), width, shift in specs
+            )
             layout = (hashes, half, (1 << half) - 1, f"{TOKEN_PREFIX}%0{(k + 3) // 4}x")
+        else:
+            layout = None
         object.__setattr__(self, "_layout", layout)
 
     @classmethod
@@ -239,17 +257,17 @@ def encode(y: int, r: int, ctx: OaepContext) -> str:
         t = r ^ ctx.h(s)
         return ctx.captcha.forward((s << params.k0) | t)
     hashes, half, mask, token = ctx._layout
-    (gp, gw, gs), (hp, hw, hs), (p0, w0, s0), (p1, w1, s1), (p2, w2, s2), (p3, w3, s3) = hashes
-    sha256, from_bytes = hashlib.sha256, int.from_bytes
-    s = y ^ from_bytes(sha256(gp + r.to_bytes(gw, "big")).digest(), "big") >> gs
-    t = r ^ from_bytes(sha256(hp + s.to_bytes(hw, "big")).digest(), "big") >> hs
+    (gp, gb, gs), (hp, hb, hs), (p0, b0, s0), (p1, b1, s1), (p2, b2, s2), (p3, b3, s3) = hashes
+    sha256, first = hashlib.sha256, _FIRST_U64
+    s = y ^ first(sha256(gb(gp, r)).digest())[0] >> gs
+    t = r ^ first(sha256(hb(hp, s)).digest())[0] >> hs
     x = (s << params.k0) | t
     # Four Feistel rounds, each xoring one half with the round function of the other.
     left, right = x >> half, x & mask
-    left ^= from_bytes(sha256(p0 + right.to_bytes(w0, "big")).digest(), "big") >> s0
-    right ^= from_bytes(sha256(p1 + left.to_bytes(w1, "big")).digest(), "big") >> s1
-    left ^= from_bytes(sha256(p2 + right.to_bytes(w2, "big")).digest(), "big") >> s2
-    right ^= from_bytes(sha256(p3 + left.to_bytes(w3, "big")).digest(), "big") >> s3
+    left ^= first(sha256(b0(p0, right)).digest())[0] >> s0
+    right ^= first(sha256(b1(p1, left)).digest())[0] >> s1
+    left ^= first(sha256(b2(p2, right)).digest())[0] >> s2
+    right ^= first(sha256(b3(p3, left)).digest())[0] >> s3
     return token % ((left << half) | right)
 
 
@@ -261,6 +279,18 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     r = t ^ ctx.h(s)
     y = s ^ ctx.g(r)
     return y, r
+
+
+def _pad_labels(k0: int, pads: Iterable[int] | None = None) -> list[str]:
+    """``format(r, f"0{k0}b")`` of each pad, all 2**k0 in order when ``pads`` is
+    None: the formatted high k0 - k0 // 2 bits joined to the low k0 // 2 bits."""
+    low = k0 // 2
+    highs = [format(h, f"0{k0 - low}b") for h in range(1 << (k0 - low))]
+    lows = [format(r, f"0{low}b") for r in range(1 << low)] if low else [""]
+    if pads is None:
+        return [h + lo for h in highs for lo in lows]
+    mask = (1 << low) - 1
+    return [highs[r >> low] + lows[r & mask] for r in pads]
 
 
 def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
@@ -276,9 +306,7 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     support = 1 << params.k0
     amp = complex(1.0 / math.sqrt(float(support)))
     tokens = [encode(y, r, ctx) for r in range(support)]
-    spec = f"0{params.k0}b"
-    labels = [format(r, spec) for r in range(support)]
-    reference = SparseState(dict(zip(zip(labels, tokens), repeat(amp))))
+    reference = SparseState(dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))))
     decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,
@@ -350,12 +378,15 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     """Squared overlap between the full-pad and useless-pad superpositions.
 
     Renormalizes the reference's amplitudes on pads outside ``excluded`` as
-    arrays, checked and pruned as ``SparseState`` would be; no state is built.
+    arrays and checks the norm as ``SparseState`` would; no state is built.
     The arithmetic keeps the per-amplitude loop's bits: ``np.hypot`` is Python's
     ``abs`` (``np.abs`` is not), Python's ``pow`` squares for ``math.fsum``
     (numpy's ``power`` rounds otherwise), and ``np.add.accumulate`` sums left to
-    right, not pairwise. If ``excluded`` covers every pad, the overlap is 0 by
-    convention and ``DegenerateUWarning`` is emitted.
+    right, not pairwise. <ref|ref> is summed from the same arrays, the terms
+    and order of ``SparseState.norm_sq``. Amplitudes below ``PRUNE_TOL`` after
+    renormalizing are kept, where the state would drop them: one adds under
+    1e-30, below an ulp of any sum here. If ``excluded`` covers every pad, the
+    overlap is 0 by convention and ``DegenerateUWarning`` is emitted.
     """
     k0, _n, _key = sealed_params(inst)
     if len(excluded) >= _pad_space(excluded, k0):
@@ -364,25 +395,22 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
             DegenerateUWarning,
         )
         return 0.0
-    spec = f"0{k0}b"
-    excluded_labels = {format(r, spec) for r in excluded}
+    excluded_labels = set(_pad_labels(k0, excluded))
     amps = inst.reference.amps
-    dropped = np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
-    kept = np.fromiter(amps.values(), complex, len(amps))[~dropped]
-    ar, ai = kept.real, kept.imag
+    kept = ~np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
+    values = np.fromiter(amps.values(), complex, len(amps))
+    vr, vi = values.real, values.imag
+    ar, ai = vr[kept], vi[kept]
     norm = math.sqrt(math.fsum(map(pow, np.hypot(ar, ai).tolist(), repeat(2))))
     # CPython divides a complex by a float part by part, not by multiplying by 1/norm.
     ur, ui = ar / norm, ai / norm
-    moduli = np.hypot(ur, ui)
-    check_norm(math.fsum(map(pow, moduli.tolist(), repeat(2))))
-    live = moduli >= PRUNE_TOL
-    ar, ai, ur, ui = ar[live], ai[live], ur[live], ui[live]
-    # conj(a) * u and conj(u) * u as CPython multiplies complex numbers.
-    re, im, useless_sq = (
+    check_norm(math.fsum(map(pow, np.hypot(ur, ui).tolist(), repeat(2))))
+    # conj(a) * b as CPython multiplies complex numbers, summed left to right.
+    re, im, useless_sq, reference_sq = (
         np.add.accumulate(terms)[-1].item()
-        for terms in (ar * ur + ai * ui, ar * ui - ai * ur, ur * ur + ui * ui)
+        for terms in (ar * ur + ai * ui, ar * ui - ai * ur, ur * ur + ui * ui, vr * vr + vi * vi)
     )
-    return abs(complex(re, im)) ** 2 / (inst.reference.norm_sq * useless_sq)
+    return abs(complex(re, im)) ** 2 / (reference_sq * useless_sq)
 
 
 def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:

@@ -58,21 +58,30 @@ class SparseState:
     ``amps`` maps (b_label, c_label) pairs to complex amplitudes. Amplitudes
     below ``PRUNE_TOL`` in modulus are dropped at construction; the remaining
     amplitudes must have squared moduli summing to 1 within ``NORM_TOL``.
-    Instances are treated as immutable.
+    The state keeps its own copy of the map, each amplitude an exact
+    ``complex``. Instances are treated as immutable.
     """
 
     amps: dict[tuple[Label, Label], complex]
 
     def __post_init__(self) -> None:
+        amps = self.amps
+        values = amps.values()
         # Summed before the prune, so that a NaN amplitude fails instead of vanishing.
-        check_norm(_total_or_inf(abs(a) ** 2 for a in self.amps.values()))
-        pruned = {key: complex(a) for key, a in self.amps.items() if abs(a) >= PRUNE_TOL}
-        object.__setattr__(self, "amps", pruned)
+        check_norm(_total_or_inf(map(pow, map(abs, values), itertools.repeat(2))))
+        # Exact complex amplitudes of which none is pruned: the copy is what
+        # the comprehension would build, without a Python-level loop.
+        if {*map(type, values)} == {complex} and min(map(abs, values)) >= PRUNE_TOL:
+            kept = dict(amps)
+        else:
+            kept = {key: complex(a) for key, a in amps.items() if abs(a) >= PRUNE_TOL}
+        object.__setattr__(self, "amps", kept)
 
     @cached_property
     def norm_sq(self) -> float:
         """<self|self>, summed once by ``inner_product``; the construction-time
-        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits."""
+        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits.
+        ``oaep.tu_overlap`` sums the same terms in the same order from arrays."""
         return inner_product(self, self).real
 
     def b_labels(self) -> set[Label]:

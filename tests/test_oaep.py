@@ -156,6 +156,67 @@ class TestReferenceTokenMap:
             assert ctx.human.invert(token) == _feistel_inverse(captcha_key, k, payload) == x
 
 
+class TestTokenLayout:
+    """``encode`` inlines the token map only for value widths of 1, 2, 4 or 8
+    bytes and outputs of at most 64 bits; elsewhere it goes through g, h and f."""
+
+    @staticmethod
+    def inline_expected(k0, n):
+        k = k0 + n
+        inputs, outputs = (k0, n, k - k // 2, k // 2), (n, k0, k // 2, k - k // 2)
+        return all(-(-bits // 8) in (1, 2, 4, 8) for bits in inputs) and max(outputs) <= 64
+
+    @pytest.mark.parametrize(
+        "k0, n",
+        [
+            (8, 8),    # every value 1 byte
+            (1, 7),    # Feistel halves of 4 bits, H's value 1 byte
+            (16, 16),  # every value 2 bytes
+            (9, 16),   # G's value 2 bytes, halves of 12 and 13 bits
+            (16, 24),  # H's value 3 bytes
+            (8, 40),   # H's value 5 bytes, halves of 24 bits (3 bytes)
+            (1, 63),   # halves of 32 bits (4 bytes), H's value 8 bytes
+            (2, 62),   # as above with a 2-bit pad
+            (16, 48),  # halves of 32 bits, H's value 6 bytes
+            (16, 64),  # G outputs 64 bits, halves of 40 bits (5 bytes)
+            (16, 65),  # G outputs 65 bits, H's value 9 bytes
+            (8, 120),  # halves of 64 bits (8 bytes, 64-bit outputs), G outputs 120 bits
+        ],
+    )
+    def test_matches_g_h_and_forward(self, k0, n):
+        ctx = OaepContext.create(k0=k0, n=n, with_human=False)
+        for y, r in _seeded_pairs(k0, n, 64, seed=k0 * 1000 + n) + [(0, 0), ((1 << n) - 1, (1 << k0) - 1)]:
+            s = y ^ ctx.g(r)
+            assert encode(y, r, ctx) == ctx.captcha.forward((s << k0) | (r ^ ctx.h(s)))
+
+    def test_inline_exactly_where_the_rule_says(self):
+        inline = {(k0, n) for k0 in range(1, 17) for n in range(1, 130)
+                  if OaepContext.create(k0=k0, n=n, with_human=False)._layout is not None}
+        assert inline == {(k0, n) for k0 in range(1, 17) for n in range(1, 130)
+                          if self.inline_expected(k0, n)}
+        assert (1, 63) in inline and (16, 16) in inline and (16, 64) not in inline
+
+
+class TestPadLabels:
+    """``_pad_labels`` joins formatted halves into the labels ``format`` gives."""
+
+    @pytest.mark.parametrize("k0", range(1, 17))
+    def test_every_pad(self, k0):
+        expected = [format(r, f"0{k0}b") for r in range(1 << k0)]
+        assert qseal.oaep._pad_labels(k0) == expected
+        assert qseal.oaep._pad_labels(k0, range(1 << k0)) == expected
+
+    def test_no_pads(self):
+        assert qseal.oaep._pad_labels(5, set()) == []
+
+    @pytest.mark.parametrize("k0", [1, 2, 7, 16])
+    def test_seeded_pads_in_random_order(self, k0):
+        rng = random.Random(k0)
+        pads = rng.sample(range(1 << k0), min(1 << k0, 200))
+        assert qseal.oaep._pad_labels(k0, pads) == [format(r, f"0{k0}b") for r in pads]
+        assert qseal.oaep._pad_labels(k0, set(pads)) == [format(r, f"0{k0}b") for r in set(pads)]
+
+
 class _CountingHashlib:
     """Stands in for ``qseal.oaep``'s ``hashlib`` and counts sha256 calls."""
 

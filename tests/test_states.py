@@ -22,6 +22,7 @@ from conftest import (
 )
 from qseal.states import (
     DENSE_DIM_CAP,
+    PRUNE_TOL,
     Ensemble,
     LocalUnitary,
     ProjPartition,
@@ -62,6 +63,52 @@ class TestConstruction:
         # A NaN is never >= PRUNE_TOL, so a check after the prune would miss it.
         with pytest.raises(ValueError, match="not normalized"):
             SparseState({("a", "a"): 1.0, ("b", "b"): bad})
+
+    @pytest.mark.parametrize(
+        "amps, message",
+        [
+            ({("a", "a"): 1.0 + 0j, ("b", "b"): complex(math.nan, 0.0)}, "nan"),
+            ({("a", "a"): complex(1.2e154), ("b", "b"): complex(1.2e154)}, "inf"),
+            ({("a", "a"): complex(1e200)}, "inf"),
+            ({("a", "a"): complex(1.7e308, 1.7e308)}, "inf"),
+            ({("a", "a"): 1e200}, "inf"),
+        ],
+        ids=["nan", "overflowing-squares", "overflowing-square", "overflowing-modulus", "float"],
+    )
+    def test_norm_error_names_the_sum(self, amps, message):
+        with pytest.raises(ValueError) as caught:
+            SparseState(amps)
+        assert str(caught.value) == f"state is not normalized: sum of squared moduli is {message}"
+
+    def test_keeps_its_own_copy(self):
+        amps = {("a", "a"): complex(INV_SQRT2), ("b", "b"): complex(INV_SQRT2)}
+        state = SparseState(amps)
+        amps[("a", "a")] = 0j
+        amps[("c", "c")] = 1 + 0j
+        del amps[("b", "b")]
+        assert state.amps == {("a", "a"): complex(INV_SQRT2), ("b", "b"): complex(INV_SQRT2)}
+        assert state.amps is not amps
+
+    def test_amplitudes_stored_as_exact_complex(self):
+        class Amplitude(complex):
+            pass
+
+        for value in (1.0, 1, Amplitude(1.0), 1 + 0j):
+            for amps in ({("a", "a"): value}, {("a", "a"): value, ("b", "b"): 0j}):
+                state = SparseState(amps)
+                assert list(state.amps) == [("a", "a")]
+                assert type(state.amps[("a", "a")]) is complex
+                assert state.amps[("a", "a")] == 1.0
+        mixed = SparseState({("a", "a"): INV_SQRT2 + 0j, ("b", "b"): Amplitude(INV_SQRT2)})
+        assert {type(a) for a in mixed.amps.values()} == {complex}
+
+    @pytest.mark.parametrize("box", [complex, float], ids=["complex", "float"])
+    def test_prune_tolerance_is_inclusive(self, box):
+        big = ("a", "a")
+        for tiny, kept in ((PRUNE_TOL, True), (math.nextafter(PRUNE_TOL, 0.0), False)):
+            state = SparseState({big: box(1.0), ("b", "b"): box(tiny)})
+            assert (("b", "b") in state.amps) is kept
+            assert state.amps[big] == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_ensemble_rejects_non_finite_weight(self, bad):
