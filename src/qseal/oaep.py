@@ -377,16 +377,17 @@ def _pad_space(excluded: set[int], k0: int) -> int:
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     """Squared overlap between the full-pad and useless-pad superpositions.
 
-    Renormalizes the reference's amplitudes on pads outside ``excluded`` as
-    arrays and checks the norm as ``SparseState`` would; no state is built.
-    The arithmetic keeps the per-amplitude loop's bits: ``np.hypot`` is Python's
-    ``abs`` (``np.abs`` is not), Python's ``pow`` squares for ``math.fsum``
-    (numpy's ``power`` rounds otherwise), and ``np.add.accumulate`` sums left to
-    right, not pairwise. <ref|ref> is summed from the same arrays, the terms
-    and order of ``SparseState.norm_sq``. Amplitudes below ``PRUNE_TOL`` after
-    renormalizing are kept, where the state would drop them: one adds under
-    1e-30, below an ulp of any sum here. If ``excluded`` covers every pad, the
-    overlap is 0 by convention and ``DegenerateUWarning`` is emitted.
+    The useless-pad state is P|ref> / ||P|ref>||, with P the projector onto
+    the pads outside ``excluded``, so |<ref|u>|^2 / (<ref|ref> <u|u>) is
+    <ref|P|ref> / <ref|ref>: the kept squared-modulus mass over the total. Each
+    squared modulus is taken once (``np.hypot``, then squared) and each mass is
+    one correctly rounded ``math.fsum``, so the ratio is within a few ulps of
+    the exact one, an empty cut gives exactly 1.0, and equal power-of-two
+    amplitudes (even k0) give exactly 1 - |R|/2**k0. No state is built. If
+    ``excluded`` covers every pad, the overlap is 0 by convention and
+    ``DegenerateUWarning`` is emitted; if it covers every pad the reference
+    holds, P|ref> = 0 has no normalization and ``check_norm`` rejects its
+    empty mass.
     """
     k0, _n, _key = sealed_params(inst)
     if len(excluded) >= _pad_space(excluded, k0):
@@ -397,20 +398,14 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
         return 0.0
     excluded_labels = set(_pad_labels(k0, excluded))
     amps = inst.reference.amps
-    kept = ~np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
+    cut = np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
     values = np.fromiter(amps.values(), complex, len(amps))
-    vr, vi = values.real, values.imag
-    ar, ai = vr[kept], vi[kept]
-    norm = math.sqrt(math.fsum(map(pow, np.hypot(ar, ai).tolist(), repeat(2))))
-    # CPython divides a complex by a float part by part, not by multiplying by 1/norm.
-    ur, ui = ar / norm, ai / norm
-    check_norm(math.fsum(map(pow, np.hypot(ur, ui).tolist(), repeat(2))))
-    # conj(a) * b as CPython multiplies complex numbers, summed left to right.
-    re, im, useless_sq, reference_sq = (
-        np.add.accumulate(terms)[-1].item()
-        for terms in (ar * ur + ai * ui, ar * ui - ai * ur, ur * ur + ui * ui, vr * vr + vi * vi)
-    )
-    return abs(complex(re, im)) ** 2 / (reference_sq * useless_sq)
+    squares = np.hypot(values.real, values.imag) ** 2
+    # fsum reads a memoryview's doubles one at a time, so no list of floats is built.
+    kept = math.fsum(memoryview(squares[~cut]))
+    if not kept:  # P|ref> = 0: the useless-pad state has no amplitudes to normalize
+        check_norm(kept)
+    return kept / math.fsum(memoryview(squares))
 
 
 def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:

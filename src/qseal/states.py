@@ -80,8 +80,7 @@ class SparseState:
     @cached_property
     def norm_sq(self) -> float:
         """<self|self>, summed once by ``inner_product``; the construction-time
-        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits.
-        ``oaep.tu_overlap`` sums the same terms in the same order from arrays."""
+        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits."""
         return inner_product(self, self).real
 
     def b_labels(self) -> set[Label]:

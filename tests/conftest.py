@@ -6,14 +6,15 @@ statistics are enumerated with plain dictionary arithmetic, chain
 distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, random partitions
 against a copy of the sampler that built them label by label, sampled readouts
-against a copy of the partition sampler that ``sample_readout`` replaced, and
-``oaep.tu_overlap`` against a copy of the version that built a second state,
-and every ``math.fsum`` in qseal against ``exact_sum``'s ``Fraction`` total.
+against a copy of the partition sampler that ``sample_readout`` replaced,
+``oaep.tu_overlap`` against its definition in exact rational arithmetic, and
+every ``math.fsum`` in qseal against ``exact_sum``'s ``Fraction`` total.
 """
 
 import bisect
 import itertools
 import math
+import operator
 import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -28,7 +29,6 @@ from qseal.states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    squared_overlap,
 )
 
 B_POOL = [f"b{i}" for i in range(6)]
@@ -244,21 +244,34 @@ def oracle_readout(state: SparseState, rng_seed: int) -> Label:
     return measure_partition(state, ProjPartition.finest(state.c_labels()), rng_seed)[0]
 
 
-# ``oaep.tu_overlap`` as qseal had it before it renormalized the reference as
-# numpy arrays, copied unchanged apart from the norm, summed exactly by
-# ``exact_sum``: it builds the useless-pad ``SparseState`` (norm check, then
-# prune) and takes ``squared_overlap`` with the reference, one Python complex
-# at a time. The
-# array version, which shares no arithmetic with it, must return the same bits
-# and raise and warn alike.
+# ``oaep.tu_overlap``'s definition in exact rational arithmetic. With P the
+# projector onto the pads outside the excluded set, the useless-pad state is
+# P|ref> / ||P|ref>||, so the squared overlap is
+# |<ref|P ref>|^2 / (<P ref|P ref> <ref|ref>). Each inner product is an exact sum
+# of conj(a) * b products and no square root is taken, so the oracle shares no
+# arithmetic with the kept-over-total masses it checks; only its warnings and
+# errors are the same.
+
+
+def exact_inner(pairs: Iterable[tuple[complex, complex]]) -> tuple[Fraction, Fraction]:
+    """(real, imaginary) parts of the sum of conj(a) * b over the (a, b) pairs,
+    exactly. Every float is an integer over a power of two, so scaling each
+    part by the largest denominator present makes all the products integers."""
+    ratios = [x.as_integer_ratio() for a, b in pairs for x in (a.real, a.imag, b.real, b.imag)]
+    scale = max((d for _, d in ratios), default=1)
+    ar, ai, br, bi = ([n * (scale // d) for n, d in ratios[i::4]] for i in range(4))
+    re = sum(map(operator.mul, ar, br)) + sum(map(operator.mul, ai, bi))
+    im = sum(map(operator.mul, ar, bi)) - sum(map(operator.mul, ai, br))
+    return Fraction(re, scale * scale), Fraction(im, scale * scale)
 
 
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
-    """Squared overlap between the full-pad and useless-pad superpositions.
+    """Squared overlap between the full-pad and useless-pad superpositions,
+    the exact value rounded once.
 
-    Computed from the actual state vectors. When ``excluded`` covers every
-    pad the useless-pad state does not exist; by convention the overlap is 0
-    and ``DegenerateUWarning`` is emitted.
+    When ``excluded`` covers every pad the useless-pad state does not exist;
+    by convention the overlap is 0 and ``DegenerateUWarning`` is emitted. When
+    it covers every pad the reference holds, P|ref> = 0 cannot be normalized.
     """
     k0, _n, _key = sealed_params(inst)
     support = 1 << k0
@@ -272,11 +285,13 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
         )
         return 0.0
     excluded_labels = {format(r, f"0{k0}b") for r in excluded}
-    kept = {
-        key: a
-        for key, a in inst.reference.amps.items()
-        if key[0] not in excluded_labels
-    }
-    norm = math.sqrt(exact_sum(abs(a) ** 2 for a in kept.values()))
-    useless = SparseState({key: a / norm for key, a in kept.items()})
-    return squared_overlap(inst.reference, useless)
+    amps = inst.reference.amps
+    # P|ref> has ref's amplitudes on the kept keys, so <ref|P ref> and
+    # <P ref|P ref> are both the sum of conj(a) * a over those keys.
+    kept = [(a, a) for (b, _), a in amps.items() if b not in excluded_labels]
+    ref_p_ref = p_ref_p_ref = exact_inner(kept)
+    if p_ref_p_ref == (0, 0):
+        raise ValueError("state is not normalized: sum of squared moduli is 0.0")
+    ref_ref = exact_inner((a, a) for a in amps.values())
+    overlap_sq = ref_p_ref[0] ** 2 + ref_p_ref[1] ** 2
+    return float(overlap_sq / (p_ref_p_ref[0] * ref_ref[0]))

@@ -16,7 +16,6 @@ from qseal import adversary, harness
 from qseal.cli import load_config, main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
-from qseal.states import SparseState, squared_overlap
 
 
 def run_cli(*argv):
@@ -242,16 +241,16 @@ class TestExactSum:
                 assert repr(exact_sum(values)) == repr(math.fsum(values))
 
     def test_odd_oaep_overlap_is_the_golden_value(self):
-        # The useless-pad norm at k0 = 11, |R| = 8, summed exactly and by fsum,
-        # gives the value line 21 of oaep_negligibility_odd.csv holds.
+        # The useless-pad overlap at k0 = 11, |R| = 8, as the kept squared
+        # moduli over all of them, each mass summed exactly and by fsum, gives
+        # the value line 21 of oaep_negligibility_odd.csv holds.
         inst = seal_oaep(0, OaepContext.create(k0=11, n=16, with_human=False))
-        kept = {key: a for key, a in inst.reference.amps.items() if int(key[0], 2) >= 8}
+        squares = {int(b, 2): abs(a) ** 2 for (b, _), a in inst.reference.amps.items()}
         divergences = []
         for add in (exact_sum, math.fsum):
-            norm = math.sqrt(add(abs(a) ** 2 for a in kept.values()))
-            useless = SparseState({key: a / norm for key, a in kept.items()})
-            divergences.append(1.0 - squared_overlap(inst.reference, useless))
-        assert divergences == [0.0039062499999913403] * 2
+            kept = add(sq for r, sq in squares.items() if r >= 8)
+            divergences.append(1.0 - kept / add(squares.values()))
+        assert divergences == [0.00390625] * 2
 
     def test_multi_scaling_and_unseal_print_the_same_bytes(self, tmp_path, capsys, monkeypatch):
         sealed = tmp_path / "garbage-16.json"

@@ -17,7 +17,8 @@ from qseal.harness import (
     run_multipicture_scaling,
     run_oaep_negligibility,
 )
-from qseal.states import trace_distance_pure_vs_ensemble
+from qseal.oaep import OaepContext, useless_query_bound
+from qseal.states import EXACT_TOL, trace_distance_pure_vs_ensemble
 
 SMALL = ExperimentConfig(
     trials=4,
@@ -196,12 +197,14 @@ class TestOaepNegligibility:
         with pytest.raises(ConfigInvalid):
             run_oaep_negligibility([4], [17])
 
-    @pytest.mark.xfail(raises=InvariantViolation, strict=True,
-                       reason="known defect: left-to-right overlap sums drift past EXACT_TOL")
     def test_cut_near_the_cap_matches_closed_form(self):
-        # 31,744 kept pads at k0 = 15: the running sums of tu_overlap land
-        # 1.3e-12 from 1/32, so the experiment raises instead of writing a row.
-        run_oaep_negligibility([15], [1024])
+        # Power-of-two cuts near SUPPORT_CAP, where overlap sums taken left to
+        # right once drifted past EXACT_TOL from |R|/2^k0.
+        for k0, r_sizes in ((15, [4, 128, 1024]), (16, [16, 128, 256, 2048, 4096, 16384])):
+            ctx = OaepContext.create(k0=k0, n=16, with_human=False)
+            for row in run_oaep_negligibility([k0], r_sizes):
+                closed_form = useless_query_bound(ctx, set(range(row.r_size)))
+                assert abs(row.divergence - closed_form) <= EXACT_TOL
 
 
 class TestReports:

@@ -541,13 +541,38 @@ def _outcome(call, inst, excluded):
 
 
 class TestTuOverlapMatchesOracle:
-    """``tu_overlap`` returns the bits the state-building version returned."""
+    """``tu_overlap`` is within ``ULPS`` ulps of its definition's exact value,
+    and warns and raises alike."""
 
-    @staticmethod
-    def same(inst, excluded):
-        got = _outcome(tu_overlap, inst, excluded)
-        assert got == _outcome(oracle_tu_overlap, inst, excluded)
+    # Each squared modulus rounds twice (hypot, then square), each mass and
+    # the ratio once; the largest distance seen over these tests is 1 ulp.
+    ULPS = 4
+
+    @classmethod
+    def same(cls, inst, excluded):
+        value, caught, error = got = _outcome(tu_overlap, inst, excluded)
+        exact, exact_caught, exact_error = _outcome(oracle_tu_overlap, inst, excluded)
+        assert (caught, error) == (exact_caught, exact_error)
+        if exact is None:
+            assert value is None
+        else:
+            assert abs(value - exact) <= cls.ULPS * math.ulp(exact)
         return got
+
+    def test_empty_cut_is_exactly_one(self):
+        for inst in (seal_oaep(5, OaepContext.create(k0=5, n=8, with_human=False)),
+                     _hand_built(_random_phases(6, 3), 6)):
+            assert self.same(inst, set()) == (1.0, [], None)
+
+    def test_dominant_amplitude_before_many_tiny_ones(self):
+        # Each tiny square is under half an ulp of the dominant one, so sums
+        # taken left to right from the dominant pad would drop them all and
+        # return 1.0, about 18 ulps above the exact overlap.
+        tiny = 1e-9
+        amps = {(format(r, "012b"), f"img_{r:04x}"): tiny for r in range(1, 4096)}
+        amps = {("0" * 12, "img_0000"): math.sqrt(1.0 - 4095 * tiny**2), **amps}
+        value, _, _ = self.same(_hand_built(amps, 12), set(range(1, 2049)))
+        assert value < 1.0 - 16 * math.ulp(1.0) / 2
 
     @pytest.mark.parametrize("k0", range(1, 11))
     def test_sealed_instances(self, k0):
@@ -642,16 +667,14 @@ class TestTuOverlapMatchesOracle:
 
 
 def test_tu_overlap_builds_no_state(monkeypatch):
-    inst = seal_oaep(0x5A, OaepContext.create(k0=8, n=8, with_human=False))
-    excluded = set(range(0, 256, 3))
-    expected = oracle_tu_overlap(inst, excluded)
+    inst = _hand_built(_random_phases(8, 0x5A), 8)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("tu_overlap must not build a state or call squared_overlap")
 
     monkeypatch.setattr(qseal.oaep, "SparseState", forbidden)
     monkeypatch.setattr(qseal.oaep, "squared_overlap", forbidden)
-    assert tu_overlap(inst, excluded) == expected
+    TestTuOverlapMatchesOracle.same(inst, set(range(0, 256, 3)))
 
 
 class TestUselessQueryBound:
