@@ -16,11 +16,13 @@ running it coherently and uncomputing it is exactly ``basis_cheat``.
 Two engines evaluate strategies; both hand a stack of outcome masses to
 ``_reports``, which builds each ``CheatReport`` with its ``ProofChain``.
 Without a unitary, ``_sparse_branches`` stays sparse, so the basis and
-predicate cheats reach ``SUPPORT_CAP`` keys. With one, ``_rotated_branches``
-runs a stack of strategies (one, or a sweep's trials) on the reference's dense
-|B| x |C| block and keeps only the outcome masses; members become sparse
-states only when read. A report's s and every link of its proof chain are
-functions of the outcome masses (``chain_links``), so no chain has a size cap.
+predicate cheats reach ``SUPPORT_CAP`` keys; a branch costs one post-state
+(``collapse_branches``), one ``squared_overlap`` and two dict lookups for its
+lone label. With one, ``_rotated_branches`` runs a stack of strategies (one,
+or a sweep's trials) on the reference's dense |B| x |C| block and keeps only
+the outcome masses; members become sparse states only when read. A report's
+s and every link of its proof chain are functions of the outcome masses
+(``chain_links``), so no chain has a size cap.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -36,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -235,17 +238,19 @@ def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, members) -> li
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
     """The report of the strategy with no unitary. The partition is diagonal, so each
-    post-state is a rescaled piece of the reference: nothing needs undoing, and its
-    C labels are the active ones."""
+    post-state is a rescaled piece of the reference: nothing needs undoing. An outcome's
+    lone active label is its first C label in the reference if that is also its last."""
     reference = inst.reference
     branches = collapse_branches(reference, partition)
     outcomes = sorted(branches)
-    returned = Ensemble(tuple(branches[outcome] for outcome in outcomes))
-    table = [(outcome, q, squared_overlap(reference, post))
-             for outcome, (q, post) in zip(outcomes, returned.members)]
-    actives = (post.c_labels() for _, post in returned.members)
-    lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
-    (report,) = _reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones], [returned])
+    returned = Ensemble(tuple(map(branches.__getitem__, outcomes)))
+    qs, posts = zip(*returned.members)
+    table = [*zip(outcomes, qs, map(squared_overlap, itertools.repeat(reference), posts))]
+    labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
+    cells = [*map(partition.outcome_of.__getitem__, labels)]
+    last, first = dict(zip(cells, labels)), dict(zip(reversed(cells), reversed(labels)))
+    lones = [last[o] if last[o] == first[o] else None for o in outcomes]
+    (report,) = _reports(inst, np.array([qs]), [table], [lones], [returned])
     return report
 
 
@@ -378,7 +383,7 @@ def predicate_cheat(inst: SealedInstance, g: Predicate) -> CheatReport:
     bad = {label: v for label, v in g.items() if v not in (0, 1)}
     if bad:
         raise ValueError(f"predicate values must be 0 or 1, got {bad}")
-    partition = ProjPartition({label: f"g={g[label]}" for label in active})
+    partition = ProjPartition({label: "g=1" if g[label] == 1 else "g=0" for label in active})
     return strategy_report(inst, None, partition)
 
 

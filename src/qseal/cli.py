@@ -153,7 +153,7 @@ def cmd_cheat(args) -> int:
         unknown = [label for label in true_labels if label not in c_labels]
         if unknown:
             raise ValueError(f"--predicate-true label {unknown[0]!r} is not a C label of the instance")
-        g = {label: int(label in true_labels) for label in c_labels}
+        g = dict.fromkeys(c_labels, 0) | dict.fromkeys(true_labels, 1)
         reports = [("predicate", predicate_cheat(inst, g))]
     else:
         reports = [(f"random-{i}", report) for i, report in

@@ -34,8 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,8 +49,10 @@ PRUNE_TOL = 1e-15    # amplitudes below this are dropped
 NORM_TOL = 1e-9      # how far an input's norm, ensemble weights or U^dagger U may miss exact
 EXACT_TOL = 1e-12    # how far two exact routes to one number may differ (chain links, margins)
 
+_COMPLEX, _FLOAT = frozenset({complex}), frozenset({float})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SparseState:
     """Normalized pure state on registers B and C, stored sparsely.
 
@@ -60,35 +61,36 @@ class SparseState:
     amplitudes must have squared moduli summing to 1 within ``NORM_TOL``.
     The state keeps its own copy of the map, each amplitude an exact
     ``complex``. Instances are treated as immutable.
+
+    ``norm_sq`` is <self|self> as ``inner_product`` sums it, kept from the norm check:
+    no lazy first read (``functools.cached_property`` locks each one up to Python 3.11).
     """
 
     amps: dict[tuple[Label, Label], complex]
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        amps = self.amps
+    def __init__(self, amps: Mapping[tuple[Label, Label], complex]) -> None:
         values = amps.values()
-        # Summed before the prune, so that a NaN amplitude fails instead of vanishing.
-        check_norm(_total_or_inf(map(pow, map(abs, values), itertools.repeat(2))))
-        # Exact complex amplitudes of which none is pruned: the copy is what
-        # the comprehension would build, without a Python-level loop.
-        if {*map(type, values)} == {complex} and min(map(abs, values)) >= PRUNE_TOL:
-            kept = dict(amps)
-        else:
-            kept = {key: complex(a) for key, a in amps.items() if abs(a) >= PRUNE_TOL}
+        try:
+            # No amplitude pruned, each an exact complex: dict() builds what the comprehension would.
+            if min(map(abs, values), default=0.0) >= PRUNE_TOL and _COMPLEX.issuperset(map(type, values)):
+                kept = dict(amps)
+            else:  # NaN is never below PRUNE_TOL, so it fails the norm check instead of vanishing
+                kept = {key: complex(a) for key, a in amps.items() if not abs(a) < PRUNE_TOL}
+        except OverflowError:  # a modulus, or an int amplitude, beyond the float range
+            check_norm(math.inf)
+        total = 0j
+        for a in kept.values():
+            total += a.conjugate() * a
+        check_norm(total.real)
         object.__setattr__(self, "amps", kept)
-
-    @cached_property
-    def norm_sq(self) -> float:
-        """<self|self>, summed once by ``inner_product``; the construction-time
-        sum of ``abs(a) ** 2`` rounds differently and would move overlap bits."""
-        return inner_product(self, self).real
+        object.__setattr__(self, "norm_sq", total.real)
 
     def b_labels(self) -> set[Label]:
         return {b for b, _ in self.amps}
 
     def c_labels(self) -> set[Label]:
         return {c for _, c in self.amps}
-
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,17 @@ class Ensemble:
     members: tuple[tuple[float, SparseState], ...]
 
     def __post_init__(self) -> None:
-        members = tuple((float(q), state) for q, state in self.members)
-        if any(q < 0.0 for q, _ in members):
+        members = tuple(self.members)
+        weights = [q for q, _ in members]
+        if not _FLOAT.issuperset(map(type, weights)):  # else kept as given
+            weights = [*map(float, weights)]
+            members = tuple(zip(weights, [state for _, state in members]))
+        if any(map((0.0).__gt__, weights)):
             raise ValueError("ensemble weights must be nonnegative")
-        check_weights(_total_or_inf(q for q, _ in members))
+        try:
+            check_weights(math.fsum(weights))
+        except OverflowError:  # the total, past the float range
+            check_weights(math.inf)
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -146,14 +155,6 @@ class ProjPartition:
         return cls({label: label for label in labels})
 
 
-def _total_or_inf(values: Iterable[float]) -> float:
-    """``math.fsum``, or inf where a value or the total overflows."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
-
-
 def check_norm(total: float) -> None:
     """Raise ValueError unless a state's squared moduli sum to 1 within ``NORM_TOL``; NaN fails."""
     if not abs(total - 1.0) <= NORM_TOL:
@@ -167,25 +168,19 @@ def check_weights(total: float) -> None:
 
 
 def inner_product(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared support."""
-    small, big, conj_small = (
-        (a.amps, b.amps, True) if len(a.amps) <= len(b.amps) else (b.amps, a.amps, False)
-    )
-    total = 0.0 + 0.0j
+    """<a|b> over the shared support, walking the smaller map."""
+    conj_small = len(a.amps) <= len(b.amps)
+    small, big = (a.amps, b.amps) if conj_small else (b.amps, a.amps)
+    total = 0j
     for key, amp in small.items():
         other = big.get(key)
-        if other is None:
-            continue
-        total += amp.conjugate() * other if conj_small else other.conjugate() * amp
+        if other is not None:
+            total += amp.conjugate() * other if conj_small else other.conjugate() * amp
     return total
 
 
 def squared_overlap(a: SparseState, b: SparseState) -> float:
-    """|<a|b>|^2 divided by both squared norms, cancelling representation round-off.
-
-    The squared norms are cached on each state (``SparseState.norm_sq``), so a
-    call costs O(min(|a|, |b|)) after the first use of each state.
-    """
+    """|<a|b>|^2 over both states' kept ``norm_sq``, cancelling representation round-off."""
     return abs(inner_product(a, b)) ** 2 / (a.norm_sq * b.norm_sq)
 
 
@@ -272,20 +267,29 @@ def collapse_branches(
 ) -> dict[Label, tuple[float, SparseState]]:
     """Exact outcome probabilities and renormalized post-states for a partition.
 
+    Outcomes in order of first appearance, amplitudes in the state's order; a probability
+    is the ``math.fsum`` of squared moduli, and its bucket is scaled in place by 1 / sqrt(p).
+
     Raises:
         ValueError: the state has support on a label the partition omits.
     """
+    outcome_of = p.outcome_of
     buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
-    for (b, c), a in s.amps.items():
-        outcome = p.outcome_of.get(c)
-        if outcome is None:
-            raise ValueError(f"C label {c!r} is not covered by the partition")
-        buckets.setdefault(outcome, {})[(b, c)] = a
+    for key, a in s.amps.items():
+        outcome = outcome_of.get(key[1])
+        if (bucket := buckets.get(outcome)) is not None:
+            bucket[key] = a
+        elif outcome is None:
+            raise ValueError(f"C label {key[1]!r} is not covered by the partition")
+        else:
+            buckets[outcome] = {key: a}
     branches: dict[Label, tuple[float, SparseState]] = {}
     for outcome, amps in buckets.items():
-        prob = math.fsum(abs(a) ** 2 for a in amps.values())
+        prob = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
         scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
-        branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
+        for key, a in amps.items():
+            amps[key] = a * scale
+        branches[outcome] = (prob, SparseState(amps))
     return branches
 
 
@@ -312,8 +316,8 @@ def project_accept_probability(reference: SparseState, returned: Ensemble) -> fl
     Sum over members of weight times squared overlap. Overlaps are divided by
     the computed squared norms and the total is clamped to [0, 1], so an
     untouched reference is accepted with probability exactly 1. The squared
-    norms are cached per state (``SparseState.norm_sq``), so the reference's
-    full support is summed once, not once per member.
+    norms come with each state (``SparseState.norm_sq``), so the reference's
+    full support is summed at its construction, not once per member.
     """
     total = 0.0
     for q, state in returned.members:

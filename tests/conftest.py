@@ -4,11 +4,13 @@ The oracles here deliberately avoid the code paths they check: trace
 distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, chain
 distances come from a fixed bisection of every float in [0, 1], random
-unitaries are checked against a Gram-Schmidt reference, random partitions
-against a copy of the sampler that built them label by label, sampled readouts
-against a copy of the partition sampler that ``sample_readout`` replaced,
-``oaep.tu_overlap`` against its definition in exact rational arithmetic, and
-every ``math.fsum`` in qseal against ``exact_sum``'s ``Fraction`` total.
+unitaries are checked against a Gram-Schmidt reference, the sparse strategy
+route against a copy of its previous version (``previous_sparse_report``),
+random partitions against a copy of the sampler that built them label by
+label, sampled readouts against a copy of the partition sampler that
+``sample_readout`` replaced, ``oaep.tu_overlap`` against its definition in
+exact rational arithmetic, and every ``math.fsum`` in qseal against
+``exact_sum``'s ``Fraction`` total.
 """
 
 import bisect
@@ -21,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from qseal.adversary import CheatReport, ProofChain, chain_links, complements, soundness_bound
 from qseal.oaep import DegenerateUWarning, sealed_params
 from qseal.protocols import SealedInstance
 from qseal.states import (
@@ -295,3 +298,77 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
     ref_ref = exact_inner((a, a) for a in amps.values())
     overlap_sq = ref_p_ref[0] ** 2 + ref_p_ref[1] ** 2
     return float(overlap_sq / (p_ref_p_ref[0] * ref_ref[0]))
+
+
+# The sparse strategy route as qseal had it before its per-branch work was cut:
+# ``states.inner_product``, ``squared_overlap`` with each norm summed as
+# <s|s> by ``inner_product``, ``collapse_branches``, and the table build of
+# ``adversary._sparse_branches`` with its ``_reports``, copied unchanged apart
+# from their names. The rewritten route must give every bit these give.
+
+
+def previous_inner_product(a: SparseState, b: SparseState) -> complex:
+    """<a|b> over the shared support."""
+    small, big, conj_small = (
+        (a.amps, b.amps, True) if len(a.amps) <= len(b.amps) else (b.amps, a.amps, False)
+    )
+    total = 0.0 + 0.0j
+    for key, amp in small.items():
+        other = big.get(key)
+        if other is None:
+            continue
+        total += amp.conjugate() * other if conj_small else other.conjugate() * amp
+    return total
+
+
+def previous_squared_overlap(a: SparseState, b: SparseState) -> float:
+    norm_sq = [previous_inner_product(s, s).real for s in (a, b)]
+    return abs(previous_inner_product(a, b)) ** 2 / (norm_sq[0] * norm_sq[1])
+
+
+def previous_collapse_branches(
+    s: SparseState, p: ProjPartition
+) -> dict[Label, tuple[float, SparseState]]:
+    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
+    for (b, c), a in s.amps.items():
+        outcome = p.outcome_of.get(c)
+        if outcome is None:
+            raise ValueError(f"C label {c!r} is not covered by the partition")
+        buckets.setdefault(outcome, {})[(b, c)] = a
+    branches: dict[Label, tuple[float, SparseState]] = {}
+    for outcome, amps in buckets.items():
+        prob = math.fsum(abs(a) ** 2 for a in amps.values())
+        scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
+        branches[outcome] = (prob, SparseState({key: a * scale for key, a in amps.items()}))
+    return branches
+
+
+def _previous_reports(inst, qs, tables, lones, members):
+    cs = complements(qs)
+    links = zip(*(column.tolist() for column in chain_links(qs, cs)))
+    reports = []
+    for table, rests, lone, mixture, (s, distance, convex) in zip(
+            tables, cs.tolist(), lones, members, links):
+        pinned = [(q, c) for (_, q, _), c, label in zip(table, rests, lone)
+                  if inst.decode.get(label) is not None]
+        p = min(1.0, math.fsum(q for q, _ in pinned))
+        p_bound, c = max(pinned, default=(0.0, 1.0))
+        p_bound = min(1.0, p_bound)
+        bound = soundness_bound(p_bound, c)
+        reports.append(CheatReport(p, s, bound, tuple(table), mixture, p_bound,
+                                   ProofChain(s, distance, convex, bound)))
+    return reports
+
+
+def previous_sparse_report(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
+    """The previous ``_sparse_branches``; its ``Ensemble`` re-boxed each weight."""
+    reference = inst.reference
+    branches = previous_collapse_branches(reference, partition)
+    outcomes = sorted(branches)
+    returned = Ensemble(tuple((float(q), post) for q, post in (branches[o] for o in outcomes)))
+    table = [(outcome, q, previous_squared_overlap(reference, post))
+             for outcome, (q, post) in zip(outcomes, returned.members)]
+    actives = (post.c_labels() for _, post in returned.members)
+    lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
+    (report,) = _previous_reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones], [returned])
+    return report

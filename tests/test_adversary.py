@@ -19,6 +19,9 @@ from conftest import (
     identity_unitary,
     max_abs_diff,
     normal_block,
+    previous_collapse_branches,
+    previous_inner_product,
+    previous_sparse_report,
     random_state,
     reference_random_partition,
     uniform_state,
@@ -47,10 +50,12 @@ from qseal.protocols import (
 from qseal.states import (
     DENSE_DIM_CAP,
     EXACT_TOL,
+    PRUNE_TOL,
     Ensemble,
     LocalUnitary,
     ProjPartition,
     SparseState,
+    collapse_branches,
     project_accept_probability,
     random_unitary,
     squared_overlap,
@@ -198,6 +203,24 @@ class TestPredicateCheat:
         assert report.p == pytest.approx(0.5, abs=1e-12)
         assert report.s == pytest.approx(0.5, abs=1e-12)
         assert report.margin >= -1e-12
+
+    @pytest.mark.parametrize(
+        "one", [1.0, True, np.int64(1), np.float64(1.0)], ids=["float", "bool", "numpy-int", "numpy-float"])
+    def test_every_value_equal_to_one_names_outcome_g1(self, one):
+        inst = seal_garbage("M", ["a", "b", "c"])
+        want = predicate_cheat(inst, {"M": 1, "a": 1, "b": 1, "c": 0})
+        assert [row[0] for row in want.outcome_table] == ["g=0", "g=1"]
+        for g in ({"M": 1, "a": one, "b": one, "c": 0}, {"M": one, "a": 1, "b": one, "c": one - one}):
+            report = predicate_cheat(inst, g)
+            assert report.to_dict() == want.to_dict()
+            assert report.chain == want.chain
+
+    def test_mixed_values_equal_to_one_make_two_outcomes(self):
+        # Named after each value, these would split into g=0, g=1, g=1.0 and g=True (s = 2/3).
+        inst = seal_garbage("M", ["a", "b", "c"])
+        report = predicate_cheat(inst, {"M": 1, "a": 1.0, "b": True, "c": 0})
+        assert report.to_dict() == predicate_cheat(inst, {"M": 1, "a": 1, "b": 1, "c": 0}).to_dict()
+        assert report.s == pytest.approx(0.2777777777777778, abs=1e-12)
 
     def test_partial_predicate_rejected(self):
         inst = seal_multipicture(pictures(4))
@@ -1308,3 +1331,74 @@ class TestReportSerialization:
         assert set(data) == {"p", "s", "bound", "margin", "outcome_table"}
         assert data["margin"] == pytest.approx(data["bound"] - data["s"], abs=1e-15)
         assert len(data["outcome_table"]) == 2
+
+
+def _state_bits(state):
+    """Every amplitude's key and bit pattern, in the map's order."""
+    return [(key, a.real.hex(), a.imag.hex()) for key, a in state.amps.items()]
+
+
+def _report_bits(report):
+    table = [(outcome, q.hex(), acceptance.hex()) for outcome, q, acceptance in report.outcome_table]
+    chain = report.chain
+    numbers = (report.p, report.s, report.bound, report.p_bound, chain.acceptance_gap,
+               chain.trace_distance, chain.convex_sum, chain.closed_form)
+    returned = [(q.hex(), _state_bits(post)) for q, post in report.returned.members]
+    return table, [x.hex() for x in numbers], returned
+
+
+def _custom(amps, decode):
+    return SealedInstance(GARBAGE, SparseState(amps), decode, {})
+
+
+def _sparse_route_cases():
+    half = 1.0 / math.sqrt(2.0)
+    multi6 = seal_multipicture(pictures(6))
+    split = ProjPartition({p: "g=1" if p in ("pic1", "pic3", "pic4") else "g=0" for p in pictures(6)})
+    return {
+        "naive": (seal_naive("M", garbage="0"), None),
+        "garbage-4": (seal_garbage("M", [f"g{i}" for i in range(4)]), None),
+        "multipicture-6": (multi6, None),
+        "oaep-4": (seal_oaep(0x11, OaepContext.create(k0=4, n=8, with_human=False)), None),
+        "oaep-8": (seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False)), None),
+        "split-predicate": (multi6, split),
+        # Two B labels on one C label make a two-amplitude outcome; each
+        # amplitude has a -0.0 part, two of them imaginary.
+        "negative-zero": (_custom({("m", "m"): complex(0.6, -0.0), ("a", "g"): complex(-0.0, -0.6),
+                                   ("b", "g"): complex(-0.5, -0.0),
+                                   ("c", "h"): complex(-0.0, math.sqrt(0.03))},
+                                  {"m": "m", "g": None, "h": None}), None),
+        "at-prune-tol": (_custom({("m", "m"): complex(half), ("g", "g"): complex(half),
+                                  ("t", "t"): complex(PRUNE_TOL)},
+                                 {"m": "m", "g": None, "t": None}), None),
+    }
+
+
+class TestSparseRouteBits:
+    """The sparse route gives every bit its previous version gave
+    (``conftest.previous_sparse_report``), sign of zero included."""
+
+    @pytest.mark.parametrize("name", list(_sparse_route_cases()))
+    def test_branches_and_report_match_the_previous_route(self, name):
+        inst, partition = _sparse_route_cases()[name]
+        reference = inst.reference
+        partition = partition or ProjPartition.finest(reference.c_labels())
+        got, want = collapse_branches(reference, partition), previous_collapse_branches(reference, partition)
+        assert list(got) == list(want)
+        for outcome, (q, post) in got.items():
+            assert q.hex() == want[outcome][0].hex()
+            assert _state_bits(post) == _state_bits(want[outcome][1])
+            assert post.norm_sq.hex() == previous_inner_product(post, post).real.hex()
+        assert reference.norm_sq.hex() == previous_inner_product(reference, reference).real.hex()
+        report = strategy_report(inst, None, partition)
+        assert _report_bits(report) == _report_bits(previous_sparse_report(inst, partition))
+        assert report.to_dict() == previous_sparse_report(inst, partition).to_dict()
+
+    def test_cases_cover_what_they_name(self):
+        cases = _sparse_route_cases()
+        inst, split = cases["split-predicate"]
+        assert {len(post.amps) for _, post in collapse_branches(inst.reference, split).values()} == {3}
+        zeros = [x for a in cases["negative-zero"][0].reference.amps.values() for x in (a.real, a.imag)]
+        assert sum(math.copysign(1.0, x) < 0 and x == 0.0 for x in zeros) == 4
+        tiny = cases["at-prune-tol"][0].reference.amps[("t", "t")]
+        assert tiny == PRUNE_TOL

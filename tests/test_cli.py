@@ -140,6 +140,19 @@ class TestCheat:
         assert printed[0] == printed[1]
         assert json.loads(printed[0])["outcome_table"][1][:2] == ["g=1", pytest.approx(2 / 3)]
 
+    def test_predicate_with_every_label_true(self, tmp_path, capsys):
+        # Membership is tested against a set, so this list of every C label costs
+        # O(|C|) lookups; one outcome holds the whole state, so s = 0.
+        path = tmp_path / "oaep8.json"
+        assert run_cli("--out", str(path), "seal", "--protocol", "oaep", "--k0", "8") == 0
+        labels = [c for _, c, _, _ in json.loads(path.read_text())["reference"]["amps"]]
+        assert len(set(labels)) == 256
+        assert run_cli("cheat", "--instance", str(path), "--attack", "predicate",
+                       "--predicate-true", ",".join(labels)) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["outcome_table"] == [["g=1", 1.0, 1.0]]
+        assert data["s"] == 0.0
+
     def test_random_attacks_are_seeded(self, naive_instance, capsys):
         assert run_cli("--seed", "5", "cheat", "--instance", str(naive_instance),
                        "--attack", "random", "--trials", "3") == 0
@@ -608,6 +621,9 @@ class TestErrorExitCodes:
         assert run_cli("cheat", "--instance", path, "--attack", "predicate",
                        "--predicate-true", "Hello, typo,g9") == 1
         assert "'typo' is not a C label of the instance" in self.assert_one_line_error(capsys)
+        assert run_cli("cheat", "--instance", path, "--attack", "predicate",
+                       "--predicate-true", "zz,Hello,typo,zz") == 1
+        assert "'zz' is not a C label of the instance" in self.assert_one_line_error(capsys)
 
     def test_non_integer_config_value(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

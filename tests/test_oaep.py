@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import re
@@ -759,6 +760,13 @@ class TestSupportCap:
         assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
         assert max(abs(acc - q) for _, _, acc in report.outcome_table) <= 1e-12
         assert report.s == pytest.approx(1.0 - q, abs=1e-12)
+
+    def test_basis_cheat_bytes_at_the_cap(self, cheat_at_cap):
+        # The digest of the report as the CLI prints it, recorded before the
+        # sparse route was rewritten for speed: every one of its bits is kept.
+        text = json.dumps(cheat_at_cap.to_dict(), indent=2)
+        want = (Path(__file__).parent / "data" / "cheat_at_cap.sha256").read_text().strip()
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want
 
     def test_basis_cheat_chain_at_the_cap(self, sealed_at_cap, cheat_at_cap):
         # 2^16 equal masses: the root of sum_i q / (q + lambda) = 1 is 1 - q, exactly.

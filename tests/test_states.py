@@ -64,6 +64,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not normalized"):
             SparseState({("a", "a"): 1.0, ("b", "b"): bad})
 
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_nan_fails_beside_a_pruned_amplitude(self, first):
+        # Whichever amplitude min() meets first, the NaN is kept and fails the norm.
+        items = [(("a", "a"), 1 + 0j), (("b", "b"), complex(math.nan, 0.0)), (("c", "c"), 1e-16 + 0j)]
+        with pytest.raises(ValueError, match="sum of squared moduli is nan"):
+            SparseState(dict(items[first:] + items[:first]))
+
+    @pytest.mark.parametrize("amps", [
+        {("a", "a"): 0.6, ("b", "b"): 0.8},
+        {("a", "a"): 0.6 + 0j, ("t", "t"): 1e-16 + 0j, ("b", "b"): 0.8j},
+        {("a", "a"): complex(0.6, -0.0), ("b", "b"): complex(-0.0, 0.8)},
+    ], ids=["floats", "pruned", "negative-zeros"])
+    def test_norm_is_inner_product_of_the_kept_amplitudes(self, amps):
+        state = SparseState(amps)
+        assert state.norm_sq.hex() == inner_product(state, state).real.hex()
+
     @pytest.mark.parametrize(
         "amps, message",
         [
@@ -114,6 +130,13 @@ class TestConstruction:
     def test_ensemble_rejects_non_finite_weight(self, bad):
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((bad, SINGLE), (1.0, BELL)))
+
+    def test_ensemble_weights_are_stored_as_floats(self):
+        for weights in ((1,), (np.float64(0.25), 0.75), (0.5, 0.5)):
+            sigma = Ensemble(tuple((w, SINGLE) for w in weights))
+            assert [type(q) for q, _ in sigma.members] == [float] * len(weights)
+            assert [q for q, _ in sigma.members] == list(weights)
+            assert all(state is SINGLE for _, state in sigma.members)
 
     def test_ensemble_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
