@@ -13,8 +13,9 @@ honest return is always accepted and the bound carries no completeness-error
 term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
-Two engines evaluate strategies; both hand a stack of outcome masses to
-``_reports``, which builds each ``CheatReport`` with its ``ProofChain``.
+Two engines evaluate strategies; both hand ``_reports`` a stack of outcome
+masses and a mask of the outcomes pinpointing a message, and it builds every
+``CheatReport`` with its ``ProofChain`` in array passes over the stack.
 Without a unitary, ``_sparse_branches`` stays sparse, so the basis and
 predicate cheats reach ``SUPPORT_CAP`` keys; a branch costs one post-state
 (``collapse_branches``), one ``squared_overlap`` and two dict lookups for its
@@ -66,12 +67,13 @@ from .states import (
 Predicate = Mapping[Label, int]
 
 
-def soundness_bound(p: float, c: float | None = None) -> float:
+def soundness_bound(p: float | np.ndarray, c: float | np.ndarray | None = None):
     """Closed-form ceiling p*sqrt(c) + c on detection for a recovery probability
     ``p``, where c = 1 - p is the mass of the other outcomes. Reports pass c
-    from ``complements``, which keeps its digits when p is near 1."""
+    from ``complements``, which keeps its digits when p is near 1. Elementwise
+    on arrays; floats give a float64 with the bits ``math.sqrt`` would give."""
     c = 1.0 - p if c is None else c
-    return p * math.sqrt(max(0.0, c)) + c
+    return p * np.sqrt(np.maximum(c, 0.0)) + c
 
 
 def complements(q: np.ndarray) -> np.ndarray:
@@ -114,21 +116,22 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     No row's bits depend on another's, and g is never evaluated at 0, where zero
     padding gives 0/0.
     """
-    def g(lam: np.ndarray) -> np.ndarray:
+    def g(lam: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
         lam = lam[:, None]
-        return (q * (c - lam) / (q + lam)).sum(axis=-1)
+        return (q * (c - lam) / (q + lam if d is None else d)).sum(axis=-1)  # d: q + lam
 
     tiny = np.nextafter(0.0, 1.0)  # the float with bit pattern 1
     one = np.ones(len(q)).view(np.int64)  # each row's bit pattern of 1.0
-    pair = np.sqrt(np.take_along_axis(q * c, q.argmax(axis=-1)[:, None], -1)[:, 0])
-    s = (q * c).sum(axis=-1)
-    lam = np.clip(np.maximum(s, pair), tiny, 1.0)
+    qc = q * c
+    s = qc.sum(axis=-1)
+    pair = np.sqrt(qc[np.arange(len(q)), q.argmax(axis=-1)])
+    lam = np.minimum(np.maximum(np.maximum(s, pair), tiny), 1.0)
     moving = np.ones(len(q), dtype=bool)
     for _ in range(64):
         if not moving.any():
             break
         d = q + lam[:, None]
-        nxt = np.clip(lam + g(lam) / (q / d / d).sum(axis=-1), tiny, 1.0)
+        nxt = np.minimum(np.maximum(lam + g(lam, d) / (q / d / d).sum(axis=-1), tiny), 1.0)
         small = np.abs(nxt - lam) <= 4 * np.spacing(lam)
         lam, moving = np.where(moving, nxt, lam), moving & ~small
     bits = lam.view(np.int64)
@@ -214,26 +217,33 @@ class CheatReport:
         }
 
 
-def _reports(inst: SealedInstance, qs: np.ndarray, tables, lones, members) -> list[CheatReport]:
-    """A stack's reports, their s and proof chains from one ``chain_links`` call
-    on its zero-padded outcome masses ``qs``. Strategy t has outcome table
-    ``tables[t]``, ``CheatReport.members`` ``members[t]`` and ``lones[t]``, its
-    outcomes' lone active labels (None for several); they are distinct and
-    ``decode`` is injective, so no message is pinpointed twice."""
+def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatReport]:
+    """A stack's reports, in array passes over its zero-padded outcome masses
+    ``qs``: strategy t has outcome table ``tables[t]`` and members ``members[t]``,
+    and ``pinned[t, i]`` marks an outcome whose lone active label decodes to a
+    message (distinct labels, injective ``decode``: no message pinned twice).
+    s and the chain come from one ``chain_links`` call. p sums the pinned masses:
+    a row sum where a row pins at most two (zeros add exactly and one addition
+    rounds once, as ``math.fsum`` does), ``math.fsum`` where it pins more.
+    (p_bound, c) is the tuple max of the pinned (q, complement) pairs, (0, 1)
+    where none is; one ``soundness_bound`` call gives every bound."""
     cs = complements(qs)
-    links = zip(*(column.tolist() for column in chain_links(qs, cs)))
-    reports = []
-    for table, rests, lone, mixture, (s, distance, convex) in zip(
-            tables, cs.tolist(), lones, members, links):
-        pinned = [(q, c) for (_, q, _), c, label in zip(table, rests, lone)
-                  if inst.decode.get(label) is not None]
-        p = min(1.0, math.fsum(q for q, _ in pinned))
-        p_bound, c = max(pinned, default=(0.0, 1.0))
-        p_bound = min(1.0, p_bound)
-        bound = soundness_bound(p_bound, c)
-        reports.append(CheatReport(p, s, bound, tuple(table), mixture, p_bound,
-                                   ProofChain(s, distance, convex, bound)))
-    return reports
+    s, distance, convex = chain_links(qs, cs)
+    masses = np.where(pinned, qs, 0.0)
+    sums = masses.sum(axis=-1)
+    for t in np.flatnonzero(pinned.sum(axis=-1) > 2).tolist():
+        sums[t] = math.fsum(masses[t].tolist())
+    best = masses.max(axis=-1)
+    tied = pinned & (qs == best[:, None])
+    c = np.where(tied.any(axis=-1), np.max(cs, axis=-1, where=tied, initial=0.0), 1.0)
+    p_bound = np.minimum(best, 1.0)
+    # A scalar from a replaced ``soundness_bound`` stands for every row.
+    bounds = np.broadcast_to(soundness_bound(p_bound, c), best.shape)
+    return [CheatReport(p, s, bound, table, mixture, p_bound,
+                        ProofChain(s, distance, convex, bound))
+            for p, s, bound, table, mixture, p_bound, distance, convex in zip(
+                np.minimum(sums, 1.0).tolist(), s.tolist(), bounds.tolist(), tables, members,
+                p_bound.tolist(), distance.tolist(), convex.tolist())]
 
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
@@ -245,12 +255,12 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
     outcomes = sorted(branches)
     returned = Ensemble(tuple(map(branches.__getitem__, outcomes)))
     qs, posts = zip(*returned.members)
-    table = [*zip(outcomes, qs, map(squared_overlap, itertools.repeat(reference), posts))]
+    table = tuple(zip(outcomes, qs, map(squared_overlap, itertools.repeat(reference), posts)))
     labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
     cells = [*map(partition.outcome_of.__getitem__, labels)]
     last, first = dict(zip(cells, labels)), dict(zip(reversed(cells), reversed(labels)))
-    lones = [last[o] if last[o] == first[o] else None for o in outcomes]
-    (report,) = _reports(inst, np.array([qs]), [table], [lones], [returned])
+    pinned = [last[o] == first[o] and inst.decode.get(last[o]) is not None for o in outcomes]
+    (report,) = _reports(np.array([qs]), np.array([pinned]), [table], [returned])
     return report
 
 
@@ -295,9 +305,10 @@ def _rotated_branches(
     reference mass, summed from the amplitudes ``c_block`` leaves outside the
     block, so no rider is laid out densely. Active labels are the columns
     holding some amplitude of at least ``PRUNE_TOL`` after the rotation. The
-    q's pass ``check_weights``; acceptance i is q_i. ``_reports`` builds the
-    reports, s and proof chains included, from one ``chain_links`` call for
-    the stack.
+    q's pass ``check_weights``; acceptance i is q_i. An outcome is pinned when
+    its cell's one active column decodes to a message. ``_reports`` builds the
+    reports, s and proof chains included, in array passes over the stack with
+    one ``chain_links`` call.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.
@@ -333,14 +344,16 @@ def _rotated_branches(
     qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
     for total in qs.sum(axis=-1).tolist():
         check_weights(total)
-    labels = np.array(columns + (None,), dtype=object)  # None: no lone active label
-    lones = labels[np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)].tolist()
-    outcomes = np.append(names, None)[codes]  # each column's outcome, None where uncovered
+    decodes = np.array([inst.decode.get(c) is not None for c in columns] + [False])
+    pinned = np.zeros(qs.shape, dtype=bool)  # each outcome's lone active column's flag
+    pinned[:, :in_cell.shape[1]] = decodes[  # at -1, none or several: False
+        np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)]
+    outcomes = np.append(names, None)[codes].tolist()  # each column's outcome, None where uncovered
     named = iter(names[np.nonzero(used)[1]].tolist())  # trial by trial, in sorted order
-    tables = [list(zip(itertools.islice(named, m), probs[:m], probs[:m]))
+    tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
               for m, probs in zip(counts.tolist(), qs.tolist())]
-    return _reports(inst, qs, tables, lones,
-                    [(reference, columns, u, row) for u, row in zip(matrices, outcomes)])
+    members = [(reference, columns, u, row) for u, row in zip(matrices, outcomes)]
+    return _reports(qs, pinned, tables, members)
 
 
 def strategy_report(
@@ -437,8 +450,9 @@ def _hasher(h: int, mult: int):
     return hashmix
 
 
-def _pcg64_states(seeds: range) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.default_rng(seed)``'s PCG64 for each seed.
+def _pcg64_states(seeds: range) -> list[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` for each seed, ready
+    to set on a PCG64.
 
     ``SeedSequence``'s ``mix_entropy`` and ``generate_state(4, uint64)`` run as
     uint32 array operations on the seeds' 32-bit words, low first, then PCG64's
@@ -448,7 +462,7 @@ def _pcg64_states(seeds: range) -> list[tuple[int, int]]:
     """
     if seeds.start < 0:
         raise ValueError("expected non-negative integer")
-    states: list[tuple[int, int]] = []
+    states: list[dict] = []
     start = seeds.start
     while start < seeds.stop:
         width = max(4, -(-start.bit_length() // 32))
@@ -471,7 +485,8 @@ def _pcg64_states(seeds: range) -> list[tuple[int, int]]:
                                   for lo, hi in zip(out[::2], out[1::2]))
         for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
             inc = (c << 64 | d) << 1 & _LOW128 | 1
-            states.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _LOW128, inc))
+            state = {"state": ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _LOW128, "inc": inc}
+            states.append({"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0})
         start = stop
     return states
 
@@ -500,8 +515,7 @@ def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, 
     raw = np.empty((len(states), n // 2 + 1), dtype=np.uint64)  # n + 1 words or more
 
     def reseed_and_fill(t: int) -> None:
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": dict(zip(("state", "inc"), states[t]))}
+        bitgen.state = states[t]
         rng.standard_normal(out=normals[t])
 
     for t in range(len(states)):
@@ -542,9 +556,10 @@ def random_strategy_sweep(
     Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
     ``DENSE_DIM_CAP``. No report or chain needs that guard; it fixes which
     rows ``bound-sweep`` prints, and so the rows its reference records.
-    100 trials with their proof chains take 0.012 s at |B| = |C| = 17 and
-    1.5 s at |B| = 2, |C| = 256, where the Haar QR dominates (medians of 30
-    and 5 runs on a shared 2-vCPU VM, single-threaded BLAS).
+    100 trials with their proof chains take 0.008-0.009 s at |B| = |C| = 17
+    and 1.3-1.4 s at |B| = 2, |C| = 256, where the Haar QR dominates (medians
+    of 30 and 5 runs, two sets each, on a shared 2-vCPU VM whose speed varies
+    by about 1.7x; Python 3.11, numpy 2.4, single-threaded BLAS).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

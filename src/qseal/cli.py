@@ -54,6 +54,8 @@ def load_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigInvalid(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in data:
+            raise ConfigInvalid(f"config key {key!r} is repeated")
         data[key] = value
     return data
 

@@ -112,8 +112,8 @@ class ExperimentConfig:
 
 def config_value(key: str, value, kind: type):
     """A config value typed as ``kind``: text "1,2,4", a sequence, or one
-    integer for tuple; text or an int for int; anything for str. A value
-    that does not fit raises ``ConfigInvalid`` naming ``key``."""
+    integer for tuple; text or an int for int; anything for str. A value that
+    does not fit, a boolean included, raises ``ConfigInvalid`` naming ``key``."""
     parsers = {tuple: _to_ints, int: _to_int, str: str}
     try:
         return parsers[kind](value)
@@ -131,6 +131,8 @@ def check_report(report: CheatReport, instance: str, attack: str) -> None:
 
 
 def _to_int(value) -> int:
+    if isinstance(value, bool):  # operator.index would take True as 1
+        raise ValueError("a boolean is not a config integer")
     return int(value) if isinstance(value, str) else operator.index(value)
 
 

@@ -5,7 +5,8 @@ distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, chain
 distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, the sparse strategy
-route against a copy of its previous version (``previous_sparse_report``),
+route and a stack's reports against copies of their previous versions
+(``previous_sparse_report``, ``_previous_reports``),
 random partitions against a copy of the sampler that built them label by
 label, sampled readouts against a copy of the partition sampler that
 ``sample_readout`` replaced, ``oaep.tu_overlap`` against its definition in

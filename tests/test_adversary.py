@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _previous_reports,
     bisection_links,
     chain_excess,
     dense_trace_distance,
@@ -482,9 +483,8 @@ class TestCellRows:
 
 
 def default_rng_state(seed):
-    """(state, inc) of numpy's own ``default_rng(seed)``."""
-    state = np.random.default_rng(seed).bit_generator.state["state"]
-    return state["state"], state["inc"]
+    """The whole ``bit_generator.state`` of numpy's own ``default_rng(seed)``."""
+    return np.random.default_rng(seed).bit_generator.state
 
 
 class TestStreamEquivalence:
@@ -1402,3 +1402,121 @@ class TestSparseRouteBits:
         assert sum(math.copysign(1.0, x) < 0 and x == 0.0 for x in zeros) == 4
         tiny = cases["at-prune-tol"][0].reference.amps[("t", "t")]
         assert tiny == PRUNE_TOL
+
+
+# The outcomes a report's p and p_bound read: its lone active label decodes to a
+# message (pinned), decodes to nothing (absent from ``decode``, or mapped to
+# None), or it has several active labels.
+OUTCOME_KINDS = ("pinned", "absent", "garbage", "several")
+
+
+@st.composite
+def report_stacks(draw):
+    """Rows of 1 to 9 (mass, kind) outcomes, each row's masses normalised and
+    then scaled by 1, 1 + 2^-52 or 1 + 2^-50, so a row's pinned masses can pass
+    1 by round-off; masses come from a few values, so ties are common."""
+    weights = st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(1e-17, 1.0))
+    rows = draw(st.lists(st.lists(st.tuples(weights, st.sampled_from(OUTCOME_KINDS)),
+                                  min_size=1, max_size=9), min_size=1, max_size=5))
+    scaled = []
+    for row in rows:
+        total, scale = math.fsum(w for w, _ in row), draw(st.sampled_from([1.0, 1 + 2**-52, 1 + 2**-50]))
+        scaled.append([(w / total * scale, kind) for w, kind in row])
+    return scaled
+
+
+def stack_inputs(rows, padding):
+    """(instance, zero-padded masses, pinned mask, tables, lone labels, members) of
+    a stack whose strategy t has the (mass, kind) outcomes ``rows[t]``, padded
+    with ``padding`` zero columns past the widest row."""
+    qs = np.zeros((len(rows), max(map(len, rows)) + padding))
+    pinned = np.zeros(qs.shape, dtype=bool)
+    decode, tables, lones = {}, [], []
+    for t, row in enumerate(rows):
+        labels = [f"c{t}.{i}" for i in range(len(row))]
+        for i, (q, kind) in enumerate(row):
+            qs[t, i], pinned[t, i] = q, kind == "pinned"
+            if kind in ("pinned", "garbage"):
+                decode[labels[i]] = f"m{t}.{i}" if kind == "pinned" else None
+        tables.append(tuple((f"cell{i}", q, q) for i, (q, _) in enumerate(row)))
+        lones.append([None if kind == "several" else label for label, (_, kind) in zip(labels, row)])
+    inst = SealedInstance(GARBAGE, SparseState({("m", "m"): 1.0}), decode, {})
+    return inst, qs, pinned, tables, lones, [object() for _ in rows]
+
+
+def _number_bits(report):
+    """The bit patterns of every number of a report and its chain, and its table."""
+    chain = report.chain
+    numbers = (report.p, report.s, report.bound, report.p_bound, chain.acceptance_gap,
+               chain.trace_distance, chain.convex_sum, chain.closed_form)
+    return [x.hex() for x in numbers], report.outcome_table
+
+
+class TestStackReports:
+    """``_reports``' array passes over a stack give every bit the per-report
+    Python (``conftest._previous_reports``) gave, and each report of a stack
+    the bits it gets alone. Masked maxima, ``np.where`` and row sums carry the
+    exactness argument, so these also run against the oldest numpy allowed."""
+
+    @given(rows=report_stacks(), padding=st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[
+        [(0.5, "absent"), (0.25, "garbage"), (0.25, "several")],  # nothing pinned
+        [(1 + 2**-52, "pinned")],  # one pinned mass past 1
+        [(0.5 + 2**-53, "pinned"), (0.5 + 2**-53, "pinned")],  # two tied, summing past 1
+        [(0.25, "pinned")] * 4,  # four tied, summed by math.fsum
+        [(0.5, "several"), (0.25, "pinned"), (0.125, "pinned"), (0.125, "pinned")],
+    ], padding=2)
+    def test_equals_the_per_report_pass(self, rows, padding):
+        inst, qs, pinned, tables, lones, members = stack_inputs(rows, padding)
+        got = adversary._reports(qs, pinned, tables, members)
+        want = _previous_reports(inst, qs, tables, lones, members)
+        assert [_number_bits(r) for r in got] == [_number_bits(r) for r in want]
+        assert all(r.members is m for r, m in zip(got, members))
+
+    def test_named_bound_sweep_strategies_equal_the_previous_route(self, monkeypatch):
+        # Every named strategy is sparse. The multipicture basis cheats pin
+        # every outcome, all of one mass: a tie across the row.
+        strategies, sparse = [], adversary._sparse_branches
+
+        def recorded(inst, partition):
+            strategies.append((inst, partition))
+            return sparse(inst, partition)
+
+        monkeypatch.setattr(adversary, "_sparse_branches", recorded)
+        harness.run_bound_sweep(harness.ExperimentConfig(trials=0))
+        assert len(strategies) == 18  # basis and predicate-split on nine instances
+        ties = 0
+        for inst, partition in strategies:
+            report = sparse(inst, partition)
+            assert _report_bits(report) == _report_bits(previous_sparse_report(inst, partition))
+            masses = [q for _, q, _ in report.outcome_table]
+            pins_all = report.p == min(1.0, exact_sum(masses))
+            ties += len(masses) >= 2 and len(set(masses)) == 1 and pins_all
+        assert ties == 4  # the three multipicture basis cheats, and multipicture-2's split
+
+    def test_each_report_of_a_mixed_stack_equals_its_strategy_alone(self):
+        # a, b and the rider c decode to messages, d to None, and e and f are
+        # absent from decode, so the partitions pin 0 to 3 outcomes of 1 to 6.
+        rng = np.random.default_rng(3)
+        labels = "abcdef"
+        amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        amps /= np.linalg.norm(amps)
+        reference = SparseState({(b, c): complex(a) for b, row in zip("xy", amps)
+                                 for c, a in zip(labels, row)})
+        inst = SealedInstance(GARBAGE, reference, {"a": "A", "b": "B", "c": "C", "d": None}, {})
+        basis = ["a", "b", "d", "e"]
+        cells = ["abcdef", "aaaaaa", "abbbbb", "abcbdd", "dddefg", "aabbcc"]
+        partitions = [ProjPartition(dict(zip(labels, row))) for row in cells]
+        partitions += [random_partition(labels, rng) for _ in range(2)]
+        stack = adversary.haar_unitaries(
+            normal_block([np.random.default_rng(t) for t in range(len(partitions))], 4))
+        reports = adversary._rotated_branches(inst, basis, stack, partitions)
+        pins = [len(pinpointed_messages(inst, basis, matrix, partition.outcome_of))
+                for matrix, partition in zip(stack, partitions)]
+        assert {0, 1, 2, 3} <= set(pins)
+        assert len({len(report.outcome_table) for report in reports}) >= 4
+        for t, (report, partition) in enumerate(zip(reports, partitions)):
+            (alone,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
+            assert _report_bits(report) == _report_bits(alone)
+            assert list(report.members[3]) == list(alone.members[3])

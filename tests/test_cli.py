@@ -831,3 +831,11 @@ class TestConfigParsing:
         path.write_text("this is not a pair\n")
         with pytest.raises(harness.ConfigInvalid):
             load_config(path)
+
+    def test_repeated_key_exits_one(self, tmp_path, capsys):
+        # Last-wins would let a line the reader skims past decide the output.
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 1\ntrials = 2\nseed = 2\n")
+        assert run_cli("--config", str(path), "experiment", "bound-sweep") == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: config key 'seed' is repeated\n")

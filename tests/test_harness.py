@@ -77,10 +77,13 @@ class TestConfig:
             {"seed": ""},
             {"garbage_sizes": "1,2.5"},
             {"picture_counts": "2,,4"},
+            {"trials": True},
+            {"garbage_sizes": [True, 2]},
         ],
     )
     def test_from_mapping_rejects_non_integers(self, data):
-        with pytest.raises(ConfigInvalid):
+        (key,) = data
+        with pytest.raises(ConfigInvalid, match=f"config key '{key}' needs integers"):
             ExperimentConfig.from_mapping(data)
 
     def test_from_mapping_rejects_unknown_keys(self):
