@@ -14,16 +14,20 @@ term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
 Two engines evaluate strategies; both hand ``_reports`` a stack of outcome
-masses and a mask of the outcomes pinpointing a message, and it builds every
-``CheatReport`` with its ``ProofChain`` in array passes over the stack.
-Without a unitary, ``_sparse_branches`` stays sparse, so the basis and
-predicate cheats reach ``SUPPORT_CAP`` keys; a branch costs one post-state
-(``collapse_branches``), one ``squared_overlap`` and two dict lookups for its
-lone label. With one, ``_rotated_branches`` runs a stack of strategies (one,
-or a sweep's trials) on the reference's dense |B| x |C| block and keeps only
-the outcome masses; members become sparse states only when read. A report's
-s and every link of its proof chain are functions of the outcome masses
-(``chain_links``), so no chain has a size cap.
+masses, a mask of the outcomes pinpointing a message and each strategy's record
+(reference, columns, U or None, each column's outcome), and it builds every
+``CheatReport`` with its ``ProofChain`` in array passes over the stack; a
+report builds its returned mixture from the record when read. Without a
+unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
+reach ``SUPPORT_CAP`` keys; a branch costs one post-state (``collapse_branches``),
+one ``squared_overlap`` and two dict lookups for its lone label. With one,
+``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
+the reference's dense |B| x |C| block and keeps only the outcome masses. A
+report's s, every link of its proof chain (``chain_links``) and its margin are
+functions of the outcome masses, so no chain has a size cap. With b the pinned
+outcome that sets (p_bound, c), margin = p_b (sqrt(c) - c) + sum_{i != b} q_i^2
+(sum_i q_i^2 when nothing is pinned): both terms are >= 0 for any masses summing
+to 1, so a positive margin says nothing about whether the masses are the states'.
 
 Two recovery numbers appear in a report. ``p`` counts every outcome that
 pinpoints some message (for an indexed-picture instance the honest basis
@@ -174,9 +178,9 @@ class CheatReport:
 
     ``outcome_table`` rows are (outcome label, branch probability q_i, branch
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
-    verification, held in ``members`` as an ``Ensemble`` or, with a unitary, as
-    (reference, columns, U, each column's outcome or None), U acting on the
-    first len(U) columns. ``s`` is sum_i q_i c_i of the q's (``chain_links``),
+    verification, built on read from the one strategy record ``members``:
+    (reference, columns, U or None, each column's outcome or None), U acting on
+    the first len(U) columns. ``s`` is sum_i q_i c_i of the q's (``chain_links``),
     ``margin`` the slack under the closed-form bound, ``chain`` the ``ProofChain``.
     """
 
@@ -184,23 +188,23 @@ class CheatReport:
     s: float
     bound: float
     outcome_table: tuple[tuple[Label, float, float], ...]
-    members: Ensemble | tuple = field(repr=False, compare=False)
+    members: tuple = field(repr=False, compare=False)
     p_bound: float
     chain: ProofChain = field(repr=False, compare=False)
 
     @cached_property
     def returned(self) -> Ensemble:
-        """Built on first read for a dense strategy, by the single-state route:
-        ``apply_unitary_c`` with U, ``collapse_branches``, ``apply_unitary_c``
-        with U^dagger, weighted by the table's q's."""
-        if isinstance(self.members, Ensemble):
-            return self.members
+        """Built on first read by the single-state route: ``apply_unitary_c``
+        with U, ``collapse_branches``, ``apply_unitary_c`` with U^dagger (the
+        rotations only when U is given), weighted by the table's q's."""
         reference, columns, u, outcomes = self.members
-        basis = columns[:len(u)]
         partition = ProjPartition({c: o for c, o in zip(columns, outcomes) if o is not None})
-        branches = collapse_branches(apply_unitary_c(reference, LocalUnitary(basis, u)), partition)
-        undo = LocalUnitary(basis, u.conj().T)
-        return Ensemble(tuple((q, apply_unitary_c(branches[outcome][1], undo))
+        if u is not None:
+            rotate, undo = (LocalUnitary(columns[:len(u)], m) for m in (u, u.conj().T))
+            reference = apply_unitary_c(reference, rotate)
+        branches = collapse_branches(reference, partition)
+        return Ensemble(tuple((q, branches[outcome][1] if u is None
+                               else apply_unitary_c(branches[outcome][1], undo))
                               for outcome, q, _ in self.outcome_table))
 
     @property
@@ -219,7 +223,7 @@ class CheatReport:
 
 def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatReport]:
     """A stack's reports, in array passes over its zero-padded outcome masses
-    ``qs``: strategy t has outcome table ``tables[t]`` and members ``members[t]``,
+    ``qs``: strategy t has outcome table ``tables[t]`` and record ``members[t]``,
     and ``pinned[t, i]`` marks an outcome whose lone active label decodes to a
     message (distinct labels, injective ``decode``: no message pinned twice).
     s and the chain come from one ``chain_links`` call. p sums the pinned masses:
@@ -237,8 +241,7 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
     tied = pinned & (qs == best[:, None])
     c = np.where(tied.any(axis=-1), np.max(cs, axis=-1, where=tied, initial=0.0), 1.0)
     p_bound = np.minimum(best, 1.0)
-    # A scalar from a replaced ``soundness_bound`` stands for every row.
-    bounds = np.broadcast_to(soundness_bound(p_bound, c), best.shape)
+    bounds = soundness_bound(p_bound, c)
     return [CheatReport(p, s, bound, table, mixture, p_bound,
                         ProofChain(s, distance, convex, bound))
             for p, s, bound, table, mixture, p_bound, distance, convex in zip(
@@ -253,14 +256,14 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
     reference = inst.reference
     branches = collapse_branches(reference, partition)
     outcomes = sorted(branches)
-    returned = Ensemble(tuple(map(branches.__getitem__, outcomes)))
-    qs, posts = zip(*returned.members)
+    qs, posts = zip(*map(branches.__getitem__, outcomes))
+    check_weights(math.fsum(qs))
     table = tuple(zip(outcomes, qs, map(squared_overlap, itertools.repeat(reference), posts)))
     labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
     cells = [*map(partition.outcome_of.__getitem__, labels)]
     last, first = dict(zip(cells, labels)), dict(zip(reversed(cells), reversed(labels)))
     pinned = [last[o] == first[o] and inst.decode.get(last[o]) is not None for o in outcomes]
-    (report,) = _reports(np.array([qs]), np.array([pinned]), [table], [returned])
+    (report,) = _reports(np.array([qs]), np.array([pinned]), [table], [(reference, labels, None, cells)])
     return report
 
 
@@ -293,22 +296,21 @@ def _rotated_branches(
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
-    Every number of a report is a function of its outcome masses q, so no
-    member is built. The strategy stays in the reference's |B| x |basis|
-    block: rotate it once for the stack (psi @ U^T), rank all trials'
-    outcomes at once (a cumulative count over the outcome codes the active
-    columns use), and mark each trial's cells in one boolean indicator,
-    in_cell[t, i, j] true when column j lies in outcome i's cell. q is the sum
-    of the columns' masses under it, zero-padded to one entry per column, so
-    every sum over a trial's q's has the bits it has for that trial alone. C
-    labels outside the basis (riders) ride along under the identity with their
-    reference mass, summed from the amplitudes ``c_block`` leaves outside the
-    block, so no rider is laid out densely. Active labels are the columns
-    holding some amplitude of at least ``PRUNE_TOL`` after the rotation. The
-    q's pass ``check_weights``; acceptance i is q_i. An outcome is pinned when
-    its cell's one active column decodes to a message. ``_reports`` builds the
-    reports, s and proof chains included, in array passes over the stack with
-    one ``chain_links`` call.
+    The strategy stays in the reference's |B| x |basis| block: rotate it once
+    for the stack (psi @ U^T), rank all trials' outcomes at once (a cumulative
+    count over the outcome codes the active columns use), and mark each
+    trial's cells in one boolean indicator, in_cell[t, i, j] true when column
+    j lies in outcome i's cell. q is the sum of the columns' masses under it,
+    zero-padded to one entry per column, so every sum over a trial's q's has
+    the bits it has for that trial alone. C labels outside the basis (riders)
+    ride along under the identity with their reference mass, summed from the
+    amplitudes ``c_block`` leaves outside the block, so no rider is laid out
+    densely. Active labels are the columns holding some amplitude of at least
+    ``PRUNE_TOL`` after the rotation. The q's pass ``check_weights``;
+    acceptance i is q_i. An outcome is pinned when its cell's one active
+    column decodes to a message. ``_reports`` builds the reports, s and proof
+    chains included, in array passes over the stack with one ``chain_links``
+    call.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.

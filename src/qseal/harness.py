@@ -81,10 +81,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {self.seed}")
         if self.trials < 0:
             raise ConfigInvalid("trials must be nonnegative")
-        if any(n < 1 for n in self.garbage_sizes):
-            raise ConfigInvalid("garbage sizes must be at least 1")
-        if any(n < 2 for n in self.picture_counts):
-            raise ConfigInvalid("picture counts must be at least 2")
+        for key, low, high in (("garbage_sizes", 1, oaep_mod.SUPPORT_CAP - 1),  # support n + 1
+                               ("picture_counts", 2, oaep_mod.SUPPORT_CAP)):  # support n
+            if any(not low <= n <= high for n in getattr(self, key)):
+                raise ConfigInvalid(f"config key {key!r} needs values from {low} to {high}")
         if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):
             raise ConfigInvalid(f"k0 values must be between 1 and {oaep_mod.MAX_K0}")
         if self.oaep_n < 1:

@@ -49,7 +49,7 @@ PRUNE_TOL = 1e-15    # amplitudes below this are dropped
 NORM_TOL = 1e-9      # how far an input's norm, ensemble weights or U^dagger U may miss exact
 EXACT_TOL = 1e-12    # how far two exact routes to one number may differ (chain links, margins)
 
-_COMPLEX, _FLOAT = frozenset({complex}), frozenset({float})
+_COMPLEX = frozenset({complex})
 
 
 @dataclass(frozen=True, init=False)
@@ -100,11 +100,8 @@ class Ensemble:
     members: tuple[tuple[float, SparseState], ...]
 
     def __post_init__(self) -> None:
-        members = tuple(self.members)
+        members = tuple((float(q), state) for q, state in self.members)
         weights = [q for q, _ in members]
-        if not _FLOAT.issuperset(map(type, weights)):  # else kept as given
-            weights = [*map(float, weights)]
-            members = tuple(zip(weights, [state for _, state in members]))
         if any(map((0.0).__gt__, weights)):
             raise ValueError("ensemble weights must be nonnegative")
         try:

@@ -1095,7 +1095,7 @@ class TestDetectionFromMasses:
         assert len(reports) == 27
         instances = dict(harness._sweep_instances(cfg))
         for name, report in reports:
-            assert isinstance(report.members, Ensemble)  # sparse: no unitary
+            assert report.members[2] is None  # sparse: no unitary
             self.assert_s_is_one_minus_acceptance(instances[name], report)
 
     @pytest.mark.parametrize("k0", [4, 8, 12])
@@ -1343,7 +1343,9 @@ def _report_bits(report):
     chain = report.chain
     numbers = (report.p, report.s, report.bound, report.p_bound, chain.acceptance_gap,
                chain.trace_distance, chain.convex_sum, chain.closed_form)
-    returned = [(q.hex(), _state_bits(post)) for q, post in report.returned.members]
+    # The conftest oracle holds its eager mixture in ``members``.
+    mixture = report.members if isinstance(report.members, Ensemble) else report.returned
+    returned = [(q.hex(), _state_bits(post)) for q, post in mixture.members]
     return table, [x.hex() for x in numbers], returned
 
 
@@ -1393,6 +1395,25 @@ class TestSparseRouteBits:
         report = strategy_report(inst, None, partition)
         assert _report_bits(report) == _report_bits(previous_sparse_report(inst, partition))
         assert report.to_dict() == previous_sparse_report(inst, partition).to_dict()
+
+    def test_sparse_route_builds_no_mixture(self, monkeypatch):
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False))
+        multi6, split = _sparse_route_cases()["split-predicate"]
+        predicate = {label: int(outcome == "g=1") for label, outcome in split.outcome_of.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sparse route builds no Ensemble")
+
+        monkeypatch.setattr(adversary, "Ensemble", refuse)
+        reports = [basis_cheat(oaep), basis_cheat(multi6), predicate_cheat(multi6, predicate)]
+        for report in reports:
+            assert "returned" not in vars(report)
+            assert report.members[2] is None
+        monkeypatch.undo()
+        want = [previous_sparse_report(oaep, ProjPartition.finest(oaep.reference.c_labels())),
+                previous_sparse_report(multi6, ProjPartition.finest(multi6.reference.c_labels())),
+                previous_sparse_report(multi6, split)]
+        assert [_report_bits(r) for r in reports] == [_report_bits(r) for r in want]
 
     def test_cases_cover_what_they_name(self):
         cases = _sparse_route_cases()
@@ -1452,6 +1473,25 @@ def _number_bits(report):
     return [x.hex() for x in numbers], report.outcome_table
 
 
+def mixed_stack():
+    """(instance, basis, unitaries, partitions) of a rotated stack: a, b and the
+    rider c decode to messages, d to None, and e and f are absent from decode,
+    so the partitions pin 0 to 3 outcomes of 1 to 6."""
+    rng = np.random.default_rng(3)
+    labels = "abcdef"
+    amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    amps /= np.linalg.norm(amps)
+    reference = SparseState({(b, c): complex(a) for b, row in zip("xy", amps)
+                             for c, a in zip(labels, row)})
+    inst = SealedInstance(GARBAGE, reference, {"a": "A", "b": "B", "c": "C", "d": None}, {})
+    cells = ["abcdef", "aaaaaa", "abbbbb", "abcbdd", "dddefg", "aabbcc"]
+    partitions = [ProjPartition(dict(zip(labels, row))) for row in cells]
+    partitions += [random_partition(labels, rng) for _ in range(2)]
+    stack = adversary.haar_unitaries(
+        normal_block([np.random.default_rng(t) for t in range(len(partitions))], 4))
+    return inst, ["a", "b", "d", "e"], stack, partitions
+
+
 class TestStackReports:
     """``_reports``' array passes over a stack give every bit the per-report
     Python (``conftest._previous_reports``) gave, and each report of a stack
@@ -1496,21 +1536,7 @@ class TestStackReports:
         assert ties == 4  # the three multipicture basis cheats, and multipicture-2's split
 
     def test_each_report_of_a_mixed_stack_equals_its_strategy_alone(self):
-        # a, b and the rider c decode to messages, d to None, and e and f are
-        # absent from decode, so the partitions pin 0 to 3 outcomes of 1 to 6.
-        rng = np.random.default_rng(3)
-        labels = "abcdef"
-        amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
-        amps /= np.linalg.norm(amps)
-        reference = SparseState({(b, c): complex(a) for b, row in zip("xy", amps)
-                                 for c, a in zip(labels, row)})
-        inst = SealedInstance(GARBAGE, reference, {"a": "A", "b": "B", "c": "C", "d": None}, {})
-        basis = ["a", "b", "d", "e"]
-        cells = ["abcdef", "aaaaaa", "abbbbb", "abcbdd", "dddefg", "aabbcc"]
-        partitions = [ProjPartition(dict(zip(labels, row))) for row in cells]
-        partitions += [random_partition(labels, rng) for _ in range(2)]
-        stack = adversary.haar_unitaries(
-            normal_block([np.random.default_rng(t) for t in range(len(partitions))], 4))
+        inst, basis, stack, partitions = mixed_stack()
         reports = adversary._rotated_branches(inst, basis, stack, partitions)
         pins = [len(pinpointed_messages(inst, basis, matrix, partition.outcome_of))
                 for matrix, partition in zip(stack, partitions)]
@@ -1520,3 +1546,54 @@ class TestStackReports:
             (alone,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
             assert _report_bits(report) == _report_bits(alone)
             assert list(report.members[3]) == list(alone.members[3])
+
+
+def identity_margin(report):
+    """The margin the identity gives from a report's outcome masses, in 40-digit
+    mpmath: q_b (sqrt(c) - c) + sum_{i != b} q_i^2, c = sum_{i != b} q_i, b the
+    outcome whose mass is p_bound (equal masses give equal values), and
+    sum_i q_i^2 when p_bound is 0 (nothing pinned)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        q = [mpmath.mpf(mass) for _, mass, _ in report.outcome_table]
+        if report.p_bound == 0.0:
+            return mpmath.fsum(x * x for x in q)
+        b = min(range(len(q)), key=lambda i: abs(q[i] - report.p_bound))
+        rest = q[:b] + q[b + 1:]
+        c = mpmath.fsum(rest)
+        return q[b] * (mpmath.sqrt(c) - c) + mpmath.fsum(x * x for x in rest)
+
+
+class TestMarginIdentity:
+    """Every margin is a function of the outcome masses alone (``adversary``'s
+    docstring), so no mass can make it negative: the identity holds on named,
+    random, stack and OAEP reports."""
+
+    @staticmethod
+    def assert_identity(reports):
+        misses = [abs(report.margin - identity_margin(report)) for report in reports]
+        assert max(misses) <= EXACT_TOL, max(misses)
+        return sum(report.p_bound == 0.0 for report in reports)
+
+    @pytest.mark.parametrize("seed", [0, 8191])
+    def test_bound_sweep_reports(self, monkeypatch, seed):
+        reports, check = [], harness.check_report
+
+        def recording_check(report, instance, attack):
+            reports.append(report)
+            check(report, instance, attack)
+
+        monkeypatch.setattr(harness, "check_report", recording_check)
+        harness.run_bound_sweep(harness.ExperimentConfig(seed=seed, trials=100))
+        assert len(reports) == 27 + 100 * 8  # multipicture-10 is past DENSE_DIM_CAP
+        assert 0 < self.assert_identity(reports) < len(reports)  # some pin nothing, most something
+
+    def test_mixed_rotated_stack(self):
+        inst, basis, stack, partitions = mixed_stack()
+        self.assert_identity(adversary._rotated_branches(inst, basis, stack, partitions))
+
+    @pytest.mark.parametrize("k0", [4, 8, 12])
+    def test_oaep_basis_cheats(self, k0):
+        inst = seal_oaep(0x5A, OaepContext.create(k0=k0, n=8, with_human=False))
+        self.assert_identity([basis_cheat(inst)])

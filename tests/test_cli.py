@@ -7,6 +7,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -565,6 +566,19 @@ class TestErrorExitCodes:
         assert sum(line.startswith("garbage-512,") for line in lines) == 3
         assert all(chain.holds() for chain in chains)
 
+    @pytest.mark.parametrize("line", ["garbage_sizes = 65536", "picture_counts = 65537"])
+    def test_label_count_past_the_support_cap(self, monkeypatch, tmp_path, capsys, line):
+        def refuse(count):
+            raise AssertionError("a rejected config builds no label list")
+
+        monkeypatch.setattr(harness, "_garbage_labels", refuse)
+        monkeypatch.setattr(harness, "_pictures", refuse)
+        config = tmp_path / "exp.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
+        key = line.split(" ")[0]
+        assert f"config key {key!r} needs values from" in self.assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("experiment", ["bound-sweep", "oaep-negligibility"])
     def test_zero_oaep_message_length(self, tmp_path, capsys, experiment):
         config = tmp_path / "exp.cfg"
@@ -589,7 +603,7 @@ class TestErrorExitCodes:
         assert f"config key {key!r} needs integers" in self.assert_one_line_error(capsys)
 
     def test_negative_cheat_margin_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setattr(adversary, "soundness_bound", lambda p, c: 0.0)
+        monkeypatch.setattr(adversary, "soundness_bound", lambda p, c: np.zeros_like(p))
         path = GOLDEN / "seal-naive.json"
         assert run_cli("cheat", "--instance", str(path), "--attack", "basis") == 2
         err = capsys.readouterr().err

@@ -17,7 +17,7 @@ from qseal.harness import (
     run_multipicture_scaling,
     run_oaep_negligibility,
 )
-from qseal.oaep import OaepContext, useless_query_bound
+from qseal.oaep import SUPPORT_CAP, OaepContext, useless_query_bound
 from qseal.states import EXACT_TOL, trace_distance_pure_vs_ensemble
 
 SMALL = ExperimentConfig(
@@ -85,6 +85,21 @@ class TestConfig:
         (key,) = data
         with pytest.raises(ConfigInvalid, match=f"config key '{key}' needs integers"):
             ExperimentConfig.from_mapping(data)
+
+    @pytest.mark.parametrize("key, most", [
+        ("garbage_sizes", SUPPORT_CAP - 1),  # the message label makes n + 1
+        ("picture_counts", SUPPORT_CAP),
+    ])
+    def test_label_counts_are_capped_at_the_support_cap(self, monkeypatch, key, most):
+        # Configs at the cap and one past it are built, never run.
+        def refuse(count):
+            raise AssertionError("a config check builds no label list")
+
+        monkeypatch.setattr(harness, "_garbage_labels", refuse)
+        monkeypatch.setattr(harness, "_pictures", refuse)
+        assert getattr(ExperimentConfig.from_mapping({key: f"4,{most}"}), key) == (4, most)
+        with pytest.raises(ConfigInvalid, match=f"config key '{key}' needs values from .* to {most}"):
+            ExperimentConfig.from_mapping({key: f"4,{most + 1}"})
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ConfigInvalid):
