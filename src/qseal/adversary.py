@@ -22,7 +22,7 @@ unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
 reach ``SUPPORT_CAP`` keys; a branch costs one post-state (``collapse_branches``),
 one ``squared_overlap`` and two dict lookups for its lone label. With one,
 ``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
-the reference's dense |B| x |C| block and keeps only the outcome masses. A
+the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
 functions of the outcome masses, so no chain has a size cap. With b the pinned
 outcome that sets (p_bound, c), margin = p_b (sqrt(c) - c) + sum_{i != b} q_i^2
@@ -297,20 +297,18 @@ def _rotated_branches(
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
     The strategy stays in the reference's |B| x |basis| block: rotate it once
-    for the stack (psi @ U^T), rank all trials' outcomes at once (a cumulative
-    count over the outcome codes the active columns use), and mark each
-    trial's cells in one boolean indicator, in_cell[t, i, j] true when column
-    j lies in outcome i's cell. q is the sum of the columns' masses under it,
-    zero-padded to one entry per column, so every sum over a trial's q's has
-    the bits it has for that trial alone. C labels outside the basis (riders)
-    ride along under the identity with their reference mass, summed from the
-    amplitudes ``c_block`` leaves outside the block, so no rider is laid out
-    densely. Active labels are the columns holding some amplitude of at least
-    ``PRUNE_TOL`` after the rotation. The q's pass ``check_weights``;
-    acceptance i is q_i. An outcome is pinned when its cell's one active
-    column decodes to a message. ``_reports`` builds the reports, s and proof
-    chains included, in array passes over the stack with one ``chain_links``
-    call.
+    for the stack (psi @ U^T), then ``np.bincount`` each active column into its
+    (trial, outcome) slot, so no array has both an outcome axis and a column
+    axis. q sums an outcome's column masses in column order; a trial's q's are
+    packed left in sorted outcome order and zero-padded to one entry per column,
+    so every sum over a trial's q's has the bits it has for that trial alone.
+    C labels outside the basis (riders) ride along under the identity with their
+    reference mass, summed from the amplitudes ``c_block`` leaves outside the
+    block, so no rider is laid out densely. Active labels are the columns holding
+    some amplitude of at least ``PRUNE_TOL`` after the rotation. The q's pass
+    ``check_weights``; acceptance i is q_i. An outcome is pinned when it has one
+    active column, which decodes to a message. ``_reports`` builds the reports,
+    s and proof chains included, in array passes with one ``chain_links`` call.
 
     Raises:
         ValueError: a partition omits an active label, or the q's do not sum to 1.
@@ -335,23 +333,24 @@ def _rotated_branches(
     uncovered = np.argwhere(held & (codes < 0))
     if len(uncovered):
         raise ValueError(f"C label {columns[uncovered[0, 1]]!r} is not covered by the partition")
-    used = np.zeros((len(matrices), len(names)), dtype=bool)
-    at_t, at_j = np.nonzero(held)
-    used[at_t, codes[at_t, at_j]] = True
-    # Each column's outcome index among its trial's sorted outcomes, -1 if inactive.
-    cell_of = np.where(held, np.take_along_axis(np.cumsum(used, axis=-1) - 1, codes, -1), -1)
-    counts = used.sum(axis=-1)
-    in_cell = cell_of[:, None] == np.arange(counts.max())[:, None]
-    qs = np.zeros(mass.shape)
-    qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
+    at_t, at_j = np.nonzero(held)  # trial by trial, each trial's active columns in order
+    slots = (len(matrices), len(names))  # one per (trial, outcome name)
+    slot = np.ravel_multi_index((at_t, codes[at_t, at_j]), slots)
+    sums = np.bincount(slot, weights=mass[at_t, at_j], minlength=math.prod(slots))  # column order
+    sizes = np.bincount(slot, minlength=math.prod(slots))
+    decodes = np.array([inst.decode.get(c) is not None for c in columns], dtype=bool)
+    messages = np.bincount(slot[decodes[at_j]], minlength=math.prod(slots))
+    used = np.flatnonzero(sizes)  # trial by trial, each trial's outcomes in sorted order
+    used_t, used_name = np.unravel_index(used, slots)
+    counts = np.bincount(used_t, minlength=len(matrices))
+    rank = np.arange(len(used)) - np.repeat(np.cumsum(counts) - counts, counts)
+    qs, pinned = np.zeros(mass.shape), np.zeros(mass.shape, dtype=bool)
+    qs[used_t, rank] = sums[used]
+    pinned[used_t, rank] = (sizes[used] == 1) & (messages[used] == 1)
     for total in qs.sum(axis=-1).tolist():
         check_weights(total)
-    decodes = np.array([inst.decode.get(c) is not None for c in columns] + [False])
-    pinned = np.zeros(qs.shape, dtype=bool)  # each outcome's lone active column's flag
-    pinned[:, :in_cell.shape[1]] = decodes[  # at -1, none or several: False
-        np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)]
     outcomes = np.append(names, None)[codes].tolist()  # each column's outcome, None where uncovered
-    named = iter(names[np.nonzero(used)[1]].tolist())  # trial by trial, in sorted order
+    named = iter(names[used_name].tolist())
     tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
               for m, probs in zip(counts.tolist(), qs.tolist())]
     members = [(reference, columns, u, row) for u, row in zip(matrices, outcomes)]
@@ -534,10 +533,10 @@ def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, 
 
 
 # Trials per chunk of a sweep: this many over |B| x |C| x |C|, at least one.
-# A chunk holds each trial's Haar block (2 |C|^2 normals, then U), its rotation
-# (|B| x |C| amplitudes) and its cell indicator with the masses under it (at
-# most |C| x |C| each), so no array of a chunk passes 2^17 entries unless one
-# trial does. A chunk holds 13 trials at |B| = |C| = 17 and 8192 at |B| = |C| = 2.
+# A chunk holds each trial's Haar block (2 |C|^2 normals, then U) and its
+# rotation (|B| x |C| amplitudes); its masses and outcome slots take |C| entries
+# per trial. So no array of a chunk passes 2^17 entries unless one trial does.
+# A chunk holds 13 trials at |B| = |C| = 17 and 8192 at |B| = |C| = 2.
 _CHUNK_AMPLITUDES = 1 << 16
 
 

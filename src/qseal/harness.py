@@ -23,7 +23,7 @@ from .adversary import (
     random_strategy_sweep,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from .states import DENSE_DIM_CAP, EXACT_TOL
+from .states import DENSE_DIM_CAP, EXACT_TOL, SUPPORT_CAP
 
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 
@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {self.seed}")
         if self.trials < 0:
             raise ConfigInvalid("trials must be nonnegative")
-        for key, low, high in (("garbage_sizes", 1, oaep_mod.SUPPORT_CAP - 1),  # support n + 1
-                               ("picture_counts", 2, oaep_mod.SUPPORT_CAP)):  # support n
+        for key, low, high in (("garbage_sizes", 1, SUPPORT_CAP - 1),  # support n + 1
+                               ("picture_counts", 2, SUPPORT_CAP)):  # support n
             if any(not low <= n <= high for n in getattr(self, key)):
                 raise ConfigInvalid(f"config key {key!r} needs values from {low} to {high}")
         if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):

@@ -48,14 +48,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .protocols import OAEP, SealedInstance
-from .states import SparseState, check_norm, sample_readout
+from .states import SUPPORT_CAP, SparseState, check_norm, sample_readout
 from .states import squared_overlap  # noqa: F401  (perfbench/test_oracles.py looks it up here)
 
 #: Reference context key; fixes f, G, and H so golden vectors never drift.
 REFERENCE_MASTER_KEY = bytes(range(32))
-
-#: Largest sealed-state support, 2**16 branches.
-SUPPORT_CAP = 1 << 16
 
 #: Largest pad width, the one whose 2**k0 pads fill ``SUPPORT_CAP``.
 MAX_K0 = SUPPORT_CAP.bit_length() - 1

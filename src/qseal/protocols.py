@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .states import (
+    SUPPORT_CAP,
     Ensemble,
     Label,
     SparseState,
@@ -81,11 +82,16 @@ def seal_naive(m: str, garbage: Label = "0") -> SealedInstance:
 
 
 def seal_garbage(m: str, garbage_set: Sequence[Label]) -> SealedInstance:
-    """Message branch superposed with a uniform bundle of garbage branches."""
+    """Message branch superposed with a uniform bundle of garbage branches.
+
+    The support is the garbage labels and the message, so at most
+    ``SUPPORT_CAP`` - 1 garbage labels are taken (else ValueError)."""
     _validate_message(m)
     garbage_set = list(garbage_set)
     if not garbage_set:
         raise ValueError("need at least one garbage label")
+    if len(garbage_set) >= SUPPORT_CAP:
+        raise ValueError(f"{len(garbage_set)} garbage labels exceed the cap of {SUPPORT_CAP - 1}")
     if len(set(garbage_set)) != len(garbage_set):
         raise ValueError("garbage labels must be distinct")
     if m in garbage_set:
@@ -108,10 +114,13 @@ def seal_multipicture(pictures: Sequence[str]) -> SealedInstance:
 
     B labels are the indices "1".."n", C labels the picture identifiers. The
     honest unseal measures C and always recovers exactly one intact picture.
+    At most ``SUPPORT_CAP`` pictures are taken (else ValueError).
     """
     pictures = [_validate_message(p) for p in pictures]
     if len(pictures) < 2:
         raise ValueError("need at least two pictures")
+    if len(pictures) > SUPPORT_CAP:
+        raise ValueError(f"{len(pictures)} pictures exceed the cap of {SUPPORT_CAP}")
     if len(set(pictures)) != len(pictures):
         raise ValueError("pictures must be pairwise distinct")
     n = len(pictures)

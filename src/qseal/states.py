@@ -41,7 +41,9 @@ import numpy as np
 
 Label = str
 
-DENSE_DIM_CAP = 512
+# Caps, one meaning each: the largest size of each kind that qseal builds.
+DENSE_DIM_CAP = 512       # keys of a dense matrix over a joint support
+SUPPORT_CAP = 1 << 16     # keys of a sealed state's support, 2**16 branches
 
 # Tolerances, one meaning each. Every qseal module takes its tolerances from
 # this block; a test rejects small float literals anywhere else in src/qseal.

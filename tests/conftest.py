@@ -5,8 +5,9 @@ distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, chain
 distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, the sparse strategy
-route and a stack's reports against copies of their previous versions
-(``previous_sparse_report``, ``_previous_reports``),
+route, a stack's reports and the rotated engine's outcome masses against
+copies of their previous versions (``previous_sparse_report``,
+``_previous_reports``, ``previous_rotated_masses``),
 random partitions against a copy of the sampler that built them label by
 label, sampled readouts against a copy of the partition sampler that
 ``sample_readout`` replaced, ``oaep.tu_overlap`` against its definition in
@@ -24,15 +25,25 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from qseal.adversary import CheatReport, ProofChain, chain_links, complements, soundness_bound
+from qseal.adversary import (
+    CheatReport,
+    ProofChain,
+    _outcome_codes,
+    chain_links,
+    complements,
+    soundness_bound,
+)
 from qseal.oaep import DegenerateUWarning, sealed_params
 from qseal.protocols import SealedInstance
 from qseal.states import (
+    PRUNE_TOL,
     Ensemble,
     Label,
     LocalUnitary,
     ProjPartition,
     SparseState,
+    c_block,
+    check_weights,
 )
 
 B_POOL = [f"b{i}" for i in range(6)]
@@ -373,3 +384,51 @@ def previous_sparse_report(inst: SealedInstance, partition: ProjPartition) -> Ch
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)
     (report,) = _previous_reports(inst, np.array([[q for _, q, _ in table]]), [table], [lones], [returned])
     return report
+
+
+# The rotated engine's outcome masses as qseal had them before it scattered
+# each column into its (trial, outcome) slot: ``adversary._rotated_branches``
+# up to its pinned mask, copied unchanged. It marks each trial's cells in a
+# (trials, outcomes, columns) indicator and sums the masses under it with
+# numpy's pairwise sum, which runs left to right below 8 columns.
+
+
+def previous_rotated_masses(inst: SealedInstance, basis, matrices, partitions):
+    """(q's, pinned mask, column masses, active-column mask, outcome codes) of a
+    stack, each (trials, columns), as the indicator route gave them."""
+    reference = inst.reference
+    _, psi, outside = c_block(reference, basis)
+    riders = sorted({c for _, c in outside})
+    columns = tuple(basis) + tuple(riders)
+    # Each rider's mass, added left to right in sorted-B order as numpy adds
+    # the rows of a block of two or more columns.
+    rider_at = {c: j for j, c in enumerate(riders)}
+    entries = sorted(outside.items(), key=lambda item: item[0][0])
+    at = np.fromiter((rider_at[c] for (_, c), _ in entries), dtype=np.intp, count=len(entries))
+    amps = np.fromiter((a for _, a in entries), dtype=np.complex128, count=len(entries))
+    rider_mass = np.bincount(at, weights=np.abs(amps) ** 2, minlength=len(riders))
+    moduli = np.abs(psi @ np.swapaxes(matrices, -1, -2))
+    rides = np.ones((len(matrices), len(riders)), dtype=bool)  # hold reference mass: active
+    mass = np.concatenate(((moduli ** 2).sum(axis=-2), rides * rider_mass), axis=-1)
+    held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2), rides), axis=-1)
+    del psi, moduli
+    names, codes = _outcome_codes(columns, partitions)
+    uncovered = np.argwhere(held & (codes < 0))
+    if len(uncovered):
+        raise ValueError(f"C label {columns[uncovered[0, 1]]!r} is not covered by the partition")
+    used = np.zeros((len(matrices), len(names)), dtype=bool)
+    at_t, at_j = np.nonzero(held)
+    used[at_t, codes[at_t, at_j]] = True
+    # Each column's outcome index among its trial's sorted outcomes, -1 if inactive.
+    cell_of = np.where(held, np.take_along_axis(np.cumsum(used, axis=-1) - 1, codes, -1), -1)
+    counts = used.sum(axis=-1)
+    in_cell = cell_of[:, None] == np.arange(counts.max())[:, None]
+    qs = np.zeros(mass.shape)
+    qs[:, :in_cell.shape[1]] = (mass[:, None] * in_cell).sum(axis=-1)
+    for total in qs.sum(axis=-1).tolist():
+        check_weights(total)
+    decodes = np.array([inst.decode.get(c) is not None for c in columns] + [False])
+    pinned = np.zeros(qs.shape, dtype=bool)  # each outcome's lone active column's flag
+    pinned[:, :in_cell.shape[1]] = decodes[  # at -1, none or several: False
+        np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)]
+    return qs, pinned, mass, held, codes

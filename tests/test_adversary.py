@@ -22,6 +22,7 @@ from conftest import (
     normal_block,
     previous_collapse_branches,
     previous_inner_product,
+    previous_rotated_masses,
     previous_sparse_report,
     random_state,
     reference_random_partition,
@@ -858,14 +859,18 @@ class TestDenseEvaluation:
             dense_trace_distance(inst.reference, report.returned), abs=1e-12
         )
 
-    def test_large_reference_builds_only_the_keys_it_keeps(self):
-        # A unitary on two of 512 OAEP tokens: the report keeps the 2 x 2 unitary
-        # and each column's outcome, and no key or member until ``returned`` is
-        # read. The tracemalloc peak measured 2.5 MiB, mostly the masses under
-        # the 512 x 512 cell indicator (2 MiB). Building V, the 512 x 2 basis
-        # keys and the 510 others as one (keys, members) array, took it to
-        # 30.5 MiB; laying the riders out in the 512 x 512 block, to 6.1 MiB.
-        inst = seal_oaep(0x5A, OaepContext.create(k0=9, n=8, with_human=False))
+    @pytest.mark.parametrize("k0", [9, 12])
+    def test_large_reference_builds_only_the_keys_it_keeps(self, k0):
+        # A unitary on two of 2^k0 OAEP tokens: the report keeps the 2 x 2
+        # unitary and each column's outcome, and no key or member until
+        # ``returned`` is read. Under the default finest partition every token is
+        # its own outcome; the masses scattered into (trial, outcome) slots
+        # peaked at 0.2 and 1.7 MiB (tracemalloc) at k0 = 9 and 12. A float
+        # (outcomes x columns) indicator of the masses took them to 2.5 and
+        # 145 MiB. At k0 = 9, building V, the 512 x 2 basis keys and the 510
+        # others as one (keys, members) array, took the peak to 30.5 MiB; laying
+        # the riders out in the 512 x 512 block, to 6.1 MiB.
+        inst = seal_oaep(0x5A, OaepContext.create(k0=k0, n=8, with_human=False))
         labels = sorted(inst.reference.c_labels())
         u = random_unitary(labels[:2], 3)
         tracemalloc.start()
@@ -1548,6 +1553,79 @@ class TestStackReports:
             assert list(report.members[3]) == list(alone.members[3])
 
 
+def sweep_stack(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
+    """The unitaries and cell rows a sweep draws for the trials whose generators
+    are ``default_rng(seed)``, seed in ``seeds``: ``random_unitary``'s normal
+    fill, then ``_random_cells``, from each generator in turn."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    unitaries = adversary.haar_unitaries(normal_block(rngs, n))
+    return unitaries, np.stack([adversary._random_cells(n, rng) for rng in rngs])
+
+
+class TestRotatedMassBits:
+    """The rotated engine's scatter against the indicator it replaced
+    (``conftest.previous_rotated_masses``): the pinned mask is the same, and the
+    q's are the same bits below 8 columns, where numpy's pairwise sum runs left
+    to right, and within 4 ulps at 8 or more. At every size each q is its
+    outcome's active column masses added left to right in column order. These
+    rest on ``np.bincount`` adding a slot's weights in input order and on
+    ``np.ravel_multi_index``, so they also run against the oldest numpy allowed."""
+
+    @staticmethod
+    def assert_masses(inst, basis, matrices, partitions) -> bool:
+        """Check one stack; True when its q's moved from the indicator's bits."""
+        seen, reports = [], adversary._reports
+
+        def recorded(qs, pinned, tables, members):
+            seen.append((qs, pinned))
+            return reports(qs, pinned, tables, members)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adversary, "_reports", recorded)
+            adversary._rotated_branches(inst, basis, matrices, partitions)
+        ((qs, pinned),) = seen
+        old_qs, old_pinned, mass, held, codes = previous_rotated_masses(
+            inst, basis, matrices, partitions)
+        assert np.array_equal(pinned, old_pinned)
+        moved = qs.tobytes() != old_qs.tobytes()
+        assert not (moved and qs.shape[1] < 8)
+        assert (np.abs(qs - old_qs) <= 4 * np.spacing(np.maximum(qs, old_qs))).all()
+        for q, row_mass, row_held, row_codes in zip(qs.tolist(), mass.tolist(),
+                                                    held.tolist(), codes.tolist()):
+            sums: dict[int, float] = {}
+            for m, active, code in zip(row_mass, row_held, row_codes):
+                if active:
+                    sums[code] = sums[code] + m if code in sums else m
+            want = [sums[code] for code in sorted(sums)]
+            assert q == want + [0.0] * (len(q) - len(want))
+        return moved
+
+    @pytest.mark.parametrize("seed", [0, 5, 8191])
+    def test_named_sweep_instances(self, seed):
+        # garbage-64 is past the sweep's DENSE_DIM_CAP guard; the engine has none.
+        moved = {}
+        for name, inst in harness._sweep_instances(harness.ExperimentConfig()):
+            labels = sorted(inst.reference.c_labels())
+            unitaries, cells = sweep_stack(len(labels), range(seed, seed + 100))
+            moved[name] = self.assert_masses(inst, labels, unitaries, cells)
+        assert len(moved) == 9 and moved["garbage-16"]
+        assert not any(moved[name] for name in ("naive", "garbage-1", "garbage-2",
+                                                 "garbage-4", "multipicture-2",
+                                                 "multipicture-4"))
+
+    def test_riders(self):
+        # Under 8 columns: the mixed stack's riders c and f, pinning 0 to 3
+        # outcomes. At 16: 13 OAEP riders sharing three cells with 3 rotated tokens.
+        assert not self.assert_masses(*mixed_stack())
+        inst = seal_oaep(0x5A, OaepContext.create(k0=4, n=8, with_human=False))
+        labels = sorted(inst.reference.c_labels())
+        basis = labels[5:8]
+        unitaries, _ = sweep_stack(3, range(8))
+        partitions = [ProjPartition({c: f"third{i % 3}" for i, c in enumerate(labels)}),
+                      ProjPartition.finest(labels)] * 4
+        self.assert_masses(inst, basis, unitaries, partitions)
+
+
 def identity_margin(report):
     """The margin the identity gives from a report's outcome masses, in 40-digit
     mpmath: q_b (sqrt(c) - c) + sum_{i != b} q_i^2, c = sum_{i != b} q_i, b the
@@ -1586,7 +1664,7 @@ class TestMarginIdentity:
 
         monkeypatch.setattr(harness, "check_report", recording_check)
         harness.run_bound_sweep(harness.ExperimentConfig(seed=seed, trials=100))
-        assert len(reports) == 27 + 100 * 8  # multipicture-10 is past DENSE_DIM_CAP
+        assert len(reports) == 27 + 100 * 8  # garbage-64 is past DENSE_DIM_CAP
         assert 0 < self.assert_identity(reports) < len(reports)  # some pin nothing, most something
 
     def test_mixed_rotated_stack(self):

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_sum
-from qseal import adversary, harness
+from qseal import adversary, harness, protocols
 from qseal.cli import load_config, main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
+from qseal.states import SUPPORT_CAP
 
 
 def run_cli(*argv):
@@ -578,6 +579,18 @@ class TestErrorExitCodes:
         assert run_cli("--config", str(config), "experiment", "bound-sweep") == 1
         key = line.split(" ")[0]
         assert f"config key {key!r} needs values from" in self.assert_one_line_error(capsys)
+
+    def test_garbage_list_past_the_support_cap(self, monkeypatch, tmp_path, capsys):
+        def refuse(amps):
+            raise AssertionError("a rejected label list builds no state")
+
+        monkeypatch.setattr(protocols, "SparseState", refuse)
+        config = tmp_path / "seal.cfg"
+        labels = ",".join(f"junk{i}" for i in range(SUPPORT_CAP))  # the message makes one more
+        config.write_text(f"protocol = garbage\ngarbage = {labels}\n")
+        assert run_cli("--config", str(config), "seal") == 1
+        error = self.assert_one_line_error(capsys)
+        assert f"{SUPPORT_CAP} garbage labels exceed the cap of {SUPPORT_CAP - 1}" in error
 
     @pytest.mark.parametrize("experiment", ["bound-sweep", "oaep-negligibility"])
     def test_zero_oaep_message_length(self, tmp_path, capsys, experiment):

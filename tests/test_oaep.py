@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qseal.oaep
 import qseal.states
-from qseal.adversary import basis_cheat, proof_chain
+from qseal.adversary import basis_cheat, proof_chain, strategy_report
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
     REFERENCE_MASTER_KEY,
@@ -34,7 +34,7 @@ from qseal.oaep import (
 from conftest import oracle_readout
 from conftest import tu_overlap as oracle_tu_overlap
 from qseal.protocols import OAEP, SealedInstance, honest_unseal, verify_return
-from qseal.states import PRUNE_TOL, Ensemble, SparseState, sample_readout
+from qseal.states import PRUNE_TOL, Ensemble, LocalUnitary, SparseState, sample_readout
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -750,6 +750,7 @@ def cheat_at_cap(sealed_at_cap):
 
 class TestSupportCap:
     def test_support_fills_the_cap(self, sealed_at_cap):
+        assert SUPPORT_CAP is qseal.states.SUPPORT_CAP == 1 << qseal.oaep.MAX_K0  # one caps table
         assert len(sealed_at_cap.reference.amps) == SUPPORT_CAP
         assert len(sealed_at_cap.reference.c_labels()) == SUPPORT_CAP
 
@@ -773,6 +774,22 @@ class TestSupportCap:
         chain = proof_chain(sealed_at_cap, cheat_at_cap)
         assert chain.trace_distance == 1.0 - 2.0**-16
         assert chain.holds()
+
+    def test_rotated_cheat_is_exact_at_the_cap(self, sealed_at_cap):
+        # A Hadamard on two tokens under the default finest partition: each of
+        # the 2^16 columns keeps mass 2^-16, its own outcome, and the two
+        # rotated tokens split their pads' amplitudes evenly. No token decodes
+        # to a message without the human, so nothing is pinned.
+        tokens = sorted(sealed_at_cap.reference.c_labels())[:2]
+        hadamard = LocalUnitary(tuple(tokens), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+        report = strategy_report(sealed_at_cap, hadamard, None)
+        q = 2.0**-16
+        assert len(report.outcome_table) == SUPPORT_CAP
+        assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
+        assert report.s == 1.0 - q
+        assert report.chain.trace_distance == 1.0 - q and report.chain.holds()
+        assert report.p == 0.0 and report.bound == 1.0
+        assert "returned" not in vars(report)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_honest_unseal_at_the_cap(self, sealed_at_cap, seed):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_abs_diff, oracle_readout
+from qseal import protocols
 from qseal.adversary import basis_cheat, optimal_post_collapse_response
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import (
@@ -20,6 +21,7 @@ from qseal.protocols import (
     verify_return,
 )
 from qseal.states import (
+    SUPPORT_CAP,
     Ensemble,
     ProjPartition,
     SparseState,
@@ -122,6 +124,33 @@ class TestSealMultipicture:
             assert success and message in pictures(4)
             seen.add(message)
         assert seen == set(pictures(4))
+
+
+def seal_with_garbage(labels):
+    return seal_garbage("M", labels)
+
+
+class TestLabelCaps:
+    """A seal's support is at most ``SUPPORT_CAP`` keys: the garbage labels and
+    the message, or the pictures. A list one past the cap is rejected, naming
+    its count, before any amplitude is built."""
+
+    @pytest.mark.parametrize("seal, most", [(seal_with_garbage, SUPPORT_CAP - 1),
+                                            (seal_multipicture, SUPPORT_CAP)])
+    def test_at_the_cap(self, seal, most):
+        assert len(seal(pictures(most)).reference.amps) == SUPPORT_CAP
+
+    @pytest.mark.parametrize("seal, most, kind", [
+        (seal_with_garbage, SUPPORT_CAP - 1, "garbage labels"),
+        (seal_multipicture, SUPPORT_CAP, "pictures"),
+    ])
+    def test_one_past_the_cap(self, monkeypatch, seal, most, kind):
+        def refuse(amps):
+            raise AssertionError("a rejected label list builds no state")
+
+        monkeypatch.setattr(protocols, "SparseState", refuse)
+        with pytest.raises(ValueError, match=f"^{most + 1} {kind} exceed the cap of {most}$"):
+            seal(pictures(most + 1))
 
 
 class TestHonestUnseal:
