@@ -43,7 +43,7 @@ Label = str
 
 # Caps, one meaning each: the largest size of each kind that qseal builds.
 DENSE_DIM_CAP = 512       # keys of a dense matrix over a joint support
-SUPPORT_CAP = 1 << 16     # keys of a sealed state's support, 2**16 branches
+SUPPORT_CAP = 1 << 16     # keys of a sealed or loaded state, members of a loaded ensemble
 
 # Tolerances, one meaning each. Every qseal module takes its tolerances from
 # this block; a test rejects small float literals anywhere else in src/qseal.
@@ -381,10 +381,13 @@ def _is_number(value) -> bool:
 
 def state_from_dict(data, where: str = "state") -> SparseState:
     """Rebuild a state from its JSON form; ``SparseState`` checks the norm.
-    A malformed entry raises ``ValueError`` naming it, prefixed by ``where``."""
+    A malformed entry, or more than ``SUPPORT_CAP`` rows, raises ``ValueError``
+    naming it, prefixed by ``where``."""
     rows = data.get("amps") if isinstance(data, Mapping) else None
     if not isinstance(rows, list):
         raise ValueError(f'{where} needs an "amps" list')
+    if len(rows) > SUPPORT_CAP:
+        raise ValueError(f"{where}.amps has {len(rows)} rows, cap is {SUPPORT_CAP}")
     amps: dict[tuple[Label, Label], complex] = {}
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 4 and isinstance(row[0], str)
@@ -398,12 +401,15 @@ def state_from_dict(data, where: str = "state") -> SparseState:
 
 
 def ensemble_from_dict(data) -> Ensemble:
-    """A returned state's JSON form: a state, or {"members": [{"weight", "state"}, ...]}."""
+    """A returned state's JSON form: a state, or {"members": [{"weight", "state"}, ...]}
+    with at most ``SUPPORT_CAP`` members."""
     if isinstance(data, Mapping) and "amps" in data:
         return Ensemble.pure(state_from_dict(data))
     members = data.get("members") if isinstance(data, Mapping) else None
     if not isinstance(members, list):
         raise ValueError('returned state needs an "amps" list or a "members" list')
+    if len(members) > SUPPORT_CAP:
+        raise ValueError(f"members has {len(members)} entries, cap is {SUPPORT_CAP}")
     parsed = []
     for i, member in enumerate(members):
         weight = member.get("weight") if isinstance(member, Mapping) else None

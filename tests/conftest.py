@@ -16,6 +16,7 @@ exact rational arithmetic, and every ``math.fsum`` in qseal against
 """
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -28,7 +29,6 @@ import numpy as np
 from qseal.adversary import (
     CheatReport,
     ProofChain,
-    _outcome_codes,
     chain_links,
     complements,
     soundness_bound,
@@ -42,7 +42,6 @@ from qseal.states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    c_block,
     check_weights,
 )
 
@@ -391,13 +390,57 @@ def previous_sparse_report(inst: SealedInstance, partition: ProjPartition) -> Ch
 # up to its pinned mask, copied unchanged. It marks each trial's cells in a
 # (trials, outcomes, columns) indicator and sums the masses under it with
 # numpy's pairwise sum, which runs left to right below 8 columns.
+# ``states.c_block`` and ``adversary._outcome_codes`` (with its
+# ``_cell_names``) are copied unchanged too, so the oracle lays out the block
+# and codes the outcomes without the engine's helpers.
+
+
+@functools.cache
+def _previous_cell_names(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the names "cell0" ... f"cell{n - 1}" in sorted order, each cell number's rank there)."""
+    order = sorted(range(n), key=lambda k: f"cell{k}")
+    return np.array([f"cell{k}" for k in order], dtype=object), np.argsort(order)
+
+
+def _previous_outcome_codes(columns: Sequence[Label], partitions) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted outcome names, each trial's code per column: its outcome's index in
+    the names, -1 if uncovered) of a (trials, columns) int array of cell numbers,
+    cell k named f"cell{k}", or of one ``ProjPartition`` per trial."""
+    if isinstance(partitions, np.ndarray):
+        names, rank = _previous_cell_names(partitions.shape[-1])
+        return names, rank[partitions]
+    rows = [[p.outcome_of.get(c) for c in columns] for p in partitions]
+    names = sorted({outcome for row in rows for outcome in row} - {None})
+    code = {name: i for i, name in enumerate(names)} | {None: -1}
+    return np.array(names, dtype=object), np.array([[code[o] for o in row] for row in rows])
+
+
+def _previous_c_block(
+    s: SparseState, basis: Sequence[Label]
+) -> tuple[list[Label], np.ndarray, dict[tuple[Label, Label], complex]]:
+    """The state's amplitudes on a C basis as a dense |B| x |basis| array.
+
+    Returns (rows, block, outside): ``rows`` are the B labels with support on
+    the basis, sorted, ``block[i, j]`` is the amplitude on key
+    (rows[i], basis[j]), and ``outside`` holds the amplitudes on C labels not
+    in the basis. No key tuple is built.
+    """
+    col_of = {c: j for j, c in enumerate(basis)}
+    outside = {key: a for key, a in s.amps.items() if key[1] not in col_of}
+    rows = sorted({b for b, c in s.amps if c in col_of})
+    row_of = {b: i for i, b in enumerate(rows)}
+    block = np.zeros((len(rows), len(basis)), dtype=np.complex128)
+    for (b, c), a in s.amps.items():
+        if c in col_of:
+            block[row_of[b], col_of[c]] = a
+    return rows, block, outside
 
 
 def previous_rotated_masses(inst: SealedInstance, basis, matrices, partitions):
     """(q's, pinned mask, column masses, active-column mask, outcome codes) of a
     stack, each (trials, columns), as the indicator route gave them."""
     reference = inst.reference
-    _, psi, outside = c_block(reference, basis)
+    _, psi, outside = _previous_c_block(reference, basis)
     riders = sorted({c for _, c in outside})
     columns = tuple(basis) + tuple(riders)
     # Each rider's mass, added left to right in sorted-B order as numpy adds
@@ -412,7 +455,7 @@ def previous_rotated_masses(inst: SealedInstance, basis, matrices, partitions):
     mass = np.concatenate(((moduli ** 2).sum(axis=-2), rides * rider_mass), axis=-1)
     held = np.concatenate(((moduli >= PRUNE_TOL).any(axis=-2), rides), axis=-1)
     del psi, moduli
-    names, codes = _outcome_codes(columns, partitions)
+    names, codes = _previous_outcome_codes(columns, partitions)
     uncovered = np.argwhere(held & (codes < 0))
     if len(uncovered):
         raise ValueError(f"C label {columns[uncovered[0, 1]]!r} is not covered by the partition")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_sum
-from qseal import adversary, harness, protocols
+from qseal import adversary, harness, protocols, states
 from qseal.cli import load_config, main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
@@ -58,8 +58,13 @@ class TestSeal:
         assert data["params"]["y"] == 77
         assert len(data["reference"]["amps"]) == 16
 
-    def test_missing_protocol_fails(self, capsys):
-        assert run_cli("seal") == 1
+    @pytest.mark.parametrize("argv, message", [
+        ([], "unknown or missing protocol None"),
+        (["--protocol", "multipicture"], "multipicture seal needs --pictures"),
+    ], ids=["protocol", "pictures"])
+    def test_missing_parameter_fails(self, capsys, argv, message):
+        assert run_cli("seal", *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_config_file_supplies_parameters(self, tmp_path, capsys):
         config = tmp_path / "seal.cfg"
@@ -374,6 +379,16 @@ class TestExperiment:
         monkeypatch.setattr(harness, "run_bound_sweep", explode)
         monkeypatch.setattr("qseal.cli.run_bound_sweep", explode)
         assert run_cli("experiment", "bound-sweep") == 2
+
+    def test_negligibility_off_its_closed_form_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("qseal.oaep.useless_query_bound", lambda ctx, excluded: 0.5)
+        config = tmp_path / "exp.cfg"
+        config.write_text("oaep_k0 = 4\nrset_sizes = 2\n")
+        assert run_cli("--config", str(config), "experiment", "oaep-negligibility") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant violation: state-vector divergence 0.125 disagrees "
+                                "with closed form 0.5 at k0=4, |R|=2\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, fmt):
@@ -726,7 +741,10 @@ def verify_files(instance, returned):
 
 
 def edited(doc, path, value):
-    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``, or deleted if it is ``...``."""
+    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``, or deleted if it is ``...``;
+    the empty path sets the whole document."""
+    if not path:
+        return copy.deepcopy(value)
     doc = copy.deepcopy(doc)
     *head, last = path
     parent = doc
@@ -782,9 +800,10 @@ class TestHostileJson:
             (("decode", "M"), 7, "decode['M']"),
             (("decode",), ["M"], '"decode"'),
             (("protocol",), ..., "unknown protocol None"),
+            ((), ["naive"], "instance must be an object, got ['naive']"),
         ],
         ids=["numeric-labels", "bool-amplitude", "missing-amps", "numeric-decode",
-             "list-decode", "missing-protocol"],
+             "list-decode", "missing-protocol", "not-an-object"],
     )
     def test_hostile_instance(self, path, value, names):
         code, _, err = verify_files(edited(NAIVE_INSTANCE, path, value), NAIVE_RETURNED)
@@ -832,6 +851,50 @@ class TestHostileJson:
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+
+def one_amplitude_rows(count):
+    return [[f"b{i}", f"c{i}", 1.0, 0.0] for i in range(count)]
+
+
+class TestFileCaps:
+    """A state read from a file holds at most ``SUPPORT_CAP`` amplitude rows and
+    a mixture at most ``SUPPORT_CAP`` members; one past either exits 1 with one
+    line naming the entry and the count, before any state is built."""
+
+    @pytest.mark.parametrize("argv", [["unseal"], ["cheat", "--attack", "basis"],
+                                      ["verify", "--returned", "{instance}"]],
+                             ids=["unseal", "cheat", "verify"])
+    def test_instance_one_past_the_cap(self, monkeypatch, tmp_path, capsys, argv):
+        def refuse(amps):
+            raise AssertionError("a rejected file builds no state")
+
+        monkeypatch.setattr(states, "SparseState", refuse)
+        path = tmp_path / "instance.json"
+        rows = one_amplitude_rows(SUPPORT_CAP + 1)
+        path.write_text(json.dumps(edited(NAIVE_INSTANCE, ("reference", "amps"), rows)))
+        command, *rest = argv
+        assert run_cli(command, "--instance", str(path), *(a.format(instance=path) for a in rest)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: reference.amps has {SUPPORT_CAP + 1} rows, cap is {SUPPORT_CAP}\n")
+
+    @pytest.mark.parametrize("returned, message", [
+        ({"amps": one_amplitude_rows(SUPPORT_CAP + 1)},
+         f"state.amps has {SUPPORT_CAP + 1} rows, cap is {SUPPORT_CAP}"),
+        ({"members": [NAIVE_RETURNED["members"][0]] * (SUPPORT_CAP + 1)},
+         f"members has {SUPPORT_CAP + 1} entries, cap is {SUPPORT_CAP}"),
+    ], ids=["rows", "members"])
+    def test_returned_one_past_the_cap(self, monkeypatch, returned, message):
+        built, build = [], states.SparseState
+
+        def recording(amps):
+            built.append(len(amps))
+            return build(amps)
+
+        monkeypatch.setattr(states, "SparseState", recording)
+        assert verify_files(NAIVE_INSTANCE, returned) == (1, "", f"error: {message}\n")
+        assert built == [2]  # the instance's reference, and no returned state
 
 
 class TestConfigParsing:

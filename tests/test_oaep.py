@@ -276,10 +276,21 @@ class TestCaptchaFunction:
         tokens = {ctx.captcha.forward(x) for x in range(1 << 12)}
         assert len(tokens) == 1 << 12
 
-    def test_forward_range_checked(self):
+    @pytest.mark.parametrize("call, message", [
+        (lambda ctx: ctx.captcha.forward(1 << 12), "input must be a 12-bit value"),
+        (lambda ctx: ctx.human.invert("img_1000"), "token payload out of range for k=12"),
+        (lambda ctx: ctx.human.invert("img_-1"), "token payload out of range for k=12"),
+        (lambda ctx: ctx.g(1 << 4), "r must be a 4-bit value"),
+        (lambda ctx: ctx.g(-1), "r must be a 4-bit value"),
+        (lambda ctx: ctx.h(1 << 8), "s must be a 8-bit value"),
+        (lambda ctx: ctx.h(-1), "s must be a 8-bit value"),
+    ], ids=["forward-past-k", "invert-past-k", "invert-negative", "g-past-k0", "g-negative",
+            "h-past-n", "h-negative"])
+    def test_inputs_range_checked(self, call, message):
         ctx = OaepContext.create(k0=4, n=8)
-        with pytest.raises(ValueError, match="input must be a 12-bit value"):
-            ctx.captcha.forward(1 << 12)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(ctx)
+        assert ctx.human.query_log == ()
 
     def test_tokens_are_opaque_strings(self):
         ctx = OaepContext.create(k0=4, n=8)

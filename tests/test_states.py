@@ -20,9 +20,11 @@ from conftest import (
     random_state,
     uniform_state,
 )
+from qseal import states
 from qseal.states import (
     DENSE_DIM_CAP,
     PRUNE_TOL,
+    SUPPORT_CAP,
     Ensemble,
     LocalUnitary,
     ProjPartition,
@@ -30,6 +32,7 @@ from qseal.states import (
     apply_unitary_c,
     check_unitary,
     collapse_branches,
+    ensemble_from_dict,
     haar_unitaries,
     inner_product,
     project_accept_probability,
@@ -147,10 +150,15 @@ class TestConstruction:
             Ensemble(((-0.25, SINGLE), (1.25, BELL)))
 
     # NaN fails every comparison, so it must not slip past the defect check.
-    @pytest.mark.parametrize("matrix", [[[1.0, 1.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]]])
-    def test_unitary_must_be_unitary(self, matrix):
-        with pytest.raises(ValueError, match="unitary"):
-            LocalUnitary(("a", "b"), np.array(matrix))
+    @pytest.mark.parametrize("basis, matrix, message", [
+        (("a", "b"), [[1.0, 1.0], [0.0, 1.0]], "not unitary"),
+        (("a", "b"), [[math.nan, 0.0], [0.0, 1.0]], "not unitary"),
+        (("a", "b", "c"), np.eye(2), r"matrix shape \(2, 2\) does not match basis size 3"),
+        (("a", "a"), np.eye(2), "basis labels must be distinct"),
+    ], ids=["not-unitary", "nan", "shape-mismatch", "duplicate-basis"])
+    def test_unitary_must_be_unitary(self, basis, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            LocalUnitary(basis, np.array(matrix))
 
 
 class TestInnerProduct:
@@ -456,6 +464,16 @@ class TestAcceptProbability:
             0.3125, abs=1e-12
         )
 
+    def test_zero_weight_member_is_skipped(self, monkeypatch):
+        # A zero weight adds nothing, so its member's overlap is never taken.
+        sigma = Ensemble(((0.0, SINGLE), (0.5, BELL), (0.5, SINGLE)))
+        overlaps = []
+        monkeypatch.setattr(states, "inner_product",
+                            lambda a, b: overlaps.append(b) or inner_product(a, b))
+        accept = project_accept_probability(BELL, sigma)
+        assert len(overlaps) == 2 and overlaps[0] is BELL and overlaps[1] is SINGLE
+        assert accept == project_accept_probability(BELL, Ensemble(sigma.members[1:]))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_cached_norms_match_the_uncached_formula_bit_for_bit(self, seed):
@@ -508,6 +526,16 @@ class TestSerialization:
         data = {"amps": [["a", "a", INV_SQRT2, 0.0], ["a", "a", INV_SQRT2, 0.0]]}
         with pytest.raises(ValueError, match="duplicate"):
             state_from_dict(data)
+
+    # The size of a k0 = 16 seal, and of its basis cheat's returned mixture.
+    def test_rows_at_the_cap_load(self):
+        rows = [[f"b{i}", f"c{i}", 2.0 ** -8, 0.0] for i in range(SUPPORT_CAP)]
+        assert len(state_from_dict({"amps": rows}).amps) == SUPPORT_CAP
+
+    def test_members_at_the_cap_load(self):
+        members = [{"weight": 2.0 ** -16, "state": {"amps": [[f"b{i}", f"c{i}", 1.0, 0.0]]}}
+                   for i in range(SUPPORT_CAP)]
+        assert len(ensemble_from_dict({"members": members}).members) == SUPPORT_CAP
 
     def test_json_text_is_stable(self):
         assert json.dumps(state_to_dict(BELL)) == json.dumps(state_to_dict(BELL))
