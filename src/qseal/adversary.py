@@ -16,7 +16,7 @@ running it coherently and uncomputing it is exactly ``basis_cheat``.
 Two engines evaluate strategies; both hand ``_reports`` a stack of outcome
 masses, a mask of the outcomes pinpointing a message and each strategy's record
 (reference, columns, U or None, each column's outcome), and it builds every
-``CheatReport`` with its ``ProofChain`` in array passes over the stack; a
+``CheatReport``, proof chain included, in array passes over the stack; a
 report builds its returned mixture from the record when read. Without a
 unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
 reach ``SUPPORT_CAP`` keys; a branch costs one post-state (``collapse_branches``),
@@ -53,6 +53,7 @@ from .states import (
     DENSE_DIM_CAP,
     EXACT_TOL,
     PRUNE_TOL,
+    TRIALS_CAP,
     Ensemble,
     Label,
     LocalUnitary,
@@ -151,28 +152,6 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 @dataclass(frozen=True)
-class ProofChain:
-    """The four quantities whose chain of inequalities backs the bound.
-
-    acceptance_gap <= trace_distance <= convex_sum <= closed_form, each link
-    within ``tol``. Every quantity is computed exactly, so the default is
-    ``EXACT_TOL``, the tolerance between two exact routes to one number.
-    """
-
-    acceptance_gap: float
-    trace_distance: float
-    convex_sum: float
-    closed_form: float
-
-    def holds(self, tol: float = EXACT_TOL) -> bool:
-        return (
-            self.acceptance_gap <= self.trace_distance + tol
-            and self.trace_distance <= self.convex_sum + tol
-            and self.convex_sum <= self.closed_form + tol
-        )
-
-
-@dataclass(frozen=True)
 class CheatReport:
     """Exact outcome of one cheating strategy.
 
@@ -180,8 +159,9 @@ class CheatReport:
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
     verification, built on read from the one strategy record ``members``:
     (reference, columns, U or None, each column's outcome or None), U acting on
-    the first len(U) columns. ``s`` is sum_i q_i c_i of the q's (``chain_links``),
-    ``margin`` the slack under the closed-form bound, ``chain`` the ``ProofChain``.
+    the first len(U) columns. ``s``, ``trace_distance`` and ``convex_sum`` are
+    ``chain_links``' three links of the q's, ``bound`` the closed form that ends the
+    proof chain, and ``margin`` the slack under it.
     """
 
     p: float
@@ -190,7 +170,8 @@ class CheatReport:
     outcome_table: tuple[tuple[Label, float, float], ...]
     members: tuple = field(repr=False, compare=False)
     p_bound: float
-    chain: ProofChain = field(repr=False, compare=False)
+    trace_distance: float
+    convex_sum: float
 
     @cached_property
     def returned(self) -> Ensemble:
@@ -210,6 +191,12 @@ class CheatReport:
     @property
     def margin(self) -> float:
         return self.bound - self.s
+
+    def holds(self, tol: float = EXACT_TOL) -> bool:
+        """s <= trace_distance <= convex_sum <= bound, each exact link within ``tol``."""
+        return (self.s <= self.trace_distance + tol
+                and self.trace_distance <= self.convex_sum + tol
+                and self.convex_sum <= self.bound + tol)
 
     def to_dict(self) -> dict:
         return {
@@ -242,11 +229,8 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
     c = np.where(tied.any(axis=-1), np.max(cs, axis=-1, where=tied, initial=0.0), 1.0)
     p_bound = np.minimum(best, 1.0)
     bounds = soundness_bound(p_bound, c)
-    return [CheatReport(p, s, bound, table, mixture, p_bound,
-                        ProofChain(s, distance, convex, bound))
-            for p, s, bound, table, mixture, p_bound, distance, convex in zip(
-                np.minimum(sums, 1.0).tolist(), s.tolist(), bounds.tolist(), tables, members,
-                p_bound.tolist(), distance.tolist(), convex.tolist())]
+    return [*map(CheatReport, np.minimum(sums, 1.0).tolist(), s.tolist(), bounds.tolist(), tables,
+                 members, p_bound.tolist(), distance.tolist(), convex.tolist())]
 
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
@@ -554,16 +538,17 @@ def random_strategy_sweep(
     (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk
     for its reports' proof chains.
 
-    Raises ValueError when ``rng_seed`` is negative or |B|*|C| exceeds
-    ``DENSE_DIM_CAP``. No report or chain needs that guard; it fixes which
+    Raises ValueError, before any trial is seeded, when ``trials`` is outside
+    1..``TRIALS_CAP``, ``rng_seed`` is negative or |B|*|C| exceeds
+    ``DENSE_DIM_CAP``. No report or chain needs that last guard; it fixes which
     rows ``bound-sweep`` prints, and so the rows its reference records.
     100 trials with their proof chains take 0.008-0.009 s at |B| = |C| = 17
     and 1.3-1.4 s at |B| = 2, |C| = 256, where the Haar QR dominates (medians
     of 30 and 5 runs, two sets each, on a shared 2-vCPU VM whose speed varies
     by about 1.7x; Python 3.11, numpy 2.4, single-threaded BLAS).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not 1 <= trials <= TRIALS_CAP:
+        raise ValueError(f"trials must be from 1 to {TRIALS_CAP}, got {trials}")
     labels = sorted(inst.reference.c_labels())
     n_b, n = len(inst.reference.b_labels()), len(labels)
     if n_b * n > DENSE_DIM_CAP:
@@ -581,7 +566,6 @@ def random_strategy_sweep(
     return reports
 
 
-def proof_chain(inst: SealedInstance, report: CheatReport) -> ProofChain:
-    """The inequality chain of one report of ``inst``: its ``chain``, built with
-    it from the outcome masses, so no report is too large for its chain."""
-    return report.chain
+def proof_chain(inst: SealedInstance, report: CheatReport) -> CheatReport:
+    """The report itself, which holds its proof chain (``CheatReport.holds``)."""
+    return report

@@ -185,7 +185,7 @@ def cmd_experiment(args) -> int:
     elif cfg.experiment == "multi-scaling":
         rows = run_multipicture_scaling(cfg.picture_counts)
     else:
-        rows = run_oaep_negligibility(cfg.oaep_k0, cfg.rset_sizes, n=cfg.oaep_n)
+        rows = run_oaep_negligibility(cfg.oaep_k0, cfg.rset_sizes)
     _write_output(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
     return 0
 

@@ -23,7 +23,7 @@ from .adversary import (
     random_strategy_sweep,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from .states import DENSE_DIM_CAP, EXACT_TOL, SUPPORT_CAP
+from .states import DENSE_DIM_CAP, EXACT_TOL, SUPPORT_CAP, TRIALS_CAP
 
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 
@@ -71,7 +71,6 @@ class ExperimentConfig:
     garbage_sizes: tuple[int, ...] = (1, 2, 4, 16, 64)
     picture_counts: tuple[int, ...] = (2, 4, 10)
     oaep_k0: tuple[int, ...] = (4, 8)
-    oaep_n: int = 16
     rset_sizes: tuple[int, ...] = (0, 1, 4)
 
     def __post_init__(self) -> None:
@@ -79,16 +78,14 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
         if self.seed < 0:
             raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {self.seed}")
-        if self.trials < 0:
-            raise ConfigInvalid("trials must be nonnegative")
+        if not 0 <= self.trials <= TRIALS_CAP:
+            raise ConfigInvalid(f"config key 'trials' needs values from 0 to {TRIALS_CAP}")
         for key, low, high in (("garbage_sizes", 1, SUPPORT_CAP - 1),  # support n + 1
                                ("picture_counts", 2, SUPPORT_CAP)):  # support n
             if any(not low <= n <= high for n in getattr(self, key)):
                 raise ConfigInvalid(f"config key {key!r} needs values from {low} to {high}")
         if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):
             raise ConfigInvalid(f"k0 values must be between 1 and {oaep_mod.MAX_K0}")
-        if self.oaep_n < 1:
-            raise ConfigInvalid(f"oaep_n must be at least 1, got {self.oaep_n}")
         if any(r < 0 for r in self.rset_sizes):
             raise ConfigInvalid("excluded-set sizes must be nonnegative")
         if not self.message:
@@ -123,11 +120,14 @@ def config_value(key: str, value, kind: type):
 
 def check_report(report: CheatReport, instance: str, attack: str) -> None:
     """Raise ``InvariantViolation`` when s exceeds its closed-form bound by more
-    than ``EXACT_TOL``, or when the report's proof ``chain`` does not hold."""
+    than ``EXACT_TOL``, or when the report's proof chain does not hold; the
+    violation names the chain's four numbers, never the outcome table."""
     if report.margin < -EXACT_TOL:
         raise InvariantViolation(f"negative margin {report.margin!r} for {instance}/{attack}")
-    if not report.chain.holds():
-        raise InvariantViolation(f"proof chain failed for {instance}/{attack}: {report.chain}")
+    if not report.holds():
+        links = ", ".join(f"{name}={getattr(report, name)!r}"
+                          for name in ("s", "trace_distance", "convex_sum", "bound"))
+        raise InvariantViolation(f"proof chain failed for {instance}/{attack}: {links}")
 
 
 def _to_int(value) -> int:
@@ -227,22 +227,18 @@ def run_multipicture_scaling(n_values: Sequence[int]) -> list[ScalingRow]:
     return rows
 
 
-def run_oaep_negligibility(
-    k0_values: Sequence[int],
-    r_sizes: Sequence[int],
-    n: int = 16,
-) -> list[NegligibilityRow]:
+def run_oaep_negligibility(k0_values: Sequence[int], r_sizes: Sequence[int]) -> list[NegligibilityRow]:
     """Divergence mass 1 - overlap, computed from sealed states, per grid cell.
 
-    Every context uses the reference master key.
+    Every context uses the reference master key and n = 16. A row reads only
+    the pads' amplitudes, each 2^(-k0/2) whatever n is, so n changes no row.
     """
     rows = []
     for k0 in k0_values:
-        ctx = oaep_mod.OaepContext.create(k0=k0, n=n, with_human=False)
+        ctx = oaep_mod.OaepContext.create(k0=k0, n=16, with_human=False)
         inst = oaep_mod.seal_oaep(0, ctx)
-        support = 1 << k0
         for r_size in r_sizes:
-            if r_size > support:
+            if r_size > 1 << k0:
                 raise ConfigInvalid(f"excluded-set size {r_size} exceeds 2^{k0}")
             excluded = set(range(r_size))
             divergence = 1.0 - oaep_mod.tu_overlap(inst, excluded)

@@ -137,6 +137,11 @@ def _feistel_inverse(rounds: list[_PrfSpec], k: int, x: int) -> int:
     return (left << half) | right
 
 
+def _token_format(k: int) -> str:
+    """The %-format of a k-bit token: the prefix, then (k + 3) // 4 lowercase hex digits."""
+    return f"{TOKEN_PREFIX}%0{(k + 3) // 4}x"
+
+
 class CaptchaFunction:
     """Forward-only capability for the keyed one-to-one token map."""
 
@@ -147,16 +152,17 @@ class CaptchaFunction:
     def forward(self, x: int) -> str:
         if not 0 <= x < (1 << self.k):
             raise ValueError(f"input must be a {self.k}-bit value")
-        value = _feistel_forward(self._rounds, self.k, x)
-        return f"{TOKEN_PREFIX}{value:0{(self.k + 3) // 4}x}"
+        return _token_format(self.k) % _feistel_forward(self._rounds, self.k, x)
 
 
 def token_payload(token: str, k: int) -> int:
-    if not token.startswith(TOKEN_PREFIX):
-        raise ValueError(f"malformed token {token!r}")
+    """The payload of a token spelled as ``encode`` spells it for k-bit inputs: any
+    other prefix or spelling ("0x", a sign, spaces, "_", uppercase) is a ValueError."""
     value = int(token[len(TOKEN_PREFIX):], 16)
     if not 0 <= value < (1 << k):
         raise ValueError(f"token payload out of range for k={k}")
+    if _token_format(k) % value != token:
+        raise ValueError(f"malformed token {token!r}")
     return value
 
 
@@ -207,7 +213,7 @@ class OaepContext:
                 (prefix, struct.Struct(f">{len(prefix)}s{_WIDTH_CODES[width]}").pack, shift - 192)
                 for (prefix,), width, shift in specs
             )
-            layout = (hashes, half, (1 << half) - 1, f"{TOKEN_PREFIX}%0{(k + 3) // 4}x")
+            layout = (hashes, half, (1 << half) - 1, _token_format(k))
         else:
             layout = None
         object.__setattr__(self, "_layout", layout)

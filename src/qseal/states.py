@@ -44,6 +44,9 @@ Label = str
 # Caps, one meaning each: the largest size of each kind that qseal builds.
 DENSE_DIM_CAP = 512       # keys of a dense matrix over a joint support
 SUPPORT_CAP = 1 << 16     # keys of a sealed or loaded state, members of a loaded ensemble
+# Trials of one random sweep, from peak RSS: each report holds its |C| x |C| U, about
+# 1 MiB at |B| = 2, |C| = 256; a default bound-sweep of 2000 trials peaked at 53 MiB.
+TRIALS_CAP = 2000
 
 # Tolerances, one meaning each. Every qseal module takes its tolerances from
 # this block; a test rejects small float literals anywhere else in src/qseal.

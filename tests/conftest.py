@@ -28,7 +28,6 @@ import numpy as np
 
 from qseal.adversary import (
     CheatReport,
-    ProofChain,
     chain_links,
     complements,
     soundness_bound,
@@ -54,12 +53,12 @@ def exact_sum(values: Iterable[float]) -> float:
     return float(sum(map(Fraction, values), Fraction(0)))
 
 
-def chain_excess(chain) -> float:
-    """The most by which a proof chain's link exceeds the next one (<= 0 when exact)."""
+def chain_excess(report) -> float:
+    """The most by which a report's proof-chain link exceeds the next one (<= 0 when exact)."""
     return max(
-        chain.acceptance_gap - chain.trace_distance,
-        chain.trace_distance - chain.convex_sum,
-        chain.convex_sum - chain.closed_form,
+        report.s - report.trace_distance,
+        report.trace_distance - report.convex_sum,
+        report.convex_sum - report.bound,
     )
 
 
@@ -366,8 +365,7 @@ def _previous_reports(inst, qs, tables, lones, members):
         p_bound, c = max(pinned, default=(0.0, 1.0))
         p_bound = min(1.0, p_bound)
         bound = soundness_bound(p_bound, c)
-        reports.append(CheatReport(p, s, bound, tuple(table), mixture, p_bound,
-                                   ProofChain(s, distance, convex, bound)))
+        reports.append(CheatReport(p, s, bound, tuple(table), mixture, p_bound, distance, convex))
     return reports
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from conftest import (
 )
 from qseal import adversary, harness
 from qseal.adversary import (
-    ProofChain,
+    CheatReport,
     basis_cheat,
     optimal_post_collapse_response,
     predicate_cheat,
@@ -215,7 +216,7 @@ class TestPredicateCheat:
         for g in ({"M": 1, "a": one, "b": one, "c": 0}, {"M": one, "a": 1, "b": one, "c": one - one}):
             report = predicate_cheat(inst, g)
             assert report.to_dict() == want.to_dict()
-            assert report.chain == want.chain
+            assert report == want
 
     def test_mixed_values_equal_to_one_make_two_outcomes(self):
         # Named after each value, these would split into g=0, g=1, g=1.0 and g=True (s = 2/3).
@@ -944,7 +945,7 @@ class TestDenseEvaluation:
                 report = strategy_report(inst, u, None)
                 chain = proof_chain(inst, report)
                 assert chain.holds(), chain
-                closed_forms.append(chain.closed_form)
+                closed_forms.append(chain.bound)
         assert 0.0 in closed_forms
 
 
@@ -960,9 +961,34 @@ class TestProofChain:
     )
     def test_chain_holds_for_deterministic_attacks(self, inst):
         report = basis_cheat(inst)
-        chain = proof_chain(inst, report)
-        assert chain.holds()
-        assert chain.acceptance_gap == pytest.approx(report.s, abs=1e-12)
+        assert proof_chain(inst, report).holds()
+
+    def test_report_holds_the_links_of_its_own_masses(self):
+        # Each report stores chain_links' distance and convex sum of its outcome
+        # masses bit for bit, and proof_chain hands back the report itself.
+        for inst in (seal_naive("M", "0"), seal_garbage("M", ["g0", "g1", "g2"]),
+                     seal_multipicture(pictures(6))):
+            labels = sorted(inst.reference.c_labels())
+            split = {label: int(i < len(labels) // 2) for i, label in enumerate(labels)}
+            for report in [basis_cheat(inst), predicate_cheat(inst, split),
+                           *random_strategy_sweep(inst, 20, rng_seed=9)]:
+                qs = np.array([[q for _, q, _ in report.outcome_table]])
+                links = adversary.chain_links(qs, adversary.complements(qs))
+                stored = (report.s, report.trace_distance, report.convex_sum)
+                assert [x.hex() for x in stored] == [float(link[0]).hex() for link in links]
+                assert proof_chain(inst, report) is report
+
+    @pytest.mark.parametrize("link, moved", [
+        ("trace_distance", lambda r: r.s - 2 * EXACT_TOL),  # below s
+        ("trace_distance", lambda r: r.convex_sum + 2 * EXACT_TOL),  # above the convex sum
+        ("convex_sum", lambda r: r.bound + 2 * EXACT_TOL),  # above the bound
+    ], ids=["distance-below-s", "distance-above-convex", "convex-above-bound"])
+    def test_a_link_moved_past_tol_breaks_the_chain(self, link, moved):
+        report = basis_cheat(seal_garbage("M", ["g0", "g1"]))
+        assert report.holds()
+        broken = dataclasses.replace(report, **{link: moved(report)})
+        assert not broken.holds()
+        assert broken.holds(3 * EXACT_TOL)
 
     def test_chain_middle_matches_numpy_oracle(self):
         garbage = seal_garbage("M", ["g0", "g1"])
@@ -999,19 +1025,17 @@ class TestProofChain:
         assert report.s == pytest.approx(1.0 - float(np.sum(q**2)), abs=1e-12)
 
     def test_links_read_from_the_report_equal_the_overlap_formulas(self):
-        # The acceptance gap and the closed form are read off the report; the
-        # trace distance and the convex sum come from the outcome masses. The
-        # masses and the table are checked against the overlaps of the built
-        # members, a separate path, and the convex sum against each member's
-        # pure-state distance sqrt(1 - overlap) weighed by its mass. Where an
-        # overlap is within a few ulps of 1 (a one-cell partition), that square
-        # root is off by up to sqrt(2^-50) = 2^-25, so the random rows allow it.
+        # The report's trace distance and convex sum come from the outcome
+        # masses, its bound from p_bound. The masses and the table are checked
+        # against the overlaps of the built members, a separate path, and the
+        # convex sum against each member's pure-state distance sqrt(1 - overlap)
+        # weighed by its mass. Where an overlap is within a few ulps of 1 (a
+        # one-cell partition), that square root is off by up to
+        # sqrt(2^-50) = 2^-25, so the random rows allow it.
         for inst in (seal_garbage("M", ["g0", "g1", "g2"]), seal_multipicture(pictures(6))):
             sparse = basis_cheat(inst)
             for report in [sparse, *random_strategy_sweep(inst, 20, rng_seed=3)]:
                 chain = proof_chain(inst, report)
-                assert chain.acceptance_gap == report.s
-                assert chain.closed_form == report.bound
                 assert abs(report.bound - soundness_bound(report.p_bound)) <= 1e-12
                 overlaps = [squared_overlap(inst.reference, member)
                             for _, member in report.returned.members]
@@ -1085,7 +1109,6 @@ class TestDetectionFromMasses:
     def assert_s_is_one_minus_acceptance(inst, report):
         accept = project_accept_probability(inst.reference, report.returned)
         assert abs(report.s - (1.0 - accept)) <= EXACT_TOL, (report.s, accept)
-        assert report.chain.acceptance_gap == report.s
 
     def test_named_bound_sweep_reports(self, monkeypatch):
         reports, check = [], harness.check_report
@@ -1125,14 +1148,16 @@ class TestDetectionFromMasses:
 
 
 def mass_chain(q):
-    """The proof chain a dense report of outcome masses q has, its largest
-    mass pinpointing the message: ``chain_links``' three links and the bound."""
+    """The report, proof chain included, that a dense strategy of outcome masses
+    q has, its largest mass pinpointing the message: ``chain_links``' three
+    links and the bound, with no outcome table or strategy record."""
     qs = np.array([q], dtype=float)
     cs = adversary.complements(qs)
     (gap,), (distance,), (convex,) = adversary.chain_links(qs, cs)
     best = int(qs[0].argmax())
     closed_form = soundness_bound(qs[0, best], cs[0, best])
-    return ProofChain(float(gap), float(distance), float(convex), closed_form)
+    p = float(qs[0, best])
+    return CheatReport(p, float(gap), float(closed_form), (), None, p, float(distance), float(convex))
 
 
 @st.composite
@@ -1345,9 +1370,8 @@ def _state_bits(state):
 
 def _report_bits(report):
     table = [(outcome, q.hex(), acceptance.hex()) for outcome, q, acceptance in report.outcome_table]
-    chain = report.chain
-    numbers = (report.p, report.s, report.bound, report.p_bound, chain.acceptance_gap,
-               chain.trace_distance, chain.convex_sum, chain.closed_form)
+    numbers = (report.p, report.s, report.bound, report.p_bound, report.trace_distance,
+               report.convex_sum)
     # The conftest oracle holds its eager mixture in ``members``.
     mixture = report.members if isinstance(report.members, Ensemble) else report.returned
     returned = [(q.hex(), _state_bits(post)) for q, post in mixture.members]
@@ -1471,10 +1495,9 @@ def stack_inputs(rows, padding):
 
 
 def _number_bits(report):
-    """The bit patterns of every number of a report and its chain, and its table."""
-    chain = report.chain
-    numbers = (report.p, report.s, report.bound, report.p_bound, chain.acceptance_gap,
-               chain.trace_distance, chain.convex_sum, chain.closed_form)
+    """The bit patterns of every number of a report, chain links included, and its table."""
+    numbers = (report.p, report.s, report.bound, report.p_bound, report.trace_distance,
+               report.convex_sum)
     return [x.hex() for x in numbers], report.outcome_table
 
 

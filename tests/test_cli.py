@@ -17,7 +17,7 @@ from qseal import adversary, harness, protocols, states
 from qseal.cli import load_config, main
 from qseal.oaep import OaepContext, seal_oaep
 from qseal.protocols import instance_from_dict, instance_to_dict
-from qseal.states import SUPPORT_CAP
+from qseal.states import SUPPORT_CAP, TRIALS_CAP
 
 
 def run_cli(*argv):
@@ -570,7 +570,7 @@ class TestErrorExitCodes:
         check, chains = harness.check_report, []
 
         def recording_check(report, instance, attack):
-            chains.append(report.chain)
+            chains.append(report)
             check(report, instance, attack)
 
         monkeypatch.setattr(harness, "check_report", recording_check)
@@ -595,6 +595,19 @@ class TestErrorExitCodes:
         key = line.split(" ")[0]
         assert f"config key {key!r} needs values from" in self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cheat", "--instance", str(GOLDEN / "seal-naive.json"), "--attack", "random"],
+         f"trials must be from 1 to {TRIALS_CAP}, got {TRIALS_CAP + 1}"),
+        (["experiment", "bound-sweep"], f"config key 'trials' needs values from 0 to {TRIALS_CAP}"),
+    ], ids=["cheat", "experiment"])
+    def test_trials_past_the_cap(self, monkeypatch, capsys, argv, message):
+        def refuse(seeds):
+            raise AssertionError("a rejected trial count seeds no trial")
+
+        monkeypatch.setattr(adversary, "_pcg64_states", refuse)
+        assert run_cli(*argv, "--trials", str(TRIALS_CAP + 1)) == 1
+        assert message in self.assert_one_line_error(capsys)
+
     def test_garbage_list_past_the_support_cap(self, monkeypatch, tmp_path, capsys):
         def refuse(amps):
             raise AssertionError("a rejected label list builds no state")
@@ -608,11 +621,11 @@ class TestErrorExitCodes:
         assert f"{SUPPORT_CAP} garbage labels exceed the cap of {SUPPORT_CAP - 1}" in error
 
     @pytest.mark.parametrize("experiment", ["bound-sweep", "oaep-negligibility"])
-    def test_zero_oaep_message_length(self, tmp_path, capsys, experiment):
+    def test_oaep_message_length_is_not_a_key(self, tmp_path, capsys, experiment):
         config = tmp_path / "exp.cfg"
         config.write_text("trials = 1\noaep_n = 0\n")
         assert run_cli("--config", str(config), "experiment", experiment) == 1
-        assert "oaep_n must be at least 1" in self.assert_one_line_error(capsys)
+        assert "unknown config key 'oaep_n'" in self.assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("counts", ["10,4", "4,4"])
     def test_multi_scaling_counts_out_of_order(self, tmp_path, capsys, counts):
@@ -655,8 +668,12 @@ class TestErrorExitCodes:
         assert run_cli("cheat", "--instance", str(path), "--attack", *attack) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"invariant violation: proof chain failed for {path}/{first}: ")
-        assert err.endswith(")\n") and err.count("\n") == 1
-        assert "ProofChain(acceptance_gap=" in err
+        assert err.count("\n") == 1
+        # The four numbers as name=value pairs; the outcome table is never printed.
+        pairs = [pair.split("=") for pair in err.split(": ", 2)[2].rstrip("\n").split(", ")]
+        assert [name for name, _ in pairs] == ["s", "trace_distance", "convex_sum", "bound"]
+        s, distance, convex, bound = (float(value) for _, value in pairs)
+        assert distance == convex + 0.5 and s <= bound
 
     def test_unknown_predicate_label(self, capsys):
         path = str(GOLDEN / "seal-garbage.json")

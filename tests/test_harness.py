@@ -18,7 +18,7 @@ from qseal.harness import (
     run_oaep_negligibility,
 )
 from qseal.oaep import SUPPORT_CAP, OaepContext, useless_query_bound
-from qseal.states import EXACT_TOL, trace_distance_pure_vs_ensemble
+from qseal.states import EXACT_TOL, TRIALS_CAP, trace_distance_pure_vs_ensemble
 
 SMALL = ExperimentConfig(
     trials=4,
@@ -47,11 +47,16 @@ class TestConfig:
             {"oaep_n": 0},
             {"rset_sizes": (-2,)},
             {"message": ""},
+            {"trials": TRIALS_CAP + 1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigInvalid):
-            ExperimentConfig(**kwargs)
+            ExperimentConfig.from_mapping(kwargs)
+
+    def test_trials_at_the_cap_builds(self):
+        # Built, never run: a sweep at the cap is not a test.
+        assert ExperimentConfig(trials=TRIALS_CAP).trials == TRIALS_CAP
 
     def test_from_mapping_parses_scalars_and_lists(self):
         cfg = ExperimentConfig.from_mapping(
@@ -132,20 +137,20 @@ class TestBoundSweep:
         # excess of a link over the next, or of s over its bound, measured
         # 1.35e-15 over bound-sweep at 67 seeds.
         check = harness.check_report
-        chains = []
+        reports = []
 
         def recording_check(report, instance, attack):
-            chains.append((report, report.chain))
+            reports.append(report)
             check(report, instance, attack)
 
         monkeypatch.setattr(harness, "check_report", recording_check)
         for seed in (0, 7, 8191):
-            chains.clear()
+            reports.clear()
             rows = run_bound_sweep(ExperimentConfig(seed=seed, trials=100))
             assert len(rows) == 827
-            assert len(chains) == len(rows)
-            assert max(chain_excess(chain) for _, chain in chains) <= 1e-13
-            assert min(report.margin for report, _ in chains) >= -1e-13
+            assert len(reports) == len(rows)
+            assert max(map(chain_excess, reports)) <= 1e-13
+            assert min(report.margin for report in reports) >= -1e-13
 
     def test_named_rows_compute_each_distance_once(self, monkeypatch):
         # generic and basis share one report, so 9 instances' 27 named rows
@@ -169,7 +174,7 @@ class TestBoundSweep:
         assert len(calls) == 18
         instances = dict(harness._sweep_instances(cfg))
         for name, report in chains:
-            assert report.chain.trace_distance == pytest.approx(
+            assert report.trace_distance == pytest.approx(
                 trace_distance_pure_vs_ensemble(instances[name].reference, report.returned),
                 abs=1e-12)
 

@@ -284,11 +284,15 @@ class TestCaptchaFunction:
         (lambda ctx: ctx.g(-1), "r must be a 4-bit value"),
         (lambda ctx: ctx.h(1 << 8), "s must be a 8-bit value"),
         (lambda ctx: ctx.h(-1), "s must be a 8-bit value"),
+        # Spellings of img_444 (y = 5, r = 3) and of img_44a that encode never emits.
+        *((lambda ctx, token=token: ctx.human.invert(token), f"malformed token {token!r}")
+          for token in ("img_ 0x444 ", "img_+444", "img_4_44", "img_0444", "img_44A")),
     ], ids=["forward-past-k", "invert-past-k", "invert-negative", "g-past-k0", "g-negative",
-            "h-past-n", "h-negative"])
+            "h-past-n", "h-negative", "invert-0x-spaced", "invert-plus", "invert-underscore",
+            "invert-leading-zero", "invert-uppercase"])
     def test_inputs_range_checked(self, call, message):
         ctx = OaepContext.create(k0=4, n=8)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(ctx)
         assert ctx.human.query_log == ()
 
@@ -798,7 +802,7 @@ class TestSupportCap:
         assert len(report.outcome_table) == SUPPORT_CAP
         assert max(abs(prob - q) for _, prob, _ in report.outcome_table) <= 1e-12
         assert report.s == 1.0 - q
-        assert report.chain.trace_distance == 1.0 - q and report.chain.holds()
+        assert report.trace_distance == 1.0 - q and report.holds()
         assert report.p == 0.0 and report.bound == 1.0
         assert "returned" not in vars(report)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import qseal
 from qseal import adversary, harness, states
-from qseal.adversary import ProofChain
+from qseal.adversary import CheatReport
 
 SRC = Path(qseal.__file__).parent
 # Anything this small is a tolerance, whatever its name.
@@ -80,4 +80,4 @@ def test_one_error_type_for_rejected_input():
 def test_tolerances_are_shared_not_restated():
     assert adversary.EXACT_TOL is states.EXACT_TOL
     assert harness.EXACT_TOL is states.EXACT_TOL
-    assert ProofChain.holds.__defaults__ == (states.EXACT_TOL,)
+    assert CheatReport.holds.__defaults__ == (states.EXACT_TOL,)
