@@ -19,8 +19,9 @@ masses, a mask of the outcomes pinpointing a message and each strategy's record
 ``CheatReport``, proof chain included, in array passes over the stack; a
 report builds its returned mixture from the record when read. Without a
 unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
-reach ``SUPPORT_CAP`` keys; a branch costs one post-state (``collapse_branches``),
-one ``squared_overlap`` and two dict lookups for its lone label. With one,
+reach ``SUPPORT_CAP`` keys: one pass buckets the reference by outcome, and a
+branch then costs one post-state, built, scored by one ``squared_overlap`` and
+dropped before the next, and one ``decode`` lookup for its lone label. With one,
 ``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
 the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
@@ -59,6 +60,8 @@ from .states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
+    _branch,
+    _outcome_buckets,
     apply_unitary_c,
     c_block,
     check_unitary,
@@ -235,19 +238,23 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
 
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
     """The report of the strategy with no unitary. The partition is diagonal, so each
-    post-state is a rescaled piece of the reference: nothing needs undoing. An outcome's
-    lone active label is its first C label in the reference if that is also its last."""
-    reference = inst.reference
-    branches = collapse_branches(reference, partition)
-    outcomes = sorted(branches)
-    qs, posts = zip(*map(branches.__getitem__, outcomes))
+    post-state is a rescaled piece of the reference: nothing needs undoing. Outcome by
+    outcome in sorted order, a post-state is built, scored by one ``squared_overlap``
+    (the table's acceptance column) and dropped; its lone C label, if it decodes, pins it."""
+    reference, decode = inst.reference, inst.decode
+    buckets, lone = _outcome_buckets(reference, partition)
+    qs, table, pinned = [], [], []
+    for outcome in sorted(buckets):
+        q, post = _branch(buckets[outcome])
+        qs.append(q)
+        table.append((outcome, q, squared_overlap(reference, post)))
+        label = lone[outcome]
+        pinned.append(label is not None and decode.get(label) is not None)
     check_weights(math.fsum(qs))
-    table = tuple(zip(outcomes, qs, map(squared_overlap, itertools.repeat(reference), posts)))
     labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
     cells = [*map(partition.outcome_of.__getitem__, labels)]
-    last, first = dict(zip(cells, labels)), dict(zip(reversed(cells), reversed(labels)))
-    pinned = [last[o] == first[o] and inst.decode.get(last[o]) is not None for o in outcomes]
-    (report,) = _reports(np.array([qs]), np.array([pinned]), [table], [(reference, labels, None, cells)])
+    (report,) = _reports(np.array([qs]), np.array([pinned]), [tuple(table)],
+                         [(reference, labels, None, cells)])
     return report
 
 

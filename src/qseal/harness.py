@@ -80,14 +80,14 @@ class ExperimentConfig:
             raise ConfigInvalid(f"config key 'seed' must be nonnegative, got {self.seed}")
         if not 0 <= self.trials <= TRIALS_CAP:
             raise ConfigInvalid(f"config key 'trials' needs values from 0 to {TRIALS_CAP}")
-        for key, low, high in (("garbage_sizes", 1, SUPPORT_CAP - 1),  # support n + 1
-                               ("picture_counts", 2, SUPPORT_CAP)):  # support n
-            if any(not low <= n <= high for n in getattr(self, key)):
-                raise ConfigInvalid(f"config key {key!r} needs values from {low} to {high}")
         if any(not 1 <= k0 <= oaep_mod.MAX_K0 for k0 in self.oaep_k0):
             raise ConfigInvalid(f"k0 values must be between 1 and {oaep_mod.MAX_K0}")
-        if any(r < 0 for r in self.rset_sizes):
-            raise ConfigInvalid("excluded-set sizes must be nonnegative")
+        for key, low, high in (("garbage_sizes", 1, SUPPORT_CAP - 1),  # support n + 1
+                               ("picture_counts", 2, SUPPORT_CAP),  # support n
+                               # an excluded set of pads, checked before any k0 is sealed
+                               ("rset_sizes", 0, 1 << min(self.oaep_k0, default=oaep_mod.MAX_K0))):
+            if any(not low <= n <= high for n in getattr(self, key)):
+                raise ConfigInvalid(f"config key {key!r} needs values from {low} to {high}")
         if not self.message:
             raise ConfigInvalid("message must be nonempty")
 
@@ -232,14 +232,13 @@ def run_oaep_negligibility(k0_values: Sequence[int], r_sizes: Sequence[int]) -> 
 
     Every context uses the reference master key and n = 16. A row reads only
     the pads' amplitudes, each 2^(-k0/2) whatever n is, so n changes no row.
+    ``ExperimentConfig`` holds every size to at most 2^k0 before this seals.
     """
     rows = []
     for k0 in k0_values:
         ctx = oaep_mod.OaepContext.create(k0=k0, n=16, with_human=False)
         inst = oaep_mod.seal_oaep(0, ctx)
         for r_size in r_sizes:
-            if r_size > 1 << k0:
-                raise ConfigInvalid(f"excluded-set size {r_size} exceeds 2^{k0}")
             excluded = set(range(r_size))
             divergence = 1.0 - oaep_mod.tu_overlap(inst, excluded)
             closed_form = oaep_mod.useless_query_bound(ctx, excluded)

@@ -158,7 +158,10 @@ class CaptchaFunction:
 def token_payload(token: str, k: int) -> int:
     """The payload of a token spelled as ``encode`` spells it for k-bit inputs: any
     other prefix or spelling ("0x", a sign, spaces, "_", uppercase) is a ValueError."""
-    value = int(token[len(TOKEN_PREFIX):], 16)
+    try:
+        value = int(token[len(TOKEN_PREFIX):], 16)
+    except ValueError:  # not hex at all: int()'s own message would name only the payload
+        raise ValueError(f"malformed token {token!r}") from None
     if not 0 <= value < (1 << k):
         raise ValueError(f"token payload out of range for k={k}")
     if _token_format(k) % value != token:

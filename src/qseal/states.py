@@ -13,7 +13,8 @@ array in ``adversary._rotated_branches``, which keeps only outcome masses;
 mixture when it is read.
 
 ``collapse_branches`` gives every outcome of a partition of C with its
-post-state; ``sample_readout`` draws one label of a basis readout of C.
+post-state, from one bucketing pass (``_outcome_buckets``) and one ``_branch``
+per outcome; ``sample_readout`` draws one label of a basis readout of C.
 
 The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
 span of the states involved (one QR column per state, ``span_trace_distance``)
@@ -269,30 +270,56 @@ def collapse_branches(
 ) -> dict[Label, tuple[float, SparseState]]:
     """Exact outcome probabilities and renormalized post-states for a partition.
 
-    Outcomes in order of first appearance, amplitudes in the state's order; a probability
-    is the ``math.fsum`` of squared moduli, and its bucket is scaled in place by 1 / sqrt(p).
+    Outcomes in order of first appearance (``_outcome_buckets``), amplitudes in the
+    state's order; each outcome's probability and post-state come from ``_branch``.
 
     Raises:
         ValueError: the state has support on a label the partition omits.
     """
+    buckets, _ = _outcome_buckets(s, p)
+    return {outcome: _branch(amps) for outcome, amps in buckets.items()}
+
+
+def _outcome_buckets(
+    s: SparseState, p: ProjPartition
+) -> tuple[dict[Label, dict[tuple[Label, Label], complex]], dict[Label, Label | None]]:
+    """(each outcome's amplitudes, its lone C label or None) in one pass over ``s.amps``:
+    outcomes in order of first appearance, amplitudes in the state's order.
+
+    Raises:
+        ValueError: naming the C label of the first key the partition omits.
+    """
     outcome_of = p.outcome_of
     buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
+    lone: dict[Label, Label | None] = {}
     for key, a in s.amps.items():
-        outcome = outcome_of.get(key[1])
+        c = key[1]
+        outcome = outcome_of.get(c)
         if (bucket := buckets.get(outcome)) is not None:
             bucket[key] = a
+            if lone[outcome] != c:
+                lone[outcome] = None
         elif outcome is None:
-            raise ValueError(f"C label {key[1]!r} is not covered by the partition")
+            raise ValueError(f"C label {c!r} is not covered by the partition")
         else:
             buckets[outcome] = {key: a}
-    branches: dict[Label, tuple[float, SparseState]] = {}
-    for outcome, amps in buckets.items():
-        prob = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
-        scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
-        for key, a in amps.items():
-            amps[key] = a * scale
-        branches[outcome] = (prob, SparseState(amps))
-    return branches
+            lone[outcome] = c
+    return buckets, lone
+
+
+def _branch(amps: dict[tuple[Label, Label], complex]) -> tuple[float, SparseState]:
+    """(p, renormalized post-state) of one outcome: p is the ``math.fsum`` of squared moduli,
+    and the bucket is scaled in place by 1 / sqrt(p). A lone amplitude skips the sum and
+    the loop; ``math.fsum`` of one value is that value, so the bits are the same."""
+    if len(amps) == 1:
+        ((key, a),) = amps.items()
+        prob = abs(a) ** 2
+        return prob, SparseState({key: a * (1.0 / math.sqrt(prob))})
+    prob = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
+    scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
+    for key, a in amps.items():
+        amps[key] = a * scale
+    return prob, SparseState(amps)
 
 
 def sample_readout(s: SparseState, rng_seed: int) -> Label:

@@ -312,9 +312,10 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
 
 # The sparse strategy route as qseal had it before its per-branch work was cut:
 # ``states.inner_product``, ``squared_overlap`` with each norm summed as
-# <s|s> by ``inner_product``, ``collapse_branches``, and the table build of
-# ``adversary._sparse_branches`` with its ``_reports``, copied unchanged apart
-# from their names. The rewritten route must give every bit these give.
+# <s|s> by ``inner_product`` (inlined in the table build), ``collapse_branches``,
+# and the table build of ``adversary._sparse_branches`` with its ``_reports``,
+# copied unchanged apart from their names. The rewritten route must give every
+# bit these give.
 
 
 def previous_inner_product(a: SparseState, b: SparseState) -> complex:
@@ -329,11 +330,6 @@ def previous_inner_product(a: SparseState, b: SparseState) -> complex:
             continue
         total += amp.conjugate() * other if conj_small else other.conjugate() * amp
     return total
-
-
-def previous_squared_overlap(a: SparseState, b: SparseState) -> float:
-    norm_sq = [previous_inner_product(s, s).real for s in (a, b)]
-    return abs(previous_inner_product(a, b)) ** 2 / (norm_sq[0] * norm_sq[1])
 
 
 def previous_collapse_branches(
@@ -375,7 +371,12 @@ def previous_sparse_report(inst: SealedInstance, partition: ProjPartition) -> Ch
     branches = previous_collapse_branches(reference, partition)
     outcomes = sorted(branches)
     returned = Ensemble(tuple((float(q), post) for q, post in (branches[o] for o in outcomes)))
-    table = [(outcome, q, previous_squared_overlap(reference, post))
+    # The previous ``squared_overlap``, |<ref|post>|^2 / (<ref|ref> <post|post>), each
+    # norm summed by ``previous_inner_product``; <ref|ref> is the same for every
+    # branch, so it is summed once here, with the same bits.
+    ref_sq = previous_inner_product(reference, reference).real
+    table = [(outcome, q, abs(previous_inner_product(reference, post)) ** 2
+              / (ref_sq * previous_inner_product(post, post).real))
              for outcome, (q, post) in zip(outcomes, returned.members)]
     actives = (post.c_labels() for _, post in returned.members)
     lones = (next(iter(labels)) if len(labels) == 1 else None for labels in actives)

@@ -1386,6 +1386,16 @@ def _sparse_route_cases():
     half = 1.0 / math.sqrt(2.0)
     multi6 = seal_multipicture(pictures(6))
     split = ProjPartition({p: "g=1" if p in ("pic1", "pic3", "pic4") else "g=0" for p in pictures(6)})
+    generic = np.random.default_rng(5).normal(size=(8, 2)) @ [1.0, 1j]
+    generic /= np.linalg.norm(generic)
+    oaep10 = seal_oaep(0x155, OaepContext.create(k0=10, n=16, with_human=False))
+    tokens = sorted(oaep10.reference.c_labels())
+    halves = ProjPartition({c: "g=1" if i < len(tokens) // 2 else "g=0" for i, c in enumerate(tokens)})
+    # C labels m, n, m in the state's order: m's second amplitude follows n's,
+    # so the outcome holding both labels has no lone label after its second key.
+    two_labels = _custom({("x", "m"): complex(0.5), ("y", "n"): complex(0.5j),
+                          ("z", "m"): complex(-0.5), ("g", "g"): complex(0.5)},
+                         {"m": "M", "n": "N", "g": None})
     return {
         "naive": (seal_naive("M", garbage="0"), None),
         "garbage-4": (seal_garbage("M", [f"g{i}" for i in range(4)]), None),
@@ -1402,6 +1412,15 @@ def _sparse_route_cases():
         "at-prune-tol": (_custom({("m", "m"): complex(half), ("g", "g"): complex(half),
                                   ("t", "t"): complex(PRUNE_TOL)},
                                  {"m": "m", "g": None, "t": None}), None),
+        # Lone amplitudes with both parts nonzero, where |a|^2 and re^2 + im^2 can differ.
+        "complex-lone": (_custom({(f"b{i}", f"c{i}"): complex(a) for i, a in enumerate(generic)},
+                                 {"c0": "M0", "c1": "M1"}), None),
+        "oaep-12": (seal_oaep(0xABC, OaepContext.create(k0=12, n=16, with_human=False)), None),
+        "oaep-10-halves": (oaep10, halves),
+        # Outcome m holds two B labels on the one C label m, which decodes: pinned.
+        "two-b-one-c": (two_labels, None),
+        # Outcome "mn" holds the C labels m and n, both decoding: not pinned.
+        "two-c": (two_labels, ProjPartition({"m": "mn", "n": "mn", "g": "g"})),
     }
 
 
@@ -1421,9 +1440,21 @@ class TestSparseRouteBits:
             assert _state_bits(post) == _state_bits(want[outcome][1])
             assert post.norm_sq.hex() == previous_inner_product(post, post).real.hex()
         assert reference.norm_sq.hex() == previous_inner_product(reference, reference).real.hex()
-        report = strategy_report(inst, None, partition)
-        assert _report_bits(report) == _report_bits(previous_sparse_report(inst, partition))
-        assert report.to_dict() == previous_sparse_report(inst, partition).to_dict()
+        report, previous = strategy_report(inst, None, partition), previous_sparse_report(inst, partition)
+        assert _report_bits(report) == _report_bits(previous)
+        assert report.to_dict() == previous.to_dict()
+
+    def test_uncovered_label_is_named_at_the_same_first_key(self):
+        # C labels u and v are both uncovered; u's first key comes after m's.
+        inst = _custom({("a", "m"): complex(0.5), ("b", "u"): complex(0.5),
+                        ("c", "v"): complex(0.5), ("d", "u"): complex(0.5)}, {"m": "M"})
+        partition = ProjPartition({"m": "m"})
+        message = "^C label 'u' is not covered by the partition$"
+        for route in (collapse_branches, previous_collapse_branches):
+            with pytest.raises(ValueError, match=message):
+                route(inst.reference, partition)
+        with pytest.raises(ValueError, match=message):
+            strategy_report(inst, None, partition)
 
     def test_sparse_route_builds_no_mixture(self, monkeypatch):
         oaep = seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False))
@@ -1448,6 +1479,19 @@ class TestSparseRouteBits:
         cases = _sparse_route_cases()
         inst, split = cases["split-predicate"]
         assert {len(post.amps) for _, post in collapse_branches(inst.reference, split).values()} == {3}
+        inst, halves = cases["oaep-10-halves"]
+        sizes = [len(post.amps) for _, post in collapse_branches(inst.reference, halves).values()]
+        assert sizes == [512, 512]
+        assert len(cases["oaep-12"][0].reference.amps) == 4096
+        lone = cases["complex-lone"][0].reference.amps.values()
+        assert any(abs(a) ** 2 != a.real * a.real + a.imag * a.imag for a in lone)
+        two_b = basis_cheat(cases["two-b-one-c"][0])
+        assert [row[0] for row in two_b.outcome_table] == ["g", "m", "n"]
+        assert two_b.p == 0.75 and two_b.p_bound == 0.5  # m (two B labels) and n pinned
+        inst, merged = cases["two-c"]
+        two_c = strategy_report(inst, None, merged)
+        assert [row[:2] for row in two_c.outcome_table] == [("g", 0.25), ("mn", 0.75)]
+        assert two_c.p == 0.0 and two_c.p_bound == 0.0  # mn has two C labels
         zeros = [x for a in cases["negative-zero"][0].reference.amps.values() for x in (a.real, a.imag)]
         assert sum(math.copysign(1.0, x) < 0 and x == 0.0 for x in zeros) == 4
         tiny = cases["at-prune-tol"][0].reference.amps[("t", "t")]

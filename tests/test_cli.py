@@ -608,6 +608,19 @@ class TestErrorExitCodes:
         assert run_cli(*argv, "--trials", str(TRIALS_CAP + 1)) == 1
         assert message in self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("k0", ["2", "4,2"])
+    def test_rset_size_past_the_pad_space(self, monkeypatch, tmp_path, capsys, k0):
+        # One past 2^2 pads, the smallest k0; 2^2 itself runs
+        # (test_degenerate_overlap_warns_on_one_line).
+        def refuse(y, ctx):
+            raise AssertionError("a rejected excluded-set size seals nothing")
+
+        monkeypatch.setattr("qseal.oaep.seal_oaep", refuse)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"oaep_k0 = {k0}\nrset_sizes = 0,5\n")
+        assert run_cli("--config", str(config), "experiment", "oaep-negligibility") == 1
+        assert "config key 'rset_sizes' needs values from 0 to 4" in self.assert_one_line_error(capsys)
+
     def test_garbage_list_past_the_support_cap(self, monkeypatch, tmp_path, capsys):
         def refuse(amps):
             raise AssertionError("a rejected label list builds no state")

@@ -217,7 +217,12 @@ class TestOaepNegligibility:
             assert larger_k0 == pytest.approx(smaller_k0 / 2.0, abs=1e-12)
 
     def test_oversized_exclusion_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        # The config refuses it before any k0 is sealed; the runner alone
+        # still refuses, through the closed form's pad-space check.
+        with pytest.raises(ConfigInvalid, match="^config key 'rset_sizes' needs values from 0 to 16$"):
+            ExperimentConfig(oaep_k0=(8, 4), rset_sizes=(17,))
+        assert ExperimentConfig(oaep_k0=(8, 4), rset_sizes=(16,)).rset_sizes == (16,)
+        with pytest.raises(ValueError, match=r"^excluded pads out of range: \[16\]$"):
             run_oaep_negligibility([4], [17])
 
     def test_cut_near_the_cap_matches_closed_form(self):

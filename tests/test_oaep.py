@@ -284,12 +284,15 @@ class TestCaptchaFunction:
         (lambda ctx: ctx.g(-1), "r must be a 4-bit value"),
         (lambda ctx: ctx.h(1 << 8), "s must be a 8-bit value"),
         (lambda ctx: ctx.h(-1), "s must be a 8-bit value"),
-        # Spellings of img_444 (y = 5, r = 3) and of img_44a that encode never emits.
+        # Spellings of img_444 (y = 5, r = 3) and of img_44a that encode never emits,
+        # then payloads that are not hex at all.
         *((lambda ctx, token=token: ctx.human.invert(token), f"malformed token {token!r}")
-          for token in ("img_ 0x444 ", "img_+444", "img_4_44", "img_0444", "img_44A")),
+          for token in ("img_ 0x444 ", "img_+444", "img_4_44", "img_0444", "img_44A",
+                        "not_a_token", "img_", "img_xyz")),
     ], ids=["forward-past-k", "invert-past-k", "invert-negative", "g-past-k0", "g-negative",
             "h-past-n", "h-negative", "invert-0x-spaced", "invert-plus", "invert-underscore",
-            "invert-leading-zero", "invert-uppercase"])
+            "invert-leading-zero", "invert-uppercase", "invert-not-a-token", "invert-empty-payload",
+            "invert-not-hex"])
     def test_inputs_range_checked(self, call, message):
         ctx = OaepContext.create(k0=4, n=8)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
