@@ -15,9 +15,9 @@ running it coherently and uncomputing it is exactly ``basis_cheat``.
 
 Two engines evaluate strategies; both hand ``_reports`` a stack of outcome
 masses, a mask of the outcomes pinpointing a message and each strategy's record
-(reference, columns, U or None, each column's outcome), and it builds every
-``CheatReport``, proof chain included, in array passes over the stack; a
-report builds its returned mixture from the record when read. Without a
+(reference, columns, U or a sweep trial's seed or None, each column's outcome),
+and it builds every ``CheatReport``, proof chain included, in array passes over
+the stack; a report builds its returned mixture from the record when read. Without a
 unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
 reach ``SUPPORT_CAP`` keys: one pass buckets the reference by outcome, and a
 branch then costs one post-state, built, scored by one ``squared_overlap`` and
@@ -68,6 +68,7 @@ from .states import (
     check_weights,
     collapse_branches,
     haar_unitaries,
+    random_unitary,
     squared_overlap,
 )
 
@@ -161,8 +162,13 @@ class CheatReport:
     ``outcome_table`` rows are (outcome label, branch probability q_i, branch
     acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
     verification, built on read from the one strategy record ``members``:
-    (reference, columns, U or None, each column's outcome or None), U acting on
-    the first len(U) columns. ``s``, ``trace_distance`` and ``convex_sum`` are
+    (reference, columns, U or seed or None, each column's outcome or None), U
+    acting on the first len(U) columns. A sweep's report holds its trial's seed
+    in place of U, so a sweep keeps no trial's |C| x |C| matrix: reading
+    ``returned`` redraws U on every column with ``random_unitary(columns, seed)``,
+    bit for bit the sweep's U, in 0.05 ms at |C| = 3 and 11-14 ms at |C| = 256
+    (quartiles of 200 and 20 runs, shared 2-vCPU VM, numpy 2.4, single-threaded
+    BLAS). ``s``, ``trace_distance`` and ``convex_sum`` are
     ``chain_links``' three links of the q's, ``bound`` the closed form that ends the
     proof chain, and ``margin`` the slack under it.
     """
@@ -180,8 +186,10 @@ class CheatReport:
     def returned(self) -> Ensemble:
         """Built on first read by the single-state route: ``apply_unitary_c``
         with U, ``collapse_branches``, ``apply_unitary_c`` with U^dagger (the
-        rotations only when U is given), weighted by the table's q's."""
+        rotations only when U or a seed is given), weighted by the table's q's."""
         reference, columns, u, outcomes = self.members
+        if isinstance(u, int):  # a sweep trial's seed
+            u = random_unitary(columns, u).matrix
         partition = ProjPartition({c: o for c, o in zip(columns, outcomes) if o is not None})
         if u is not None:
             rotate, undo = (LocalUnitary(columns[:len(u)], m) for m in (u, u.conj().T))
@@ -283,10 +291,13 @@ def _rotated_branches(
     basis: Sequence[Label],
     matrices: np.ndarray,
     partitions: np.ndarray | Sequence[ProjPartition],
+    seeds: Sequence[int] | None = None,
 ) -> list[CheatReport]:
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
     ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
+    Report t's record holds ``matrices[t]``, or ``seeds[t]`` when given: a sweep
+    trial's seed, from which ``random_unitary`` redraws that U on the whole basis.
     The strategy stays in the reference's |B| x |basis| block: rotate it once
     for the stack (psi @ U^T), then ``np.bincount`` each active column into its
     (trial, outcome) slot, so no array has both an outcome axis and a column
@@ -344,7 +355,8 @@ def _rotated_branches(
     named = iter(names[used_name].tolist())
     tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
               for m, probs in zip(counts.tolist(), qs.tolist())]
-    members = [(reference, columns, u, row) for u, row in zip(matrices, outcomes)]
+    held_u = matrices if seeds is None else seeds  # no seed record holds a view of the stack
+    members = [(reference, columns, u, row) for u, row in zip(held_u, outcomes)]
     return _reports(qs, pinned, tables, members)
 
 
@@ -523,12 +535,19 @@ def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, 
     return normals, cells
 
 
-# Trials per chunk of a sweep: this many over |B| x |C| x |C|, at least one.
-# A chunk holds each trial's Haar block (2 |C|^2 normals, then U) and its
-# rotation (|B| x |C| amplitudes); its masses and outcome slots take |C| entries
-# per trial. So no array of a chunk passes 2^17 entries unless one trial does.
-# A chunk holds 13 trials at |B| = |C| = 17 and 8192 at |B| = |C| = 2.
+# A sweep's chunk budget (``_trials_per_chunk``): a trial's largest arrays are
+# its (2, |C|, |C|) normals, its |C| x |C| U with the QR's temporaries and its
+# |B| x |C| rotation, so a chunk takes this many over |C| x max(|C|, |B|) trials,
+# at least one; its masses and outcome slots take |C| entries per trial. So no
+# array of a chunk passes 2^17 entries unless one trial does. A chunk holds 226
+# trials at |C| = 17 (|B| = 2 or 17), 135 at |B| = |C| = 22, 128 at |B| = 256,
+# |C| = 2, and one at |B| = 2, |C| = 256.
 _CHUNK_AMPLITUDES = 1 << 16
+
+
+def _trials_per_chunk(n_b: int, n: int) -> int:
+    """Trials in one chunk of a sweep on |B| = n_b, |C| = n (see ``_CHUNK_AMPLITUDES``)."""
+    return max(1, _CHUNK_AMPLITUDES // (n * max(n, n_b)))
 
 
 def random_strategy_sweep(
@@ -540,19 +559,22 @@ def random_strategy_sweep(
     and then ``random_partition`` draw, bit for bit, so sweeps are reproducible
     and each report equals ``strategy_report`` on that unitary and partition;
     no generator is built per trial (``_pcg64_states``, ``_draw_trials``). The
-    trials run as stacks, chunked by ``_CHUNK_AMPLITUDES``: one QR, one
+    trials run as stacks of ``_trials_per_chunk`` trials: one QR, one
     unitarity check, one rotation and one (trials, |C|) array of cell numbers
     (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk
-    for its reports' proof chains.
+    for its reports' proof chains. A report holds its trial's seed, not its U
+    (``CheatReport.returned`` redraws U when read), so a chunk's arrays go
+    once the next chunk's U replaces them and memory does not grow with trials.
 
     Raises ValueError, before any trial is seeded, when ``trials`` is outside
     1..``TRIALS_CAP``, ``rng_seed`` is negative or |B|*|C| exceeds
     ``DENSE_DIM_CAP``. No report or chain needs that last guard; it fixes which
     rows ``bound-sweep`` prints, and so the rows its reference records.
-    100 trials with their proof chains take 0.008-0.009 s at |B| = |C| = 17
-    and 1.3-1.4 s at |B| = 2, |C| = 256, where the Haar QR dominates (medians
-    of 30 and 5 runs, two sets each, on a shared 2-vCPU VM whose speed varies
-    by about 1.7x; Python 3.11, numpy 2.4, single-threaded BLAS).
+    100 trials with their proof chains take 0.0045-0.0048 s at |B| = |C| = 17
+    (one chunk; 0.0077-0.0080 s as eight) and 1.5-1.8 s at |B| = 2, |C| = 256
+    (a chunk a trial), where the Haar QR dominates (quartiles of 30 and 5 runs
+    on a shared 2-vCPU VM whose speed varies by about 1.7x; Python 3.11, numpy
+    2.4, single-threaded BLAS).
     """
     if not 1 <= trials <= TRIALS_CAP:
         raise ValueError(f"trials must be from 1 to {TRIALS_CAP}, got {trials}")
@@ -560,16 +582,21 @@ def random_strategy_sweep(
     n_b, n = len(inst.reference.b_labels()), len(labels)
     if n_b * n > DENSE_DIM_CAP:
         raise ValueError(f"sweep joint dimension {n_b * n} exceeds cap {DENSE_DIM_CAP}")
-    per_chunk = max(1, _CHUNK_AMPLITUDES // (n_b * n * n))
-    states = _pcg64_states(range(rng_seed, rng_seed + trials))
+    per_chunk = _trials_per_chunk(n_b, n)
+    seeds = range(rng_seed, rng_seed + trials)
+    states = _pcg64_states(seeds)
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per trial
     reports = []
     for first in range(0, trials, per_chunk):
-        normals, cells = _draw_trials(rng, states[first:first + per_chunk], n)
+        chunk = slice(first, first + per_chunk)
+        normals, cells = _draw_trials(rng, states[chunk], n)
         unitaries = haar_unitaries(normals)
         del normals  # not held through the rotation
         check_unitary(unitaries)
-        reports.extend(_rotated_branches(inst, labels, unitaries, cells))
+        # No del: the stack lives on until the next chunk's U replaces it. Freed
+        # before the next draw, it lets glibc trim the heap, which that draw then
+        # faults back in: 1508 minor faults a trial at |B| = 2, |C| = 256, not 512.
+        reports.extend(_rotated_branches(inst, labels, unitaries, cells, seeds[chunk]))
     return reports
 
 

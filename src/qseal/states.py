@@ -45,8 +45,9 @@ Label = str
 # Caps, one meaning each: the largest size of each kind that qseal builds.
 DENSE_DIM_CAP = 512       # keys of a dense matrix over a joint support
 SUPPORT_CAP = 1 << 16     # keys of a sealed or loaded state, members of a loaded ensemble
-# Trials of one random sweep, from peak RSS: each report holds its |C| x |C| U, about
-# 1 MiB at |B| = 2, |C| = 256; a default bound-sweep of 2000 trials peaked at 53 MiB.
+# Trials of one random sweep, from time: a trial takes about 15 ms at |B| = 2,
+# |C| = 256 (13-17 ms a trial over 60), so 2000 about 30 s. A report holds its
+# trial's seed, not its U, so a sweep's memory does not grow with its trials.
 TRIALS_CAP = 2000
 
 # Tolerances, one meaning each. Every qseal module takes its tolerances from

@@ -54,6 +54,7 @@ from qseal.states import (
     DENSE_DIM_CAP,
     EXACT_TOL,
     PRUNE_TOL,
+    TRIALS_CAP,
     Ensemble,
     LocalUnitary,
     ProjPartition,
@@ -325,8 +326,9 @@ class TestRandomStrategySweep:
 
     @staticmethod
     def rectangular_instance(n_b, n_c):
-        """|B| = n_b and |C| = n_c: C label c{i} sits under B label b{i mod n_b}."""
-        reference = uniform_state((f"b{i % n_b}", f"c{i}") for i in range(n_c))
+        """|B| = n_b and |C| = n_c: key i pairs b{i mod n_b} with c{i mod n_c},
+        for i below max(n_b, n_c)."""
+        reference = uniform_state((f"b{i % n_b}", f"c{i % n_c}") for i in range(max(n_b, n_c)))
         decode = {f"c{i}": None for i in range(n_c)}
         decode["c0"] = "M"
         return SealedInstance(GARBAGE, reference, decode, {})
@@ -349,9 +351,13 @@ class TestStackedSweep:
     the trial's own draws, and its stored distance is ``proof_chain``'s."""
 
     @staticmethod
-    def assert_trials_are_single_strategies(inst, trials, rng_seed):
+    def assert_trials_are_single_strategies(inst, trials, rng_seed, monkeypatch):
+        """The sweep's reports, each checked against its strategy alone, and the
+        trial count of each of its chunks (one ``chain_links`` call each)."""
         labels = sorted(inst.reference.c_labels())
+        calls = chain_calls(monkeypatch)
         reports = random_strategy_sweep(inst, trials, rng_seed)
+        chunks = calls.copy()
         assert len(reports) == trials
         for t, report in enumerate(reports):
             rng = np.random.default_rng(rng_seed + t)
@@ -361,25 +367,35 @@ class TestStackedSweep:
             assert (report.p, report.s, report.bound) == (single.p, single.s, single.bound)
             # The chain holds the trace distance: stack and single agree bit for bit.
             assert proof_chain(inst, report) == proof_chain(inst, single)
-            assert np.array_equal(report.members[2], single.members[2])
-        return reports
+            # The record holds the trial's seed; TestRebuiltUnitary checks its U.
+            assert report.members[2] == rng_seed + t
+        return reports, chunks
 
     @staticmethod
     def per_chunk(inst):
         n_b, n_c = len(inst.reference.b_labels()), len(inst.reference.c_labels())
-        return adversary._CHUNK_AMPLITUDES // (n_b * n_c * n_c)
+        return adversary._trials_per_chunk(n_b, n_c)
 
     @pytest.mark.parametrize(
-        "inst", [seal_multipicture(pictures(8)), seal_garbage("M", ["g0", "g1", "g2"])],
+        "inst, budget",
+        [(seal_multipicture(pictures(8)), adversary._CHUNK_AMPLITUDES),
+         # 4096 trials a chunk at the sweep's budget, past TRIALS_CAP; 64 at this one.
+         (seal_garbage("M", ["g0", "g1", "g2"]), 1 << 10)],
         ids=["multipicture-8", "garbage-3"])
-    def test_trials_across_a_chunk_boundary(self, inst):
-        self.assert_trials_are_single_strategies(inst, self.per_chunk(inst) + 3, rng_seed=7)
+    def test_trials_across_a_chunk_boundary(self, inst, budget, monkeypatch):
+        monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", budget)
+        per_chunk = self.per_chunk(inst)
+        _, chunks = self.assert_trials_are_single_strategies(
+            inst, per_chunk + 3, rng_seed=7, monkeypatch=monkeypatch)
+        assert chunks == [per_chunk, 3]
 
-    def test_cell_names_sort_as_text_across_a_chunk_boundary(self):
+    def test_cell_names_sort_as_text_across_a_chunk_boundary(self, monkeypatch):
         # 17 labels draw up to 17 cells, and "cell10" ... "cell16" sort before "cell2".
         inst = seal_garbage("M", [f"g{i}" for i in range(16)])
-        assert self.per_chunk(inst) == 13
-        reports = self.assert_trials_are_single_strategies(inst, 16, rng_seed=7)
+        per_chunk = self.per_chunk(inst)
+        reports, chunks = self.assert_trials_are_single_strategies(
+            inst, per_chunk + 3, rng_seed=7, monkeypatch=monkeypatch)
+        assert chunks == [per_chunk, 3]
         outcomes = [[row[0] for row in report.outcome_table] for report in reports]
         assert all(names == sorted(names) for names in outcomes)
         assert any("cell2" in names and any(len(o) == 6 and o.startswith("cell1")
@@ -389,7 +405,9 @@ class TestStackedSweep:
     def test_one_trial_per_chunk(self, monkeypatch):
         inst = seal_multipicture(pictures(5))
         monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 1)  # below one trial: one per chunk
-        self.assert_trials_are_single_strategies(inst, 12, rng_seed=3)
+        _, chunks = self.assert_trials_are_single_strategies(inst, 12, rng_seed=3,
+                                                             monkeypatch=monkeypatch)
+        assert chunks == [1] * 12
 
     def test_non_unitary_slice_raises_the_local_unitary_message(self, monkeypatch):
         inst = seal_multipicture(pictures(4))
@@ -584,11 +602,127 @@ class TestChainsPerChunk:
         assert chains == eager
         assert calls == [100]
         # 30 trials per chunk: four chunks, four calls, the same chains.
-        monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 30 * 8 * 8 * 8)
+        monkeypatch.setattr(adversary, "_CHUNK_AMPLITUDES", 30 * 8 * 8)
+        assert adversary._trials_per_chunk(8, 8) == 30
         chunked = random_strategy_sweep(inst, len(rngs), rng_seed=0)
         assert calls == [100, 30, 30, 30, 10]
         assert [proof_chain(inst, report) for report in chunked] == chains
         assert calls == [100, 30, 30, 30, 10]
+
+
+class TestChunkBudget:
+    """A sweep's chunk holds ``_trials_per_chunk`` trials, so no array of a chunk
+    passes 2^17 entries unless one trial's does, and a full chunk fills its budget."""
+
+    @pytest.mark.parametrize("n_b, n", [(2, 2), (17, 17), (22, 22), (2, 256), (256, 2)])
+    def test_no_chunk_array_passes_the_budget(self, n_b, n, monkeypatch):
+        inst = TestRandomStrategySweep.rectangular_instance(n_b, n)
+        assert (len(inst.reference.b_labels()), len(inst.reference.c_labels())) == (n_b, n)
+        chunks = []  # per chunk: (trials, the shapes of its arrays)
+        draw, rotate = adversary.haar_unitaries, adversary._rotated_branches
+
+        def recorded_draw(normals):
+            stack = draw(normals)
+            chunks.append((len(normals), [normals.shape, stack.shape]))
+            return stack
+
+        def recorded_rotate(inst, basis, matrices, cells, seeds):
+            # psi @ U^T rotates the |B| x |C| block of every trial at once.
+            chunks[-1][1].extend([(len(matrices), n_b, n), cells.shape])
+            return rotate(inst, basis, matrices, cells, seeds)
+
+        monkeypatch.setattr(adversary, "haar_unitaries", recorded_draw)
+        monkeypatch.setattr(adversary, "_rotated_branches", recorded_rotate)
+        per_chunk = adversary._trials_per_chunk(n_b, n)
+        trials = min(per_chunk + 1, TRIALS_CAP)
+        assert len(random_strategy_sweep(inst, trials, rng_seed=0)) == trials
+        sizes = [size for size, _ in chunks]
+        assert sizes == ([trials] if per_chunk >= TRIALS_CAP else [per_chunk, 1])
+        for size, shapes in chunks:
+            assert all(math.prod(shape) <= 2**17 or size == 1 for shape in shapes)
+        if per_chunk < TRIALS_CAP:  # a full chunk: its largest array reaches the budget
+            assert max(map(math.prod, chunks[0][1])) >= adversary._CHUNK_AMPLITUDES
+
+    def test_bound_sweep_runs_one_chunk_per_instance(self, monkeypatch):
+        swept, rotated = [], []
+        sweep, rotate = adversary.random_strategy_sweep, adversary._rotated_branches
+
+        def recorded_sweep(inst, trials, rng_seed):
+            swept.append(inst)
+            return sweep(inst, trials, rng_seed)
+
+        def recorded_rotate(inst, *args):
+            rotated.append(inst)
+            return rotate(inst, *args)
+
+        monkeypatch.setattr(harness, "random_strategy_sweep", recorded_sweep)
+        monkeypatch.setattr(adversary, "_rotated_branches", recorded_rotate)
+        harness.run_bound_sweep(harness.ExperimentConfig(trials=100))
+        assert len(swept) == 8  # every default instance but garbage-64 (|B| |C| = 4225)
+        assert rotated == swept
+
+
+class TestRebuiltUnitary:
+    """A sweep's report holds its trial's seed, and the U that ``returned``
+    redraws from it is the slice of the sweep's stack, bit for bit: after a
+    rejected Lemire word too, since the redraw of the cells refills the same
+    normals. The rebuild rests on ``default_rng`` and a stacked QR giving each
+    slice the bits it gets alone, so this also runs on the oldest numpy allowed."""
+
+    @pytest.mark.parametrize("rejected", [False, True], ids=["drawn", "redrawn"])
+    @pytest.mark.parametrize("n", [3, 17, 64])
+    def test_returned_equals_the_stacked_slice(self, n, rejected, monkeypatch):
+        inst = TestRandomStrategySweep.rectangular_instance(2, n)
+        stacks = []
+        draw, lemire = adversary.haar_unitaries, adversary._lemire
+
+        def recorded_draw(normals):
+            stacks.append(draw(normals))
+            return stacks[-1]
+
+        def reject_odd_trials(words, k):
+            draws, kept = lemire(words, k)
+            kept[1::2] = False
+            return draws, kept
+
+        monkeypatch.setattr(adversary, "haar_unitaries", recorded_draw)
+        if rejected:
+            monkeypatch.setattr(adversary, "_lemire", reject_odd_trials)
+        trials = 20  # two chunks at n = 64
+        reports = random_strategy_sweep(inst, trials, rng_seed=5)
+        stack = np.concatenate(stacks)
+        assert len(stacks) == (2 if n == 64 else 1) and len(stack) == trials
+        for t, report in enumerate(reports):
+            reference, columns, seed, outcomes = report.members
+            assert seed == 5 + t and isinstance(seed, int)
+            rebuilt = random_unitary(columns, seed)
+            assert rebuilt.basis == tuple(columns)
+            assert rebuilt.matrix.tobytes() == stack[t].tobytes()
+            from_slice = dataclasses.replace(report, members=(reference, columns, stack[t], outcomes))
+            assert [(q.hex(), _state_bits(post)) for q, post in report.returned.members] == [
+                (q.hex(), _state_bits(post)) for q, post in from_slice.returned.members]
+
+
+class TestSweepMemory:
+    """A sweep's reports hold seeds, not unitaries, so its peak does not grow with trials."""
+
+    def test_peak_is_flat_in_trials_at_the_widest_block(self):
+        # |B| = 2, |C| = 256: one trial a chunk, each U 1 MiB. Holding every U
+        # put the 60-trial peak about 50 MiB above the 10-trial one.
+        inst = TestRandomStrategySweep.rectangular_instance(2, 256)
+        random_strategy_sweep(inst, 1, rng_seed=0)  # imports and caches before tracing
+        peaks = []
+        for trials in (10, 60):
+            tracemalloc.start()
+            try:
+                reports = random_strategy_sweep(inst, trials, rng_seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(reports) == trials
+            del reports
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 10 * 2**20
 
 
 def dense_strategy(reference, basis, matrix, outcome_of):
