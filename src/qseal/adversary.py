@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .protocols import MULTIPICTURE, SealedInstance
 from .states import (
     DENSE_DIM_CAP,
     EXACT_TOL,
+    NORM_TOL,
     PRUNE_TOL,
     TRIALS_CAP,
     Ensemble,
@@ -307,8 +308,9 @@ def _rotated_branches(
     C labels outside the basis (riders) ride along under the identity with their
     reference mass, summed from the amplitudes ``c_block`` leaves outside the
     block, so no rider is laid out densely. Active labels are the columns holding
-    some amplitude of at least ``PRUNE_TOL`` after the rotation. The q's pass
-    ``check_weights``; acceptance i is q_i. An outcome is pinned when it has one
+    some amplitude of at least ``PRUNE_TOL`` after the rotation. Every trial's q's
+    pass ``check_weights``' test in one array pass, and the first trial that
+    fails raises its message; acceptance i is q_i. An outcome is pinned when it has one
     active column, which decodes to a message. ``_reports`` builds the reports,
     s and proof chains included, in array passes with one ``chain_links`` call.
 
@@ -349,8 +351,10 @@ def _rotated_branches(
     qs, pinned = np.zeros(mass.shape), np.zeros(mass.shape, dtype=bool)
     qs[used_t, rank] = sums[used]
     pinned[used_t, rank] = (sizes[used] == 1) & (messages[used] == 1)
-    for total in qs.sum(axis=-1).tolist():
-        check_weights(total)
+    totals = qs.sum(axis=-1)
+    failing = ~(np.abs(totals - 1.0) <= NORM_TOL)  # check_weights' test; NaN fails
+    if failing.any():
+        check_weights(totals[failing.argmax()].item())  # raises with its message
     outcomes = np.append(names, None)[codes].tolist()  # each column's outcome, None where uncovered
     named = iter(names[used_name].tolist())
     tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
@@ -550,54 +554,78 @@ def _trials_per_chunk(n_b: int, n: int) -> int:
     return max(1, _CHUNK_AMPLITUDES // (n * max(n, n_b)))
 
 
-def random_strategy_sweep(
-    inst: SealedInstance, trials: int, rng_seed: int
-) -> list[CheatReport]:
-    """Stress the bound with random unitaries and random partitions.
+def random_strategy_sweeps(
+    insts: Sequence[SealedInstance], trials: int, rng_seed: int
+) -> Iterator[tuple[int, int, list[CheatReport]]]:
+    """Stress the bound on several instances with the same random strategies.
 
     Trial t draws from ``default_rng(rng_seed + t)`` what ``random_unitary``
-    and then ``random_partition`` draw, bit for bit, so sweeps are reproducible
-    and each report equals ``strategy_report`` on that unitary and partition;
-    no generator is built per trial (``_pcg64_states``, ``_draw_trials``). The
-    trials run as stacks of ``_trials_per_chunk`` trials: one QR, one
-    unitarity check, one rotation and one (trials, |C|) array of cell numbers
-    (no ``ProjPartition``) per chunk, and one ``chain_links`` call per chunk
-    for its reports' proof chains. A report holds its trial's seed, not its U
-    (``CheatReport.returned`` redraws U when read), so a chunk's arrays go
-    once the next chunk's U replaces them and memory does not grow with trials.
+    and then ``random_partition`` draw on |C| sorted labels, bit for bit, so
+    sweeps are reproducible and each report equals ``strategy_report`` on that
+    unitary and partition. A trial's strategy depends only on its seed and
+    |C|, so the seeds are computed once for every instance (``_pcg64_states``;
+    no generator is built per trial) and instances of one |C| share each draw.
+    Grouped by |C| in order of first appearance, a group runs its trials as
+    stacks of the least ``_trials_per_chunk`` of its members: one
+    ``_draw_trials``, one QR and one unitarity check per chunk, then one
+    rotation, one (trials, |C|) array of cell numbers (no ``ProjPartition``)
+    and one ``chain_links`` call per member. Yields (index of the instance in
+    ``insts``, its first trial, its reports of that chunk), chunk by chunk and
+    member by member; an instance's chunks come in trial order. A report holds
+    its trial's seed, not its U (``CheatReport.returned`` redraws U when read),
+    so a chunk's arrays go once the next chunk's U replaces them and memory
+    does not grow with trials.
 
-    Raises ValueError, before any trial is seeded, when ``trials`` is outside
-    1..``TRIALS_CAP``, ``rng_seed`` is negative or |B|*|C| exceeds
-    ``DENSE_DIM_CAP``. No report or chain needs that last guard; it fixes which
-    rows ``bound-sweep`` prints, and so the rows its reference records.
-    100 trials with their proof chains take 0.0045-0.0048 s at |B| = |C| = 17
-    (one chunk; 0.0077-0.0080 s as eight) and 1.5-1.8 s at |B| = 2, |C| = 256
+    Raises ValueError when the first chunk is asked for, before any trial is
+    seeded, if ``trials`` is outside 1..``TRIALS_CAP``, an instance's |B|*|C|
+    exceeds ``DENSE_DIM_CAP`` or ``rng_seed`` is negative. No report or chain
+    needs the cap; it fixes which rows ``bound-sweep`` prints, and so the rows
+    its reference records.
+    100 trials with their proof chains take 0.0054-0.0058 s at |B| = |C| = 17
+    (one chunk; 0.0079-0.0090 s as eight) and 1.3-1.8 s at |B| = 2, |C| = 256
     (a chunk a trial), where the Haar QR dominates (quartiles of 30 and 5 runs
     on a shared 2-vCPU VM whose speed varies by about 1.7x; Python 3.11, numpy
-    2.4, single-threaded BLAS).
+    2.4, single-threaded BLAS). Another instance of the same |C| adds only its
+    rotation and reports: at |C| = 2, 100 trials take 1.36 ms on naive alone
+    and 2.55 ms on naive, garbage-1 and multipicture-2 together, against 4.1 ms
+    as three sweeps (medians of 200 runs, same machine).
     """
     if not 1 <= trials <= TRIALS_CAP:
         raise ValueError(f"trials must be from 1 to {TRIALS_CAP}, got {trials}")
-    labels = sorted(inst.reference.c_labels())
-    n_b, n = len(inst.reference.b_labels()), len(labels)
-    if n_b * n > DENSE_DIM_CAP:
-        raise ValueError(f"sweep joint dimension {n_b * n} exceeds cap {DENSE_DIM_CAP}")
-    per_chunk = _trials_per_chunk(n_b, n)
+    groups: dict[int, list[tuple[int, int, list[Label]]]] = {}  # |C| -> (index, |B|, labels)
+    for i, inst in enumerate(insts):
+        labels = sorted(inst.reference.c_labels())
+        n_b, n = len(inst.reference.b_labels()), len(labels)
+        if n_b * n > DENSE_DIM_CAP:
+            raise ValueError(f"sweep joint dimension {n_b * n} exceeds cap {DENSE_DIM_CAP}")
+        groups.setdefault(n, []).append((i, n_b, labels))
     seeds = range(rng_seed, rng_seed + trials)
     states = _pcg64_states(seeds)
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded per trial
-    reports = []
-    for first in range(0, trials, per_chunk):
-        chunk = slice(first, first + per_chunk)
-        normals, cells = _draw_trials(rng, states[chunk], n)
-        unitaries = haar_unitaries(normals)
-        del normals  # not held through the rotation
-        check_unitary(unitaries)
-        # No del: the stack lives on until the next chunk's U replaces it. Freed
-        # before the next draw, it lets glibc trim the heap, which that draw then
-        # faults back in: 1508 minor faults a trial at |B| = 2, |C| = 256, not 512.
-        reports.extend(_rotated_branches(inst, labels, unitaries, cells, seeds[chunk]))
-    return reports
+    for n, members in groups.items():
+        per_chunk = min(_trials_per_chunk(n_b, n) for _, n_b, _ in members)
+        for first in range(0, trials, per_chunk):
+            chunk = slice(first, first + per_chunk)
+            normals, cells = _draw_trials(rng, states[chunk], n)
+            unitaries = haar_unitaries(normals)
+            del normals  # not held through the rotations
+            check_unitary(unitaries)
+            # No del: the stack lives on until the next chunk's U replaces it. Freed
+            # before the next draw, it lets glibc trim the heap, which that draw then
+            # faults back in: 1508 minor faults a trial at |B| = 2, |C| = 256, not 512.
+            for i, _, labels in members:
+                yield i, first, _rotated_branches(insts[i], labels, unitaries, cells, seeds[chunk])
+
+
+def random_strategy_sweep(
+    inst: SealedInstance, trials: int, rng_seed: int
+) -> list[CheatReport]:
+    """``random_strategy_sweeps`` on one instance: its reports in trial order.
+
+    Raises ValueError, before any trial is seeded, as ``random_strategy_sweeps`` does.
+    """
+    return [report for _, _, reports in random_strategy_sweeps([inst], trials, rng_seed)
+            for report in reports]
 
 
 def proof_chain(inst: SealedInstance, report: CheatReport) -> CheatReport:

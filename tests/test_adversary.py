@@ -643,23 +643,89 @@ class TestChunkBudget:
         if per_chunk < TRIALS_CAP:  # a full chunk: its largest array reaches the budget
             assert max(map(math.prod, chunks[0][1])) >= adversary._CHUNK_AMPLITUDES
 
-    def test_bound_sweep_runs_one_chunk_per_instance(self, monkeypatch):
-        swept, rotated = [], []
-        sweep, rotate = adversary.random_strategy_sweep, adversary._rotated_branches
-
-        def recorded_sweep(inst, trials, rng_seed):
-            swept.append(inst)
-            return sweep(inst, trials, rng_seed)
-
-        def recorded_rotate(inst, *args):
-            rotated.append(inst)
-            return rotate(inst, *args)
-
-        monkeypatch.setattr(harness, "random_strategy_sweep", recorded_sweep)
-        monkeypatch.setattr(adversary, "_rotated_branches", recorded_rotate)
+    def test_bound_sweep_seeds_once_and_draws_once_per_c_size(self, monkeypatch):
+        calls = {"_pcg64_states": [], "_draw_trials": [], "haar_unitaries": [],
+                 "_rotated_branches": []}
+        for name, record in calls.items():
+            def recorded(*args, _fn=getattr(adversary, name), _record=record):
+                _record.append(args)
+                return _fn(*args)
+            monkeypatch.setattr(adversary, name, recorded)
         harness.run_bound_sweep(harness.ExperimentConfig(trials=100))
-        assert len(swept) == 8  # every default instance but garbage-64 (|B| |C| = 4225)
-        assert rotated == swept
+        assert len(calls["_pcg64_states"]) == 1
+        # Every default instance but garbage-64 (|B| |C| = 4225) is swept; naive,
+        # garbage-1 and multipicture-2 share |C| = 2, so 8 instances take 6 draws.
+        assert [n for _, _, n in calls["_draw_trials"]] == [2, 3, 5, 17, 4, 10]
+        assert len(calls["haar_unitaries"]) == 6
+        rotated = [len(inst.reference.c_labels()) for inst, *_ in calls["_rotated_branches"]]
+        assert rotated == [2, 2, 2, 3, 5, 17, 4, 10]
+
+
+class TestSweepsAcrossInstances:
+    """``random_strategy_sweeps`` gives each instance the reports, trial by trial,
+    that ``random_strategy_sweep`` gives it alone, though instances of one |C|
+    share each chunk's draw and take their group's smallest chunk."""
+
+    def test_each_instance_equals_its_own_sweep(self, monkeypatch):
+        rect = TestRandomStrategySweep.rectangular_instance
+        # |C| = 2 at |B| = 2, 256 and naive's, with |C| = 3 between: the |C| = 2
+        # group runs chunks of 128 trials (|B| = 256), its members alone 16384.
+        insts = [rect(2, 2), rect(3, 3), rect(256, 2), seal_naive("M", garbage="0")]
+        assert adversary._trials_per_chunk(256, 2) == 128
+        trials, rng_seed = 130, 5
+        draws = []
+        draw = adversary._draw_trials
+        monkeypatch.setattr(adversary, "_draw_trials",
+                            lambda rng, states, n: draws.append((n, len(states))) or draw(rng, states, n))
+        yielded = list(adversary.random_strategy_sweeps(insts, trials, rng_seed))
+        assert draws == [(2, 128), (2, 2), (3, 130)]
+        assert [(i, first) for i, first, _ in yielded] == [
+            (0, 0), (2, 0), (3, 0), (0, 128), (2, 128), (3, 128), (1, 0)]
+        for i, inst in enumerate(insts):
+            chunks = [(first, reports) for k, first, reports in yielded if k == i]
+            numbered = [(first + t, report) for first, reports in chunks
+                        for t, report in enumerate(reports)]
+            alone = random_strategy_sweep(inst, trials, rng_seed)
+            assert [t for t, _ in numbered] == list(range(trials))
+            assert [report for _, report in numbered] == alone
+            for (t, report), single in zip(numbered, alone):
+                assert report.members == single.members
+                assert report.members[2] == rng_seed + t
+
+    def test_validates_every_instance_before_seeding(self, monkeypatch):
+        seeded = []
+        monkeypatch.setattr(adversary, "_pcg64_states", seeded.append)
+        fits, past = seal_naive("M", garbage="0"), seal_multipicture(pictures(23))
+        with pytest.raises(ValueError, match="sweep joint dimension 529 exceeds cap 512"):
+            next(adversary.random_strategy_sweeps([fits, past], 3, rng_seed=0))
+        with pytest.raises(ValueError, match=f"trials must be from 1 to {TRIALS_CAP}, got 0"):
+            next(adversary.random_strategy_sweeps([fits, past], 0, rng_seed=0))
+        assert seeded == []
+
+
+class TestStackWeightCheck:
+    """``_rotated_branches`` tests every trial's outcome total in one array pass
+    and, on a miss, raises ``check_weights``' message for the first failing trial."""
+
+    @pytest.mark.parametrize("scales", [{2: 1.001}, {1: 1.5, 3: 1.001}],
+                             ids=["one-corrupted", "first-of-two"])
+    def test_names_the_first_corrupted_trials_total(self, scales):
+        inst = seal_multipicture(pictures(4))
+        labels = tuple(sorted(inst.reference.c_labels()))
+        stack = adversary.haar_unitaries(
+            normal_block([np.random.default_rng(t) for t in range(5)], len(labels)))
+        for t, scale in scales.items():
+            stack[t] *= scale
+        partitions = [ProjPartition.finest(labels)] * len(stack)
+        first = min(scales)
+        with pytest.raises(ValueError) as alone:
+            adversary._rotated_branches(inst, labels, stack[first][None], partitions[:1])
+        with pytest.raises(ValueError) as batch:
+            adversary._rotated_branches(inst, labels, stack, partitions)
+        assert str(batch.value) == str(alone.value)
+        message = str(batch.value)
+        total = float(message.removeprefix("ensemble weights sum to ").removesuffix(", expected 1"))
+        assert total == pytest.approx(scales[first] ** 2)
 
 
 class TestRebuiltUnitary:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -379,6 +380,24 @@ class TestExperiment:
         monkeypatch.setattr(harness, "run_bound_sweep", explode)
         monkeypatch.setattr("qseal.cli.run_bound_sweep", explode)
         assert run_cli("experiment", "bound-sweep") == 2
+
+    def test_broken_random_rows_of_one_instance_name_it(self, monkeypatch, capsys):
+        # Only multipicture-2's random reports break. It shares |C| = 2, and so
+        # each chunk's draw, with naive and garbage-1, whose rows hold.
+        rotate = adversary._rotated_branches
+
+        def break_multipicture_2(inst, *args):
+            reports = rotate(inst, *args)
+            if inst.protocol == protocols.MULTIPICTURE and len(inst.reference.c_labels()) == 2:
+                reports = [dataclasses.replace(r, bound=r.s - 1.0) for r in reports]
+            return reports
+
+        monkeypatch.setattr(adversary, "_rotated_branches", break_multipicture_2)
+        assert run_cli("experiment", "bound-sweep", "--trials", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant violation: negative margin ")
+        assert captured.err.endswith(" for multipicture-2/random-0\n")
 
     def test_negligibility_off_its_closed_form_exits_two(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr("qseal.oaep.useless_query_bound", lambda ctx, excluded: 0.5)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,15 @@ class TestBoundSweep:
             assert report.trace_distance == pytest.approx(
                 trace_distance_pure_vs_ensemble(instances[name].reference, report.returned),
                 abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 8191])
+    def test_trials_100_bytes(self, seed):
+        # The sha256 of `qseal --seed S experiment bound-sweep --trials 100`,
+        # recorded before the sweep ran its instances together.
+        lines = (Path(__file__).parent / "data" / "bound_sweep_trials100.sha256").read_text()
+        want = dict(line.split()[::-1] for line in lines.splitlines() if not line.startswith("#"))
+        text = rows_to_csv(run_bound_sweep(ExperimentConfig(seed=seed, trials=100)))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want[f"seed-{seed}"]
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")
