@@ -20,8 +20,10 @@ and it builds every ``CheatReport``, proof chain included, in array passes over
 the stack; a report builds its returned mixture from the record when read. Without a
 unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
 reach ``SUPPORT_CAP`` keys: one pass buckets the reference by outcome, and a
-branch then costs one post-state, built, scored by one ``squared_overlap`` and
-dropped before the next, and one ``decode`` lookup for its lone label. With one,
+branch then costs one post-state, adopted (``SparseState._adopt``: its norm
+summed and checked, its map neither copied nor scanned), scored by one
+``squared_overlap`` and dropped before the next, and one ``decode`` lookup for
+its lone label. With one,
 ``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
 the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
@@ -63,6 +65,7 @@ from .states import (
     SparseState,
     _branch,
     _outcome_buckets,
+    _rescaled,
     apply_unitary_c,
     c_block,
     check_unitary,
@@ -423,9 +426,7 @@ def optimal_post_collapse_response(
     if not block:
         raise ValueError(f"no branch with index label {collapsed_b!r}")
     best_accept = math.fsum(abs(a) ** 2 for a in block.values())
-    scale = 1.0 / math.sqrt(best_accept)
-    best_state = SparseState({k: a * scale for k, a in block.items()})
-    return best_accept, best_state
+    return best_accept, _rescaled(block, 1.0 / math.sqrt(best_accept))
 
 
 def _random_cells(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -312,7 +312,8 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     support = 1 << params.k0
     amp = complex(1.0 / math.sqrt(float(support)))
     tokens = [encode(y, r, ctx) for r in range(support)]
-    reference = SparseState(dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))))
+    # One amplitude object, 2^(-k0/2), on distinct pads: the map is adopted, not copied.
+    reference = SparseState._adopt(dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))))
     decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,

@@ -6,6 +6,10 @@ sparse map from (b_label, c_label) to a complex number. Encodings whose label
 space is exponentially large but whose support is small therefore stay exact
 and cheap.
 
+A map is validated where it enters: ``SparseState(amps)`` prunes, converts and
+copies input from outside, and ``SparseState._adopt`` keeps a map qseal built
+from a validated state as it is, each caller showing the precondition there.
+
 Dense work on register C starts from ``c_block``, which lays a state's
 amplitudes on a C basis out as a |B| x |basis| array. Strategies rotate that
 array in ``adversary._rotated_branches``, which keeps only outcome masses;
@@ -63,11 +67,16 @@ _COMPLEX = frozenset({complex})
 class SparseState:
     """Normalized pure state on registers B and C, stored sparsely.
 
-    ``amps`` maps (b_label, c_label) pairs to complex amplitudes. Amplitudes
-    below ``PRUNE_TOL`` in modulus are dropped at construction; the remaining
-    amplitudes must have squared moduli summing to 1 within ``NORM_TOL``.
-    The state keeps its own copy of the map, each amplitude an exact
-    ``complex``. Instances are treated as immutable.
+    ``amps`` maps (b_label, c_label) pairs to complex amplitudes, each an exact
+    ``complex`` of modulus at least ``PRUNE_TOL``, whose squared moduli sum to 1
+    within ``NORM_TOL``. Instances are treated as immutable.
+    ``SparseState(amps)`` validates input from outside (``state_from_dict``, the
+    float-amplitude protocol seals, user code): it drops amplitudes below
+    ``PRUNE_TOL``, makes the rest exact ``complex`` and keeps its own copy.
+    ``SparseState._adopt(amps)`` keeps a map qseal has just built from a
+    validated state (``seal_oaep``, ``_branch``, ``_rescaled``,
+    ``apply_unitary_c``) as it is; its caller shows that every amplitude
+    already meets the rule. Both check the norm in one routine, ``_hold``.
 
     ``norm_sq`` is <self|self> as ``inner_product`` sums it, kept from the norm check:
     no lazy first read (``functools.cached_property`` locks each one up to Python 3.11).
@@ -86,11 +95,24 @@ class SparseState:
                 kept = {key: complex(a) for key, a in amps.items() if not abs(a) < PRUNE_TOL}
         except OverflowError:  # a modulus, or an int amplitude, beyond the float range
             check_norm(math.inf)
+        self._hold(kept)
+
+    @classmethod
+    def _adopt(cls, amps: dict[tuple[Label, Label], complex]) -> SparseState:
+        """The state on ``amps`` itself, neither copied nor scanned: every amplitude must
+        already be an exact ``complex`` of modulus at least ``PRUNE_TOL``."""
+        state = object.__new__(cls)
+        state._hold(amps)
+        return state
+
+    def _hold(self, amps: dict[tuple[Label, Label], complex]) -> None:
+        """Keep ``amps`` as the state's map with its norm, <self|self> summed left to right
+        and checked by ``check_norm``: the one norm routine of both constructors."""
         total = 0j
-        for a in kept.values():
+        for a in amps.values():
             total += a.conjugate() * a
         check_norm(total.real)
-        object.__setattr__(self, "amps", kept)
+        object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "norm_sq", total.real)
 
     def b_labels(self) -> set[Label]:
@@ -254,7 +276,8 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
 
     One matrix product on the state's block over ``u.basis`` (``c_block``);
     entries below ``PRUNE_TOL`` are left out before any key is built. Labels
-    outside the basis ride along unchanged.
+    outside the basis ride along unchanged. Each kept amplitude comes from ``s``
+    or passed the prune, so the map is adopted (``SparseState._adopt``).
     """
     rows, block, outside = c_block(s, u.basis)
     flat = (block @ u.matrix.T).ravel()
@@ -263,7 +286,7 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
     amps = dict(outside)
     amps.update(((rows[k // n], u.basis[k % n]), a)
                 for k, a in zip(kept.tolist(), flat[kept].tolist()))
-    return SparseState(amps)
+    return SparseState._adopt(amps)
 
 
 def collapse_branches(
@@ -309,18 +332,27 @@ def _outcome_buckets(
 
 
 def _branch(amps: dict[tuple[Label, Label], complex]) -> tuple[float, SparseState]:
-    """(p, renormalized post-state) of one outcome: p is the ``math.fsum`` of squared moduli,
-    and the bucket is scaled in place by 1 / sqrt(p). A lone amplitude skips the sum and
-    the loop; ``math.fsum`` of one value is that value, so the bits are the same."""
+    """(p, renormalized post-state) of one outcome of a state: p is the ``math.fsum`` of
+    squared moduli, and the bucket is scaled in place by 1 / sqrt(p) (``_rescaled``). A lone
+    amplitude skips the sum and the loop; ``math.fsum`` of one value is that value, so the
+    bits are the same, and its post-state is adopted: its modulus is 1 within ulps."""
     if len(amps) == 1:
         ((key, a),) = amps.items()
         prob = abs(a) ** 2
-        return prob, SparseState({key: a * (1.0 / math.sqrt(prob))})
+        return prob, SparseState._adopt({key: a * (1.0 / math.sqrt(prob))})
     prob = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
-    scale = 1.0 / math.sqrt(prob)  # > 0: a state keeps no amplitude below PRUNE_TOL
+    # prob > 0: a state keeps no amplitude below PRUNE_TOL
+    return prob, _rescaled(amps, 1.0 / math.sqrt(prob))
+
+
+def _rescaled(amps: dict[tuple[Label, Label], complex], scale: float) -> SparseState:
+    """The state on ``amps``, a piece of a state's map, scaled in place by ``scale``. It is
+    adopted (``SparseState._adopt``) when ``scale`` is at least 1, which shrinks no modulus.
+    A scale below 1 (a norm past 1, within ``NORM_TOL``) can take an amplitude below
+    ``PRUNE_TOL``, so that map is pruned as input is."""
     for key, a in amps.items():
         amps[key] = a * scale
-    return prob, SparseState(amps)
+    return (SparseState._adopt if scale >= 1.0 else SparseState)(amps)
 
 
 def sample_readout(s: SparseState, rng_seed: int) -> Label:

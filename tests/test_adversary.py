@@ -245,6 +245,17 @@ class TestOptimalPostCollapse:
         assert accept == pytest.approx(expected, abs=1e-12)
         assert set(state.amps) == {("1", "pic1")}
 
+    def test_branch_past_norm_one_is_pruned_as_input_is(self):
+        # A reference norm past 1, within NORM_TOL, scales its branch down, which
+        # takes the PRUNE_TOL amplitude below the tolerance: the response drops
+        # it, as the state built from the scaled map by ``SparseState`` does.
+        big = complex(math.sqrt(1.0 + 9e-10))
+        reference = SparseState({("1", "x"): big, ("1", "t"): complex(PRUNE_TOL)})
+        accept, state = optimal_post_collapse_response(SealedInstance(MULTIPICTURE, reference, {}, {}), "1")
+        scale = 1.0 / math.sqrt(accept)
+        assert scale < 1.0 and PRUNE_TOL * scale < PRUNE_TOL
+        assert _state_bits(state) == _state_bits(SparseState({("1", "x"): big * scale}))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_best_acceptance_is_the_correctly_rounded_branch_mass(self, seed):
@@ -1615,6 +1626,10 @@ def _sparse_route_cases():
         # Lone amplitudes with both parts nonzero, where |a|^2 and re^2 + im^2 can differ.
         "complex-lone": (_custom({(f"b{i}", f"c{i}"): complex(a) for i, a in enumerate(generic)},
                                  {"c0": "M0", "c1": "M1"}), None),
+        # A norm past 1 (within NORM_TOL) on one C label that also holds PRUNE_TOL:
+        # the post-state's scale is below 1 and takes that amplitude under the tolerance.
+        "norm-past-one": (_custom({("x", "m"): complex(math.sqrt(1.0 + 9e-10)),
+                                   ("t", "m"): complex(PRUNE_TOL)}, {"m": "m"}), None),
         "oaep-12": (seal_oaep(0xABC, OaepContext.create(k0=12, n=16, with_human=False)), None),
         "oaep-10-halves": (oaep10, halves),
         # Outcome m holds two B labels on the one C label m, which decodes: pinned.
@@ -1675,6 +1690,21 @@ class TestSparseRouteBits:
                 previous_sparse_report(multi6, split)]
         assert [_report_bits(r) for r in reports] == [_report_bits(r) for r in want]
 
+    def test_oaep_states_are_adopted_not_validated(self, monkeypatch):
+        # The seal and both sparse cheats build only maps whose amplitudes are
+        # known to meet the rule, so none goes through the validating constructor.
+        def refuse(*args, **kwargs):
+            raise AssertionError("qseal's own maps are adopted, not validated again")
+
+        monkeypatch.setattr(SparseState, "__init__", refuse)
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False))
+        g = {c: int(i % 3 == 0) for i, c in enumerate(dict.fromkeys(c for _, c in oaep.reference.amps))}
+        reports = [basis_cheat(oaep), predicate_cheat(oaep, g)]
+        monkeypatch.undo()
+        want = [previous_sparse_report(oaep, ProjPartition.finest(g)),
+                previous_sparse_report(oaep, ProjPartition({c: f"g={v}" for c, v in g.items()}))]
+        assert [_report_bits(r) for r in reports] == [_report_bits(r) for r in want]
+
     def test_cases_cover_what_they_name(self):
         cases = _sparse_route_cases()
         inst, split = cases["split-predicate"]
@@ -1696,6 +1726,10 @@ class TestSparseRouteBits:
         assert sum(math.copysign(1.0, x) < 0 and x == 0.0 for x in zeros) == 4
         tiny = cases["at-prune-tol"][0].reference.amps[("t", "t")]
         assert tiny == PRUNE_TOL
+        past_one = cases["norm-past-one"][0].reference
+        assert past_one.norm_sq > 1.0 and past_one.amps[("t", "m")] == PRUNE_TOL
+        ((q, post),) = collapse_branches(past_one, ProjPartition.finest(["m"])).values()
+        assert PRUNE_TOL * (1.0 / math.sqrt(q)) < PRUNE_TOL and list(post.amps) == [("x", "m")]
 
 
 # The outcomes a report's p and p_bound read: its lone active label decodes to a

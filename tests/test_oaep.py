@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import qseal.oaep
 import qseal.states
-from qseal.adversary import basis_cheat, proof_chain, strategy_report
+from qseal.adversary import basis_cheat, predicate_cheat, proof_chain, strategy_report
 from qseal.harness import ConfigInvalid, ExperimentConfig
 from qseal.oaep import (
     REFERENCE_MASTER_KEY,
@@ -34,7 +35,7 @@ from qseal.oaep import (
 from conftest import oracle_readout
 from conftest import tu_overlap as oracle_tu_overlap
 from qseal.protocols import OAEP, SealedInstance, honest_unseal, verify_return
-from qseal.states import PRUNE_TOL, Ensemble, LocalUnitary, SparseState, sample_readout
+from qseal.states import EXACT_TOL, PRUNE_TOL, Ensemble, LocalUnitary, SparseState, sample_readout
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -766,6 +767,15 @@ def cheat_at_cap(sealed_at_cap):
     return basis_cheat(sealed_at_cap)
 
 
+@pytest.fixture(scope="module")
+def predicate_at_cap(sealed_at_cap):
+    """The predicate cheat on ``sealed_at_cap`` with g = 1 on every seventh C label in
+    the reference's order, run once: (report, how many labels have g = 1)."""
+    labels = dict.fromkeys(c for _, c in sealed_at_cap.reference.amps)
+    g = {c: int(i % 7 == 0) for i, c in enumerate(labels)}
+    return predicate_cheat(sealed_at_cap, g), sum(g.values())
+
+
 class TestSupportCap:
     def test_support_fills_the_cap(self, sealed_at_cap):
         assert SUPPORT_CAP is qseal.states.SUPPORT_CAP == 1 << qseal.oaep.MAX_K0  # one caps table
@@ -786,6 +796,25 @@ class TestSupportCap:
         text = json.dumps(cheat_at_cap.to_dict(), indent=2)
         want = (Path(__file__).parent / "data" / "cheat_at_cap.sha256").read_text().strip()
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want
+
+    def test_predicate_cheat_bytes_at_the_cap(self, predicate_at_cap):
+        # Two outcomes of thousands of amplitudes each, so the multi-amplitude
+        # branch at the cap: the digest of the report as the CLI prints it,
+        # recorded before seal and branch maps were adopted. q and s are exact.
+        report, m = predicate_at_cap
+        text = json.dumps(report.to_dict(), indent=2)
+        want = (Path(__file__).parent / "data" / "predicate_at_cap.sha256").read_text().strip()
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want
+        q1 = Fraction(m, SUPPORT_CAP)
+        assert [row[:2] for row in report.outcome_table] == [("g=0", float(1 - q1)), ("g=1", float(q1))]
+        assert report.s == float(2 * q1 * (1 - q1))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: left-to-right norm and inner_product "
+                       "sums miss the g = 0 acceptance by 1.5e-12 at the cap")
+    def test_predicate_acceptance_is_exact_at_the_cap(self, predicate_at_cap):
+        report, m = predicate_at_cap
+        ((_, _, acceptance), _) = report.outcome_table
+        assert abs(acceptance - (SUPPORT_CAP - m) / SUPPORT_CAP) <= EXACT_TOL
 
     def test_basis_cheat_chain_at_the_cap(self, sealed_at_cap, cheat_at_cap):
         # 2^16 equal masses: the root of sum_i q / (q + lambda) = 1 is 1 - q, exactly.

@@ -161,6 +161,55 @@ class TestConstruction:
             LocalUnitary(basis, np.array(matrix))
 
 
+# Nonzero parts keep a modulus well above PRUNE_TOL after normalizing 8 amplitudes.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+_AT_PRUNE_TOL = [complex(PRUNE_TOL, -0.0), complex(-0.0, PRUNE_TOL), complex(-PRUNE_TOL, 0.0)]
+
+
+@st.composite
+def adoptable_maps(draw):
+    """Normalized maps of exact complex amplitudes of modulus at least ``PRUNE_TOL``,
+    with -0.0 parts, and at times one amplitude exactly at ``PRUNE_TOL``."""
+    parts = draw(st.lists(st.tuples(_PARTS, _PARTS).filter(any), min_size=1, max_size=8))
+    norm = math.sqrt(math.fsum(re * re + im * im for re, im in parts))
+    items = [((f"b{i % 3}", f"c{i // 2}"), complex(re / norm, im / norm)) for i, (re, im) in enumerate(parts)]
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), (("t", "t"), draw(st.sampled_from(_AT_PRUNE_TOL))))
+    return dict(items)
+
+
+class TestAdopt:
+    """``SparseState._adopt`` keeps the very map it is given and builds the state
+    ``SparseState`` builds from it, on maps that meet its precondition."""
+
+    @given(amps=adoptable_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_adopt_builds_what_the_constructor_builds(self, amps):
+        want = SparseState(amps)
+        adopted = dict(amps)
+        state = SparseState._adopt(adopted)
+        assert state.amps is adopted
+        assert _bits(state) == _bits(want)
+        assert state.norm_sq.hex() == want.norm_sq.hex()
+
+    @pytest.mark.parametrize("amps, total", [
+        ({("a", "a"): complex(0.5)}, "0.25"),
+        ({("a", "a"): complex(0.6), ("b", "b"): complex(0.0, 0.9)}, "1.17"),
+        ({("a", "a"): 1 + 0j, ("b", "b"): complex(math.nan, 0.0)}, "nan"),
+    ], ids=["short", "long", "nan"])
+    def test_adopt_raises_the_norm_message(self, amps, total):
+        message = f"state is not normalized: sum of squared moduli is {total}"
+        for build in (SparseState, SparseState._adopt):
+            with pytest.raises(ValueError) as caught:
+                build(dict(amps))
+            assert str(caught.value) == message
+
+
+def _bits(state):
+    """Every amplitude's key and bit pattern, in the map's order."""
+    return [(key, a.real.hex(), a.imag.hex()) for key, a in state.amps.items()]
+
+
 class TestInnerProduct:
     def test_self_overlap_is_one(self):
         assert inner_product(BELL, BELL) == pytest.approx(1.0, abs=1e-12)
