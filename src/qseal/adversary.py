@@ -19,11 +19,11 @@ masses, a mask of the outcomes pinpointing a message and each strategy's record
 and it builds every ``CheatReport``, proof chain included, in array passes over
 the stack; a report builds its returned mixture from the record when read. Without a
 unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
-reach ``SUPPORT_CAP`` keys: one pass buckets the reference by outcome, and a
-branch then costs one post-state, adopted (``SparseState._adopt``: its norm
-summed and checked, its map neither copied nor scanned), scored by one
+reach ``SUPPORT_CAP`` keys: it walks ``states._branches`` (one bucketing pass),
+and a branch then costs one post-state, adopted (``SparseState._adopt``: its
+norm summed and checked, its map neither copied nor scanned), scored by one
 ``squared_overlap`` and dropped before the next, and one ``decode`` lookup for
-its lone label. With one,
+its lone label; the rows are then built in sorted outcome order. With one,
 ``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
 the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
@@ -63,8 +63,7 @@ from .states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    _branch,
-    _outcome_buckets,
+    _branches,
     _rescaled,
     apply_unitary_c,
     c_block,
@@ -251,21 +250,21 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
 def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
     """The report of the strategy with no unitary. The partition is diagonal, so each
     post-state is a rescaled piece of the reference: nothing needs undoing. Outcome by
-    outcome in sorted order, a post-state is built, scored by one ``squared_overlap``
-    (the table's acceptance column) and dropped; its lone C label, if it decodes, pins it."""
+    outcome (``_branches``), a post-state is scored by one ``squared_overlap`` (the table's
+    acceptance column) and dropped; its lone C label, if it decodes, pins it. The table's
+    rows follow in sorted outcome order."""
     reference, decode = inst.reference, inst.decode
-    buckets, lone = _outcome_buckets(reference, partition)
-    qs, table, pinned = [], [], []
-    for outcome in sorted(buckets):
-        q, post = _branch(buckets[outcome])
-        qs.append(q)
-        table.append((outcome, q, squared_overlap(reference, post)))
-        label = lone[outcome]
-        pinned.append(label is not None and decode.get(label) is not None)
+    masses, accepts, pins = {}, {}, {}
+    for outcome, q, post, label in _branches(reference, partition):
+        masses[outcome], accepts[outcome] = q, squared_overlap(reference, post)
+        pins[outcome] = label is not None and decode.get(label) is not None
+    outcomes = sorted(masses)
+    qs = [masses[outcome] for outcome in outcomes]
     check_weights(math.fsum(qs))
+    table = tuple(zip(outcomes, qs, map(accepts.__getitem__, outcomes)))
     labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
     cells = [*map(partition.outcome_of.__getitem__, labels)]
-    (report,) = _reports(np.array([qs]), np.array([pinned]), [tuple(table)],
+    (report,) = _reports(np.array([qs]), np.array([[pins[outcome] for outcome in outcomes]]), [table],
                          [(reference, labels, None, cells)])
     return report
 

@@ -7,8 +7,9 @@ space is exponentially large but whose support is small therefore stay exact
 and cheap.
 
 A map is validated where it enters: ``SparseState(amps)`` prunes, converts and
-copies input from outside, and ``SparseState._adopt`` keeps a map qseal built
-from a validated state as it is, each caller showing the precondition there.
+copies input from outside on one path, and ``SparseState._adopt`` keeps a map
+qseal built from a validated state as it is, each caller showing the
+precondition there.
 
 Dense work on register C starts from ``c_block``, which lays a state's
 amplitudes on a C basis out as a |B| x |basis| array. Strategies rotate that
@@ -16,9 +17,10 @@ array in ``adversary._rotated_branches``, which keeps only outcome masses;
 ``apply_unitary_c`` rotates one state, and builds a dense report's returned
 mixture when it is read.
 
-``collapse_branches`` gives every outcome of a partition of C with its
-post-state, from one bucketing pass (``_outcome_buckets``) and one ``_branch``
-per outcome; ``sample_readout`` draws one label of a basis readout of C.
+One walk, ``_branches``, measures a partition of C: one bucketing pass, then
+each outcome with its post-state, built when that outcome is reached.
+``collapse_branches`` collects them; ``adversary._sparse_branches`` scores and
+drops each. ``sample_readout`` draws one label of a basis readout of C.
 
 The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
 span of the states involved (one QR column per state, ``span_trace_distance``)
@@ -40,7 +42,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,8 +62,6 @@ PRUNE_TOL = 1e-15    # amplitudes below this are dropped
 NORM_TOL = 1e-9      # how far an input's norm, ensemble weights or U^dagger U may miss exact
 EXACT_TOL = 1e-12    # how far two exact routes to one number may differ (chain links, margins)
 
-_COMPLEX = frozenset({complex})
-
 
 @dataclass(frozen=True, init=False)
 class SparseState:
@@ -71,12 +71,12 @@ class SparseState:
     ``complex`` of modulus at least ``PRUNE_TOL``, whose squared moduli sum to 1
     within ``NORM_TOL``. Instances are treated as immutable.
     ``SparseState(amps)`` validates input from outside (``state_from_dict``, the
-    float-amplitude protocol seals, user code): it drops amplitudes below
-    ``PRUNE_TOL``, makes the rest exact ``complex`` and keeps its own copy.
-    ``SparseState._adopt(amps)`` keeps a map qseal has just built from a
-    validated state (``seal_oaep``, ``_branch``, ``_rescaled``,
-    ``apply_unitary_c``) as it is; its caller shows that every amplitude
-    already meets the rule. Both check the norm in one routine, ``_hold``.
+    float-amplitude protocol seals, user code) on its one path, a comprehension
+    that drops amplitudes below ``PRUNE_TOL`` and makes the rest exact
+    ``complex`` in its own copy. ``SparseState._adopt(amps)`` keeps a map qseal
+    has just built from a validated state (``seal_oaep``, ``_branches``,
+    ``_rescaled``, ``apply_unitary_c``) as it is; its caller shows that every
+    amplitude already meets the rule. Both check the norm in one routine, ``_hold``.
 
     ``norm_sq`` is <self|self> as ``inner_product`` sums it, kept from the norm check:
     no lazy first read (``functools.cached_property`` locks each one up to Python 3.11).
@@ -86,13 +86,8 @@ class SparseState:
     norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, amps: Mapping[tuple[Label, Label], complex]) -> None:
-        values = amps.values()
-        try:
-            # No amplitude pruned, each an exact complex: dict() builds what the comprehension would.
-            if min(map(abs, values), default=0.0) >= PRUNE_TOL and _COMPLEX.issuperset(map(type, values)):
-                kept = dict(amps)
-            else:  # NaN is never below PRUNE_TOL, so it fails the norm check instead of vanishing
-                kept = {key: complex(a) for key, a in amps.items() if not abs(a) < PRUNE_TOL}
+        try:  # NaN is never below PRUNE_TOL, so it fails the norm check instead of vanishing
+            kept = {key: complex(a) for key, a in amps.items() if not abs(a) < PRUNE_TOL}
         except OverflowError:  # a modulus, or an int amplitude, beyond the float range
             check_norm(math.inf)
         self._hold(kept)
@@ -276,39 +271,42 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
 
     One matrix product on the state's block over ``u.basis`` (``c_block``);
     entries below ``PRUNE_TOL`` are left out before any key is built. Labels
-    outside the basis ride along unchanged. Each kept amplitude comes from ``s``
-    or passed the prune, so the map is adopted (``SparseState._adopt``).
+    outside the basis ride along unchanged: ``c_block``'s ``outside`` is a fresh
+    map, which takes the rotated amplitudes in place. Each kept amplitude comes
+    from ``s`` or passed the prune, so the map is adopted (``SparseState._adopt``).
     """
     rows, block, outside = c_block(s, u.basis)
     flat = (block @ u.matrix.T).ravel()
     (kept,) = np.nonzero(np.abs(flat) >= PRUNE_TOL)
     n = len(u.basis)
-    amps = dict(outside)
-    amps.update(((rows[k // n], u.basis[k % n]), a)
-                for k, a in zip(kept.tolist(), flat[kept].tolist()))
-    return SparseState._adopt(amps)
+    outside.update(((rows[k // n], u.basis[k % n]), a)
+                   for k, a in zip(kept.tolist(), flat[kept].tolist()))
+    return SparseState._adopt(outside)
 
 
 def collapse_branches(
     s: SparseState, p: ProjPartition
 ) -> dict[Label, tuple[float, SparseState]]:
-    """Exact outcome probabilities and renormalized post-states for a partition.
-
-    Outcomes in order of first appearance (``_outcome_buckets``), amplitudes in the
-    state's order; each outcome's probability and post-state come from ``_branch``.
+    """Exact outcome probabilities and renormalized post-states for a partition,
+    outcomes in order of first appearance (``_branches``).
 
     Raises:
         ValueError: the state has support on a label the partition omits.
     """
-    buckets, _ = _outcome_buckets(s, p)
-    return {outcome: _branch(amps) for outcome, amps in buckets.items()}
+    return {outcome: (q, post) for outcome, q, post, _ in _branches(s, p)}
 
 
-def _outcome_buckets(
+def _branches(
     s: SparseState, p: ProjPartition
-) -> tuple[dict[Label, dict[tuple[Label, Label], complex]], dict[Label, Label | None]]:
-    """(each outcome's amplitudes, its lone C label or None) in one pass over ``s.amps``:
-    outcomes in order of first appearance, amplitudes in the state's order.
+) -> Iterator[tuple[Label, float, SparseState, Label | None]]:
+    """(outcome, q, renormalized post-state, its lone C label or None) of each outcome of a
+    partition of C, outcomes in order of first appearance, amplitudes in the state's order.
+
+    One pass over ``s.amps`` buckets the amplitudes by outcome before the first yield; each
+    post-state is built only when its outcome is reached. q is the ``math.fsum`` of the
+    bucket's squared moduli, and the bucket is scaled in place by 1 / sqrt(q) (``_rescaled``).
+    A lone amplitude skips the sum and the loop; ``math.fsum`` of one value is that value, so
+    the bits are the same, and its post-state is adopted: its modulus is 1 within ulps.
 
     Raises:
         ValueError: naming the C label of the first key the partition omits.
@@ -328,21 +326,15 @@ def _outcome_buckets(
         else:
             buckets[outcome] = {key: a}
             lone[outcome] = c
-    return buckets, lone
-
-
-def _branch(amps: dict[tuple[Label, Label], complex]) -> tuple[float, SparseState]:
-    """(p, renormalized post-state) of one outcome of a state: p is the ``math.fsum`` of
-    squared moduli, and the bucket is scaled in place by 1 / sqrt(p) (``_rescaled``). A lone
-    amplitude skips the sum and the loop; ``math.fsum`` of one value is that value, so the
-    bits are the same, and its post-state is adopted: its modulus is 1 within ulps."""
-    if len(amps) == 1:
-        ((key, a),) = amps.items()
-        prob = abs(a) ** 2
-        return prob, SparseState._adopt({key: a * (1.0 / math.sqrt(prob))})
-    prob = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
-    # prob > 0: a state keeps no amplitude below PRUNE_TOL
-    return prob, _rescaled(amps, 1.0 / math.sqrt(prob))
+    for outcome, amps in buckets.items():
+        if len(amps) == 1:
+            ((key, a),) = amps.items()
+            q = abs(a) ** 2
+            yield outcome, q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), lone[outcome]
+        else:
+            q = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
+            # q > 0: a state keeps no amplitude below PRUNE_TOL
+            yield outcome, q, _rescaled(amps, 1.0 / math.sqrt(q)), lone[outcome]
 
 
 def _rescaled(amps: dict[tuple[Label, Label], complex], scale: float) -> SparseState:

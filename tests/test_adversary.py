@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1730,6 +1732,37 @@ class TestSparseRouteBits:
         assert past_one.norm_sq > 1.0 and past_one.amps[("t", "m")] == PRUNE_TOL
         ((q, post),) = collapse_branches(past_one, ProjPartition.finest(["m"])).values()
         assert PRUNE_TOL * (1.0 / math.sqrt(q)) < PRUNE_TOL and list(post.amps) == [("x", "m")]
+
+
+class TestSparseRouteMemory:
+    """The sparse route builds a post-state, scores it and drops it before the next
+    is built, so it holds one post-state at a time, not all of them as
+    ``collapse_branches`` does."""
+
+    @pytest.mark.parametrize("attack", ["basis", "halves"])
+    def test_no_earlier_post_state_is_alive_when_one_is_scored(self, monkeypatch, attack):
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False))
+        labels = [*dict.fromkeys(c for _, c in oaep.reference.amps)]
+        scored, overlap = [], adversary.squared_overlap
+
+        def watched(reference, post):
+            alive = sum(ref() is not None for ref in scored)
+            scored.append(weakref.ref(post))
+            assert alive == 0
+            return overlap(reference, post)
+
+        monkeypatch.setattr(adversary, "squared_overlap", watched)
+        collecting = gc.isenabled()
+        gc.disable()  # only references keep a post-state alive
+        try:
+            if attack == "basis":
+                report = basis_cheat(oaep)
+            else:
+                report = predicate_cheat(oaep, {c: int(i < len(labels) // 2) for i, c in enumerate(labels)})
+        finally:
+            if collecting:
+                gc.enable()
+        assert len(scored) == len(report.outcome_table) == (256 if attack == "basis" else 2)
 
 
 # The outcomes a report's p and p_bound read: its lone active label decodes to a
