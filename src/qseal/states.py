@@ -101,14 +101,19 @@ class SparseState:
         return state
 
     def _hold(self, amps: dict[tuple[Label, Label], complex]) -> None:
-        """Keep ``amps`` as the state's map with its norm, <self|self> summed left to right
-        and checked by ``check_norm``: the one norm routine of both constructors."""
-        total = 0j
-        for a in amps.values():
-            total += a.conjugate() * a
-        check_norm(total.real)
+        """Keep ``amps`` as the state's map with its norm, <self|self> as ``inner_product``
+        sums it, checked by ``check_norm``: the one norm routine of both constructors."""
+        if len(amps) == 1:  # one term is its own sum: no list
+            (a,) = amps.values()
+            norm_sq = (a.conjugate() * a).real
+        else:
+            try:
+                norm_sq = math.fsum([(a.conjugate() * a).real for a in amps.values()])
+            except OverflowError:  # a partial sum beyond the float range
+                norm_sq = math.inf
+        check_norm(norm_sq)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "norm_sq", total.real)
+        object.__setattr__(self, "norm_sq", norm_sq)
 
     def b_labels(self) -> set[Label]:
         return {b for b, _ in self.amps}
@@ -189,15 +194,18 @@ def check_weights(total: float) -> None:
 
 
 def inner_product(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared support, walking the smaller map."""
+    """<a|b> over the shared support, walking the smaller map: the real and imaginary parts
+    of the products are each summed correctly rounded (``math.fsum``; Shewchuk, "Adaptive
+    precision floating-point arithmetic", 1997). One term is its own sum: no list."""
     conj_small = len(a.amps) <= len(b.amps)
     small, big = (a.amps, b.amps) if conj_small else (b.amps, a.amps)
-    total = 0j
-    for key, amp in small.items():
-        other = big.get(key)
-        if other is not None:
-            total += amp.conjugate() * other if conj_small else other.conjugate() * amp
-    return total
+    if len(small) == 1:
+        ((key, amp),) = small.items()
+        other = big.get(key, 0j)
+        return amp.conjugate() * other if conj_small else other.conjugate() * amp
+    products = [amp.conjugate() * other if conj_small else other.conjugate() * amp
+                for key, amp in small.items() if (other := big.get(key)) is not None]
+    return complex(math.fsum([p.real for p in products]), math.fsum([p.imag for p in products]))
 
 
 def squared_overlap(a: SparseState, b: SparseState) -> float:

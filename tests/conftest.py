@@ -315,21 +315,24 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
 # <s|s> by ``inner_product`` (inlined in the table build), ``collapse_branches``,
 # and the table build of ``adversary._sparse_branches`` with its ``_reports``,
 # copied unchanged apart from their names. The rewritten route must give every
-# bit these give.
+# bit these give. One rule has moved since: qseal now sums the products of an
+# inner product correctly rounded, part by part, so ``previous_inner_product``
+# adds the same products exactly (``exact_sum``) and rounds each part once.
 
 
 def previous_inner_product(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared support."""
+    """<a|b> over the shared support: each product rounded as Python's complex
+    multiplication rounds it, each part of their sum exact, then rounded once."""
     small, big, conj_small = (
         (a.amps, b.amps, True) if len(a.amps) <= len(b.amps) else (b.amps, a.amps, False)
     )
-    total = 0.0 + 0.0j
+    products = []
     for key, amp in small.items():
         other = big.get(key)
         if other is None:
             continue
-        total += amp.conjugate() * other if conj_small else other.conjugate() * amp
-    return total
+        products.append(amp.conjugate() * other if conj_small else other.conjugate() * amp)
+    return complex(exact_sum(p.real for p in products), exact_sum(p.imag for p in products))
 
 
 def previous_collapse_branches(

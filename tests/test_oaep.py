@@ -35,7 +35,15 @@ from qseal.oaep import (
 from conftest import oracle_readout
 from conftest import tu_overlap as oracle_tu_overlap
 from qseal.protocols import OAEP, SealedInstance, honest_unseal, verify_return
-from qseal.states import EXACT_TOL, PRUNE_TOL, Ensemble, LocalUnitary, SparseState, sample_readout
+from qseal.states import (
+    EXACT_TOL,
+    PRUNE_TOL,
+    Ensemble,
+    LocalUnitary,
+    SparseState,
+    project_accept_probability,
+    sample_readout,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "oaep_golden.txt"
 
@@ -800,7 +808,8 @@ class TestSupportCap:
     def test_predicate_cheat_bytes_at_the_cap(self, predicate_at_cap):
         # Two outcomes of thousands of amplitudes each, so the multi-amplitude
         # branch at the cap: the digest of the report as the CLI prints it,
-        # recorded before seal and branch maps were adopted. q and s are exact.
+        # recorded when norms and inner products came to be summed correctly
+        # rounded. q and s are exact.
         report, m = predicate_at_cap
         text = json.dumps(report.to_dict(), indent=2)
         want = (Path(__file__).parent / "data" / "predicate_at_cap.sha256").read_text().strip()
@@ -809,12 +818,23 @@ class TestSupportCap:
         assert [row[:2] for row in report.outcome_table] == [("g=0", float(1 - q1)), ("g=1", float(q1))]
         assert report.s == float(2 * q1 * (1 - q1))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: left-to-right norm and inner_product "
-                       "sums miss the g = 0 acceptance by 1.5e-12 at the cap")
     def test_predicate_acceptance_is_exact_at_the_cap(self, predicate_at_cap):
         report, m = predicate_at_cap
         ((_, _, acceptance), _) = report.outcome_table
         assert abs(acceptance - (SUPPORT_CAP - m) / SUPPORT_CAP) <= EXACT_TOL
+
+    def test_predicate_accept_route_is_exact_at_the_cap(self, sealed_at_cap, predicate_at_cap):
+        # Every amplitude is +-2^-8 on its own C label, so outcome i has mass q_i, a
+        # count over 2^16, and projecting the returned mixture onto the reference
+        # accepts with sum_i q_i^2 exactly: a dyadic rational.
+        report, m = predicate_at_cap
+        reference = sealed_at_cap.reference
+        assert {abs(a) for a in reference.amps.values()} == {2.0**-8}
+        q1 = Fraction(m, SUPPORT_CAP)
+        exact = (1 - q1) ** 2 + q1**2
+        accept = project_accept_probability(reference, report.returned)
+        assert abs(Fraction(accept) - exact) <= EXACT_TOL
+        assert abs(Fraction(1.0 - accept) - Fraction(report.s)) <= EXACT_TOL
 
     def test_basis_cheat_chain_at_the_cap(self, sealed_at_cap, cheat_at_cap):
         # 2^16 equal masses: the root of sum_i q / (q + lambda) = 1 is 1 - q, exactly.
