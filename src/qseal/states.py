@@ -103,12 +103,12 @@ class SparseState:
     def _hold(self, amps: dict[tuple[Label, Label], complex]) -> None:
         """Keep ``amps`` as the state's map with its norm, <self|self> as ``inner_product``
         sums it, checked by ``check_norm``: the one norm routine of both constructors."""
-        if len(amps) == 1:  # one term is its own sum: no list
+        if len(amps) == 1:  # one term is its own sum: no generator
             (a,) = amps.values()
             norm_sq = (a.conjugate() * a).real
         else:
-            try:
-                norm_sq = math.fsum([(a.conjugate() * a).real for a in amps.values()])
+            try:  # a generator, not a list: a seal's 2^k0 squares are never held at once
+                norm_sq = math.fsum((a.conjugate() * a).real for a in amps.values())
             except OverflowError:  # a partial sum beyond the float range
                 norm_sq = math.inf
         check_norm(norm_sq)
