@@ -18,14 +18,15 @@ masses, a mask of the outcomes pinpointing a message and each strategy's record
 (reference, columns, U or a sweep trial's seed or None, each column's outcome),
 and it builds every ``CheatReport``, proof chain included, in array passes over
 the stack; a report builds its returned mixture from the record when read. Without a
-unitary, ``_sparse_branches`` stays sparse, so the basis and predicate cheats
-reach ``SUPPORT_CAP`` keys: it walks ``states._branches`` (one bucketing pass),
-and a branch then costs one post-state, adopted (``SparseState._adopt``: its
-norm summed and checked, its map neither copied nor scanned), scored by one
-``squared_overlap`` and dropped before the next, and one ``decode`` lookup for
-its lone label; the rows are then built in sorted outcome order. With one,
-``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
-the reference's dense |B| x |basis| block and keeps only the outcome masses. A
+unitary, ``sparse_reports`` runs a stack of strategies (one, or bound-sweep's
+named rows) and stays sparse, so the basis and predicate cheats reach
+``SUPPORT_CAP`` keys: ``_sparse_masses`` walks ``states._branches`` (one
+bucketing pass), and a branch costs one post-state, adopted
+(``SparseState._adopt``), scored by one ``squared_overlap`` and dropped before
+the next, and one ``decode`` lookup for its lone label; strategies of one
+outcome count share a ``_reports`` call. With one, ``_rotated_branches`` runs
+a stack of strategies (one, or a sweep's trials) on the reference's dense
+|B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
 functions of the outcome masses, so no chain has a size cap. With b the pinned
 outcome that sets (p_bound, c), margin = p_b (sqrt(c) - c) + sum_{i != b} q_i^2
@@ -247,12 +248,12 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
                  members, p_bound.tolist(), distance.tolist(), convex.tolist())]
 
 
-def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatReport:
-    """The report of the strategy with no unitary. The partition is diagonal, so each
-    post-state is a rescaled piece of the reference: nothing needs undoing. Outcome by
-    outcome (``_branches``), a post-state is scored by one ``squared_overlap`` (the table's
-    acceptance column) and dropped; its lone C label, if it decodes, pins it. The table's
-    rows follow in sorted outcome order."""
+def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[list, list, tuple, tuple]:
+    """(masses, pins, table, record) of the strategy with no unitary, in sorted outcome order.
+    The partition is diagonal, so each post-state is a rescaled piece of the reference: nothing
+    needs undoing. Outcome by outcome (``_branches``), a post-state is scored by one
+    ``squared_overlap`` (the table's acceptance column) and dropped; its lone C label, if it
+    decodes, pins it."""
     reference, decode = inst.reference, inst.decode
     masses, accepts, pins = {}, {}, {}
     for outcome, q, post, label in _branches(reference, partition):
@@ -264,9 +265,23 @@ def _sparse_branches(inst: SealedInstance, partition: ProjPartition) -> CheatRep
     table = tuple(zip(outcomes, qs, map(accepts.__getitem__, outcomes)))
     labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
     cells = [*map(partition.outcome_of.__getitem__, labels)]
-    (report,) = _reports(np.array([qs]), np.array([[pins[outcome] for outcome in outcomes]]), [table],
-                         [(reference, labels, None, cells)])
-    return report
+    return qs, [*map(pins.__getitem__, outcomes)], table, (reference, labels, None, cells)
+
+
+def sparse_reports(strategies: Sequence[tuple[SealedInstance, ProjPartition]]) -> list[CheatReport]:
+    """The reports of strategies with no unitary, each an (instance, partition), in order:
+    ``_sparse_masses`` of each in turn, then one ``_reports`` per outcome count. A stack's
+    rows have one width, each row's own, so each report has the bits it gets alone."""
+    stacks: dict[int, list] = {}  # outcome count -> [(strategy index, masses, pins, table, record)]
+    for t, (inst, partition) in enumerate(strategies):
+        qs, pins, table, record = _sparse_masses(inst, partition)
+        stacks.setdefault(len(qs), []).append((t, qs, pins, table, record))
+    reports: list = [None] * len(strategies)
+    for stack in stacks.values():
+        at, qs, pins, tables, records = zip(*stack)
+        for t, report in zip(at, _reports(np.array(qs), np.array(pins), tables, records)):
+            reports[t] = report
+    return reports
 
 
 @cache
@@ -380,7 +395,7 @@ def strategy_report(
         basis = () if unitary is None else unitary.basis
         partition = ProjPartition.finest(inst.reference.c_labels().union(basis))
     if unitary is None:
-        return _sparse_branches(inst, partition)
+        return sparse_reports([(inst, partition)])[0]
     (report,) = _rotated_branches(inst, unitary.basis, unitary.matrix[None], [partition])
     return report
 
@@ -393,12 +408,9 @@ def basis_cheat(inst: SealedInstance) -> CheatReport:
     return strategy_report(inst, None, None)
 
 
-def predicate_cheat(inst: SealedInstance, g: Predicate) -> CheatReport:
-    """Measure a two-valued classical predicate of the C label.
-
-    The partition is diagonal in the computational basis, so no uncomputation
-    is needed; a predicate constant on the support leaves the state untouched.
-    """
+def predicate_partition(inst: SealedInstance, g: Predicate) -> ProjPartition:
+    """The two-outcome partition, "g=0" and "g=1", of a predicate defined on every
+    C label of the reference, each value 0 or 1 (else ValueError)."""
     active = inst.reference.c_labels()
     missing = sorted(active - set(g))
     if missing:
@@ -406,8 +418,16 @@ def predicate_cheat(inst: SealedInstance, g: Predicate) -> CheatReport:
     bad = {label: v for label, v in g.items() if v not in (0, 1)}
     if bad:
         raise ValueError(f"predicate values must be 0 or 1, got {bad}")
-    partition = ProjPartition({label: "g=1" if g[label] == 1 else "g=0" for label in active})
-    return strategy_report(inst, None, partition)
+    return ProjPartition({label: "g=1" if g[label] == 1 else "g=0" for label in active})
+
+
+def predicate_cheat(inst: SealedInstance, g: Predicate) -> CheatReport:
+    """Measure a two-valued classical predicate of the C label (``predicate_partition``).
+
+    The partition is diagonal in the computational basis, so no uncomputation
+    is needed; a predicate constant on the support leaves the state untouched.
+    """
+    return strategy_report(inst, None, predicate_partition(inst, g))
 
 
 def optimal_post_collapse_response(

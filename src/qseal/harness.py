@@ -17,13 +17,13 @@ from typing import Mapping, Sequence
 from . import oaep as oaep_mod
 from .adversary import (
     CheatReport,
-    basis_cheat,
     optimal_post_collapse_response,
-    predicate_cheat,
+    predicate_partition,
     random_strategy_sweeps,
+    sparse_reports,
 )
 from .protocols import SealedInstance, seal_garbage, seal_multipicture, seal_naive
-from .states import DENSE_DIM_CAP, EXACT_TOL, SUPPORT_CAP, TRIALS_CAP
+from .states import DENSE_DIM_CAP, EXACT_TOL, SUPPORT_CAP, TRIALS_CAP, ProjPartition
 
 EXPERIMENTS = ("bound-sweep", "multi-scaling", "oaep-negligibility")
 
@@ -36,7 +36,7 @@ class InvariantViolation(Exception):
     """An exact computation contradicted a guaranteed inequality."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     protocol: str
     attack: str
@@ -186,20 +186,23 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     each chunk's reports are checked and turned into rows as they come, so the
     sweep holds rows, not reports. Rows print in instance order, each
     instance's named rows before its random rows in trial order. The default
-    run at 100 trials takes 0.0244 s in process, against 0.0287-0.0290 s
-    with a sweep per instance (``perfbench/run.py --workload bound-sweep``,
-    medians of 10 runs at seeds 8191 and 31337, at the benchmark's reference
-    speed, on the machine ``random_strategy_sweeps`` names).
+    run at 100 trials, CSV included, takes 0.0207-0.0217 s in process, against
+    0.0226-0.0242 s with one ``_reports`` call per named strategy and a format
+    per CSV value (``perfbench/run.py --workload bound-sweep``, medians of 10
+    runs at seeds 8191 and 31337, at the benchmark's reference speed, on the
+    machine ``random_strategy_sweeps`` names).
     """
     if cfg.experiment != "bound-sweep":
         raise ConfigInvalid("config is not a bound-sweep configuration")
     instances = _sweep_instances(cfg)
+    # basis_cheat's and predicate_cheat's strategies, run as one sparse_reports.
+    named = iter(sparse_reports([strategy for _, inst in instances for strategy in (
+        (inst, ProjPartition.finest(inst.reference.c_labels())),
+        (inst, predicate_partition(inst, _split_predicate(inst))))]))
     rows: list[list[SweepRow]] = []
-    for name, inst in instances:
+    for (name, _), basis, predicate in zip(instances, named, named):
         # The generic cheat runs the honest unseal, a basis readout of C,
         # coherently: it is the basis cheat under its own row label.
-        basis = basis_cheat(inst)
-        predicate = predicate_cheat(inst, _split_predicate(inst))
         rows.append([_checked_row(name, attack, report) for attack, report in
                      (("generic", basis), ("basis", basis), ("predicate-split", predicate))])
     # Random strategies run only while |B|*|C| is within DENSE_DIM_CAP.
@@ -265,23 +268,20 @@ def run_oaep_negligibility(k0_values: Sequence[int], r_sizes: Sequence[int]) -> 
     return rows
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _field_names(rows: Sequence) -> list[str]:
     """The header: the first row's dataclass fields, or ``SweepRow``'s for no rows."""
     return [f.name for f in fields(rows[0] if rows else SweepRow)]
 
 
 def rows_to_csv(rows: Sequence) -> str:
-    """CSV text with the dataclass fields as header, doubles at 17 digits."""
+    """CSV text with the dataclass fields as header, doubles at 17 digits: one ``%`` format
+    from the first row (``%.17g`` for a float, ``%s`` otherwise) for every row."""
     names = _field_names(rows)
     lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, n)) for n in names))
+    if rows:
+        values = operator.attrgetter(*names)
+        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in values(rows[0]))
+        lines += [line % values(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

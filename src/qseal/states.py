@@ -19,7 +19,7 @@ mixture when it is read.
 
 One walk, ``_branches``, measures a partition of C: one bucketing pass, then
 each outcome with its post-state, built when that outcome is reached.
-``collapse_branches`` collects them; ``adversary._sparse_branches`` scores and
+``collapse_branches`` collects them; ``adversary._sparse_masses`` scores and
 drops each. ``sample_readout`` draws one label of a basis readout of C.
 
 The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
@@ -310,35 +310,39 @@ def _branches(
     """(outcome, q, renormalized post-state, its lone C label or None) of each outcome of a
     partition of C, outcomes in order of first appearance, amplitudes in the state's order.
 
-    One pass over ``s.amps`` buckets the amplitudes by outcome before the first yield; each
-    post-state is built only when its outcome is reached. q is the ``math.fsum`` of the
-    bucket's squared moduli, and the bucket is scaled in place by 1 / sqrt(q) (``_rescaled``).
-    A lone amplitude skips the sum and the loop; ``math.fsum`` of one value is that value, so
-    the bits are the same, and its post-state is adopted: its modulus is 1 within ulps.
+    One pass over ``s.amps`` buckets the amplitudes by outcome before the first yield (a lone
+    amplitude as its (key, amplitude) pair); each bucket is dropped and its post-state built
+    when its outcome is reached. q is the ``math.fsum`` of the bucket's squared moduli, and the
+    bucket is scaled in place by 1 / sqrt(q) (``_rescaled``). A lone amplitude skips the sum;
+    ``math.fsum`` of one value is that value, so the bits are the same, and its post-state is
+    adopted: its modulus is 1 within ulps.
 
     Raises:
         ValueError: naming the C label of the first key the partition omits.
     """
     outcome_of = p.outcome_of
-    buckets: dict[Label, dict[tuple[Label, Label], complex]] = {}
-    lone: dict[Label, Label | None] = {}
+    buckets: dict[Label, tuple | dict[tuple[Label, Label], complex]] = {}
+    lone: dict[Label, Label | None] = {}  # a bucket map's one C label, or None
     for key, a in s.amps.items():
         c = key[1]
         outcome = outcome_of.get(c)
-        if (bucket := buckets.get(outcome)) is not None:
+        if (bucket := buckets.get(outcome)) is None:
+            if outcome is None:
+                raise ValueError(f"C label {c!r} is not covered by the partition")
+            buckets[outcome] = (key, a)
+        elif type(bucket) is tuple:
+            buckets[outcome] = {bucket[0]: bucket[1], key: a}
+            lone[outcome] = c if bucket[0][1] == c else None
+        else:
             bucket[key] = a
             if lone[outcome] != c:
                 lone[outcome] = None
-        elif outcome is None:
-            raise ValueError(f"C label {c!r} is not covered by the partition")
-        else:
-            buckets[outcome] = {key: a}
-            lone[outcome] = c
     for outcome, amps in buckets.items():
-        if len(amps) == 1:
-            ((key, a),) = amps.items()
+        buckets[outcome] = None  # dropped once reached; a value, so the order holds
+        if type(amps) is tuple:
+            key, a = amps
             q = abs(a) ** 2
-            yield outcome, q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), lone[outcome]
+            yield outcome, q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), key[1]
         else:
             q = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
             # q > 0: a state keeps no amplitude below PRUNE_TOL
@@ -396,7 +400,8 @@ def check_unitary(m: np.ndarray) -> None:
     an input check, as loose as the norm's. The message gives the first
     failing matrix's defect. A NaN fails."""
     gram = np.swapaxes(m.conj(), -1, -2) @ m
-    defects = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0).ravel()
+    gram -= np.eye(m.shape[-1])  # in place: no second chunk-sized array
+    defects = np.abs(gram).max(axis=(-2, -1), initial=0.0).ravel()
     failing = ~(defects <= NORM_TOL)
     if failing.any():
         raise ValueError(f"matrix is not unitary (defect {defects[failing.argmax()]:.3e})")
@@ -417,8 +422,10 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     gaussians = np.empty(normals[:, 0].shape, dtype=np.complex128)
     gaussians.real, gaussians.imag = normals[:, 0], normals[:, 1]
     q, r = np.linalg.qr(gaussians)
+    del gaussians
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]  # in place: no second chunk-sized array
+    return q
 
 
 def random_unitary(labels: Iterable[Label], rng: np.random.Generator | int) -> LocalUnitary:

@@ -5,9 +5,9 @@ distances come from numpy's eigensolver on dense matrices, measurement
 statistics are enumerated with plain dictionary arithmetic, chain
 distances come from a fixed bisection of every float in [0, 1], random
 unitaries are checked against a Gram-Schmidt reference, the sparse strategy
-route, a stack's reports and the rotated engine's outcome masses against
-copies of their previous versions (``previous_sparse_report``,
-``_previous_reports``, ``previous_rotated_masses``),
+route, a stack's reports, the rotated engine's outcome masses and the CSV
+writer against copies of their previous versions (``previous_sparse_report``,
+``_previous_reports``, ``previous_rotated_masses``, ``previous_rows_to_csv``),
 random partitions against a copy of the sampler that built them label by
 label, sampled readouts against a copy of the partition sampler that
 ``sample_readout`` replaced, ``oaep.tu_overlap`` against its definition in
@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from qseal.adversary import (
     complements,
     soundness_bound,
 )
+from qseal.harness import SweepRow
 from qseal.oaep import DegenerateUWarning, sealed_params
 from qseal.protocols import SealedInstance
 from qseal.states import (
@@ -477,3 +479,16 @@ def previous_rotated_masses(inst: SealedInstance, basis, matrices, partitions):
     pinned[:, :in_cell.shape[1]] = decodes[  # at -1, none or several: False
         np.where(in_cell.sum(axis=-1) == 1, in_cell.argmax(axis=-1), -1)]
     return qs, pinned, mass, held, codes
+
+
+def previous_rows_to_csv(rows: Sequence) -> str:
+    """The previous ``harness.rows_to_csv``: each value formatted on its own,
+    ``%.17g`` for a float and ``str`` otherwise, header from ``SweepRow`` for no rows."""
+    def cell(value) -> str:
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    names = [f.name for f in fields(rows[0] if rows else SweepRow)]
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join(cell(getattr(row, n)) for n in names))
+    return "\n".join(lines) + "\n"

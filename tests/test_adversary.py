@@ -1764,6 +1764,44 @@ class TestSparseRouteMemory:
                 gc.enable()
         assert len(scored) == len(report.outcome_table) == (256 if attack == "basis" else 2)
 
+    def test_a_bucket_map_goes_with_its_post_state(self, monkeypatch):
+        # Halves of a k0 = 12 seal: two buckets of 2048 amplitudes, each the map
+        # of its post-state. The walk drops the first bucket once reached, so
+        # when the second post-state is scored the first's map is gone: traced
+        # memory falls by about 70 KiB, where a walk holding every bucket to its
+        # end rises by about 66 KiB.
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=12, n=16, with_human=False))
+        labels = [*dict.fromkeys(c for _, c in oaep.reference.amps)]
+        held, overlap = [], adversary.squared_overlap
+
+        def watched(reference, post):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return overlap(reference, post)
+
+        monkeypatch.setattr(adversary, "squared_overlap", watched)
+        tracemalloc.start()
+        try:
+            predicate_cheat(oaep, {c: int(i < len(labels) // 2) for i, c in enumerate(labels)})
+        finally:
+            tracemalloc.stop()
+        first, second = held
+        assert second < first
+
+    def test_lone_outcomes_build_no_bucket_map(self):
+        # At k0 = 12 every token is its own outcome. The basis cheat peaked at
+        # 1.65 MiB (tracemalloc) while the walk gave each outcome a one-entry
+        # bucket map; with a lone outcome's (key, amplitude) pair it peaks at
+        # 1.06-1.18 MiB.
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=12, n=16, with_human=False))
+        tracemalloc.start()
+        try:
+            report = basis_cheat(oaep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.outcome_table) == 4096
+        assert peak < 1.4 * 2**20
+
 
 # The outcomes a report's p and p_bound read: its lone active label decodes to a
 # message (pinned), decodes to nothing (absent from ``decode``, or mapped to
@@ -1854,25 +1892,40 @@ class TestStackReports:
         assert all(r.members is m for r, m in zip(got, members))
 
     def test_named_bound_sweep_strategies_equal_the_previous_route(self, monkeypatch):
-        # Every named strategy is sparse. The multipicture basis cheats pin
-        # every outcome, all of one mass: a tie across the row.
-        strategies, sparse = [], adversary._sparse_branches
+        # Every named strategy is sparse, and all run as one stacked call. The
+        # multipicture basis cheats pin every outcome, all of one mass: a tie
+        # across the row.
+        calls, stacked = [], harness.sparse_reports
 
-        def recorded(inst, partition):
-            strategies.append((inst, partition))
-            return sparse(inst, partition)
+        def recorded(strategies):
+            reports = stacked(strategies)
+            calls.append((strategies, reports))
+            return reports
 
-        monkeypatch.setattr(adversary, "_sparse_branches", recorded)
+        monkeypatch.setattr(harness, "sparse_reports", recorded)
         harness.run_bound_sweep(harness.ExperimentConfig(trials=0))
-        assert len(strategies) == 18  # basis and predicate-split on nine instances
+        ((strategies, reports),) = calls
+        assert len(strategies) == len(reports) == 18  # basis and predicate-split on nine instances
         ties = 0
-        for inst, partition in strategies:
-            report = sparse(inst, partition)
+        for (inst, partition), report in zip(strategies, reports):
             assert _report_bits(report) == _report_bits(previous_sparse_report(inst, partition))
             masses = [q for _, q, _ in report.outcome_table]
             pins_all = report.p == min(1.0, exact_sum(masses))
             ties += len(masses) >= 2 and len(set(masses)) == 1 and pins_all
         assert ties == 4  # the three multipicture basis cheats, and multipicture-2's split
+
+    def test_each_sparse_report_of_a_stack_equals_its_strategy_alone(self):
+        # Cases of equal and of different outcome counts, stacked in one call.
+        strategies = [(inst, partition or ProjPartition.finest(inst.reference.c_labels()))
+                      for inst, partition in _sparse_route_cases().values()]
+        strategies += strategies[::-1]
+        reports = adversary.sparse_reports(strategies)
+        widths = [len(report.outcome_table) for report in reports]
+        assert len(set(widths)) < len(widths) and len(set(widths)) >= 4
+        for (inst, partition), report in zip(strategies, reports):
+            (alone,) = adversary.sparse_reports([(inst, partition)])
+            assert _report_bits(report) == _report_bits(alone)
+            assert report.members[1:] == alone.members[1:]
 
     def test_each_report_of_a_mixed_stack_equals_its_strategy_alone(self):
         inst, basis, stack, partitions = mixed_stack()

@@ -208,6 +208,13 @@ class TestGoldenOutput:
         assert run_cli("--out", str(out), "experiment", "bound-sweep", "--trials", "0") == 0
         assert out.read_bytes() == (GOLDEN.parent / "bound_sweep_named.csv").read_bytes()
 
+    def test_multi_scaling_bytes(self, tmp_path):
+        # Picture counts whose acceptances 1/n print all 17 digits.
+        stem = GOLDEN.parent / "multi_scaling"
+        out = tmp_path / "scaling.csv"
+        assert run_cli("--config", f"{stem}.cfg", "--out", str(out), "experiment", "multi-scaling") == 0
+        assert out.read_bytes() == stem.with_suffix(".csv").read_bytes()
+
     @pytest.mark.parametrize(
         "config, fmt", [("even", "csv"), ("even", "json"), ("odd", "csv"), ("cap", "csv")]
     )

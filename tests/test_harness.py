@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from conftest import chain_excess
+from conftest import chain_excess, previous_rows_to_csv
 from qseal import adversary, harness
 from qseal.harness import (
     ConfigInvalid,
@@ -156,7 +157,9 @@ class TestBoundSweep:
 
     def test_named_rows_compute_each_distance_once(self, monkeypatch):
         # generic and basis share one report, so 9 instances' 27 named rows
-        # need 18 roots; each is the distance the states give, to 1e-12.
+        # need 18 roots, found in one chain_links call per outcome count
+        # (2, 3, 4, 5, 10, 17 and 65); each is the distance the states give,
+        # to 1e-12.
         links, check = adversary.chain_links, harness.check_report
         calls, chains = [], []
 
@@ -173,7 +176,8 @@ class TestBoundSweep:
         cfg = ExperimentConfig(trials=0)
         rows = run_bound_sweep(cfg)
         assert len(rows) == len(chains) == 27
-        assert len(calls) == 18
+        assert sum(map(len, calls)) == 18
+        assert sorted(q.shape[1] for q in calls) == [2, 3, 4, 5, 10, 17, 65]
         instances = dict(harness._sweep_instances(cfg))
         for name, report in chains:
             assert report.trace_distance == pytest.approx(
@@ -188,6 +192,16 @@ class TestBoundSweep:
         want = dict(line.split()[::-1] for line in lines.splitlines() if not line.startswith("#"))
         text = rows_to_csv(run_bound_sweep(ExperimentConfig(seed=seed, trials=100)))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want[f"seed-{seed}"]
+
+    def test_named_predicate_is_validated(self, monkeypatch):
+        # The named rows build their predicate partition through the checks
+        # predicate_cheat runs.
+        def broken_split(inst):
+            return {label: 2 for label in inst.reference.c_labels()}
+
+        monkeypatch.setattr(harness, "_split_predicate", broken_split)
+        with pytest.raises(ValueError, match="^predicate values must be 0 or 1"):
+            run_bound_sweep(ExperimentConfig(trials=0))
 
     def test_wrong_experiment_rejected(self):
         cfg = ExperimentConfig(experiment="multi-scaling")
@@ -264,6 +278,31 @@ class TestReports:
 
     def test_empty_rows_emit_header_only(self):
         assert rows_to_csv([]) == "protocol,attack,p,s_exact,bound,margin\n"
+
+    def test_csv_equals_the_per_value_writer_on_real_rows(self):
+        for rows in (run_bound_sweep(ExperimentConfig(seed=3, trials=5)),
+                     run_multipicture_scaling([2, 3, 7, 100]),
+                     run_oaep_negligibility([3, 5, 8], [0, 1, 3])):
+            assert rows_to_csv(rows) == previous_rows_to_csv(rows)
+
+    def test_csv_equals_the_per_value_writer_on_edge_values(self):
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+                  1.0 / 3.0, 1e16, 1e17, 123456789012345680.0]
+        ints = [0, -1, 2**63, -(2**64) - 1, 10**40]
+        rows = [SweepRow("x,y", "", x, -x, x, 0.5) for x in floats]
+        assert rows_to_csv(rows) == previous_rows_to_csv(rows)
+        rows = [ScalingRow(n, x, -x) for n, x in zip(ints * 3, floats)]
+        assert rows_to_csv(rows) == previous_rows_to_csv(rows)
+        rows = [NegligibilityRow(n, -n, x) for n, x in zip(ints * 3, floats)]
+        assert rows_to_csv(rows) == previous_rows_to_csv(rows)
+
+    def test_header_only_output_equals_the_per_value_writer(self):
+        # No rows print SweepRow's header; each row type's header is its fields.
+        assert rows_to_csv([]) == previous_rows_to_csv([])
+        for row in (SweepRow("p", "a", 0.5, 0.5, 0.5, 0.0), ScalingRow(2, 0.5, 0.5),
+                    NegligibilityRow(4, 0, 0.0)):
+            assert rows_to_csv([row]) == previous_rows_to_csv([row])
+            assert rows_to_csv([row]).splitlines()[0] == ",".join(type(row).__dataclass_fields__)
 
     def test_json_mirrors_csv_values(self):
         rows = run_multipicture_scaling([2, 4])
