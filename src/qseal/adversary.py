@@ -14,10 +14,11 @@ term. Every honest unseal is a computational-basis readout of register C, so
 running it coherently and uncomputing it is exactly ``basis_cheat``.
 
 Two engines evaluate strategies; both hand ``_reports`` a stack of outcome
-masses, a mask of the outcomes pinpointing a message and each strategy's record
-(reference, columns, U or a sweep trial's seed or None, each column's outcome),
-and it builds every ``CheatReport``, proof chain included, in array passes over
-the stack; a report builds its returned mixture from the record when read. Without a
+masses, a mask of the outcomes pinpointing a message and each strategy as its
+entry point was given it (``CheatReport.strategy``), and it builds every
+``CheatReport``, proof chain included, in array passes over the stack. A report
+replays its strategy on the single-state route when its returned mixture is
+read, sharing no column coding or emulated draw with the engines. Without a
 unitary, ``sparse_reports`` runs a stack of strategies (one, or bound-sweep's
 named rows) and stays sparse, so the basis and predicate cheats reach
 ``SUPPORT_CAP`` keys: ``_sparse_masses`` walks ``states._branches`` (one
@@ -47,7 +48,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -164,24 +164,21 @@ class CheatReport:
     """Exact outcome of one cheating strategy.
 
     ``outcome_table`` rows are (outcome label, branch probability q_i, branch
-    acceptance |<ref|phi_i>|^2). ``returned`` is the mixture handed back for
-    verification, built on read from the one strategy record ``members``:
-    (reference, columns, U or seed or None, each column's outcome or None), U
-    acting on the first len(U) columns. A sweep's report holds its trial's seed
-    in place of U, so a sweep keeps no trial's |C| x |C| matrix: reading
-    ``returned`` redraws U on every column with ``random_unitary(columns, seed)``,
-    bit for bit the sweep's U, in 0.05 ms at |C| = 3 and 11-14 ms at |C| = 256
-    (quartiles of 200 and 20 runs, shared 2-vCPU VM, numpy 2.4, single-threaded
-    BLAS). ``s``, ``trace_distance`` and ``convex_sum`` are
-    ``chain_links``' three links of the q's, ``bound`` the closed form that ends the
-    proof chain, and ``margin`` the slack under it.
+    acceptance |<ref|phi_i>|^2). ``strategy`` is (reference, unitary, partition)
+    as the entry point was given it: ``strategy_report`` with a unitary holds its
+    ``LocalUnitary`` and ``ProjPartition``, ``sparse_reports`` None and its
+    partition, and a sweep trial its seed and None, so a sweep keeps no trial's
+    |C| x |C| matrix. ``returned`` is the mixture handed back for verification,
+    replayed from ``strategy`` on read. ``s``, ``trace_distance`` and
+    ``convex_sum`` are ``chain_links``' three links of the q's, ``bound`` the
+    closed form that ends the proof chain, and ``margin`` the slack under it.
     """
 
     p: float
     s: float
     bound: float
     outcome_table: tuple[tuple[Label, float, float], ...]
-    members: tuple = field(repr=False, compare=False)
+    strategy: tuple = field(repr=False, compare=False)
     p_bound: float
     trace_distance: float
     convex_sum: float
@@ -190,14 +187,20 @@ class CheatReport:
     def returned(self) -> Ensemble:
         """Built on first read by the single-state route: ``apply_unitary_c``
         with U, ``collapse_branches``, ``apply_unitary_c`` with U^dagger (the
-        rotations only when U or a seed is given), weighted by the table's q's."""
-        reference, columns, u, outcomes = self.members
+        rotations only when U is given), weighted by the table's q's. A sweep
+        trial's seed is redrawn as the trial drew it: ``default_rng(seed)``, then
+        ``random_unitary`` and ``random_partition`` on the sorted C labels, bit
+        for bit the sweep's U and cells, in 0.07-0.12 ms at |C| = 3 and 14-17 ms
+        at |C| = 256 (quartiles of 200 and 20 runs, shared 2-vCPU VM, numpy
+        2.4, single-threaded BLAS)."""
+        reference, u, partition = self.strategy
         if isinstance(u, int):  # a sweep trial's seed
-            u = random_unitary(columns, u).matrix
-        partition = ProjPartition({c: o for c, o in zip(columns, outcomes) if o is not None})
+            labels = sorted(reference.c_labels())
+            rng = np.random.default_rng(u)
+            u, partition = random_unitary(labels, rng), random_partition(labels, rng)
         if u is not None:
-            rotate, undo = (LocalUnitary(columns[:len(u)], m) for m in (u, u.conj().T))
-            reference = apply_unitary_c(reference, rotate)
+            undo = LocalUnitary(u.basis, u.matrix.conj().T)
+            reference = apply_unitary_c(reference, u)
         branches = collapse_branches(reference, partition)
         return Ensemble(tuple((q, branches[outcome][1] if u is None
                                else apply_unitary_c(branches[outcome][1], undo))
@@ -223,9 +226,9 @@ class CheatReport:
         }
 
 
-def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatReport]:
+def _reports(qs: np.ndarray, pinned: np.ndarray, tables, strategies) -> list[CheatReport]:
     """A stack's reports, in array passes over its zero-padded outcome masses
-    ``qs``: strategy t has outcome table ``tables[t]`` and record ``members[t]``,
+    ``qs``: strategy t has outcome table ``tables[t]`` and is ``strategies[t]``,
     and ``pinned[t, i]`` marks an outcome whose lone active label decodes to a
     message (distinct labels, injective ``decode``: no message pinned twice).
     s and the chain come from one ``chain_links`` call. p sums the pinned masses:
@@ -245,41 +248,36 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, members) -> list[CheatR
     p_bound = np.minimum(best, 1.0)
     bounds = soundness_bound(p_bound, c)
     return [*map(CheatReport, np.minimum(sums, 1.0).tolist(), s.tolist(), bounds.tolist(), tables,
-                 members, p_bound.tolist(), distance.tolist(), convex.tolist())]
+                 strategies, p_bound.tolist(), distance.tolist(), convex.tolist())]
 
 
-def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[list, list, tuple, tuple]:
-    """(masses, pins, table, record) of the strategy with no unitary, in sorted outcome order.
+def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[tuple, tuple, tuple]:
+    """(masses, pins, table) of the strategy with no unitary, in sorted outcome order.
     The partition is diagonal, so each post-state is a rescaled piece of the reference: nothing
     needs undoing. Outcome by outcome (``_branches``), a post-state is scored by one
     ``squared_overlap`` (the table's acceptance column) and dropped; its lone C label, if it
-    decodes, pins it."""
+    decodes, pins it. Outcomes are distinct, so the sort compares names only."""
     reference, decode = inst.reference, inst.decode
-    masses, accepts, pins = {}, {}, {}
-    for outcome, q, post, label in _branches(reference, partition):
-        masses[outcome], accepts[outcome] = q, squared_overlap(reference, post)
-        pins[outcome] = label is not None and decode.get(label) is not None
-    outcomes = sorted(masses)
-    qs = [masses[outcome] for outcome in outcomes]
+    rows = sorted((outcome, q, squared_overlap(reference, post),
+                   label is not None and decode.get(label) is not None)
+                  for outcome, q, post, label in _branches(reference, partition))
+    _, qs, _, pins = zip(*rows)
     check_weights(math.fsum(qs))
-    table = tuple(zip(outcomes, qs, map(accepts.__getitem__, outcomes)))
-    labels = [*dict.fromkeys(map(itemgetter(1), reference.amps))]
-    cells = [*map(partition.outcome_of.__getitem__, labels)]
-    return qs, [*map(pins.__getitem__, outcomes)], table, (reference, labels, None, cells)
+    return qs, pins, tuple(row[:3] for row in rows)
 
 
 def sparse_reports(strategies: Sequence[tuple[SealedInstance, ProjPartition]]) -> list[CheatReport]:
     """The reports of strategies with no unitary, each an (instance, partition), in order:
     ``_sparse_masses`` of each in turn, then one ``_reports`` per outcome count. A stack's
     rows have one width, each row's own, so each report has the bits it gets alone."""
-    stacks: dict[int, list] = {}  # outcome count -> [(strategy index, masses, pins, table, record)]
+    stacks: dict[int, list] = {}  # outcome count -> [(strategy index, masses, pins, table, strategy)]
     for t, (inst, partition) in enumerate(strategies):
-        qs, pins, table, record = _sparse_masses(inst, partition)
-        stacks.setdefault(len(qs), []).append((t, qs, pins, table, record))
+        qs, pins, table = _sparse_masses(inst, partition)
+        stacks.setdefault(len(qs), []).append((t, qs, pins, table, (inst.reference, None, partition)))
     reports: list = [None] * len(strategies)
     for stack in stacks.values():
-        at, qs, pins, tables, records = zip(*stack)
-        for t, report in zip(at, _reports(np.array(qs), np.array(pins), tables, records)):
+        at, qs, pins, tables, given = zip(*stack)
+        for t, report in zip(at, _reports(np.array(qs), np.array(pins), tables, given)):
             reports[t] = report
     return reports
 
@@ -309,13 +307,12 @@ def _rotated_branches(
     basis: Sequence[Label],
     matrices: np.ndarray,
     partitions: np.ndarray | Sequence[ProjPartition],
-    seeds: Sequence[int] | None = None,
+    strategies: Sequence[tuple],
 ) -> list[CheatReport]:
     """Rotate, measure, undo, for each unitary of a stack on one basis.
 
-    ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``).
-    Report t's record holds ``matrices[t]``, or ``seeds[t]`` when given: a sweep
-    trial's seed, from which ``random_unitary`` redraws that U on the whole basis.
+    ``matrices[t]`` is measured with ``partitions[t]`` (see ``_outcome_codes``),
+    and report t holds ``strategies[t]`` as given (``CheatReport.strategy``).
     The strategy stays in the reference's |B| x |basis| block: rotate it once
     for the stack (psi @ U^T), then ``np.bincount`` each active column into its
     (trial, outcome) slot, so no array has both an outcome axis and a column
@@ -372,13 +369,10 @@ def _rotated_branches(
     failing = ~(np.abs(totals - 1.0) <= NORM_TOL)  # check_weights' test; NaN fails
     if failing.any():
         check_weights(totals[failing.argmax()].item())  # raises with its message
-    outcomes = np.append(names, None)[codes].tolist()  # each column's outcome, None where uncovered
     named = iter(names[used_name].tolist())
     tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
               for m, probs in zip(counts.tolist(), qs.tolist())]
-    held_u = matrices if seeds is None else seeds  # no seed record holds a view of the stack
-    members = [(reference, columns, u, row) for u, row in zip(held_u, outcomes)]
-    return _reports(qs, pinned, tables, members)
+    return _reports(qs, pinned, tables, strategies)
 
 
 def strategy_report(
@@ -396,7 +390,8 @@ def strategy_report(
         partition = ProjPartition.finest(inst.reference.c_labels().union(basis))
     if unitary is None:
         return sparse_reports([(inst, partition)])[0]
-    (report,) = _rotated_branches(inst, unitary.basis, unitary.matrix[None], [partition])
+    (report,) = _rotated_branches(inst, unitary.basis, unitary.matrix[None], [partition],
+                                  [(inst.reference, unitary, partition)])
     return report
 
 
@@ -592,9 +587,9 @@ def random_strategy_sweeps(
     and one ``chain_links`` call per member. Yields (index of the instance in
     ``insts``, its first trial, its reports of that chunk), chunk by chunk and
     member by member; an instance's chunks come in trial order. A report holds
-    its trial's seed, not its U (``CheatReport.returned`` redraws U when read),
-    so a chunk's arrays go once the next chunk's U replaces them and memory
-    does not grow with trials.
+    its trial's seed, not its U or cells (``CheatReport.returned`` redraws both
+    when read), so a chunk's arrays go once the next chunk's U replaces them and
+    memory does not grow with trials.
 
     Raises ValueError when the first chunk is asked for, before any trial is
     seeded, if ``trials`` is outside 1..``TRIALS_CAP``, an instance's |B|*|C|
@@ -634,7 +629,8 @@ def random_strategy_sweeps(
             # before the next draw, it lets glibc trim the heap, which that draw then
             # faults back in: 1508 minor faults a trial at |B| = 2, |C| = 256, not 512.
             for i, _, labels in members:
-                yield i, first, _rotated_branches(insts[i], labels, unitaries, cells, seeds[chunk])
+                strategies = [(insts[i].reference, seed, None) for seed in seeds[chunk]]
+                yield i, first, _rotated_branches(insts[i], labels, unitaries, cells, strategies)
 
 
 def random_strategy_sweep(

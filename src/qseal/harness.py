@@ -186,11 +186,10 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     each chunk's reports are checked and turned into rows as they come, so the
     sweep holds rows, not reports. Rows print in instance order, each
     instance's named rows before its random rows in trial order. The default
-    run at 100 trials, CSV included, takes 0.0207-0.0217 s in process, against
-    0.0226-0.0242 s with one ``_reports`` call per named strategy and a format
-    per CSV value (``perfbench/run.py --workload bound-sweep``, medians of 10
-    runs at seeds 8191 and 31337, at the benchmark's reference speed, on the
-    machine ``random_strategy_sweeps`` names).
+    run at 100 trials, CSV included, takes 0.0207-0.0217 s in process
+    (``perfbench/run.py --workload bound-sweep``, medians of 10 runs at seeds
+    8191 and 31337, at the benchmark's reference speed, on the machine
+    ``random_strategy_sweeps`` names).
     """
     if cfg.experiment != "bound-sweep":
         raise ConfigInvalid("config is not a bound-sweep configuration")

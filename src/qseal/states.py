@@ -14,8 +14,9 @@ precondition there.
 Dense work on register C starts from ``c_block``, which lays a state's
 amplitudes on a C basis out as a |B| x |basis| array. Strategies rotate that
 array in ``adversary._rotated_branches``, which keeps only outcome masses;
-``apply_unitary_c`` rotates one state, and builds a dense report's returned
-mixture when it is read.
+``apply_unitary_c`` rotates one state. A report's returned mixture replays its
+strategy through ``random_unitary`` (a sweep trial's seed), ``apply_unitary_c``
+and ``collapse_branches`` when it is read.
 
 One walk, ``_branches``, measures a partition of C: one bucketing pass, then
 each outcome with its post-state, built when that outcome is reached.

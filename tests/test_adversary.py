@@ -93,6 +93,15 @@ def sealed_instances(draw):
     return seal_naive(message, garbage[0]) if kind == "naive" else seal_garbage(message, garbage)
 
 
+def rotated_branches(inst, basis, stack, partitions):
+    """``_rotated_branches`` on a stack of unitaries on ``basis``, each report
+    holding its strategy as ``strategy_report`` would: (reference,
+    ``LocalUnitary`` of its matrix, its partition)."""
+    strategies = [(inst.reference, LocalUnitary(basis, m), partition)
+                  for m, partition in zip(stack, partitions)]
+    return adversary._rotated_branches(inst, basis, stack, partitions, strategies)
+
+
 def chain_calls(monkeypatch):
     """The row count of each ``chain_links`` call made from now on: one call per
     ``_rotated_branches`` call, so one per sweep chunk."""
@@ -380,8 +389,8 @@ class TestStackedSweep:
             assert (report.p, report.s, report.bound) == (single.p, single.s, single.bound)
             # The chain holds the trace distance: stack and single agree bit for bit.
             assert proof_chain(inst, report) == proof_chain(inst, single)
-            # The record holds the trial's seed; TestRebuiltUnitary checks its U.
-            assert report.members[2] == rng_seed + t
+            # The strategy holds the trial's seed; TestRebuiltUnitary checks its replay.
+            assert report.strategy[1] == rng_seed + t
         return reports, chunks
 
     @staticmethod
@@ -454,8 +463,8 @@ class TestStackedSweep:
         object.__setattr__(u, "matrix", stack[1])
         with pytest.raises(ValueError) as single:
             strategy_report(inst, u, None)
-        with pytest.raises(ValueError) as batch:
-            adversary._rotated_branches(inst, labels, stack, [ProjPartition.finest(labels)] * 4)
+        with pytest.raises(ValueError) as batch:  # raised before any report takes a strategy
+            adversary._rotated_branches(inst, labels, stack, [ProjPartition.finest(labels)] * 4, [None] * 4)
         message = str(batch.value)
         assert message == str(single.value)
         assert message.startswith("ensemble weights sum to 1.002")
@@ -481,8 +490,10 @@ class TestCellRows:
                       for row in cells.tolist()]
         inst = SealedInstance(GARBAGE, reference, {c: c.upper() for c in basis}, {})
         calls = chain_calls(monkeypatch)
-        by_row = adversary._rotated_branches(inst, basis, stack, cells)
-        by_partition = adversary._rotated_branches(inst, basis, stack, partitions)
+        strategies = [(reference, LocalUnitary(basis, m), partition)
+                      for m, partition in zip(stack, partitions)]
+        by_row = adversary._rotated_branches(inst, basis, stack, cells, strategies)
+        by_partition = adversary._rotated_branches(inst, basis, stack, partitions, strategies)
         assert [[o for o, _, _ in report.outcome_table] for report in by_row[:4]] == [
             ["cell0"], ["cell0", "cell1"], ["cell0", "cell2"], ["cell0"]]
         assert calls == [8, 8]
@@ -490,9 +501,7 @@ class TestCellRows:
             # Reports compare p, s, bound, the table and p_bound, which reads the lone labels.
             assert row == partition
             assert proof_chain(inst, row) == proof_chain(inst, partition)
-            assert row.members[1] == partition.members[1]
-            assert list(row.members[3]) == list(partition.members[3])
-            assert row.returned == partition.returned
+            assert _report_bits(row) == _report_bits(partition)
 
     def test_sweep_builds_no_partition(self, monkeypatch):
         inst = seal_garbage("M", [f"g{i}" for i in range(11)])
@@ -605,7 +614,7 @@ class TestChainsPerChunk:
         stack = adversary.haar_unitaries(normal_block(rngs, len(labels)))
         partitions = [random_partition(labels, rng) for rng in rngs]
         calls = chain_calls(monkeypatch)
-        stacked = adversary._rotated_branches(inst, labels, stack, partitions)
+        stacked = rotated_branches(inst, labels, stack, partitions)
         assert calls == [100]
         eager = [proof_chain(inst, report) for report in stacked]
         calls.clear()
@@ -639,10 +648,10 @@ class TestChunkBudget:
             chunks.append((len(normals), [normals.shape, stack.shape]))
             return stack
 
-        def recorded_rotate(inst, basis, matrices, cells, seeds):
+        def recorded_rotate(inst, basis, matrices, cells, strategies):
             # psi @ U^T rotates the |B| x |C| block of every trial at once.
             chunks[-1][1].extend([(len(matrices), n_b, n), cells.shape])
-            return rotate(inst, basis, matrices, cells, seeds)
+            return rotate(inst, basis, matrices, cells, strategies)
 
         monkeypatch.setattr(adversary, "haar_unitaries", recorded_draw)
         monkeypatch.setattr(adversary, "_rotated_branches", recorded_rotate)
@@ -702,8 +711,8 @@ class TestSweepsAcrossInstances:
             assert [t for t, _ in numbered] == list(range(trials))
             assert [report for _, report in numbered] == alone
             for (t, report), single in zip(numbered, alone):
-                assert report.members == single.members
-                assert report.members[2] == rng_seed + t
+                assert report.strategy == single.strategy
+                assert report.strategy[1] == rng_seed + t
 
     def test_validates_every_instance_before_seeding(self, monkeypatch):
         seeded = []
@@ -731,10 +740,11 @@ class TestStackWeightCheck:
             stack[t] *= scale
         partitions = [ProjPartition.finest(labels)] * len(stack)
         first = min(scales)
+        # Each call raises before any report takes a strategy.
         with pytest.raises(ValueError) as alone:
-            adversary._rotated_branches(inst, labels, stack[first][None], partitions[:1])
+            adversary._rotated_branches(inst, labels, stack[first][None], partitions[:1], [None])
         with pytest.raises(ValueError) as batch:
-            adversary._rotated_branches(inst, labels, stack, partitions)
+            adversary._rotated_branches(inst, labels, stack, partitions, [None] * len(stack))
         assert str(batch.value) == str(alone.value)
         message = str(batch.value)
         total = float(message.removeprefix("ensemble weights sum to ").removesuffix(", expected 1"))
@@ -742,22 +752,28 @@ class TestStackWeightCheck:
 
 
 class TestRebuiltUnitary:
-    """A sweep's report holds its trial's seed, and the U that ``returned``
-    redraws from it is the slice of the sweep's stack, bit for bit: after a
-    rejected Lemire word too, since the redraw of the cells refills the same
-    normals. The rebuild rests on ``default_rng`` and a stacked QR giving each
-    slice the bits it gets alone, so this also runs on the oldest numpy allowed."""
+    """A sweep's report holds its trial's seed, and the strategy that ``returned``
+    replays from it is the sweep's, bit for bit: its U the slice of the sweep's
+    stack and its partition the trial's cell row, after a rejected Lemire word
+    too, since the redraw of the cells refills the same normals. The replay rests
+    on ``default_rng`` and a stacked QR giving each slice the bits it gets alone,
+    so this also runs on the oldest numpy allowed."""
 
     @pytest.mark.parametrize("rejected", [False, True], ids=["drawn", "redrawn"])
     @pytest.mark.parametrize("n", [3, 17, 64])
     def test_returned_equals_the_stacked_slice(self, n, rejected, monkeypatch):
         inst = TestRandomStrategySweep.rectangular_instance(2, n)
-        stacks = []
-        draw, lemire = adversary.haar_unitaries, adversary._lemire
+        stacks, cell_rows = [], []
+        draw, draw_trials, lemire = adversary.haar_unitaries, adversary._draw_trials, adversary._lemire
 
         def recorded_draw(normals):
             stacks.append(draw(normals))
             return stacks[-1]
+
+        def recorded_cells(rng, states, n):
+            normals, cells = draw_trials(rng, states, n)
+            cell_rows.append(cells)
+            return normals, cells
 
         def reject_odd_trials(words, k):
             draws, kept = lemire(words, k)
@@ -765,19 +781,24 @@ class TestRebuiltUnitary:
             return draws, kept
 
         monkeypatch.setattr(adversary, "haar_unitaries", recorded_draw)
+        monkeypatch.setattr(adversary, "_draw_trials", recorded_cells)
         if rejected:
             monkeypatch.setattr(adversary, "_lemire", reject_odd_trials)
         trials = 20  # two chunks at n = 64
         reports = random_strategy_sweep(inst, trials, rng_seed=5)
-        stack = np.concatenate(stacks)
-        assert len(stacks) == (2 if n == 64 else 1) and len(stack) == trials
+        stack, cells = np.concatenate(stacks), np.concatenate(cell_rows)
+        assert len(stacks) == (2 if n == 64 else 1) and len(stack) == len(cells) == trials
+        labels = sorted(inst.reference.c_labels())
         for t, report in enumerate(reports):
-            reference, columns, seed, outcomes = report.members
+            reference, seed, partition = report.strategy
+            assert reference is inst.reference and partition is None
             assert seed == 5 + t and isinstance(seed, int)
-            rebuilt = random_unitary(columns, seed)
-            assert rebuilt.basis == tuple(columns)
+            rebuilt = random_unitary(labels, seed)
+            assert rebuilt.basis == tuple(labels)
             assert rebuilt.matrix.tobytes() == stack[t].tobytes()
-            from_slice = dataclasses.replace(report, members=(reference, columns, stack[t], outcomes))
+            drawn = ProjPartition({c: f"cell{k}" for c, k in zip(labels, cells[t].tolist())})
+            from_slice = dataclasses.replace(
+                report, strategy=(reference, LocalUnitary(labels, stack[t]), drawn))
             assert [(q.hex(), _state_bits(post)) for q, post in report.returned.members] == [
                 (q.hex(), _state_bits(post)) for q, post in from_slice.returned.members]
 
@@ -923,8 +944,7 @@ class TestDenseBlockOracle:
         report = strategy_report(inst, u, partition)
         outcome_of = None if finest else partition.outcome_of
         self.assert_matches(report, dense_strategy(inst.reference, u.basis, u.matrix, outcome_of))
-        _, columns, matrix, _ = report.members
-        assert columns[:2] == u.basis and len(columns) == 64 and matrix.shape == (2, 2)
+        assert report.strategy[1] is u and u.matrix.shape == (2, 2)
 
     def test_stacked_trials_with_ride_along_columns(self, monkeypatch):
         # g0, g1, g2 and an ancilla form the basis, so M and g3 ride along. The two
@@ -940,12 +960,12 @@ class TestDenseBlockOracle:
                                                            for cells in ("aabbcc", "caabbc")]
         partitions += [random_partition(labels, rng) for _ in range(2)]
         calls = chain_calls(monkeypatch)
-        reports = adversary._rotated_branches(inst, basis, stack, partitions)
+        reports = rotated_branches(inst, basis, stack, partitions)
         assert calls == [6]
         for t, (report, matrix, partition) in enumerate(zip(reports, stack, partitions)):
             self.assert_matches(report, dense_strategy(inst.reference, basis, matrix,
                                                        partition.outcome_of))
-            (single,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
+            (single,) = rotated_branches(inst, basis, stack[t:t + 1], [partition])
             assert report == single
             assert proof_chain(inst, report) == proof_chain(inst, single)
 
@@ -1076,7 +1096,7 @@ class TestDenseEvaluation:
     @pytest.mark.parametrize("k0", [9, 12])
     def test_large_reference_builds_only_the_keys_it_keeps(self, k0):
         # A unitary on two of 2^k0 OAEP tokens: the report keeps the 2 x 2
-        # unitary and each column's outcome, and no key or member until
+        # unitary it was given and the finest partition, and no key or member until
         # ``returned`` is read. Under the default finest partition every token is
         # its own outcome; the masses scattered into (trial, outcome) slots
         # peaked at 0.2 and 1.7 MiB (tracemalloc) at k0 = 9 and 12. A float
@@ -1093,9 +1113,9 @@ class TestDenseEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, columns, matrix, outcomes = report.members
-        assert columns[:2] == tuple(labels[:2]) and sorted(columns) == labels
-        assert matrix.shape == (2, 2) and list(outcomes) == list(columns)
+        reference, unitary, partition = report.strategy
+        assert reference is inst.reference and unitary is u and u.matrix.shape == (2, 2)
+        assert partition.outcome_of == {c: c for c in labels}
         assert peak < 8 * 2**20
         expected = {(b, c) for b in inst.reference.b_labels() for c in labels[:2]}
         expected |= {key for key in inst.reference.amps if key[1] not in labels[:2]}
@@ -1315,29 +1335,63 @@ class TestProofChain:
 
 class TestDetectionFromMasses:
     """s is sum_i q_i c_i of the outcome masses (``chain_links``), against the
-    verification route, ``project_accept_probability`` on the returned
-    mixture, which shares no code with it."""
+    verification route: ``returned`` replays the report's strategy (a sweep
+    trial's from its seed) and ``project_accept_probability`` projects it onto
+    the reference. That route shares no code with the engines' masses, cell
+    rows or emulated draws, so it catches a wrong mass that ``check_report``
+    passes. The replay of a sweep trial rests on ``Generator.integers``
+    drawing what ``_lemire`` draws, so this also runs on the oldest numpy allowed."""
 
     @staticmethod
-    def assert_s_is_one_minus_acceptance(inst, report):
-        accept = project_accept_probability(inst.reference, report.returned)
-        assert abs(report.s - (1.0 - accept)) <= EXACT_TOL, (report.s, accept)
+    def miss(inst, report):
+        """|1 - acceptance - s| of the report's replayed mixture."""
+        return abs(1.0 - project_accept_probability(inst.reference, report.returned) - report.s)
 
-    def test_named_bound_sweep_reports(self, monkeypatch):
-        reports, check = [], harness.check_report
+    @classmethod
+    def assert_s_is_one_minus_acceptance(cls, inst, report):
+        assert cls.miss(inst, report) <= EXACT_TOL, report.s
+
+    @staticmethod
+    def bound_sweep_reports(monkeypatch):
+        """(instance, report) of each report the default bound-sweep at 20 trials
+        checks with ``check_report``, named ones first, each report once."""
+        reports, check = {}, harness.check_report
 
         def recording_check(report, instance, attack):
-            reports.append((instance, report))
+            reports.setdefault(id(report), (instance, report))
             check(report, instance, attack)
 
         monkeypatch.setattr(harness, "check_report", recording_check)
-        cfg = harness.ExperimentConfig(trials=0)
+        cfg = harness.ExperimentConfig(trials=20)
         harness.run_bound_sweep(cfg)
-        assert len(reports) == 27
         instances = dict(harness._sweep_instances(cfg))
-        for name, report in reports:
-            assert report.members[2] is None  # sparse: no unitary
-            self.assert_s_is_one_minus_acceptance(instances[name], report)
+        return [(instances[name], report) for name, report in reports.values()]
+
+    def test_bound_sweep_reports(self, monkeypatch):
+        reports = self.bound_sweep_reports(monkeypatch)
+        named, swept = reports[:18], reports[18:]  # basis and predicate-split on nine instances
+        assert len(swept) == 20 * 8  # garbage-64 is past DENSE_DIM_CAP
+        assert all(report.strategy[1] is None for _, report in named)  # sparse: no unitary
+        assert all(type(report.strategy[1]) is int for _, report in swept)  # a trial's seed
+        for inst, report in reports:
+            self.assert_s_is_one_minus_acceptance(inst, report)
+
+    def test_a_moved_cell_row_passes_check_report_but_misses_s(self, monkeypatch):
+        # Rolling each trial's cell row by one moves its q's to another partition's,
+        # still masses that sum to 1, so every report passes check_report. The
+        # replay draws the trial's partition from its seed, not from the engine's
+        # cell rows, so its acceptance leaves s; a replay that read those rows
+        # would move with them and miss by ulps.
+        draw = adversary._draw_trials
+
+        def rolled(rng, states, n):
+            normals, cells = draw(rng, states, n)
+            return normals, np.roll(cells, 1, axis=-1)
+
+        monkeypatch.setattr(adversary, "_draw_trials", rolled)
+        reports = self.bound_sweep_reports(monkeypatch)
+        assert len(reports) == 18 + 20 * 8
+        assert max(self.miss(inst, report) for inst, report in reports[18:]) > 0.1
 
     @pytest.mark.parametrize("k0", [4, 8, 12])
     def test_oaep_basis_cheats(self, k0):
@@ -1585,8 +1639,8 @@ def _report_bits(report):
     table = [(outcome, q.hex(), acceptance.hex()) for outcome, q, acceptance in report.outcome_table]
     numbers = (report.p, report.s, report.bound, report.p_bound, report.trace_distance,
                report.convex_sum)
-    # The conftest oracle holds its eager mixture in ``members``.
-    mixture = report.members if isinstance(report.members, Ensemble) else report.returned
+    # The conftest oracle holds its eager mixture in ``strategy``.
+    mixture = report.strategy if isinstance(report.strategy, Ensemble) else report.returned
     returned = [(q.hex(), _state_bits(post)) for q, post in mixture.members]
     return table, [x.hex() for x in numbers], returned
 
@@ -1685,7 +1739,7 @@ class TestSparseRouteBits:
         reports = [basis_cheat(oaep), basis_cheat(multi6), predicate_cheat(multi6, predicate)]
         for report in reports:
             assert "returned" not in vars(report)
-            assert report.members[2] is None
+            assert report.strategy[1] is None
         monkeypatch.undo()
         want = [previous_sparse_report(oaep, ProjPartition.finest(oaep.reference.c_labels())),
                 previous_sparse_report(multi6, ProjPartition.finest(multi6.reference.c_labels())),
@@ -1825,7 +1879,7 @@ def report_stacks(draw):
 
 
 def stack_inputs(rows, padding):
-    """(instance, zero-padded masses, pinned mask, tables, lone labels, members) of
+    """(instance, zero-padded masses, pinned mask, tables, lone labels, strategies) of
     a stack whose strategy t has the (mass, kind) outcomes ``rows[t]``, padded
     with ``padding`` zero columns past the widest row."""
     qs = np.zeros((len(rows), max(map(len, rows)) + padding))
@@ -1885,11 +1939,11 @@ class TestStackReports:
         [(0.5, "several"), (0.25, "pinned"), (0.125, "pinned"), (0.125, "pinned")],
     ], padding=2)
     def test_equals_the_per_report_pass(self, rows, padding):
-        inst, qs, pinned, tables, lones, members = stack_inputs(rows, padding)
-        got = adversary._reports(qs, pinned, tables, members)
-        want = _previous_reports(inst, qs, tables, lones, members)
+        inst, qs, pinned, tables, lones, strategies = stack_inputs(rows, padding)
+        got = adversary._reports(qs, pinned, tables, strategies)
+        want = _previous_reports(inst, qs, tables, lones, strategies)
         assert [_number_bits(r) for r in got] == [_number_bits(r) for r in want]
-        assert all(r.members is m for r, m in zip(got, members))
+        assert all(r.strategy is m for r, m in zip(got, strategies))
 
     def test_named_bound_sweep_strategies_equal_the_previous_route(self, monkeypatch):
         # Every named strategy is sparse, and all run as one stacked call. The
@@ -1925,19 +1979,18 @@ class TestStackReports:
         for (inst, partition), report in zip(strategies, reports):
             (alone,) = adversary.sparse_reports([(inst, partition)])
             assert _report_bits(report) == _report_bits(alone)
-            assert report.members[1:] == alone.members[1:]
+            assert report.strategy[1:] == alone.strategy[1:] == (None, partition)
 
     def test_each_report_of_a_mixed_stack_equals_its_strategy_alone(self):
         inst, basis, stack, partitions = mixed_stack()
-        reports = adversary._rotated_branches(inst, basis, stack, partitions)
+        reports = rotated_branches(inst, basis, stack, partitions)
         pins = [len(pinpointed_messages(inst, basis, matrix, partition.outcome_of))
                 for matrix, partition in zip(stack, partitions)]
         assert {0, 1, 2, 3} <= set(pins)
         assert len({len(report.outcome_table) for report in reports}) >= 4
         for t, (report, partition) in enumerate(zip(reports, partitions)):
-            (alone,) = adversary._rotated_branches(inst, basis, stack[t:t + 1], [partition])
+            (alone,) = rotated_branches(inst, basis, stack[t:t + 1], [partition])
             assert _report_bits(report) == _report_bits(alone)
-            assert list(report.members[3]) == list(alone.members[3])
 
 
 def sweep_stack(n: int, seeds: range) -> tuple[np.ndarray, np.ndarray]:
@@ -1963,13 +2016,14 @@ class TestRotatedMassBits:
         """Check one stack; True when its q's moved from the indicator's bits."""
         seen, reports = [], adversary._reports
 
-        def recorded(qs, pinned, tables, members):
+        def recorded(qs, pinned, tables, strategies):
             seen.append((qs, pinned))
-            return reports(qs, pinned, tables, members)
+            return reports(qs, pinned, tables, strategies)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(adversary, "_reports", recorded)
-            adversary._rotated_branches(inst, basis, matrices, partitions)
+            # Only the masses are read, so no report needs its strategy.
+            adversary._rotated_branches(inst, basis, matrices, partitions, [None] * len(matrices))
         ((qs, pinned),) = seen
         old_qs, old_pinned, mass, held, codes = previous_rotated_masses(
             inst, basis, matrices, partitions)
@@ -2056,7 +2110,7 @@ class TestMarginIdentity:
 
     def test_mixed_rotated_stack(self):
         inst, basis, stack, partitions = mixed_stack()
-        self.assert_identity(adversary._rotated_branches(inst, basis, stack, partitions))
+        self.assert_identity(rotated_branches(inst, basis, stack, partitions))
 
     @pytest.mark.parametrize("k0", [4, 8, 12])
     def test_oaep_basis_cheats(self, k0):
