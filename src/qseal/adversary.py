@@ -44,7 +44,6 @@ instance seals a single message.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -159,7 +158,7 @@ def chain_links(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return s, np.where(lo == 0, 0.0, hi.view(np.float64)), (q * np.sqrt(c)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheatReport:
     """Exact outcome of one cheating strategy.
 
@@ -171,8 +170,10 @@ class CheatReport:
     |C| x |C| matrix. ``returned`` is the mixture handed back for verification,
     replayed from ``strategy`` on read. ``s``, ``trace_distance`` and
     ``convex_sum`` are ``chain_links``' three links of the q's, ``bound`` the
-    closed form that ends the proof chain, and ``margin`` the slack under it.
-    """
+    closed form that ends the proof chain, and ``margin`` the slack under it. Its
+    ``__init__`` takes the eight fields by position or name and stores them in the
+    instance dict: 0.41 us a report against 1.11 us with one ``object.__setattr__``
+    a field, and a dict of 136 bytes where ``dict.update`` would unshare it (272)."""
 
     p: float
     s: float
@@ -183,6 +184,12 @@ class CheatReport:
     trace_distance: float
     convex_sum: float
 
+    def __init__(self, p, s, bound, outcome_table, strategy, p_bound, trace_distance, convex_sum):
+        d = self.__dict__  # key by key in field order: every report's dict shares one key table
+        d["p"], d["s"], d["bound"], d["outcome_table"] = p, s, bound, outcome_table
+        d["strategy"], d["p_bound"] = strategy, p_bound
+        d["trace_distance"], d["convex_sum"] = trace_distance, convex_sum
+
     @cached_property
     def returned(self) -> Ensemble:
         """Built on first read by the single-state route: ``apply_unitary_c``
@@ -192,7 +199,8 @@ class CheatReport:
         ``random_unitary`` and ``random_partition`` on the sorted C labels, bit
         for bit the sweep's U and cells, in 0.07-0.12 ms at |C| = 3 and 14-17 ms
         at |C| = 256 (quartiles of 200 and 20 runs, shared 2-vCPU VM, numpy
-        2.4, single-threaded BLAS)."""
+        2.4, single-threaded BLAS). Raises ValueError naming the first outcome, the
+        table's then the replay's, that only one of the two has."""
         reference, u, partition = self.strategy
         if isinstance(u, int):  # a sweep trial's seed
             labels = sorted(reference.c_labels())
@@ -202,6 +210,10 @@ class CheatReport:
             undo = LocalUnitary(u.basis, u.matrix.conj().T)
             reference = apply_unitary_c(reference, u)
         branches = collapse_branches(reference, partition)
+        table = dict.fromkeys(outcome for outcome, _, _ in self.outcome_table)
+        if table.keys() != branches.keys():
+            odd = next(o for o in (*table, *branches) if (o in table) != (o in branches))
+            raise ValueError(f"outcome table and replay disagree at outcome {odd!r}")
         return Ensemble(tuple((q, branches[outcome][1] if u is None
                                else apply_unitary_c(branches[outcome][1], undo))
                               for outcome, q, _ in self.outcome_table))
@@ -369,9 +381,10 @@ def _rotated_branches(
     failing = ~(np.abs(totals - 1.0) <= NORM_TOL)  # check_weights' test; NaN fails
     if failing.any():
         check_weights(totals[failing.argmax()].item())  # raises with its message
-    named = iter(names[used_name].tolist())
-    tables = [tuple(zip(itertools.islice(named, m), probs[:m], probs[:m]))
-              for m, probs in zip(counts.tolist(), qs.tolist())]
+    q = sums[used].tolist()
+    rows = [*zip(names[used_name].tolist(), q, q)]  # trial by trial
+    ends = np.cumsum(counts).tolist()
+    tables = [tuple(rows[a:b]) for a, b in zip([0, *ends], ends)]
     return _reports(qs, pinned, tables, strategies)
 
 
@@ -463,14 +476,15 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32, _LOW128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _hasher(h: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays, from the running constant ``h``."""
-    def hashmix(words: np.ndarray) -> np.ndarray:
-        nonlocal h
-        xor, h = h, h * mult & _LOW32
-        words = (words ^ np.uint32(xor)) * np.uint32(h)
-        return words ^ (words >> np.uint32(16))
-    return hashmix
+def _hash_constants(h: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's running hash constants h mult^k mod 2^32, k = 0..calls, as a uint32 column."""
+    return np.array([h * pow(mult, k, 1 << 32) & _LOW32 for k in range(calls + 1)], "u4")[:, None]
+
+
+def _hashmix(words: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 rows: row k xors h[k], then multiplies by h[k + 1]."""
+    words = (words ^ h[:-1]) * h[1:]
+    return words ^ (words >> np.uint32(16))
 
 
 def _pcg64_states(seeds: range) -> list[dict]:
@@ -481,7 +495,10 @@ def _pcg64_states(seeds: range) -> list[dict]:
     uint32 array operations on the seeds' 32-bit words, low first, then PCG64's
     seeding step: state = ((inc + s) * MULT + inc) mod 2^128, inc = 2 initseq + 1.
     A missing pool word hashes as a zero word does, so seeds below 2^128 share
-    one pass on four words; longer ones take one pass per word count.
+    one pass on four words; longer ones take one pass per word count. A pass is
+    4 + (width - 4) ``_hashmix`` rounds, one per source word over the words it
+    mixes into (consecutive constants as a column), between one for the pool and
+    one for all eight output words.
     """
     if seeds.start < 0:
         raise ValueError("expected non-negative integer")
@@ -491,21 +508,19 @@ def _pcg64_states(seeds: range) -> list[dict]:
         width = max(4, -(-start.bit_length() // 32))
         stop = min(seeds.stop, 1 << 32 * width)
         entropy = b"".join(seed.to_bytes(4 * width, "little") for seed in range(start, stop))
-        words = list(np.frombuffer(entropy, dtype="<u4").reshape(-1, width).T)
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(word) for word in words[:4]]
+        words = np.frombuffer(entropy, dtype="<u4").reshape(-1, width).T
+        h = _hash_constants(_INIT_A, _MULT_A, 4 * width)
+        pool, k = _hashmix(words[:4], h[:5]), 4
         # Each pool word mixes in every other pool word's hash, then each extra word's.
-        for src, dst in [*itertools.permutations(range(4), 2),
-                         *itertools.product(range(4, width), range(4))]:
-            hashed = hashmix(pool[src] if src < 4 else words[src])
+        for src in range(width):
+            dst = [d for d in range(4) if d != src]  # src's hashes share one round
+            hashed = _hashmix(pool[src] if src < 4 else words[src], h[k:k + len(dst) + 1])
             mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-            pool[dst] = mixed ^ (mixed >> np.uint32(16))
-        hashmix = _hasher(_INIT_B, _MULT_B)
-        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+            pool[dst], k = mixed ^ (mixed >> np.uint32(16)), k + len(dst)
+        out = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_constants(_INIT_B, _MULT_B, 8)).astype("u8")
         # generate_state's uint64 words join its uint32 words low half first;
         # PCG64 reads s from uint64 words 0 and 1, initseq from 2 and 3, high word first.
-        s_hi, s_lo, i_hi, i_lo = ((lo | (hi << np.uint64(32))).tolist()
-                                  for lo, hi in zip(out[::2], out[1::2]))
+        s_hi, s_lo, i_hi, i_lo = (out[::2] | (out[1::2] << np.uint64(32))).tolist()
         for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
             inc = (c << 64 | d) << 1 & _LOW128 | 1
             state = {"state": ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _LOW128, "inc": inc}
@@ -527,29 +542,29 @@ def _draw_trials(rng: np.random.Generator, states, n: int) -> tuple[np.ndarray, 
     """The (T, 2, n, n) normal block and (T, n) cell rows that ``random_unitary``
     and then ``_random_cells`` draw from each state, set in turn on ``rng``'s PCG64.
 
-    A trial makes one ``standard_normal`` fill and one ``random_raw`` call; its
-    cell count and cells are ``_lemire`` across the trials on the raw words'
-    32-bit halves, low half first (``next_uint32``'s order), where a range of
-    one takes no word. A trial with a rejected word (chance below n^2 / 2^32)
+    A trial makes three calls, the floor of its Python: it sets the state, fills
+    its normals with ``standard_normal`` and draws with ``random_raw``, 1.1, 1.0
+    and 0.7 ms per 1000 trials at n = 4 (the fill 2.2 at n = 8), of a 3.1 ms
+    loop. Its cell count and cells are ``_lemire`` across the trials on the raw
+    words' 32-bit halves, low half first (``next_uint32``'s order), where a range
+    of one takes no word. A trial with a rejected word (chance below n^2 / 2^32)
     is drawn again by ``_random_cells``, word by word.
     """
     bitgen = rng.bit_generator
     normals = np.empty((len(states), 2, n, n))
     raw = np.empty((len(states), n // 2 + 1), dtype=np.uint64)  # n + 1 words or more
-
-    def reseed_and_fill(t: int) -> None:
-        bitgen.state = states[t]
-        rng.standard_normal(out=normals[t])
-
-    for t in range(len(states)):
-        reseed_and_fill(t)
-        raw[t] = bitgen.random_raw(raw.shape[1])
+    fill, draw, width = rng.standard_normal, bitgen.random_raw, raw.shape[1]
+    for state, block, row in zip(states, normals, raw):
+        bitgen.state = state
+        fill(out=block)
+        row[:] = draw(width)
     words = np.stack((raw & np.uint64(_LOW32), raw >> np.uint64(32)), -1).reshape(len(raw), -1)
     count, count_kept = _lemire(words[:, 0], n)
     cells, kept = _lemire(words[:, 1:n + 1], count[:, None] + np.uint64(1))
     cells = cells.astype(np.int64)
     for t in np.flatnonzero(~(count_kept & kept.all(axis=-1))).tolist():
-        reseed_and_fill(t)
+        bitgen.state = states[t]
+        fill(out=normals[t])
         cells[t] = _random_cells(n, rng)
     return normals, cells
 
@@ -596,13 +611,13 @@ def random_strategy_sweeps(
     exceeds ``DENSE_DIM_CAP`` or ``rng_seed`` is negative. No report or chain
     needs the cap; it fixes which rows ``bound-sweep`` prints, and so the rows
     its reference records.
-    100 trials with their proof chains take 0.0054-0.0058 s at |B| = |C| = 17
-    (one chunk; 0.0079-0.0090 s as eight) and 1.3-1.8 s at |B| = 2, |C| = 256
+    100 trials with their proof chains take 0.0042-0.0046 s at |B| = |C| = 17
+    (one chunk; 0.0060-0.0064 s as eight) and 1.1-1.3 s at |B| = 2, |C| = 256
     (a chunk a trial), where the Haar QR dominates (quartiles of 30 and 5 runs
     on a shared 2-vCPU VM whose speed varies by about 1.7x; Python 3.11, numpy
     2.4, single-threaded BLAS). Another instance of the same |C| adds only its
-    rotation and reports: at |C| = 2, 100 trials take 1.36 ms on naive alone
-    and 2.55 ms on naive, garbage-1 and multipicture-2 together, against 4.1 ms
+    rotation and reports: at |C| = 2, 100 trials take 1.06 ms on naive alone
+    and 2.04 ms on naive, garbage-1 and multipicture-2 together, against 3.5 ms
     as three sweeps (medians of 200 runs, same machine).
     """
     if not 1 <= trials <= TRIALS_CAP:

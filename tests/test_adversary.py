@@ -529,12 +529,15 @@ def default_rng_state(seed):
     return np.random.default_rng(seed).bit_generator.state
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStreamEquivalence:
     """A sweep seeds and draws its trials without ``default_rng``, and gets its bits.
 
     The emulation copies numpy internals (``SeedSequence``'s hash, PCG64's
     seeding step and ``Generator.integers``' rule), so these tests also run
-    against the oldest numpy ``pyproject.toml`` allows."""
+    against the oldest numpy ``pyproject.toml`` allows. The hash wraps uint32
+    arithmetic on purpose, which numpy warns of only on scalars: a warning here
+    means a hash round left its arrays, so it fails the test."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
                                       2**128 - 1, 2**128, 2**200])
@@ -544,6 +547,13 @@ class TestStreamEquivalence:
     def test_a_range_across_word_counts(self):
         # Four words, then five: two hashing passes in one call.
         seeds = range(2**128 - 3, 2**128 + 3)
+        assert adversary._pcg64_states(seeds) == [default_rng_state(s) for s in seeds]
+
+    @pytest.mark.parametrize("seeds", [range(2**160 - 3, 2**160 + 3), range(3 * 2**190, 3 * 2**190 + 50)],
+                             ids=["five-then-six-words", "fifty-six-word-seeds"])
+    def test_extra_word_rounds_on_many_seeds(self, seeds):
+        # A pass hashes each extra word beyond the pool's four in one round over
+        # all its seeds, so each seed's words must stay in its own column.
         assert adversary._pcg64_states(seeds) == [default_rng_state(s) for s in seeds]
 
     @given(seed=st.integers(0, 2**140 - 1))
@@ -1393,6 +1403,36 @@ class TestDetectionFromMasses:
         assert len(reports) == 18 + 20 * 8
         assert max(self.miss(inst, report) for inst, report in reports[18:]) > 0.1
 
+    def test_a_shifted_cell_row_fails_its_replay_by_name(self, monkeypatch):
+        # Shifting each cell number by one mod n can name an outcome the trial's
+        # partition lacks ("cell3" where it drew three cells), and a report whose
+        # outcomes differ from its replay's must say which, as a ValueError.
+        inst, n, seed = seal_garbage("M", ["g0", "g1", "g2"]), 4, 9  # trial 19 draws all 4 cells
+        draw = adversary._draw_trials
+
+        def shifted(rng, states, width):
+            normals, cells = draw(rng, states, width)
+            return normals, (cells + 1) % width
+
+        monkeypatch.setattr(adversary, "_draw_trials", shifted)
+        reports = random_strategy_sweep(inst, 20, rng_seed=seed)
+        labels = sorted(inst.reference.c_labels())
+        assert len(labels) == n
+        missed = []
+        for t, report in enumerate(reports):
+            harness.check_report(report, "garbage-3", "random")
+            rng = np.random.default_rng(seed + t)
+            random_unitary(labels, rng)
+            replayed = set(random_partition(labels, rng).outcome_of.values())
+            extra = [outcome for outcome, _, _ in report.outcome_table if outcome not in replayed]
+            if extra:
+                with pytest.raises(ValueError, match=repr(extra[0])):
+                    report.returned
+                missed.append(extra[0])
+            else:  # the same outcomes, so the replay runs
+                assert len(report.returned.members) == len(report.outcome_table)
+        assert "'cell3'" in map(repr, missed) and len(missed) < len(reports)
+
     @pytest.mark.parametrize("k0", [4, 8, 12])
     def test_oaep_basis_cheats(self, k0):
         inst = seal_oaep(0x5A, OaepContext.create(k0=k0, n=8, with_human=False))
@@ -1628,6 +1668,48 @@ class TestReportSerialization:
         assert set(data) == {"p", "s", "bound", "margin", "outcome_table"}
         assert data["margin"] == pytest.approx(data["bound"] - data["s"], abs=1e-15)
         assert len(data["outcome_table"]) == 2
+
+
+class TestReportContract:
+    """``CheatReport``'s own ``__init__`` keeps the frozen dataclass's contract."""
+
+    FIELDS = (0.5, 0.25, 0.75, (("cell0", 0.5, 0.5), ("cell1", 0.5, 0.5)), ("ref", 7, None),
+              0.5, 0.375, 0.5)
+
+    def test_fields_by_position_and_by_name(self):
+        names = [f.name for f in dataclasses.fields(CheatReport)]
+        by_position = CheatReport(*self.FIELDS)
+        by_name = CheatReport(**dict(zip(names, self.FIELDS)))
+        assert [getattr(by_position, name) for name in names] == list(self.FIELDS)
+        assert [getattr(by_name, name) for name in names] == list(self.FIELDS)
+        assert mass_chain([0.5, 0.5]).outcome_table == ()  # mass_chain's positional use
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CheatReport)])
+    def test_fields_are_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(CheatReport(*self.FIELDS), name, 0.0)
+
+    def test_replace_keeps_the_strategy(self):
+        report = random_strategy_sweep(seal_garbage("M", ["g0", "g1"]), 1, rng_seed=4)[0]
+        moved = dataclasses.replace(report, s=report.s + 1e-9)
+        assert moved.s == report.s + 1e-9 and moved.strategy is report.strategy
+        assert moved.outcome_table is report.outcome_table and moved != report
+
+    def test_strategy_is_out_of_eq_hash_and_repr(self):
+        report = CheatReport(*self.FIELDS)
+        other = CheatReport(*self.FIELDS[:4], None, *self.FIELDS[5:])
+        compared = self.FIELDS[:4] + self.FIELDS[5:]
+        assert report == other and hash(report) == hash(other) == hash(compared)
+        assert repr(report) == repr(other) == (
+            "CheatReport(p=0.5, s=0.25, bound=0.75, outcome_table=(('cell0', 0.5, 0.5), "
+            "('cell1', 0.5, 0.5)), p_bound=0.5, trace_distance=0.375, convex_sum=0.5)")
+        assert report != CheatReport(*self.FIELDS[:1], 0.125, *self.FIELDS[2:])
+
+    def test_returned_is_built_once(self):
+        report = random_strategy_sweep(seal_garbage("M", ["g0", "g1"]), 1, rng_seed=4)[0]
+        assert "returned" not in vars(report)
+        first = report.returned
+        assert vars(report)["returned"] is first and report.returned is first
 
 
 def _state_bits(state):
