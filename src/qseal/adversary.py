@@ -21,13 +21,13 @@ replays its strategy on the single-state route when its returned mixture is
 read, sharing no column coding or emulated draw with the engines. Without a
 unitary, ``sparse_reports`` runs a stack of strategies (one, or bound-sweep's
 named rows) and stays sparse, so the basis and predicate cheats reach
-``SUPPORT_CAP`` keys: ``_sparse_masses`` walks ``states._branches`` (one
-bucketing pass), and a branch costs one post-state, adopted
-(``SparseState._adopt``), scored by one ``squared_overlap`` and dropped before
-the next, and one ``decode`` lookup for its lone label; strategies of one
-outcome count share a ``_reports`` call. With one, ``_rotated_branches`` runs
-a stack of strategies (one, or a sweep's trials) on the reference's dense
-|B| x |basis| block and keeps only the outcome masses. A
+``SUPPORT_CAP`` keys: ``_sparse_masses`` buckets the reference in one pass
+(``states._buckets``) and takes the outcomes in sorted order. A branch costs
+one adopted post-state (``states._branch``), scored by one ``squared_overlap``
+and dropped before the next is built, and one ``decode`` lookup for its lone
+label; strategies of one outcome count share a ``_reports`` call. With one,
+``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
+the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
 functions of the outcome masses, so no chain has a size cap. With b the pinned
 outcome that sets (p_bound, c), margin = p_b (sqrt(c) - c) + sum_{i != b} q_i^2
@@ -63,7 +63,8 @@ from .states import (
     LocalUnitary,
     ProjPartition,
     SparseState,
-    _branches,
+    _branch,
+    _buckets,
     _rescaled,
     apply_unitary_c,
     c_block,
@@ -261,21 +262,6 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, strategies) -> list[Che
     bounds = soundness_bound(p_bound, c)
     return [*map(CheatReport, np.minimum(sums, 1.0).tolist(), s.tolist(), bounds.tolist(), tables,
                  strategies, p_bound.tolist(), distance.tolist(), convex.tolist())]
-
-
-def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[tuple, tuple, tuple]:
-    """(masses, pins, table) of the strategy with no unitary, in sorted outcome order.
-    The partition is diagonal, so each post-state is a rescaled piece of the reference: nothing
-    needs undoing. Outcome by outcome (``_branches``), a post-state is scored by one
-    ``squared_overlap`` (the table's acceptance column) and dropped; its lone C label, if it
-    decodes, pins it. Outcomes are distinct, so the sort compares names only."""
-    reference, decode = inst.reference, inst.decode
-    rows = sorted((outcome, q, squared_overlap(reference, post),
-                   label is not None and decode.get(label) is not None)
-                  for outcome, q, post, label in _branches(reference, partition))
-    _, qs, _, pins = zip(*rows)
-    check_weights(math.fsum(qs))
-    return qs, pins, tuple(row[:3] for row in rows)
 
 
 def sparse_reports(strategies: Sequence[tuple[SealedInstance, ProjPartition]]) -> list[CheatReport]:
@@ -662,3 +648,21 @@ def random_strategy_sweep(
 def proof_chain(inst: SealedInstance, report: CheatReport) -> CheatReport:
     """The report itself, which holds its proof chain (``CheatReport.holds``)."""
     return report
+
+
+def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[list, list, tuple]:
+    """(masses, pins, table) of the strategy with no unitary, in sorted outcome order. The
+    partition is diagonal, so a post-state is a rescaled piece of the reference: nothing needs
+    undoing. After one ``_buckets`` pass, each outcome's bucket is dropped, its post-state built
+    (``_branch``), scored by one ``squared_overlap`` and dropped before the next is built."""
+    reference, decode = inst.reference, inst.decode
+    buckets, lone = _buckets(reference, partition)
+    outcomes, qs, overlaps, pins = sorted(buckets), [], [], []
+    for outcome in outcomes:
+        q, post, label = _branch(buckets.pop(outcome), lone.get(outcome))
+        qs.append(q)
+        overlaps.append(squared_overlap(reference, post))
+        pins.append(label is not None and decode.get(label) is not None)
+        del post
+    check_weights(math.fsum(qs))
+    return qs, pins, tuple(zip(outcomes, qs, overlaps))

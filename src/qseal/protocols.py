@@ -172,7 +172,8 @@ def instance_to_dict(inst: SealedInstance) -> dict:
 
 
 def instance_from_dict(data) -> SealedInstance:
-    """Rebuild an instance from its JSON form; a malformed entry raises ``ValueError``."""
+    """Rebuild an instance from its JSON form; a malformed entry, or more than ``SUPPORT_CAP``
+    decode entries, raises ``ValueError``."""
     if not isinstance(data, Mapping):
         raise ValueError(f"instance must be an object, got {data!r}")
     protocol, params, decode = (data.get(key) for key in ("protocol", "params", "decode"))
@@ -180,6 +181,8 @@ def instance_from_dict(data) -> SealedInstance:
         raise ValueError(f"unknown protocol {protocol!r}")
     if not isinstance(params, Mapping) or not isinstance(decode, Mapping):
         raise ValueError('instance needs "params" and "decode" objects')
+    if len(decode) > SUPPORT_CAP:
+        raise ValueError(f"decode has {len(decode)} entries, cap is {SUPPORT_CAP}")
     for outcome, message in decode.items():
         if message is not None and not isinstance(message, str):
             raise ValueError(f"decode[{outcome!r}] must be a string or null, got {message!r}")

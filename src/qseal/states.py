@@ -18,10 +18,10 @@ array in ``adversary._rotated_branches``, which keeps only outcome masses;
 strategy through ``random_unitary`` (a sweep trial's seed), ``apply_unitary_c``
 and ``collapse_branches`` when it is read.
 
-One walk, ``_branches``, measures a partition of C: one bucketing pass, then
-each outcome with its post-state, built when that outcome is reached.
-``collapse_branches`` collects them; ``adversary._sparse_masses`` scores and
-drops each. ``sample_readout`` draws one label of a basis readout of C.
+One walk measures a partition of C: ``_buckets`` buckets its amplitudes by
+outcome in one pass, and ``_branch`` builds an outcome's mass and post-state;
+``collapse_branches`` keeps each outcome, ``adversary._sparse_masses`` scores
+and drops each. ``sample_readout`` draws one label of a basis readout of C.
 
 The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
 span of the states involved (one QR column per state, ``span_trace_distance``)
@@ -43,7 +43,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ Label = str
 
 # Caps, one meaning each: the largest size of each kind that qseal builds.
 DENSE_DIM_CAP = 512       # keys of a dense matrix over a joint support
-SUPPORT_CAP = 1 << 16     # keys of a sealed or loaded state, members of a loaded ensemble
+SUPPORT_CAP = 1 << 16     # keys of a state, members of an ensemble, entries of a decode table
 # Trials of one random sweep, from time: a trial takes about 15 ms at |B| = 2,
 # |C| = 256 (13-17 ms a trial over 60), so 2000 about 30 s. A report holds its
 # trial's seed, not its U, so a sweep's memory does not grow with its trials.
@@ -75,7 +75,7 @@ class SparseState:
     float-amplitude protocol seals, user code) on its one path, a comprehension
     that drops amplitudes below ``PRUNE_TOL`` and makes the rest exact
     ``complex`` in its own copy. ``SparseState._adopt(amps)`` keeps a map qseal
-    has just built from a validated state (``seal_oaep``, ``_branches``,
+    has just built from a validated state (``seal_oaep``, ``_branch``,
     ``_rescaled``, ``apply_unitary_c``) as it is; its caller shows that every
     amplitude already meets the rule. Both check the norm in one routine, ``_hold``.
 
@@ -113,8 +113,8 @@ class SparseState:
             except OverflowError:  # a partial sum beyond the float range
                 norm_sq = math.inf
         check_norm(norm_sq)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "norm_sq", norm_sq)
+        d = self.__dict__  # frozen: stored in the instance dict, amps first
+        d["amps"], d["norm_sq"] = amps, norm_sq
 
     def b_labels(self) -> set[Label]:
         return {b for b, _ in self.amps}
@@ -198,11 +198,12 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     """<a|b> over the shared support, walking the smaller map: the real and imaginary parts
     of the products are each summed correctly rounded (``math.fsum``; Shewchuk, "Adaptive
     precision floating-point arithmetic", 1997). One term is its own sum: no list."""
-    conj_small = len(a.amps) <= len(b.amps)
-    small, big = (a.amps, b.amps) if conj_small else (b.amps, a.amps)
+    small, big = a.amps, b.amps
+    if not (conj_small := len(small) <= len(big)):
+        small, big = big, small
     if len(small) == 1:
-        ((key, amp),) = small.items()
-        other = big.get(key, 0j)
+        (key,) = small
+        amp, other = small[key], big.get(key, 0j)
         return amp.conjugate() * other if conj_small else other.conjugate() * amp
     products = [amp.conjugate() * other if conj_small else other.conjugate() * amp
                 for key, amp in small.items() if (other := big.get(key)) is not None]
@@ -293,37 +294,26 @@ def apply_unitary_c(s: SparseState, u: LocalUnitary) -> SparseState:
     return SparseState._adopt(outside)
 
 
-def collapse_branches(
-    s: SparseState, p: ProjPartition
-) -> dict[Label, tuple[float, SparseState]]:
+def collapse_branches(s: SparseState, p: ProjPartition) -> dict[Label, tuple[float, SparseState]]:
     """Exact outcome probabilities and renormalized post-states for a partition,
-    outcomes in order of first appearance (``_branches``).
+    outcomes in order of first appearance (``_buckets``, then ``_branch`` of each).
 
     Raises:
         ValueError: the state has support on a label the partition omits.
     """
-    return {outcome: (q, post) for outcome, q, post, _ in _branches(s, p)}
+    buckets, lone = _buckets(s, p)
+    return {outcome: _branch(amps, lone.get(outcome))[:2] for outcome, amps in buckets.items()}
 
 
-def _branches(
-    s: SparseState, p: ProjPartition
-) -> Iterator[tuple[Label, float, SparseState, Label | None]]:
-    """(outcome, q, renormalized post-state, its lone C label or None) of each outcome of a
-    partition of C, outcomes in order of first appearance, amplitudes in the state's order.
-
-    One pass over ``s.amps`` buckets the amplitudes by outcome before the first yield (a lone
-    amplitude as its (key, amplitude) pair); each bucket is dropped and its post-state built
-    when its outcome is reached. q is the ``math.fsum`` of the bucket's squared moduli, and the
-    bucket is scaled in place by 1 / sqrt(q) (``_rescaled``). A lone amplitude skips the sum;
-    ``math.fsum`` of one value is that value, so the bits are the same, and its post-state is
-    adopted: its modulus is 1 within ulps.
-
-    Raises:
-        ValueError: naming the C label of the first key the partition omits.
-    """
+def _buckets(s: SparseState, p: ProjPartition) -> tuple[dict, dict[Label, Label | None]]:
+    """(buckets, lone) of a partition of C: one pass over ``s.amps`` puts each amplitude in its
+    outcome's bucket, outcomes in order of first appearance, amplitudes in the state's. A lone
+    amplitude is kept as its (key, amplitude) pair, more as a piece of the map, and ``lone``
+    gives such a map's one C label, or None if it has several. Raises ValueError naming the
+    C label of the first key the partition omits."""
     outcome_of = p.outcome_of
     buckets: dict[Label, tuple | dict[tuple[Label, Label], complex]] = {}
-    lone: dict[Label, Label | None] = {}  # a bucket map's one C label, or None
+    lone: dict[Label, Label | None] = {}
     for key, a in s.amps.items():
         c = key[1]
         outcome = outcome_of.get(c)
@@ -338,16 +328,19 @@ def _branches(
             bucket[key] = a
             if lone[outcome] != c:
                 lone[outcome] = None
-    for outcome, amps in buckets.items():
-        buckets[outcome] = None  # dropped once reached; a value, so the order holds
-        if type(amps) is tuple:
-            key, a = amps
-            q = abs(a) ** 2
-            yield outcome, q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), key[1]
-        else:
-            q = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
-            # q > 0: a state keeps no amplitude below PRUNE_TOL
-            yield outcome, q, _rescaled(amps, 1.0 / math.sqrt(q)), lone[outcome]
+    return buckets, lone
+
+
+def _branch(amps: tuple | dict, label: Label | None) -> tuple[float, SparseState, Label | None]:
+    """(q, renormalized post-state, lone C label or None) of a ``_buckets`` bucket (``label`` is
+    a map's). A lone amplitude a gives q = |a|^2, its own ``math.fsum``, and the adopted state
+    on a / sqrt(q); a map gives the ``math.fsum`` of its |a|^2 and is rescaled in place."""
+    if type(amps) is tuple:
+        key, a = amps
+        q = abs(a) ** 2
+        return q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), key[1]
+    q = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
+    return q, _rescaled(amps, 1.0 / math.sqrt(q)), label  # q > 0: no amplitude is below PRUNE_TOL
 
 
 def _rescaled(amps: dict[tuple[Label, Label], complex], scale: float) -> SparseState:

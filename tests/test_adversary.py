@@ -37,6 +37,7 @@ from qseal.adversary import (
     basis_cheat,
     optimal_post_collapse_response,
     predicate_cheat,
+    predicate_partition,
     proof_chain,
     random_partition,
     random_strategy_sweep,
@@ -1745,6 +1746,10 @@ def _sparse_route_cases():
     two_labels = _custom({("x", "m"): complex(0.5), ("y", "n"): complex(0.5j),
                           ("z", "m"): complex(-0.5), ("g", "g"): complex(0.5)},
                          {"m": "M", "n": "N", "g": None})
+    reverse_sorted = _custom({("a", "cz1"): complex(0.4), ("b", "cy"): complex(0.5j),
+                              ("c", "cz2"): complex(-0.3), ("d", "cx"): complex(0.2),
+                              ("e", "cw"): complex(0.6), ("f", "cx"): complex(0.0, -math.sqrt(0.1))},
+                             {"cz1": "Z1", "cz2": "Z2", "cy": "Y", "cx": "X", "cw": None})
     return {
         "naive": (seal_naive("M", garbage="0"), None),
         "garbage-4": (seal_garbage("M", [f"g{i}" for i in range(4)]), None),
@@ -1774,6 +1779,10 @@ def _sparse_route_cases():
         "two-b-one-c": (two_labels, None),
         # Outcome "mn" holds the C labels m and n, both decoding: not pinned.
         "two-c": (two_labels, ProjPartition({"m": "mn", "n": "mn", "g": "g"})),
+        # Outcomes first appear as z, y, x, w, the reverse of sorted order: z holds
+        # two C labels and x two B labels on one, y and w one amplitude each.
+        "reverse-sorted-outcomes": (reverse_sorted, ProjPartition(
+            {"cz1": "z", "cz2": "z", "cy": "y", "cx": "x", "cw": "w"})),
     }
 
 
@@ -1868,6 +1877,18 @@ class TestSparseRouteBits:
         assert past_one.norm_sq > 1.0 and past_one.amps[("t", "m")] == PRUNE_TOL
         ((q, post),) = collapse_branches(past_one, ProjPartition.finest(["m"])).values()
         assert PRUNE_TOL * (1.0 / math.sqrt(q)) < PRUNE_TOL and list(post.amps) == [("x", "m")]
+        inst, reverse = cases["reverse-sorted-outcomes"]
+        branches = collapse_branches(inst.reference, reverse)
+        assert [(o, len(post.amps)) for o, (_, post) in branches.items()] == [
+            ("z", 2), ("y", 1), ("x", 2), ("w", 1)]
+        report = strategy_report(inst, None, reverse)
+        assert [row[0] for row in report.outcome_table] == ["w", "x", "y", "z"]
+        assert report.p == branches["x"][0] + branches["y"][0]  # z has two C labels, w is garbage
+
+
+def _halves(labels, first):
+    """The predicate taking ``first`` on the first half of ``labels``, 1 - ``first`` on the rest."""
+    return {c: first if i < len(labels) // 2 else 1 - first for i, c in enumerate(labels)}
 
 
 class TestSparseRouteMemory:
@@ -1875,7 +1896,7 @@ class TestSparseRouteMemory:
     is built, so it holds one post-state at a time, not all of them as
     ``collapse_branches`` does."""
 
-    @pytest.mark.parametrize("attack", ["basis", "halves"])
+    @pytest.mark.parametrize("attack", ["basis", "halves", "mirrored-halves"])
     def test_no_earlier_post_state_is_alive_when_one_is_scored(self, monkeypatch, attack):
         oaep = seal_oaep(0x2A, OaepContext.create(k0=8, n=8, with_human=False))
         labels = [*dict.fromkeys(c for _, c in oaep.reference.amps)]
@@ -1894,7 +1915,7 @@ class TestSparseRouteMemory:
             if attack == "basis":
                 report = basis_cheat(oaep)
             else:
-                report = predicate_cheat(oaep, {c: int(i < len(labels) // 2) for i, c in enumerate(labels)})
+                report = predicate_cheat(oaep, _halves(labels, int(attack == "halves")))
         finally:
             if collecting:
                 gc.enable()
@@ -1923,6 +1944,33 @@ class TestSparseRouteMemory:
         first, second = held
         assert second < first
 
+    @pytest.mark.parametrize("first", [1, 0], ids=["g=1-first", "g=0-first"])
+    def test_a_bucket_map_goes_in_either_order(self, monkeypatch, first):
+        # The walk takes outcomes in sorted order, g=0 then g=1: the reverse of
+        # their first appearance when the first half is g=1, the same when it is g=0.
+        oaep = seal_oaep(0x2A, OaepContext.create(k0=12, n=16, with_human=False))
+        labels = [*dict.fromkeys(c for _, c in oaep.reference.amps)]
+        g = _halves(labels, first)
+        partition = predicate_partition(oaep, g)
+        assert list(collapse_branches(oaep.reference, partition)) == [f"g={first}", f"g={1 - first}"]
+        held, overlap = [], adversary.squared_overlap
+
+        def watched(reference, post):
+            in_first_half = next(iter(post.amps))[1] in labels[:len(labels) // 2]
+            held.append((tracemalloc.get_traced_memory()[0], in_first_half))
+            return overlap(reference, post)
+
+        monkeypatch.setattr(adversary, "squared_overlap", watched)
+        tracemalloc.start()
+        try:
+            report = predicate_cheat(oaep, g)
+        finally:
+            tracemalloc.stop()
+        (first_held, first_is_first_half), (second_held, _) = held
+        assert [row[0] for row in report.outcome_table] == ["g=0", "g=1"]
+        assert first_is_first_half == (first == 0)
+        assert second_held < first_held
+
     def test_lone_outcomes_build_no_bucket_map(self):
         # At k0 = 12 every token is its own outcome. The basis cheat peaked at
         # 1.65 MiB (tracemalloc) while the walk gave each outcome a one-entry
@@ -1937,6 +1985,28 @@ class TestSparseRouteMemory:
             tracemalloc.stop()
         assert len(report.outcome_table) == 4096
         assert peak < 1.4 * 2**20
+
+
+class TestOneOverlapPerBranch:
+    """The sparse route scores each branch with one ``squared_overlap`` call, through
+    ``adversary``'s module global, of the reference and the branch's post-state: on a
+    k0 = 4 seal, 16 calls for the basis cheat (one amplitude a post-state) and 2 for
+    a halves predicate, the counts the benchmark's tracer test pins."""
+
+    @pytest.mark.parametrize("attack, calls, post_size", [("basis", 16, 1), ("halves", 2, 8)])
+    def test_one_call_per_branch(self, monkeypatch, attack, calls, post_size):
+        oaep = seal_oaep(0x11, OaepContext.create(k0=4, n=8, with_human=False))
+        labels = [*dict.fromkeys(c for _, c in oaep.reference.amps)]
+        seen, overlap = [], adversary.squared_overlap
+
+        def counted(reference, post):
+            seen.append((reference is oaep.reference, len(reference.amps), len(post.amps)))
+            return overlap(reference, post)
+
+        monkeypatch.setattr(adversary, "squared_overlap", counted)
+        report = basis_cheat(oaep) if attack == "basis" else predicate_cheat(oaep, _halves(labels, 1))
+        assert seen == [(True, 16, post_size)] * calls
+        assert len(report.outcome_table) == calls
 
 
 # The outcomes a report's p and p_bound read: its lone active label decodes to a

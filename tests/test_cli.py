@@ -914,9 +914,10 @@ def one_amplitude_rows(count):
 
 
 class TestFileCaps:
-    """A state read from a file holds at most ``SUPPORT_CAP`` amplitude rows and
-    a mixture at most ``SUPPORT_CAP`` members; one past either exits 1 with one
-    line naming the entry and the count, before any state is built."""
+    """A state read from a file holds at most ``SUPPORT_CAP`` amplitude rows,
+    a mixture at most ``SUPPORT_CAP`` members and an instance's decode table at
+    most ``SUPPORT_CAP`` entries; one past any exits 1 with one line naming the
+    entry and the count, before any state or instance is built."""
 
     @pytest.mark.parametrize("argv", [["unseal"], ["cheat", "--attack", "basis"],
                                       ["verify", "--returned", "{instance}"]],
@@ -951,6 +952,24 @@ class TestFileCaps:
         monkeypatch.setattr(states, "SparseState", recording)
         assert verify_files(NAIVE_INSTANCE, returned) == (1, "", f"error: {message}\n")
         assert built == [2]  # the instance's reference, and no returned state
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "one-past"])
+    def test_decode_table_at_and_one_past_the_cap(self, monkeypatch, extra):
+        # The naive instance's two outcomes, then garbage outcomes up to the cap.
+        decode = NAIVE_INSTANCE["decode"] | {f"g{i}": None for i in range(SUPPORT_CAP - 2 + extra)}
+        assert len(decode) == SUPPORT_CAP + extra
+        instance = edited(NAIVE_INSTANCE, ("decode",), decode)
+        if extra == 0:
+            code, out, err = verify_files(instance, NAIVE_RETURNED)
+            assert (code, err) == (0, "") and json.loads(out)["accept_probability"] == 1.0
+            return
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected table is not copied into an instance")
+
+        monkeypatch.setattr(protocols, "SealedInstance", refuse)
+        assert verify_files(instance, NAIVE_RETURNED) == (
+            1, "", f"error: decode has {SUPPORT_CAP + 1} entries, cap is {SUPPORT_CAP}\n")
 
 
 class TestConfigParsing:

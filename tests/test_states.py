@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from conftest import (
     uniform_state,
 )
 from qseal import states
+from qseal.protocols import seal_naive
 from qseal.states import (
     DENSE_DIM_CAP,
     PRUNE_TOL,
@@ -203,6 +205,43 @@ class TestAdopt:
             with pytest.raises(ValueError) as caught:
                 build(dict(amps))
             assert str(caught.value) == message
+
+
+class TestStateContract:
+    """``SparseState`` stores its two fields in the instance dict, amps first, and
+    keeps the frozen dataclass's contract on both constructors."""
+
+    AMPS = {("a", "x"): complex(0.6), ("b", "y"): complex(0.0, 0.8)}
+
+    def built(self):
+        return [SparseState(self.AMPS), SparseState._adopt(dict(self.AMPS))]
+
+    @pytest.mark.parametrize("name", ["amps", "norm_sq"])
+    def test_fields_are_frozen(self, name):
+        for state in self.built():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, {})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(state, name)
+
+    def test_fields_in_the_instance_dict(self):
+        for state in self.built():
+            assert list(vars(state)) == ["amps", "norm_sq"]
+            assert vars(state)["amps"] == self.AMPS and vars(state)["norm_sq"] == state.norm_sq
+
+    def test_eq_and_repr_leave_out_norm_sq(self):
+        state, adopted = self.built()
+        vars(adopted)["norm_sq"] = 0.5  # a norm no constructor keeps
+        assert state == adopted and state.norm_sq != adopted.norm_sq
+        assert repr(state) == repr(adopted) == "SparseState(amps={('a', 'x'): (0.6+0j), ('b', 'y'): 0.8j})"
+        assert state != SparseState({("a", "x"): complex(0.8), ("b", "y"): complex(0.0, 0.6)})
+
+    def test_replace_the_reference_of_an_instance(self):
+        inst = seal_naive("M", garbage="0")
+        amps = {("M", "0"): complex(INV_SQRT2), ("0", "M"): complex(INV_SQRT2)}
+        swapped = dataclasses.replace(inst, reference=SparseState(amps))
+        assert swapped.reference.amps == amps and list(vars(swapped.reference)) == ["amps", "norm_sq"]
+        assert swapped.decode == inst.decode and inst.reference.amps != amps
 
 
 def _bits(state):
