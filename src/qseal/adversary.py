@@ -385,8 +385,8 @@ def strategy_report(
     computational-basis partition over the reference's C labels and the unitary's basis.
     """
     if partition is None:
-        basis = () if unitary is None else unitary.basis
-        partition = ProjPartition.finest(inst.reference.c_labels().union(basis))
+        labels = inst.reference.c_labels()
+        partition = ProjPartition.finest(labels if unitary is None else labels.union(unitary.basis))
     if unitary is None:
         return sparse_reports([(inst, partition)])[0]
     (report,) = _rotated_branches(inst, unitary.basis, unitary.matrix[None], [partition],

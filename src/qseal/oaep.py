@@ -30,8 +30,8 @@ shifted down. Each digest is one call to this module's ``hashlib`` global,
 looked up at call time and never a pre-fed ``copy()``, so a stand-in module
 (perfbench's tracer) counts every digest of every token.
 
-A seal's pad labels, and a cut's excluded ones, are ``_pad_labels``: each
-label joins the formatted high and low halves of its pad.
+A seal's pad labels are ``_pad_labels``, each the formatted high and low halves
+of its pad. A cut formats no label: it reads the instance's ``_pad_view``.
 """
 
 from __future__ import annotations
@@ -287,16 +287,27 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     return y, r
 
 
-def _pad_labels(k0: int, pads: Iterable[int] | None = None) -> list[str]:
-    """``format(r, f"0{k0}b")`` of each pad, all 2**k0 in order when ``pads`` is
-    None: the formatted high k0 - k0 // 2 bits joined to the low k0 // 2 bits."""
+def _pad_labels(k0: int) -> list[str]:
+    """``format(r, f"0{k0}b")`` of all 2**k0 pads in order, each its formatted halves joined."""
     low = k0 // 2
     highs = [format(h, f"0{k0 - low}b") for h in range(1 << (k0 - low))]
     lows = [format(r, f"0{low}b") for r in range(1 << low)] if low else [""]
-    if pads is None:
-        return [h + lo for h in highs for lo in lows]
-    mask = (1 << low) - 1
-    return [highs[r >> low] + lows[r & mask] for r in pads]
+    return [h + lo for h in highs for lo in lows]
+
+
+def _pad_view(inst: SealedInstance, k0: int) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(each reference row's pad, None when row i is pad i; each row's ``np.hypot`` squared;
+    their ``math.fsum``): the view ``seal_oaep`` recorded, else one built once and kept
+    in the instance dict. A B label that is no pad's canonical label gets pad 2**k0."""
+    view = inst.__dict__.get("_pad_view")
+    if view is None:
+        amps = inst.reference.amps
+        pad_of = dict(zip(_pad_labels(k0), range(1 << k0)))
+        rows = np.fromiter(map(pad_of.get, map(itemgetter(0), amps), repeat(1 << k0)), np.intp)
+        values = np.fromiter(amps.values(), complex, len(amps))
+        squares = np.hypot(values.real, values.imag) ** 2
+        view = inst.__dict__["_pad_view"] = (rows, squares, math.fsum(memoryview(squares)))
+    return view
 
 
 def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
@@ -322,7 +333,10 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
         "key": ctx.master_key.hex(),
         "y": y,
     }
-    return SealedInstance(OAEP, reference, decode, instance_params)
+    inst = SealedInstance(OAEP, reference, decode, instance_params)
+    squares = np.full(support, amp.real * amp.real)  # np.hypot(a, 0) is |a|: _pad_view's square
+    inst.__dict__["_pad_view"] = (None, squares, math.fsum(memoryview(squares)))
+    return inst
 
 
 def sealed_params(inst: SealedInstance) -> tuple[int, int, bytes]:
@@ -372,13 +386,17 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
     return {r for r in range(1 << ctx.params.k0) if encode(y, r, ctx) in shown}
 
 
-def _pad_space(excluded: set[int], k0: int) -> int:
-    """2**k0, once every pad in ``excluded`` is known to lie below it."""
-    support = 1 << k0
-    if excluded and not (min(excluded) >= 0 and max(excluded) < support):
-        bad = sorted(r for r in excluded if not 0 <= r < support)
+def _pad_numbers(excluded: set[int], k0: int) -> np.ndarray:
+    """``excluded`` as intp pads, or ``ValueError`` naming a non-integer or the pads not below 2**k0."""
+    pads = np.array(list(excluded))
+    if pads.dtype.kind not in "biu":  # a non-integer, or integers no one integer dtype holds
+        for r in excluded:
+            if not isinstance(r, (int, np.integer, np.bool_)):
+                raise ValueError(f"excluded pads must be integers, got {r!r}")
+    if pads.size and not (pads.min() >= 0 and pads.max() < 1 << k0):
+        bad = sorted(r for r in excluded if not 0 <= r < 1 << k0)
         raise ValueError(f"excluded pads out of range: {bad}")
-    return support
+    return pads.astype(np.intp, copy=False)
 
 
 def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
@@ -386,35 +404,32 @@ def tu_overlap(inst: SealedInstance, excluded: set[int]) -> float:
 
     The useless-pad state is P|ref> / ||P|ref>||, with P the projector onto
     the pads outside ``excluded``, so |<ref|u>|^2 / (<ref|ref> <u|u>) is
-    <ref|P|ref> / <ref|ref>: the kept squared-modulus mass over the total. Each
-    squared modulus is taken once (``np.hypot``, then squared) and each mass is
-    one correctly rounded ``math.fsum``, so the ratio is within a few ulps of
-    the exact one, an empty cut gives exactly 1.0, and equal power-of-two
-    amplitudes (even k0) give exactly 1 - |R|/2**k0. No state is built. If
-    ``excluded`` covers every pad, the overlap is 0 by convention and
-    ``DegenerateUWarning`` is emitted; if it covers every pad the reference
-    holds, P|ref> = 0 has no normalization and ``check_norm`` rejects its
-    empty mass.
+    <ref|P|ref> / <ref|ref>: the kept squared-modulus mass over the total, read
+    from ``_pad_view`` through a table of 2**k0 + 1 flags indexed by pad number.
+    Each mass is one correctly rounded ``math.fsum``, so the ratio is within a
+    few ulps of the exact one, an empty cut gives exactly 1.0, and equal
+    power-of-two amplitudes (even k0) give exactly 1 - |R|/2**k0. No label is
+    formatted and no state is built. If ``excluded`` covers every pad, the
+    overlap is 0 by convention and ``DegenerateUWarning`` is emitted; if it
+    covers every pad the reference holds, P|ref> = 0 has no normalization and
+    ``check_norm`` rejects its empty mass.
     """
-    k0, _n, _key = sealed_params(inst)
-    if len(excluded) >= _pad_space(excluded, k0):
-        warnings.warn(
-            "excluded set covers every pad; overlap is 0 by convention",
-            DegenerateUWarning,
-        )
+    k0 = OaepParams(*sealed_params(inst)[:2]).k0  # at most MAX_K0, as honest_unseal checks
+    pads = _pad_numbers(excluded, k0)
+    if len(pads) >= 1 << k0:
+        warnings.warn("excluded set covers every pad; overlap is 0 by convention",
+                      DegenerateUWarning)
         return 0.0
-    excluded_labels = set(_pad_labels(k0, excluded))
-    amps = inst.reference.amps
-    cut = np.fromiter(map(excluded_labels.__contains__, map(itemgetter(0), amps)), bool, len(amps))
-    values = np.fromiter(amps.values(), complex, len(amps))
-    squares = np.hypot(values.real, values.imag) ** 2
+    rows, squares, total = _pad_view(inst, k0)
+    keep = np.ones((1 << k0) + 1, bool)
+    keep[pads] = False
     # fsum reads a memoryview's doubles one at a time, so no list of floats is built.
-    kept = math.fsum(memoryview(squares[~cut]))
+    kept = math.fsum(memoryview(squares[keep[:-1] if rows is None else keep[rows]]))
     if not kept:  # P|ref> = 0: the useless-pad state has no amplitudes to normalize
         check_norm(kept)
-    return kept / math.fsum(memoryview(squares))
+    return kept / total
 
 
 def useless_query_bound(ctx: OaepContext, excluded: set[int]) -> float:
     """Probability mass by which the full-pad test can diverge, |R| / 2**k0."""
-    return len(excluded) / _pad_space(excluded, ctx.params.k0)
+    return len(_pad_numbers(excluded, ctx.params.k0)) / (1 << ctx.params.k0)

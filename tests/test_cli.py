@@ -216,11 +216,13 @@ class TestGoldenOutput:
         assert out.read_bytes() == stem.with_suffix(".csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "config, fmt", [("even", "csv"), ("even", "json"), ("odd", "csv"), ("cap", "csv")]
+        "config, fmt",
+        [("even", "csv"), ("even", "json"), ("odd", "csv"), ("cap", "csv"), ("grid", "csv")],
     )
     def test_oaep_negligibility_bytes(self, tmp_path, config, fmt):
         # Odd k0 gives inexact amplitudes, so the last bits of the overlap show;
-        # "cap" cuts up to half the pads at k0 = 15 and 16 (SUPPORT_CAP).
+        # "cap" cuts up to half the pads at k0 = 15 and 16 (SUPPORT_CAP), and
+        # "grid" at 11 sizes from none to every pad of k0 = 15.
         stem = GOLDEN.parent / f"oaep_negligibility_{config}"
         out = tmp_path / f"rows.{fmt}"
         assert run_cli("--config", f"{stem}.cfg", "--format", fmt, "--out", str(out),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +35,7 @@ from qseal.oaep import (
 )
 from conftest import oracle_readout
 from conftest import tu_overlap as oracle_tu_overlap
-from qseal.protocols import OAEP, SealedInstance, honest_unseal, verify_return
+from qseal.protocols import OAEP, SealedInstance, honest_unseal, instance_to_dict, verify_return
 from qseal.states import (
     EXACT_TOL,
     PRUNE_TOL,
@@ -208,23 +209,28 @@ class TestTokenLayout:
 
 
 class TestPadLabels:
-    """``_pad_labels`` joins formatted halves into the labels ``format`` gives."""
+    """``_pad_labels`` joins formatted halves into the labels ``format`` gives,
+    so indexing it by pad number gives any pad's label."""
 
     @pytest.mark.parametrize("k0", range(1, 17))
     def test_every_pad(self, k0):
         expected = [format(r, f"0{k0}b") for r in range(1 << k0)]
         assert qseal.oaep._pad_labels(k0) == expected
-        assert qseal.oaep._pad_labels(k0, range(1 << k0)) == expected
 
     def test_no_pads(self):
-        assert qseal.oaep._pad_labels(5, set()) == []
+        # A reference whose B labels are no pad's (wrong width, or not binary)
+        # puts every row at the never-cut row 2**k0.
+        amps = {(b, f"img_{i}"): 0.5 for i, b in enumerate(["0000", "000000", "0101x", "00 11"])}
+        rows, _, _ = qseal.oaep._pad_view(_hand_built(amps, 5), 5)
+        assert rows.tolist() == [32] * 4
 
     @pytest.mark.parametrize("k0", [1, 2, 7, 16])
     def test_seeded_pads_in_random_order(self, k0):
         rng = random.Random(k0)
         pads = rng.sample(range(1 << k0), min(1 << k0, 200))
-        assert qseal.oaep._pad_labels(k0, pads) == [format(r, f"0{k0}b") for r in pads]
-        assert qseal.oaep._pad_labels(k0, set(pads)) == [format(r, f"0{k0}b") for r in set(pads)]
+        labels = qseal.oaep._pad_labels(k0)
+        assert [labels[r] for r in pads] == [format(r, f"0{k0}b") for r in pads]
+        assert [labels[r] for r in set(pads)] == [format(r, f"0{k0}b") for r in set(pads)]
 
 
 class _CountingHashlib:
@@ -703,6 +709,114 @@ def test_tu_overlap_builds_no_state(monkeypatch):
     monkeypatch.setattr(qseal.oaep, "SparseState", forbidden)
     monkeypatch.setattr(qseal.oaep, "squared_overlap", forbidden)
     TestTuOverlapMatchesOracle.same(inst, set(range(0, 256, 3)))
+
+
+def _built_copy(inst):
+    """``inst`` with a reference copied through ``SparseState``, so no pad view comes with it."""
+    return SealedInstance(inst.protocol, SparseState(dict(inst.reference.amps)), inst.decode, inst.params)
+
+
+class TestOnePadView:
+    """The pad view ``seal_oaep`` records and the one ``_pad_view`` builds for any
+    other instance are the same view: same pads, squares equal bit for bit, same
+    total, and the same overlap bits from every cut."""
+
+    @staticmethod
+    def same_view(inst):
+        k0 = inst.params["k0"]
+        sealed_rows, sealed_squares, sealed_total = inst.__dict__["_pad_view"]
+        built = _built_copy(inst)
+        assert "_pad_view" not in built.__dict__
+        rows, squares, total = qseal.oaep._pad_view(built, k0)
+        assert sealed_rows is None and rows.tolist() == list(range(1 << k0))
+        assert sealed_squares.tobytes() == squares.tobytes()
+        assert sealed_total == total
+        assert qseal.oaep._pad_view(built, k0)[1] is squares  # built once, then kept
+        return built
+
+    @staticmethod
+    def same_cuts(inst, built, seed):
+        rng, support = random.Random(seed), 1 << inst.params["k0"]
+        for size in (0, 1, support // 2, support - 1):
+            excluded = set(rng.sample(range(support), size))
+            assert tu_overlap(inst, excluded).hex() == tu_overlap(built, excluded).hex()
+
+    @pytest.mark.parametrize("k0", range(1, 11))
+    def test_sealed_instances(self, k0):
+        inst = seal_oaep(k0 * 7 % 256, OaepContext.create(k0=k0, n=8, with_human=False))
+        self.same_cuts(inst, self.same_view(inst), k0)
+
+    def test_at_the_cap(self, sealed_at_cap):
+        self.same_cuts(sealed_at_cap, self.same_view(sealed_at_cap), SUPPORT_CAP)
+
+    def test_view_is_outside_the_fields(self):
+        inst = seal_oaep(9, OaepContext.create(k0=4, n=8, with_human=False))
+        built = _built_copy(inst)
+        tu_overlap(built, {1})
+        assert "_pad_view" in inst.__dict__ and "_pad_view" in built.__dict__
+        assert inst == built and repr(inst) == repr(built)
+        assert instance_to_dict(inst) == instance_to_dict(built)
+        assert "_pad_view" not in json.dumps(instance_to_dict(inst))
+
+
+class TestPadNumbers:
+    """A cut reads its pads as integers or rejects them, and never truncates one."""
+
+    @pytest.mark.parametrize("pad", [1.5, 3.0, "3", np.float64(2.0), 2 + 0j])
+    def test_non_integer_pad_rejected(self, pad):
+        ctx = OaepContext.create(k0=4, n=8, with_human=False)
+        inst = seal_oaep(0, ctx)
+        message = re.escape(f"excluded pads must be integers, got {pad!r}")
+        for call in (lambda r: tu_overlap(inst, r), lambda r: useless_query_bound(ctx, r)):
+            for excluded in ({pad}, {5, pad}):
+                with pytest.raises(ValueError, match=message):
+                    call(excluded)
+
+    def test_numpy_integers_and_bools_keep_their_values(self):
+        ctx = OaepContext.create(k0=4, n=8, with_human=False)
+        inst = seal_oaep(0, ctx)
+        for excluded, plain in [
+            ({np.int64(3), np.uint8(5)}, {3, 5}),
+            ({np.uint64(3), np.int64(2)}, {3, 2}),  # no one integer dtype holds both
+            ({True}, {1}),
+            ({False, 7}, {0, 7}),
+            ({np.True_, np.int16(9)}, {1, 9}),
+        ]:
+            assert tu_overlap(inst, excluded) == tu_overlap(inst, plain)
+            assert useless_query_bound(ctx, excluded) == useless_query_bound(ctx, plain)
+
+    @pytest.mark.parametrize("excluded, bad", [
+        ({2**70}, [2**70]),
+        ({-1, 2**63}, [-1, 2**63]),
+        ({3, np.uint64(2**64 - 1)}, [np.uint64(2**64 - 1)]),
+    ])
+    def test_integers_past_intp_are_out_of_range(self, excluded, bad):
+        ctx = OaepContext.create(k0=4, n=8, with_human=False)
+        message = re.escape(f"excluded pads out of range: {bad}")
+        with pytest.raises(ValueError, match=message):
+            tu_overlap(seal_oaep(0, ctx), excluded)
+        with pytest.raises(ValueError, match=message):
+            useless_query_bound(ctx, excluded)
+
+    def test_pad_width_past_the_cap_rejected(self):
+        # No seal has more than MAX_K0 pad bits, and a cut's flag table has 2**k0 + 1 entries.
+        inst = _hand_built({(format(r, "017b"), f"img_{r:05x}"): 0.5 for r in range(4)}, 17)
+        with pytest.raises(ValueError, match="k0 must be between 1 and 16"):
+            tu_overlap(inst, {1})
+
+
+def test_a_half_cut_at_the_cap_holds_under_a_mebibyte(sealed_at_cap):
+    # The seal recorded the pad view, so the cut holds only its pad array, its
+    # flag table and the kept squares: about 0.56 MiB, where formatting and
+    # hashing 32,768 excluded labels and rebuilding the squares peaked at 5.9 MiB.
+    excluded = set(random.Random(15).sample(range(SUPPORT_CAP), SUPPORT_CAP // 2))
+    tracemalloc.start()
+    try:
+        assert tu_overlap(sealed_at_cap, excluded) == 0.5
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestUselessQueryBound:
