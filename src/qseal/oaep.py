@@ -30,20 +30,32 @@ shifted down. Each digest is one call to this module's ``hashlib`` global,
 looked up at call time and never a pre-fed ``copy()``, so a stand-in module
 (perfbench's tracer) counts every digest of every token.
 
+A seal's token map (``_tokens``, which ``r_set`` reads too) splits its pads
+into contiguous ranges, one per usable CPU and each of at least
+``_MIN_PADS_PER_PROCESS`` pads, so every k0 <= 12 map runs in one process. The
+caller encodes the first range; each other range is encoded by a child made by
+``os.fork`` that calls ``encode`` once per pad and pipes its tokens back. The
+tokens are the serial map's, in pad order, at any CPU count; a child that fails
+is a ``ValueError``, and no child outlives the seal. A traced seal above that
+floor counts only the caller's share of ``encode`` calls and digests.
+
 A seal's pad labels are ``_pad_labels``, each the formatted high and low halves
 of its pad. A cut formats no label: it reads the instance's ``_pad_view``.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import os
+import signal
 import struct
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -71,6 +83,12 @@ _TokenLayout = tuple[tuple[tuple[bytes, Callable[[bytes, int], bytes], int], ...
 # struct codes of the value widths encode packs inline.
 _WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _FIRST_U64 = struct.Struct(">Q").unpack_from
+
+#: Fewest pads a token-map process encodes, so that a map of at most 2**12 pads
+#: (k0 <= 12) runs in one process. On a shared 2-vCPU VM, two processes of 2**12
+#: pads each (k0 = 13) took 0.58-0.64 of the serial time in three timing rounds and
+#: 1.1 of it in two; two of 2**11 (k0 = 12) took 1.2-1.3 of it in all three.
+_MIN_PADS_PER_PROCESS = 1 << 12
 
 
 class DegenerateUWarning(UserWarning):
@@ -287,6 +305,78 @@ def decode_preimage(ctx: OaepContext, x: int) -> tuple[int, int]:
     return y, r
 
 
+def _workers(support: int) -> int:
+    """Processes a token map of ``support`` pads runs in: one per usable CPU, each with
+    at least ``_MIN_PADS_PER_PROCESS`` pads, and one where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, support // _MIN_PADS_PER_PROCESS))
+
+
+def _encode_into(fd: int, y: int, pads: range, ctx: OaepContext) -> NoReturn:
+    """A forked worker's whole life: ``pads``' tokens, one per line in ASCII, into the
+    pipe ``fd``, then ``os._exit`` (status 0 only if every token was written), so it
+    never returns into the caller's stack nor flushes the caller's stdio buffers."""
+    status = 1
+    try:
+        gc.disable()  # no collection runs a finalizer the caller owns, or touches its pages
+        with open(fd, "wb") as pipe:
+            pipe.write("\n".join([encode(y, r, ctx) for r in pads]).encode("ascii"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _tokens(y: int, ctx: OaepContext) -> list[str]:
+    """``encode(y, r, ctx)`` for r = 0 .. 2**k0 - 1, in pad order.
+
+    The pads are cut into ``_workers`` contiguous ranges. The caller encodes the
+    first; each other range is encoded by a child made by ``os.fork`` and read back
+    through a pipe, in range order. A child that fails, is killed or returns the
+    wrong number of tokens is a ``ValueError`` naming its pads. On any exception
+    every child not yet reaped is killed, and no child outlives the call.
+    """
+    params = ctx.params
+    if not 0 <= y < (1 << params.n):
+        raise ValueError(f"y must be an {params.n}-bit value")
+    support = 1 << params.k0
+    workers = _workers(support)
+    ranges = [range(support * i // workers, support * (i + 1) // workers) for i in range(workers)]
+    pipes, pids = [], []
+    try:
+        for pads in ranges[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    _encode_into(write, y, pads, ctx)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        tokens = [encode(y, r, ctx) for r in ranges[0]]
+        for pipe, pads in zip(pipes, ranges[1:]):
+            part = pipe.read().decode("ascii").splitlines()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if status:
+                how = f"exited with status {status}" if status > 0 else f"was killed by signal {-status}"
+            elif len(part) != len(pads):
+                how = f"returned {len(part)} tokens"
+            else:
+                tokens += part
+                continue
+            raise ValueError(f"token map worker for pads {pads.start}-{pads.stop - 1} {how}")
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return tokens
+
+
 def _pad_labels(k0: int) -> list[str]:
     """``format(r, f"0{k0}b")`` of all 2**k0 pads in order, each its formatted halves joined."""
     low = k0 // 2
@@ -318,11 +408,9 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
     table marks every token outcome as garbage.
     """
     params = ctx.params
-    if not 0 <= y < (1 << params.n):
-        raise ValueError(f"y must be an {params.n}-bit value")
+    tokens = _tokens(y, ctx)
     support = 1 << params.k0
     amp = complex(1.0 / math.sqrt(float(support)))
-    tokens = [encode(y, r, ctx) for r in range(support)]
     # One amplitude object, 2^(-k0/2), on distinct pads: the map is adopted, not copied.
     reference = SparseState._adopt(dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))))
     decode = dict.fromkeys(tokens)
@@ -374,7 +462,7 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
     """Pads whose encoding of y was ever shown to the human.
 
     Recomputed from the query log (or an explicit token collection) by
-    scanning all 2**k0 pads.
+    scanning the token map of all 2**k0 pads.
     """
     if queries is None:
         if ctx.human is None:
@@ -383,7 +471,7 @@ def r_set(ctx: OaepContext, y: int, queries: Iterable[str] | None = None) -> set
     shown = set(queries)
     if not shown:
         return set()
-    return {r for r in range(1 << ctx.params.k0) if encode(y, r, ctx) in shown}
+    return {r for r, token in enumerate(_tokens(y, ctx)) if token in shown}
 
 
 def _pad_numbers(excluded: set[int], k0: int) -> np.ndarray:

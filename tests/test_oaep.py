@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import signal
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -515,6 +517,114 @@ class TestUsefulPadSet:
         ctx = OaepContext.create(k0=4, n=8, with_human=False)
         with pytest.raises(ValueError, match="context has no oracle log to scan"):
             r_set(ctx, 0)
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Make ``cpus`` the CPUs this process may run on, as the token map reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTokenMapSplit:
+    """A seal's token map split across forked workers: the serial map's bits, and
+    no child left behind, whether the seal returns or raises."""
+
+    @pytest.mark.parametrize("k0, cpus", [(13, 1), (13, 2), (14, 3), (16, 3)])
+    def test_the_serial_map_in_pad_order(self, monkeypatch, k0, cpus):
+        ctx = OaepContext.create(k0=k0, n=16, with_human=False)
+        serial = [encode(0xBEEF, r, ctx) for r in range(1 << k0)]
+        _usable_cpus(monkeypatch, cpus)
+        assert qseal.oaep._workers(1 << k0) == cpus
+        inst = seal_oaep(0xBEEF, ctx)
+        _assert_no_children()
+        assert [c for _, c in inst.reference.amps] == serial
+        assert list(inst.decode) == serial
+
+    def test_worker_count(self, monkeypatch):
+        floor = qseal.oaep._MIN_PADS_PER_PROCESS
+        _usable_cpus(monkeypatch, 64)
+        assert [qseal.oaep._workers(m) for m in (1, 1 << 12, 2 * floor - 1, 2 * floor, 1 << 16)] == [
+            1, 1, 1, 2, min(64, (1 << 16) // floor)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert qseal.oaep._workers(1 << 16) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert qseal.oaep._workers(1 << 16) == 1
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert qseal.oaep._workers(1 << 16) == 1
+
+    @pytest.mark.parametrize("k0", [4, 12])
+    def test_below_the_floor_nothing_forks(self, monkeypatch, k0):
+        ctx = OaepContext.create(k0=k0, n=16, with_human=False)
+        serial = [encode(3, r, ctx) for r in range(1 << k0)]
+
+        def forbidden():
+            raise AssertionError(f"a k0={k0} token map must not fork")
+
+        _usable_cpus(monkeypatch, 64)
+        monkeypatch.setattr(os, "fork", forbidden)
+        assert list(seal_oaep(3, ctx).decode) == serial
+
+    def test_a_bad_message_is_rejected_before_any_fork(self, monkeypatch):
+        ctx = OaepContext.create(k0=14, n=8, with_human=False)
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a bad y"))
+        for call in (lambda: seal_oaep(1 << 8, ctx), lambda: r_set(ctx, 1 << 8, queries=["img_00"])):
+            with pytest.raises(ValueError, match="y must be an 8-bit value"):
+                call()
+
+    @staticmethod
+    def _seal_failing(monkeypatch, fault):
+        """Seal k0 = 14 in two workers with ``fault(r)`` run before each pad's encode;
+        return the exception the seal raised."""
+        ctx = OaepContext.create(k0=14, n=16, with_human=False)
+        _usable_cpus(monkeypatch, 2)
+
+        def faulty_encode(y, r, ctx):
+            return fault(r) or encode(y, r, ctx)
+
+        monkeypatch.setattr(qseal.oaep, "encode", faulty_encode)
+        with pytest.raises(Exception) as caught:
+            seal_oaep(9, ctx)
+        _assert_no_children()
+        return caught.value
+
+    def test_a_worker_that_raises(self, monkeypatch):
+        def fault(r):
+            if r == (1 << 14) - 1:
+                raise RuntimeError("worker fault")
+
+        error = self._seal_failing(monkeypatch, fault)
+        assert type(error) is ValueError
+        assert str(error) == "token map worker for pads 8192-16383 exited with status 1"
+
+    def test_a_worker_that_is_killed(self, monkeypatch):
+        def fault(r):
+            if r == 8192:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        error = self._seal_failing(monkeypatch, fault)
+        assert type(error) is ValueError
+        assert str(error) == f"token map worker for pads 8192-16383 was killed by signal {int(signal.SIGKILL)}"
+
+    def test_a_worker_that_returns_a_short_or_long_map(self, monkeypatch):
+        error = self._seal_failing(monkeypatch, lambda r: "img_0\nimg_1" if r == 10000 else None)
+        assert type(error) is ValueError
+        assert str(error) == "token map worker for pads 8192-16383 returned 8193 tokens"
+
+    def test_a_fault_in_the_callers_range(self, monkeypatch):
+        def fault(r):
+            if r == 100:
+                raise KeyError("caller fault")
+
+        error = self._seal_failing(monkeypatch, fault)
+        assert type(error) is KeyError and error.args == ("caller fault",)
 
 
 class TestProjectorOverlap:
