@@ -39,8 +39,12 @@ tokens are the serial map's, in pad order, at any CPU count; a child that fails
 is a ``ValueError``, and no child outlives the seal. A traced seal above that
 floor counts only the caller's share of ``encode`` calls and digests.
 
-A seal's pad labels are ``_pad_labels``, each the formatted high and low halves
-of its pad. A cut formats no label: it reads the instance's ``_pad_view``.
+A seal sums its 2**k0 equal squares once, into the pad view a cut reads
+(``_pad_view``) and the state's checked norm, and hands the state its (pad label,
+token) map as a builder (``SparseState._deferred``): the map, its pad labels
+(``_pad_labels``, each the formatted high and low halves of its pad) and its key
+tuples are built on the first read of ``reference.amps``. A cut formats no label
+and builds no map; serializing, unsealing, verifying or cheating builds it once.
 """
 
 from __future__ import annotations
@@ -405,14 +409,20 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
 
     The honest unseal measures register C and passes the token to the human
     oracle; the quantum measurement alone pins down no message, so the decode
-    table marks every token outcome as garbage.
+    table marks every token outcome as garbage. The reference's map is built on
+    its first read; its norm and the pad view are summed here, once.
     """
     params = ctx.params
     tokens = _tokens(y, ctx)
     support = 1 << params.k0
     amp = complex(1.0 / math.sqrt(float(support)))
-    # One amplitude object, 2^(-k0/2), on distinct pads: the map is adopted, not copied.
-    reference = SparseState._adopt(dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))))
+    # Each square is (amp.conjugate() * amp).real, as _hold squares it, and np.hypot(amp, 0)
+    # squared, as _pad_view does: their one correctly rounded sum is both totals.
+    squares = np.full(support, amp.real * amp.real)
+    total = math.fsum(memoryview(squares))
+    # One amplitude object, 2^(-k0/2), on distinct pads: the map is built as adopted, on first read.
+    reference = SparseState._deferred(
+        lambda: dict(zip(zip(_pad_labels(params.k0), tokens), repeat(amp))), total)
     decode = dict.fromkeys(tokens)
     instance_params = {
         "k": params.k,
@@ -422,8 +432,7 @@ def seal_oaep(y: int, ctx: OaepContext) -> SealedInstance:
         "y": y,
     }
     inst = SealedInstance(OAEP, reference, decode, instance_params)
-    squares = np.full(support, amp.real * amp.real)  # np.hypot(a, 0) is |a|: _pad_view's square
-    inst.__dict__["_pad_view"] = (None, squares, math.fsum(memoryview(squares)))
+    inst.__dict__["_pad_view"] = (None, squares, total)
     return inst
 
 

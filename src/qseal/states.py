@@ -9,7 +9,8 @@ and cheap.
 A map is validated where it enters: ``SparseState(amps)`` prunes, converts and
 copies input from outside on one path, and ``SparseState._adopt`` keeps a map
 qseal built from a validated state as it is, each caller showing the
-precondition there.
+precondition there; ``SparseState._deferred`` keeps such a map's builder, and
+builds it on the first read.
 
 Dense work on register C starts from ``c_block``, which lays a state's
 amplitudes on a C basis out as a |B| x |basis| array. Strategies rotate that
@@ -43,7 +44,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,12 +76,19 @@ class SparseState:
     float-amplitude protocol seals, user code) on its one path, a comprehension
     that drops amplitudes below ``PRUNE_TOL`` and makes the rest exact
     ``complex`` in its own copy. ``SparseState._adopt(amps)`` keeps a map qseal
-    has just built from a validated state (``seal_oaep``, ``_branch``,
-    ``_rescaled``, ``apply_unitary_c``) as it is; its caller shows that every
+    has just built from a validated state (``_branch``, ``_rescaled``,
+    ``apply_unitary_c``) as it is; its caller shows that every
     amplitude already meets the rule. Both check the norm in one routine, ``_hold``.
+    ``SparseState._deferred(build, norm_sq)`` (``seal_oaep``) checks a norm its caller
+    summed once and builds the map on the first read of ``amps``, so a state that is
+    only cut never builds it.
 
-    ``norm_sq`` is <self|self> as ``inner_product`` sums it, kept from the norm check:
-    no lazy first read (``functools.cached_property`` locks each one up to Python 3.11).
+    ``norm_sq`` is <self|self> as ``inner_product`` sums it, kept from the norm check.
+    A deferred map is filled by ``__getattr__``, which Python calls only when ``amps`` is
+    missing from the instance dict, so it never runs for a state built eagerly
+    (``functools.cached_property`` locks each first read up to Python 3.11). Its one
+    cost there: a class with ``__getattr__`` loses CPython 3.11's specialized attribute
+    read, about 10 ns more per read of a field on a 2-vCPU Xeon VM.
     """
 
     amps: dict[tuple[Label, Label], complex]
@@ -101,14 +109,42 @@ class SparseState:
         state._hold(amps)
         return state
 
+    @classmethod
+    def _deferred(cls, build: Callable[[], dict[tuple[Label, Label], complex]],
+                  norm_sq: float) -> SparseState:
+        """The state on ``build()``, called on the first read of ``amps``, with ``norm_sq``
+        checked now. ``build`` must return a map that ``_adopt`` could keep, whose
+        ``_hold`` sum is ``norm_sq`` bit for bit."""
+        check_norm(norm_sq)
+        state = object.__new__(cls)
+        d = state.__dict__
+        d["norm_sq"], d["_build"] = norm_sq, build
+        return state
+
+    def __getattr__(self, name: str):
+        """Called only for a name missing from the instance dict. A deferred state's first
+        read of ``amps`` builds the map and keeps it there, where every later read finds it;
+        two racing first reads keep one map. Any other name gets the usual error."""
+        d = self.__dict__
+        build = d.get("_build") if name == "amps" else None
+        if build is None:
+            return object.__getattribute__(self, name)
+        amps = d.setdefault("amps", build())
+        d.pop("_build", None)  # the builder, and what it holds, goes with its one use
+        return amps
+
+    def __getstate__(self) -> dict:
+        """A copy or a pickle holds the map, built if deferred, never its builder."""
+        return {"amps": self.amps, "norm_sq": self.norm_sq}
+
     def _hold(self, amps: dict[tuple[Label, Label], complex]) -> None:
         """Keep ``amps`` as the state's map with its norm, <self|self> as ``inner_product``
-        sums it, checked by ``check_norm``: the one norm routine of both constructors."""
+        sums it, checked by ``check_norm``: the norm routine of both constructors that take a map."""
         if len(amps) == 1:  # one term is its own sum: no generator
             (a,) = amps.values()
             norm_sq = (a.conjugate() * a).real
         else:
-            try:  # a generator, not a list: a seal's 2^k0 squares are never held at once
+            try:  # a generator, not a list: a large map's squares are never held at once
                 norm_sq = math.fsum((a.conjugate() * a).real for a in amps.values())
             except OverflowError:  # a partial sum beyond the float range
                 norm_sq = math.inf

@@ -1975,8 +1975,10 @@ class TestSparseRouteMemory:
         # At k0 = 12 every token is its own outcome. The basis cheat peaked at
         # 1.65 MiB (tracemalloc) while the walk gave each outcome a one-entry
         # bucket map; with a lone outcome's (key, amplitude) pair it peaks at
-        # 1.06-1.18 MiB.
+        # 1.06-1.18 MiB. The seal's map is built on its first read, and it is the
+        # seal's, not the walk's, so it is read before tracing starts.
         oaep = seal_oaep(0x2A, OaepContext.create(k0=12, n=16, with_human=False))
+        oaep.reference.amps
         tracemalloc.start()
         try:
             report = basis_cheat(oaep)

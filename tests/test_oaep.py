@@ -1,13 +1,16 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import re
 import signal
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -867,6 +870,68 @@ class TestOnePadView:
         assert inst == built and repr(inst) == repr(built)
         assert instance_to_dict(inst) == instance_to_dict(built)
         assert "_pad_view" not in json.dumps(instance_to_dict(inst))
+
+
+class TestDeferredSealMap:
+    """A seal's reference builds its (pad label, token) map on the first read of
+    ``amps``: the map ``_adopt`` keeps when it is built at once, key for key in pad
+    order, every value one amplitude object. Its norm is the one sum the seal took,
+    ``_hold``'s bits, and the pad view's total. A cut never builds the map."""
+
+    @staticmethod
+    def same_map(inst):
+        k0, n, key = sealed_params(inst)
+        ctx = OaepContext.create(k0=k0, n=n, master_key=key, with_human=False)
+        amp = complex(1.0 / math.sqrt(float(1 << k0)))
+        labels, tokens = qseal.oaep._pad_labels(k0), qseal.oaep._tokens(inst.params["y"], ctx)
+        eager = SparseState._adopt(dict(zip(zip(labels, tokens), repeat(amp))))
+        reference = inst.reference
+        built = reference.amps
+        assert list(built) == list(eager.amps)
+        first = next(iter(built.values()))
+        assert all(a is first for a in built.values())
+        assert (first.real.hex(), first.imag.hex()) == (amp.real.hex(), amp.imag.hex())
+        norm = reference.norm_sq.hex()
+        assert norm == SparseState._adopt(built).norm_sq.hex() == eager.norm_sq.hex()
+        assert inst.__dict__["_pad_view"][2].hex() == norm
+
+    @pytest.mark.parametrize("k0", range(1, 13))
+    def test_sealed_instances(self, k0):
+        self.same_map(seal_oaep(k0 * 7 % 256, OaepContext.create(k0=k0, n=8, with_human=False)))
+
+    def test_at_the_cap(self, sealed_at_cap):
+        self.same_map(sealed_at_cap)
+
+    def test_a_cut_builds_no_map(self):
+        ctx = OaepContext.create(k0=10, n=8, with_human=False)
+        inst = seal_oaep(0x5A, ctx)
+        rng = random.Random(10)
+        for size in (1, 16, 512):
+            excluded = set(rng.sample(range(1 << 10), size))
+            assert tu_overlap(inst, excluded) == 1.0 - size / 1024
+            assert useless_query_bound(ctx, excluded) == size / 1024
+        assert "amps" not in inst.reference.__dict__
+        amps = inst.reference.amps
+        assert len(amps) == 1024 and inst.reference.amps is amps
+        assert set(vars(inst.reference)) == {"amps", "norm_sq"}  # the builder went with its use
+
+    def test_reads_of_a_deferred_instance(self):
+        ctx = OaepContext.create(k0=6, n=8, with_human=False)
+        built = _built_copy(seal_oaep(0x21, ctx))
+
+        def deferred():
+            inst = seal_oaep(0x21, ctx)
+            assert "amps" not in inst.reference.__dict__
+            return inst
+
+        assert deferred() == built and built == deferred()
+        assert repr(deferred()) == repr(built)
+        assert instance_to_dict(deferred()) == instance_to_dict(built)
+        for copied in (copy.deepcopy(deferred().reference),
+                       pickle.loads(pickle.dumps(deferred().reference))):
+            assert list(vars(copied)) == ["amps", "norm_sq"]
+            assert copied == built.reference
+            assert copied.norm_sq.hex() == built.reference.norm_sq.hex()
 
 
 class TestPadNumbers:

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +237,42 @@ class TestStateContract:
         assert state == adopted and state.norm_sq != adopted.norm_sq
         assert repr(state) == repr(adopted) == "SparseState(amps={('a', 'x'): (0.6+0j), ('b', 'y'): 0.8j})"
         assert state != SparseState({("a", "x"): complex(0.8), ("b", "y"): complex(0.0, 0.6)})
+
+    def test_deferred_map_is_built_on_first_read(self):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return dict(self.AMPS)
+
+        with pytest.raises(ValueError, match="sum of squared moduli is 0.5"):
+            SparseState._deferred(build, 0.5)  # the norm is checked before any read
+        state = SparseState._deferred(build, 1.0)
+        assert calls == [] and state.norm_sq == 1.0
+        with pytest.raises(AttributeError):
+            state.missing
+        assert calls == [] and "amps" not in vars(state)
+        assert state.amps is state.amps and calls == [1]
+        assert state == SparseState(self.AMPS) and repr(state) == repr(SparseState(self.AMPS))
+        for name in ("amps", "norm_sq"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, {})
+
+    def test_racing_first_reads_keep_one_map(self):
+        state = SparseState._deferred(lambda: (time.sleep(0.01), dict(self.AMPS))[1], 1.0)
+        barrier, seen = threading.Barrier(8), []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(state.amps)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(amps is state.amps for amps in seen)
 
     def test_replace_the_reference_of_an_instance(self):
         inst = seal_naive("M", garbage="0")
