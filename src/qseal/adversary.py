@@ -21,11 +21,11 @@ replays its strategy on the single-state route when its returned mixture is
 read, sharing no column coding or emulated draw with the engines. Without a
 unitary, ``sparse_reports`` runs a stack of strategies (one, or bound-sweep's
 named rows) and stays sparse, so the basis and predicate cheats reach
-``SUPPORT_CAP`` keys: ``_sparse_masses`` buckets the reference in one pass
-(``states._buckets``) and takes the outcomes in sorted order. A branch costs
-one adopted post-state (``states._branch``), scored by one ``squared_overlap``
-and dropped before the next is built, and one ``decode`` lookup for its lone
-label; strategies of one outcome count share a ``_reports`` call. With one,
+``SUPPORT_CAP`` keys: it buckets the reference in one pass (``states._buckets``)
+and takes the outcomes in sorted order. A branch costs one post-state and its
+one C label (``states._branch``), scored by one ``squared_overlap`` and dropped
+before the next is built, and one ``decode`` lookup for that label;
+strategies of one outcome count share a ``_reports`` call. With one,
 ``_rotated_branches`` runs a stack of strategies (one, or a sweep's trials) on
 the reference's dense |B| x |basis| block and keeps only the outcome masses. A
 report's s, every link of its proof chain (``chain_links``) and its margin are
@@ -65,7 +65,6 @@ from .states import (
     SparseState,
     _branch,
     _buckets,
-    _rescaled,
     apply_unitary_c,
     c_block,
     check_unitary,
@@ -265,13 +264,27 @@ def _reports(qs: np.ndarray, pinned: np.ndarray, tables, strategies) -> list[Che
 
 
 def sparse_reports(strategies: Sequence[tuple[SealedInstance, ProjPartition]]) -> list[CheatReport]:
-    """The reports of strategies with no unitary, each an (instance, partition), in order:
-    ``_sparse_masses`` of each in turn, then one ``_reports`` per outcome count. A stack's
-    rows have one width, each row's own, so each report has the bits it gets alone."""
+    """The reports of strategies with no unitary, each an (instance, partition), in order,
+    then one ``_reports`` per outcome count. The partition is diagonal, so a post-state is a
+    rescaled piece of the reference: nothing needs undoing. After one ``_buckets`` pass, each
+    outcome's bucket, in sorted outcome order, is dropped, its post-state built (``_branch``),
+    scored by one ``squared_overlap`` and dropped before the next is built. A stack's rows
+    have one width, each row's own, so each report has the bits it gets alone."""
     stacks: dict[int, list] = {}  # outcome count -> [(strategy index, masses, pins, table, strategy)]
     for t, (inst, partition) in enumerate(strategies):
-        qs, pins, table = _sparse_masses(inst, partition)
-        stacks.setdefault(len(qs), []).append((t, qs, pins, table, (inst.reference, None, partition)))
+        reference, decode = inst.reference, inst.decode
+        buckets = _buckets(reference, partition)
+        outcomes, qs, overlaps, pins = sorted(buckets), [], [], []
+        for outcome in outcomes:
+            q, post, label = _branch(buckets.pop(outcome))
+            qs.append(q)
+            overlaps.append(squared_overlap(reference, post))
+            pins.append(label is not None and decode.get(label) is not None)
+            del post
+        check_weights(math.fsum(qs))
+        table = tuple(zip(outcomes, qs, overlaps))
+        del buckets, outcomes, overlaps  # each holds a slot per outcome until freed
+        stacks.setdefault(len(qs), []).append((t, qs, pins, table, (reference, None, partition)))
     reports: list = [None] * len(strategies)
     for stack in stacks.values():
         at, qs, pins, tables, given = zip(*stack)
@@ -438,8 +451,7 @@ def optimal_post_collapse_response(
     block = {k: a for k, a in inst.reference.amps.items() if k[0] == collapsed_b}
     if not block:
         raise ValueError(f"no branch with index label {collapsed_b!r}")
-    best_accept = math.fsum(abs(a) ** 2 for a in block.values())
-    return best_accept, _rescaled(block, 1.0 / math.sqrt(best_accept))
+    return _branch(block)[:2]
 
 
 def _random_cells(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -648,21 +660,3 @@ def random_strategy_sweep(
 def proof_chain(inst: SealedInstance, report: CheatReport) -> CheatReport:
     """The report itself, which holds its proof chain (``CheatReport.holds``)."""
     return report
-
-
-def _sparse_masses(inst: SealedInstance, partition: ProjPartition) -> tuple[list, list, tuple]:
-    """(masses, pins, table) of the strategy with no unitary, in sorted outcome order. The
-    partition is diagonal, so a post-state is a rescaled piece of the reference: nothing needs
-    undoing. After one ``_buckets`` pass, each outcome's bucket is dropped, its post-state built
-    (``_branch``), scored by one ``squared_overlap`` and dropped before the next is built."""
-    reference, decode = inst.reference, inst.decode
-    buckets, lone = _buckets(reference, partition)
-    outcomes, qs, overlaps, pins = sorted(buckets), [], [], []
-    for outcome in outcomes:
-        q, post, label = _branch(buckets.pop(outcome), lone.get(outcome))
-        qs.append(q)
-        overlaps.append(squared_overlap(reference, post))
-        pins.append(label is not None and decode.get(label) is not None)
-        del post
-    check_weights(math.fsum(qs))
-    return qs, pins, tuple(zip(outcomes, qs, overlaps))

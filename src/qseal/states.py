@@ -20,9 +20,11 @@ strategy through ``random_unitary`` (a sweep trial's seed), ``apply_unitary_c``
 and ``collapse_branches`` when it is read.
 
 One walk measures a partition of C: ``_buckets`` buckets its amplitudes by
-outcome in one pass, and ``_branch`` builds an outcome's mass and post-state;
-``collapse_branches`` keeps each outcome, ``adversary._sparse_masses`` scores
-and drops each. ``sample_readout`` draws one label of a basis readout of C.
+outcome in one pass, and ``_branch`` turns a piece of a state into its mass,
+post-state and one C label; ``collapse_branches`` keeps each outcome,
+``adversary.sparse_reports`` scores and drops each, and
+``adversary.optimal_post_collapse_response`` takes one index label's piece.
+``sample_readout`` draws one label of a basis readout of C.
 
 The mixed-state trace distance ``trace_distance_pure_vs_ensemble`` works in the
 span of the states involved (one QR column per state, ``span_trace_distance``)
@@ -76,9 +78,9 @@ class SparseState:
     float-amplitude protocol seals, user code) on its one path, a comprehension
     that drops amplitudes below ``PRUNE_TOL`` and makes the rest exact
     ``complex`` in its own copy. ``SparseState._adopt(amps)`` keeps a map qseal
-    has just built from a validated state (``_branch``, ``_rescaled``,
-    ``apply_unitary_c``) as it is; its caller shows that every
-    amplitude already meets the rule. Both check the norm in one routine, ``_hold``.
+    has just built from a validated state (``_branch``, ``apply_unitary_c``) as it
+    is; its caller shows that every amplitude already meets the rule. Both check the
+    norm in one routine, ``_hold``.
     ``SparseState._deferred(build, norm_sq)`` (``seal_oaep``) checks a norm its caller
     summed once and builds the map on the first read of ``amps``, so a state that is
     only cut never builds it.
@@ -337,56 +339,51 @@ def collapse_branches(s: SparseState, p: ProjPartition) -> dict[Label, tuple[flo
     Raises:
         ValueError: the state has support on a label the partition omits.
     """
-    buckets, lone = _buckets(s, p)
-    return {outcome: _branch(amps, lone.get(outcome))[:2] for outcome, amps in buckets.items()}
+    return {outcome: _branch(amps)[:2] for outcome, amps in _buckets(s, p).items()}
 
 
-def _buckets(s: SparseState, p: ProjPartition) -> tuple[dict, dict[Label, Label | None]]:
-    """(buckets, lone) of a partition of C: one pass over ``s.amps`` puts each amplitude in its
+def _buckets(s: SparseState, p: ProjPartition) -> dict[Label, tuple | dict]:
+    """The buckets of a partition of C: one pass over ``s.amps`` puts each amplitude in its
     outcome's bucket, outcomes in order of first appearance, amplitudes in the state's. A lone
-    amplitude is kept as its (key, amplitude) pair, more as a piece of the map, and ``lone``
-    gives such a map's one C label, or None if it has several. Raises ValueError naming the
-    C label of the first key the partition omits."""
+    amplitude is kept as its (key, amplitude) pair, more as a piece of the map. Raises
+    ValueError naming the C label of the first key the partition omits."""
     outcome_of = p.outcome_of
     buckets: dict[Label, tuple | dict[tuple[Label, Label], complex]] = {}
-    lone: dict[Label, Label | None] = {}
     for key, a in s.amps.items():
-        c = key[1]
-        outcome = outcome_of.get(c)
+        outcome = outcome_of.get(key[1])
         if (bucket := buckets.get(outcome)) is None:
             if outcome is None:
-                raise ValueError(f"C label {c!r} is not covered by the partition")
+                raise ValueError(f"C label {key[1]!r} is not covered by the partition")
             buckets[outcome] = (key, a)
         elif type(bucket) is tuple:
             buckets[outcome] = {bucket[0]: bucket[1], key: a}
-            lone[outcome] = c if bucket[0][1] == c else None
         else:
             bucket[key] = a
-            if lone[outcome] != c:
-                lone[outcome] = None
-    return buckets, lone
+    return buckets
 
 
-def _branch(amps: tuple | dict, label: Label | None) -> tuple[float, SparseState, Label | None]:
-    """(q, renormalized post-state, lone C label or None) of a ``_buckets`` bucket (``label`` is
-    a map's). A lone amplitude a gives q = |a|^2, its own ``math.fsum``, and the adopted state
-    on a / sqrt(q); a map gives the ``math.fsum`` of its |a|^2 and is rescaled in place."""
+def _branch(amps: tuple | dict) -> tuple[float, SparseState, Label | None]:
+    """(q, renormalized post-state, its one C label or None) of a ``_buckets`` bucket or
+    other piece of a state's map. A lone amplitude a gives q = |a|^2, its own ``math.fsum``,
+    and the adopted state on a / sqrt(q). A map's label is read first, up to its first key on
+    another label, as the prune below can drop a key; q is the ``math.fsum`` of its |a|^2
+    (q > 0: no amplitude is below ``PRUNE_TOL``), and the map is scaled in place. A scale of
+    at least 1 shrinks no modulus, so the map is adopted; one below 1 (a norm past 1, within
+    ``NORM_TOL``) can take an amplitude below ``PRUNE_TOL``, so it is pruned as input is."""
     if type(amps) is tuple:
         key, a = amps
         q = abs(a) ** 2
         return q, SparseState._adopt({key: a * (1.0 / math.sqrt(q))}), key[1]
+    label = next(iter(amps))[1]
+    for _, c in amps:
+        if c != label:
+            label = None
+            break
     q = math.fsum(map(pow, map(abs, amps.values()), itertools.repeat(2)))
-    return q, _rescaled(amps, 1.0 / math.sqrt(q)), label  # q > 0: no amplitude is below PRUNE_TOL
-
-
-def _rescaled(amps: dict[tuple[Label, Label], complex], scale: float) -> SparseState:
-    """The state on ``amps``, a piece of a state's map, scaled in place by ``scale``. It is
-    adopted (``SparseState._adopt``) when ``scale`` is at least 1, which shrinks no modulus.
-    A scale below 1 (a norm past 1, within ``NORM_TOL``) can take an amplitude below
-    ``PRUNE_TOL``, so that map is pruned as input is."""
+    scale = 1.0 / math.sqrt(q)
     for key, a in amps.items():
         amps[key] = a * scale
-    return (SparseState._adopt if scale >= 1.0 else SparseState)(amps)
+    return q, (SparseState._adopt if scale >= 1.0 else SparseState)(amps), label
 
 
 def sample_readout(s: SparseState, rng_seed: int) -> Label:

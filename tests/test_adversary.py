@@ -276,9 +276,14 @@ class TestOptimalPostCollapse:
                                  c_pool=[f"c{i}" for i in range(40)], support=100)
         inst = SealedInstance(MULTIPICTURE, reference, {}, {})
         for index in sorted(reference.b_labels()):
-            accept, _ = optimal_post_collapse_response(inst, index)
+            accept, state = optimal_post_collapse_response(inst, index)
             assert accept == exact_sum(
                 abs(a) ** 2 for (b, _), a in reference.amps.items() if b == index)
+            # The block scaled by 1 / sqrt(accept): adopted at a scale of at least 1, else validated.
+            scale = 1.0 / math.sqrt(accept)
+            scaled = {key: a * scale for key, a in reference.amps.items() if key[0] == index}
+            want = SparseState._adopt(scaled) if scale >= 1.0 else SparseState(scaled)
+            assert _state_bits(state) == _state_bits(want)
 
     def test_orthogonal_branch_scores_zero(self):
         inst = seal_multipicture(pictures(4))
@@ -1746,6 +1751,13 @@ def _sparse_route_cases():
     two_labels = _custom({("x", "m"): complex(0.5), ("y", "n"): complex(0.5j),
                           ("z", "m"): complex(-0.5), ("g", "g"): complex(0.5)},
                          {"m": "M", "n": "N", "g": None})
+    # C labels m, m, n in the state's order: the merged cell switches label only at
+    # its third key, so a scan stopping after two keys would pin it.
+    third_key = _custom({("x", "m"): complex(0.5), ("y", "m"): complex(0.5j),
+                         ("z", "n"): complex(-0.5), ("g", "g"): complex(0.5)},
+                        {"m": "M", "n": "N", "g": None})
+    three_b = _custom({("x", "m"): complex(0.5), ("y", "m"): complex(0.5j),
+                       ("z", "m"): complex(-0.5), ("g", "g"): complex(0.5)}, {"m": "M", "g": None})
     reverse_sorted = _custom({("a", "cz1"): complex(0.4), ("b", "cy"): complex(0.5j),
                               ("c", "cz2"): complex(-0.3), ("d", "cx"): complex(0.2),
                               ("e", "cw"): complex(0.6), ("f", "cx"): complex(0.0, -math.sqrt(0.1))},
@@ -1779,6 +1791,10 @@ def _sparse_route_cases():
         "two-b-one-c": (two_labels, None),
         # Outcome "mn" holds the C labels m and n, both decoding: not pinned.
         "two-c": (two_labels, ProjPartition({"m": "mn", "n": "mn", "g": "g"})),
+        # Outcome mn holds the C labels m, m, n in that order: not pinned.
+        "m-m-n": (third_key, ProjPartition({"m": "mn", "n": "mn", "g": "g"})),
+        # Outcome m holds three B labels on the one C label m, which decodes: pinned.
+        "three-b-one-c": (three_b, None),
         # Outcomes first appear as z, y, x, w, the reverse of sorted order: z holds
         # two C labels and x two B labels on one, y and w one amplitude each.
         "reverse-sorted-outcomes": (reverse_sorted, ProjPartition(
@@ -1869,6 +1885,15 @@ class TestSparseRouteBits:
         two_c = strategy_report(inst, None, merged)
         assert [row[:2] for row in two_c.outcome_table] == [("g", 0.25), ("mn", 0.75)]
         assert two_c.p == 0.0 and two_c.p_bound == 0.0  # mn has two C labels
+        inst, merged = cases["m-m-n"]
+        branches = collapse_branches(inst.reference, merged)
+        assert [c for _, c in branches["mn"][1].amps] == ["m", "m", "n"]
+        m_m_n = strategy_report(inst, None, merged)
+        assert [row[:2] for row in m_m_n.outcome_table] == [("g", 0.25), ("mn", 0.75)]
+        assert m_m_n.p == 0.0 and m_m_n.p_bound == 0.0  # mn's third key is on n
+        three = basis_cheat(cases["three-b-one-c"][0])
+        assert [row[:2] for row in three.outcome_table] == [("g", 0.25), ("m", 0.75)]
+        assert three.p == 0.75 and three.p_bound == 0.75  # m (three B labels) pinned
         zeros = [x for a in cases["negative-zero"][0].reference.amps.values() for x in (a.real, a.imag)]
         assert sum(math.copysign(1.0, x) < 0 and x == 0.0 for x in zeros) == 4
         tiny = cases["at-prune-tol"][0].reference.amps[("t", "t")]
